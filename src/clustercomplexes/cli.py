@@ -296,7 +296,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     n_v = len(cx.vertices)
     total = sum(comb(n_v, s) for s in range(0, m + 1))
     mode = "exhaustive" if total <= exhaustive_cap else "sample"
-    rep = kcm_audit(cx, m + 1, mode=mode, seed=cfg.seed)
+    rep = kcm_audit(cx, m + 1, mode=mode, seed=cfg.seed, workers=cfg.workers)
     add("kcm", rep.passed, k=m + 1, mode=mode, examined=rep.examined)
     witness = kcm_audit(cx, m + 2, sizes=[m + 1], max_failures=1)
     add("kcm-witness", not witness.passed,

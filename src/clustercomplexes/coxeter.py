@@ -1,11 +1,14 @@
 """Reflection group elements, reflection length and the absolute order.
 
-Elements carry their permutation action on the full root set (faithful,
-since the roots span) for hashing and equality, plus a backend payload:
-an exact orthogonal matrix for coordinate systems, or a (rotation, flip)
-pair for the dihedral model.  Reflection length comes from the fixed-space
-codimension for matrices and from direct classification for dihedral
-elements; a breadth-first word-length oracle is available at desk scale.
+A group element is its permutation of the system's full root list; the
+roots span, so the permutation is faithful.  There is no matrix and no
+other backend data.  Reflection length comes from the system's memo,
+keyed by the permutation: coordinate systems apply Carter's lemma,
+l_T(w) = codim Fix(w) = rank(w - I), with w - I read in the simple-root
+basis from the stored root expansions of w(alpha_j); I2(m) reads the
+length off the permutation (0 for the identity, 1 for a reflection, 2 for
+a rotation).  A breadth-first word-length oracle and the type-A
+permutation oracles are independent routes at desk scale.
 """
 from __future__ import annotations
 
@@ -13,66 +16,29 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Matrix
 from .roots import Root, RootSystem
 
 
-class DihedralElement:
-    """Element k -> (shift + sign*k) mod modulus of a dihedral group."""
-
-    __slots__ = ("shift", "sign", "modulus")
-
-    def __init__(self, shift: int, sign: int, modulus: int):
-        self.shift = shift % modulus
-        self.sign = sign
-        self.modulus = modulus
-
-    def compose(self, other: "DihedralElement") -> "DihedralElement":
-        # apply other first, then self
-        return DihedralElement(self.shift + self.sign * other.shift,
-                               self.sign * other.sign, self.modulus)
-
-    def inverse(self) -> "DihedralElement":
-        if self.sign == -1:
-            return self
-        return DihedralElement(-self.shift, 1, self.modulus)
-
-    def length(self) -> int:
-        if self.sign == -1:
-            return 1
-        return 0 if self.shift == 0 else 2
-
-
 class GroupElement:
-    """An orthogonal transformation stabilizing the root system."""
+    """An element of the reflection group, as a permutation of ``roots``."""
 
-    __slots__ = ("system", "perm", "payload", "_length")
+    __slots__ = ("system", "perm", "_length")
 
-    def __init__(self, system: RootSystem, perm: tuple, payload):
+    def __init__(self, system: RootSystem, perm: tuple):
         self.system = system
         self.perm = perm
-        self.payload = payload
         self._length = None
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         # (self * other) acts by other first
         sp = self.perm
-        perm = tuple(sp[i] for i in other.perm)
-        if isinstance(self.payload, Matrix):
-            payload = self.payload * other.payload
-        else:
-            payload = self.payload.compose(other.payload)
-        return GroupElement(self.system, perm, payload)
+        return GroupElement(self.system, tuple(sp[i] for i in other.perm))
 
     def inverse(self) -> "GroupElement":
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
-        if isinstance(self.payload, Matrix):
-            payload = self.payload.transpose()  # orthogonal in all realizations
-        else:
-            payload = self.payload.inverse()
-        return GroupElement(self.system, tuple(inv), payload)
+        return GroupElement(self.system, tuple(inv))
 
     def apply(self, root: Root) -> Root:
         return self.system.roots[self.perm[self.system.index_of(root)]]
@@ -82,14 +48,9 @@ class GroupElement:
 
     @property
     def length(self) -> int:
-        """Reflection length, via the dimension of the moved space."""
+        """Reflection length, from the system's per-permutation memo."""
         if self._length is None:
-            if isinstance(self.payload, Matrix):
-                # The payload fixes the orthogonal complement of the root
-                # span pointwise, so rank(M - I) is intrinsic.
-                self._length = (self.payload - Matrix.identity(self.payload.rows)).rank()
-            else:
-                self._length = self.payload.length()
+            self._length = self.system.length_of(self.perm)
         return self._length
 
     def __eq__(self, other):
@@ -278,19 +239,39 @@ def enumerate_group(rs: RootSystem, limit: int = 200000) -> list:
 
 
 def one_line_permutation(w: GroupElement) -> tuple:
-    """One-line notation of a type-A element acting on coordinates."""
-    mat = w.payload
-    if not isinstance(mat, Matrix):
-        raise ValueError("one-line notation needs a coordinate backend")
-    n = mat.rows
-    out = [None] * n
-    for j in range(n):
-        col = [mat.entries[i][j] for i in range(n)]
-        ones = [i for i, x in enumerate(col) if x.sign() != 0]
-        if len(ones) != 1 or col[ones[0]] != 1:
-            raise ValueError("element is not a coordinate permutation")
-        out[j] = ones[0]
+    """One-line notation of a type-A element acting on coordinates.
+
+    Every root is some e_i - e_j, and w sends it to e_pi(i) - e_pi(j);
+    pi is read off the permutation of the roots and checked on all of them.
+    """
+    rs = w.system
+    pairs = [_unit_difference(r) for r in rs.roots]
+    if None in pairs:
+        raise ValueError("one-line notation needs roots of the form e_i - e_j")
+    out = [None] * rs.ambient
+    for k, (i, j) in enumerate(pairs):
+        for src, dst in zip((i, j), pairs[w.perm[k]]):
+            if out[src] not in (None, dst):
+                raise ValueError("element is not a coordinate permutation")
+            out[src] = dst
+    if None in out or len(set(out)) != len(out):
+        raise ValueError("element is not a coordinate permutation")
     return tuple(out)
+
+
+def _unit_difference(root: Root) -> Optional[tuple]:
+    """(i, j) when root is e_i - e_j, else None."""
+    if root.coords is None:
+        return None
+    nonzero = [(k, x) for k, x in enumerate(root.coords) if x.sign() != 0]
+    if len(nonzero) != 2:
+        return None
+    (i, x), (j, y) = nonzero
+    if x == 1 and y == -1:
+        return (i, j)
+    if x == -1 and y == 1:
+        return (j, i)
+    return None
 
 
 def cycles_of(perm: Sequence[int]) -> list:

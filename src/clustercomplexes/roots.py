@@ -13,8 +13,12 @@ placing the first simple root of the conventional ordering in the first
 block.
 
 I2(m) is modeled combinatorially: its 2m roots are unit vectors at angles
-k*pi/m represented by their integer angle index, and group elements are
-(rotation, flip) pairs, so no cyclotomic arithmetic is ever needed.
+k*pi/m represented by their integer angle index, so no cyclotomic
+arithmetic is ever needed.
+
+Group elements are permutations of ``roots`` (see ``coxeter``).  Each
+system builds its reflections on first use and memoizes reflection length
+per permutation.
 """
 from __future__ import annotations
 
@@ -110,6 +114,29 @@ class RootSystem:
                 return comp
         raise ValueError("no component for simple index %d" % i)
 
+    def reflection(self, root: Root):
+        """The reflection in ``root``; a root and its negative share it."""
+        if self._reflections is None:
+            self._reflections = self._build_reflections()
+        return self._reflections[self._index[root.key]]
+
+    def identity_element(self):
+        from .coxeter import GroupElement
+        return GroupElement(self, tuple(range(len(self.roots))))
+
+    def length_of(self, perm: tuple) -> int:
+        """Reflection length of the element permuting ``roots`` by ``perm``."""
+        out = self._lengths.get(perm)
+        if out is None:
+            out = self._lengths[perm] = self._reflection_length(perm)
+        return out
+
+    def _build_reflections(self) -> list:
+        raise NotImplementedError
+
+    def _reflection_length(self, perm: tuple) -> int:
+        raise NotImplementedError
+
     def numerology(self) -> Numerology:
         raise NotImplementedError
 
@@ -167,7 +194,8 @@ class CoordinateRootSystem(RootSystem):
             self._expansion[root.key] = tuple(-c for c in pos_exp)
 
         self._components = None
-        self._reflections = {}
+        self._reflections = None
+        self._lengths = {}
         self._numerology = None
 
     # -- structure -----------------------------------------------------------
@@ -205,24 +233,51 @@ class CoordinateRootSystem(RootSystem):
         return frozenset(i for i, c in enumerate(self.expansion(beta))
                          if c.sign() != 0)
 
-    def reflection_matrix_of(self, root: Root) -> Matrix:
-        return reflection_matrix(root.coords, self.ambient)
+    def _build_reflections(self) -> list:
+        """Every reflection, indexed like ``roots``.
 
-    def reflection(self, root: Root):
+        Only the simple reflections come from exact matrices.  The others
+        are conjugates s_{s_i(beta)} = s_i s_beta s_i, found breadth-first
+        from the simple roots, whose W-orbit is the whole root system.
+        """
         from .coxeter import GroupElement
-        key = root.key
-        cached = self._reflections.get(key)
-        if cached is None:
-            mat = self.reflection_matrix_of(root)
-            perm = tuple(self._index[mat.apply(r.coords)] for r in self.roots)
-            cached = GroupElement(self, perm, mat)
-            self._reflections[key] = cached
-        return cached
+        index, neg = self._index, self._neg
+        simple = []
+        for a in self.simple_roots:
+            mat = reflection_matrix(a.coords, self.ambient)
+            simple.append(tuple(index[mat.apply(r.coords)] for r in self.roots))
+        perms = [None] * len(self.roots)
+        frontier = []
+        for a, perm in zip(self.simple_roots, simple):
+            i = index[a.key]
+            perms[i] = perms[neg[i]] = perm
+            frontier.append(i)
+        while frontier:
+            nxt = []
+            for b in frontier:
+                sb = perms[b]
+                for si in simple:
+                    c = si[b]
+                    if perms[c] is None:
+                        perms[c] = perms[neg[c]] = tuple(si[sb[k]] for k in si)
+                        nxt.append(c)
+            frontier = nxt
+        if None in perms:
+            raise RuntimeError("reflection closure missed a root of %s" % self.label)
+        out = [None] * len(self.roots)
+        for i in range(len(self.positive_roots)):
+            out[i] = out[neg[i]] = GroupElement(self, perms[i])
+        return out
 
-    def identity_element(self):
-        from .coxeter import GroupElement
-        return GroupElement(self, tuple(range(len(self.roots))),
-                            Matrix.identity(self.ambient))
+    def _reflection_length(self, perm: tuple) -> int:
+        # Carter's lemma: l_T(w) = codim Fix(w) = rank(w - I) on the root
+        # span.  Row j below is expansion(w(alpha_j)) - e_j, the j-th column
+        # of w - I in the simple-root basis; the rank is transpose-invariant.
+        rows = []
+        for j, a in enumerate(self.simple_roots):
+            image = self.expansion(self.roots[perm[self._index[a.key]]])
+            rows.append([c - ONE if k == j else c for k, c in enumerate(image)])
+        return Matrix(rows).rank()
 
     # -- derived numbers -------------------------------------------------------
 
@@ -234,12 +289,14 @@ class CoordinateRootSystem(RootSystem):
             n = self.rank
             npos = len(self.positive_roots)
             h, rem = divmod(2 * npos, n)
-            assert rem == 0, "2N/n must be an integer"
+            if rem != 0:
+                raise RuntimeError("2N/n must be an integer")
             if self.label in _ICOSAHEDRAL_EXPONENTS:
                 exps = _ICOSAHEDRAL_EXPONENTS[self.label]
             else:
                 exps = _exponents_from_heights(self)
-            assert sum(exps) == npos, "exponent sum must equal |Phi+|"
+            if sum(exps) != npos:
+                raise RuntimeError("exponent sum must equal |Phi+|")
             self._numerology = Numerology(tuple(exps), h, npos)
         return self._numerology
 
@@ -300,7 +357,8 @@ class DihedralRootSystem(RootSystem):
         self._neg = {i: (i + m) % (2 * m) for i in range(2 * m)}
         self.components = [self]
         self.component_simple_indices = [(0, 1)]
-        self._reflections = {}
+        self._reflections = None
+        self._lengths = {}
 
     def support(self, beta: Root) -> frozenset:
         if not self.is_positive(beta):
@@ -330,23 +388,22 @@ class DihedralRootSystem(RootSystem):
         m = self.order
         return (2 * (r1.angle - r2.angle)) % (2 * m) == m
 
-    def reflection(self, root: Root):
-        from .coxeter import DihedralElement, GroupElement
-        key = root.key
-        cached = self._reflections.get(key)
-        if cached is None:
-            # reflection in the line orthogonal to the root at angle k*pi/m
-            m2 = 2 * self.order
-            shift = (2 * root.angle + self.order) % m2
-            perm = tuple((shift - k) % m2 for k in range(m2))
-            cached = GroupElement(self, perm, DihedralElement(shift, -1, m2))
-            self._reflections[key] = cached
-        return cached
+    def _build_reflections(self) -> list:
+        from .coxeter import GroupElement
+        m, m2 = self.order, 2 * self.order
+        out = []
+        for k in range(m):
+            # the reflection in the line orthogonal to the root at angle k*pi/m
+            shift = (2 * k + m) % m2
+            out.append(GroupElement(self, tuple((shift - j) % m2 for j in range(m2))))
+        return out + out
 
-    def identity_element(self):
-        from .coxeter import DihedralElement, GroupElement
-        m2 = 2 * self.order
-        return GroupElement(self, tuple(range(m2)), DihedralElement(0, 1, m2))
+    def _reflection_length(self, perm: tuple) -> int:
+        # Every element is k -> shift + k (a rotation, the identity when
+        # shift = 0) or k -> shift - k (a reflection).
+        if (perm[1] - perm[0]) % (2 * self.order) != 1:
+            return 1
+        return 0 if perm[0] == 0 else 2
 
     def numerology(self) -> Numerology:
         return Numerology((1, self.order - 1), self.order, self.order)
@@ -474,8 +531,8 @@ def _exponents_from_heights(rs: CoordinateRootSystem) -> tuple:
         heights.append(h.as_int())
     top = max(heights)
     dist = [sum(1 for h in heights if h == k) for k in range(1, top + 1)]
-    assert all(dist[i] >= dist[i + 1] for i in range(len(dist) - 1)), \
-        "height distribution must be a partition"
+    if any(dist[i] < dist[i + 1] for i in range(len(dist) - 1)):
+        raise RuntimeError("height distribution must be a partition")
     exps = sorted(sum(1 for p in dist if p >= k) for k in range(1, dist[0] + 1))
     return tuple(exps)
 
@@ -560,7 +617,8 @@ def _h4_root_set() -> list:
                 x = base[src]
                 v[pos] = -x if signs >> src & 1 else x
             roots.add(tuple(v))
-    assert len(roots) == 120, "H4 root set has %d elements" % len(roots)
+    if len(roots) != 120:
+        raise RuntimeError("H4 root set has %d elements" % len(roots))
     return sorted(roots)
 
 
@@ -641,9 +699,10 @@ def _build_root_system(label, rank, dihedral_order) -> RootSystem:
             raise ValueError("type %s has rank %d, got %r" % (name, want_rank, rank))
         rs = CoordinateRootSystem(fn(), label=name)
         expected = _EXPECTED_POSITIVE_COUNT[name]
-        assert len(rs.positive_roots) == expected, \
-            "closure produced %d positive roots for %s, expected %d" % (
-                len(rs.positive_roots), name, expected)
+        if len(rs.positive_roots) != expected:
+            raise RuntimeError(
+                "closure produced %d positive roots for %s, expected %d" % (
+                    len(rs.positive_roots), name, expected))
         return rs
     raise ValueError("unsupported root system %r; supported: %s"
                      % (label if rank is None else (label, rank), _SUPPORTED))

@@ -228,7 +228,8 @@ def homology(cx: SimplicialComplex) -> HomologyProfile:
     profile = HomologyProfile(tuple(betti), tuple(torsion),
                               cx.euler_characteristic_reduced())
     chi = sum((-1) ** i * b for i, b in enumerate(betti))
-    assert chi == profile.euler_reduced, "homology does not match Euler count"
+    if chi != profile.euler_reduced:
+        raise RuntimeError("homology does not match Euler count")
     return profile
 
 
@@ -264,7 +265,8 @@ def fuss_catalan(rs: RootSystem, m: int, positive: bool = False) -> int:
         shift = -1 if positive else 1
         for e in num.exponents:
             out *= Fraction(e + m * num.coxeter_number + shift, e + 1)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise RuntimeError("facet count %s is not an integer" % out)
     return int(out)
 
 

@@ -10,7 +10,8 @@ import sys
 import time
 from pathlib import Path
 
-from clustercomplexes.colored import (fr_compatible, get_context, is_face,
+from clustercomplexes.colored import (build_complex, fr_compatible,
+                                      get_context, is_face, positive_part,
                                       typeA_polygon_oracle)
 from clustercomplexes.coxeter import (absolute_leq, enumerate_group,
                                       one_line_permutation, rho_sequence,
@@ -204,3 +205,21 @@ def test_criterion_11_property_suites_standalone():
     if not ok:
         print(proc.stdout[-2000:])
     report("11 property suites standalone", ok, t0, 120)
+
+
+def test_criterion_12_frontier_facet_counts():
+    t0 = time.time()
+    # Facets: prod (e_i + m*h + 1)/(e_i + 1);
+    # positive part: prod (e_i + m*h - 1)/(e_i + 1).
+    # H4, m=1: e = 1, 11, 19, 29 and h = 30, so the denominator is
+    #   2*12*20*30 = 14400, the facets 32*42*50*60/14400 = 4032000/14400 = 280,
+    #   the positive facets 30*40*48*58/14400 = 3340800/14400 = 232.
+    # B4, m=2: e = 1, 3, 5, 7 and h = 8, so the denominator is
+    #   2*4*6*8 = 384, the facets 18*20*22*24/384 = 190080/384 = 495,
+    #   the positive facets 16*18*20*22/384 = 126720/384 = 330.
+    ok = True
+    for label, m, facets, positive in (("H4", 1, 280, 232), ("B4", 2, 495, 330)):
+        cx, _ = build_complex(build_root_system(label), m)
+        ok = ok and len(cx.facets) == facets
+        ok = ok and len(positive_part(cx).facets) == positive
+    report("12 frontier facet counts (H4, B4)", ok, t0, 15)

@@ -84,3 +84,28 @@ def test_table_format_prints_checks(capsys):
     assert run(["incidence", "--phi", "A2", "--m", "1"]) == 0
     captured = capsys.readouterr().out
     assert "codim1-incidence" in captured and "pass" in captured
+
+
+def test_verify_all_passes_workers_to_the_audit(monkeypatch):
+    # topology imports multiprocessing only when it starts a pool
+    import multiprocessing
+    requested = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool; maps in this process."""
+
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert run(["verify-all", "--phi", "A2", "--m", "1", "--workers", "2"]) == 0
+    assert requested == [2]

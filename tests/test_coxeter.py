@@ -42,6 +42,26 @@ class TestReflectionLength:
                 assert reflection_length(w, "fixed_space") == \
                     reflection_length(w, "word_bfs")
 
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "G2", "A1xA2", "I2(5)"])
+    def test_carter_length_is_word_length_on_the_group(self, label):
+        rs = build_root_system(label)
+        gens = [rs.reflection(r) for r in rs.positive_roots]
+        e = rs.identity_element()
+        depth = {e.perm: 0}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for t in gens:
+                    v = u * t
+                    if v.perm not in depth:
+                        depth[v.perm] = depth[u.perm] + 1
+                        nxt.append(v)
+            frontier = nxt
+        assert len(depth) == len(enumerate_group(rs))
+        for perm, d in depth.items():
+            assert rs.length_of(perm) == d
+
     def test_bfs_guard(self):
         rs = build_root_system("E7")
         with pytest.raises(ValueError, match="cap"):

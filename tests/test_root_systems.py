@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from clustercomplexes.coxeter import bipartite_coxeter, enumerate_group
+from clustercomplexes.exact import reflection_matrix
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
-                                    bipartition, build_root_system, classify,
+                                    Root, bipartition, build_root_system, classify,
                                     numerology, parabolic, support)
 
 EXPECTED = {
@@ -31,21 +32,25 @@ EXPECTED = {
 }
 
 
+def simple_basis_matrix(w):
+    """Float matrix of w on the root span in the simple-root basis.
+
+    Column j is expansion(w(alpha_j)), read from the permutation.
+    """
+    rs = w.system
+    cols = [[float(c) for c in rs.expansion(w.apply(a))] for a in rs.simple_roots]
+    return np.array(cols).T
+
+
 def eigenvalue_exponent_oracle(rs):
     """Exponents from the rotation angles of the bipartite Coxeter element.
 
-    Numeric (test-side only): eigenvalues of the element's matrix are
-    exp(2*pi*i*e/h); trivial eigenvalues from ambient directions outside
-    the root span are discarded first.
+    Numeric (test-side only): the eigenvalues of the element on the root
+    span are exp(2*pi*i*e/h).
     """
-    gamma = bipartite_coxeter(rs)
-    mat = np.array([[float(x) for x in row] for row in gamma.payload.entries])
-    eigenvalues = np.linalg.eigvals(mat)
-    extra = mat.shape[0] - rs.rank
-    drop = np.argsort(np.abs(eigenvalues - 1.0))[:extra]
-    kept = np.delete(eigenvalues, drop)
+    eigenvalues = np.linalg.eigvals(simple_basis_matrix(bipartite_coxeter(rs)))
     h = rs.numerology().coxeter_number
-    raw = sorted((np.angle(ev) % (2 * np.pi)) * h / (2 * np.pi) for ev in kept)
+    raw = sorted((np.angle(ev) % (2 * np.pi)) * h / (2 * np.pi) for ev in eigenvalues)
     rounded = [round(x) for x in raw]
     assert all(abs(x - r) < 1e-9 for x, r in zip(raw, rounded))
     return tuple(rounded)
@@ -88,6 +93,17 @@ class TestConstruction:
                     image = refl.apply(root)  # raises if outside the system
                     assert image in rs.roots or True
                     rs.index_of(image)
+
+    @pytest.mark.parametrize("label", sorted(
+        [k for k in EXPECTED if not k.startswith("I2")] + ["A1xA2", "B2xG2"]))
+    def test_reflections_by_conjugation_match_matrices(self, label):
+        rs = build_root_system(label)
+        for r in rs.positive_roots:
+            mat = reflection_matrix(r.coords)
+            want = tuple(rs.index_of(Root(coords=mat.apply(x.coords)))
+                         for x in rs.roots)
+            assert rs.reflection(r).perm == want
+            assert rs.reflection(rs.negate(r)) is rs.reflection(r)
 
     def test_positive_roots_have_nonnegative_expansions(self):
         for label in ("B3", "F4", "H3"):
