@@ -25,9 +25,9 @@ from .colored import (ColoredRoot, build_complex, fr_compatible,  # noqa: F401
                       word_of_face, restrict)
 from .simplicial import SimplicialComplex, f_h_vectors  # noqa: F401
 from .topology import (HomologyProfile, KCMReport, ShellingOrder,  # noqa: F401
-                       check_pure, codim1_incidence, construct_shelling,
-                       dimension, fuss_narayana_positive, homology,
-                       kcm_audit, verify_shelling, verify_wedge)
+                       codim1_incidence, construct_shelling,
+                       fuss_narayana_positive, homology, kcm_audit,
+                       verify_shelling, verify_wedge)
 from .noncrossing import (MultichainTuple, PosetView, build_Lm,  # noqa: F401
                           face_to_tuple, homotopy_compare, moebius,
                           nc_interval, order_complex, truncate)

@@ -21,9 +21,9 @@ from .colored import (build_complex, fr_compatible, get_context,
 from .noncrossing import build_Lm, homotopy_compare, moebius, nc_interval
 from .roots import build_root_system, parse_label
 from .simplicial import f_h_vectors
-from .topology import (check_pure, codim1_incidence, construct_shelling,
-                       fuss_catalan, fuss_narayana_positive, homology,
-                       kcm_audit, verify_shelling, verify_wedge, ShellingFailure)
+from .topology import (codim1_incidence, construct_shelling, fuss_catalan,
+                       fuss_narayana_positive, homology, kcm_audit,
+                       verify_shelling, verify_wedge, ShellingFailure)
 
 
 @dataclass
@@ -130,6 +130,16 @@ def _base_report(cfg: RunConfig) -> dict:
     return {"config": cfg.to_dict(), "version": __version__}
 
 
+def _positive_wedge(rs, m: int) -> tuple:
+    """(count, dimension) of the spheres the positive part is a wedge of.
+
+    At m = 0 the positive part is {()}, a single (-1)-sphere.
+    """
+    if m == 0:
+        return 1, -1
+    return fuss_narayana_positive(rs, m - 1), rs.rank - 1
+
+
 def _cached_complex(cfg: RunConfig):
     rs = _load_system(cfg)
     cx, graph = build_complex(rs, cfg.m)
@@ -173,8 +183,8 @@ def cmd_homology(cfg: RunConfig) -> int:
     report = _base_report(cfg)
     report["full"] = homology(cx).to_dict()
     report["positive"] = homology(pos).to_dict()
-    want = fuss_narayana_positive(rs, cfg.m - 1)
-    ok = verify_wedge(pos, want, rs.rank - 1)
+    want, sphere_dim = _positive_wedge(rs, cfg.m)
+    ok = verify_wedge(pos, want, sphere_dim)
     report["checks"] = [{"id": "wedge-positive", "ok": ok,
                          "detail": {"expected_spheres": want}}]
     _emit(cfg, report)
@@ -260,9 +270,9 @@ def cmd_verify_all(cfg: RunConfig) -> int:
         checks.append({"id": check_id, "ok": bool(ok), "detail": detail})
 
     # structural checks
-    add("purity", check_pure(cx) and cx.dimension() == rs.rank - 1,
+    add("purity", cx.is_pure() and cx.dimension() == rs.rank - 1,
         dim=cx.dimension())
-    add("purity-positive", check_pure(pos) and pos.dimension() == rs.rank - 1,
+    add("purity-positive", pos.is_pure() and pos.dimension() == rs.rank - 1,
         dim=pos.dimension())
     hist = codim1_incidence(cx)
     add("codim1-incidence", set(hist) == {m + 1}, histogram=sorted(hist.items()))
@@ -286,10 +296,10 @@ def cmd_verify_all(cfg: RunConfig) -> int:
             ok = False
         add("shelling-%s" % name, ok, facets=len(complex_.facets))
     # wedge counts
-    want = fuss_narayana_positive(rs, m - 1)
-    add("wedge-positive", verify_wedge(pos, want, rs.rank - 1), expected=want)
+    want, sphere_dim = _positive_wedge(rs, m)
+    add("wedge-positive", verify_wedge(pos, want, sphere_dim), expected=want)
     chi = pos.euler_characteristic_reduced()
-    add("euler-identity", chi == (-1) ** (rs.rank - 1) * want, chi=chi)
+    add("euler-identity", chi == (-1 if sphere_dim % 2 else 1) * want, chi=chi)
     # connectivity audits (witness search kept cheap)
     exhaustive_cap = 5000
     from math import comb
@@ -345,6 +355,13 @@ COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="clustercx",
@@ -366,7 +383,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--exhaustive", dest="mode", action="store_const",
                        const="exhaustive", help="shorthand for --mode exhaustive")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="audit processes; more than the CPUs are not started")
         p.add_argument("--out", default=None)
         p.add_argument("--format", dest="fmt", default="table",
                        choices=["table", "json", "csv"])

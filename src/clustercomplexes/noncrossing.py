@@ -290,7 +290,7 @@ def homotopy_compare(rs: RootSystem, m: int, k: int,
     oc = order_complex(poset.truncate(k), strip=[bottom])
     hs = homology(skel)
     hp = homology(oc)
-    ok = _profiles_equal(hs, hp)
+    ok = hs.groups() == hp.groups()
     fiber_failures: list = []
     checked = 0
     if check_fibers:
@@ -305,15 +305,3 @@ def homotopy_compare(rs: RootSystem, m: int, k: int,
                 fiber_failures.append(poset.label(x))
         ok = ok and not fiber_failures
     return HomotopyCompareReport(ok, k, hs, hp, checked, fiber_failures)
-
-
-def _profiles_equal(a: HomologyProfile, b: HomologyProfile) -> bool:
-    la, lb = list(a.betti), list(b.betti)
-    ta, tb = list(a.torsion), list(b.torsion)
-    while len(la) < len(lb):
-        la.append(0)
-        ta.append(())
-    while len(lb) < len(la):
-        lb.append(0)
-        tb.append(())
-    return la == lb and ta == tb

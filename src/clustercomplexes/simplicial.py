@@ -21,16 +21,19 @@ class SimplicialComplex:
         if self.objects is not None and len(self.objects) != len(self.vertices):
             raise ValueError("objects and vertices differ in length")
         cleaned = sorted({tuple(sorted(f)) for f in facets})
-        # drop faces contained in other faces
-        maximal = [f for f in cleaned
-                   if not any(set(f) < set(g) for g in cleaned if len(g) > len(f))]
-        self.facets = tuple(maximal)
+        if len({len(f) for f in cleaned}) > 1:
+            # drop faces contained in larger ones: only faces holding its
+            # first vertex can contain a face, and () lies in every other one
+            sets = [set(f) for f in cleaned]
+            holders: dict = {}
+            for fs in sets:
+                for v in fs:
+                    holders.setdefault(v, []).append(fs)
+            cleaned = [f for f, fs in zip(cleaned, sets)
+                       if f and not any(fs < g for g in holders[f[0]])]
+        self.facets = tuple(cleaned)
         self.meta = dict(meta or {})
         self._faces = None
-
-    @classmethod
-    def from_faces(cls, vertices, faces, objects=None, meta=None):
-        return cls(vertices, faces, objects=objects, meta=meta)
 
     # -- basic queries -------------------------------------------------------
 

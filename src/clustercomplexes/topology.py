@@ -2,30 +2,25 @@
 
 Shelling orders are constructed by recursive vertex decomposition and are
 always re-verified against the definition, so a returned order is a
-checked certificate.  Homology is integral, computed from Smith normal
-forms of the (augmented) boundary matrices.  Cohen-Macaulayness is decided
-homologically: every face link must have vanishing reduced homology below
-its top dimension.
+checked certificate.  Homology is integral: each sparse boundary matrix is
+reduced by exact unit-pivot elimination, and only the block left without a
+unit entry goes to a dense Smith normal form, for the torsion.
+Cohen-Macaulayness is decided homologically: every face link must have
+vanishing reduced homology below its top dimension.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import smith_normal_form
 from .roots import RootSystem
 from .simplicial import SimplicialComplex
-
-
-def dimension(cx: SimplicialComplex) -> int:
-    return cx.dimension()
-
-
-def check_pure(cx: SimplicialComplex) -> bool:
-    return cx.is_pure()
 
 
 # -- shellings ----------------------------------------------------------------------
@@ -174,61 +169,118 @@ def _shedding_candidates(verts: list, cx: SimplicialComplex) -> list:
 
 @dataclass
 class HomologyProfile:
-    """Reduced integral homology: Betti numbers and torsion per dimension."""
+    """Reduced integral homology: Betti numbers and torsion per degree.
 
-    betti: tuple      # indices 0..dim
+    ``betti[i]`` and ``torsion[i]`` belong to degree ``first_degree + i``.
+    The degrees start at 0, except for the complex {()} whose only reduced
+    homology is Z in degree -1.
+    """
+
+    betti: tuple
     torsion: tuple    # tuple of tuples of invariant factors > 1
     euler_reduced: int
+    first_degree: int = 0
 
     def is_trivial(self) -> bool:
-        return all(b == 0 for b in self.betti) and \
-            all(not t for t in self.torsion)
+        return not self.groups()
+
+    def groups(self) -> dict:
+        """The nonzero groups: degree -> (Betti number, torsion)."""
+        return {deg: (b, t) for deg, (b, t) in
+                enumerate(zip(self.betti, self.torsion), self.first_degree)
+                if b or t}
 
     def concentrated(self, dim: int, rank: int) -> bool:
-        for i, b in enumerate(self.betti):
-            if b != (rank if i == dim else 0):
-                return False
-        if any(t for t in self.torsion):
-            return False
-        return (dim < len(self.betti) or rank == 0)
+        return self.groups() == ({dim: (rank, ())} if rank else {})
 
     def to_dict(self) -> dict:
-        return {"betti": list(self.betti),
-                "torsion": [list(t) for t in self.torsion],
-                "euler_reduced": self.euler_reduced}
+        out = {"betti": list(self.betti),
+               "torsion": [list(t) for t in self.torsion],
+               "euler_reduced": self.euler_reduced}
+        if self.first_degree:
+            out["first_degree"] = self.first_degree
+        return out
+
+
+def integer_rank_torsion(columns: list) -> tuple:
+    """Rank and torsion coefficients of a sparse integer matrix.
+
+    ``columns`` holds one {row: entry} dict per column, without zero
+    entries; the dicts are consumed.  Unit pivots are eliminated first,
+    from the shortest column and within it the sparsest row.  These are
+    unimodular operations, so the invariant factors are kept.  Only the
+    columns left without a unit entry go to ``smith_normal_form``.
+    Returns (rank, torsion), torsion being the invariant factors > 1.
+    """
+    rows: dict = {}
+    for c, col in enumerate(columns):
+        for r in col:
+            rows.setdefault(r, set()).add(c)
+    # a column is pushed again whenever it changes; stale entries are skipped
+    heap = [(len(col), c) for c, col in enumerate(columns) if col]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        size, c = heapq.heappop(heap)
+        col = columns[c]
+        if col is None or len(col) != size:
+            continue
+        units = [r for r, v in col.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        r = min(units, key=lambda x: len(rows[x]))
+        p = col[r]
+        for other in list(rows[r]):
+            if other == c:
+                continue
+            oc = columns[other]
+            f = oc[r] * p  # p is its own inverse
+            for rr, v in col.items():
+                w = oc.get(rr, 0) - f * v
+                if w:
+                    oc[rr] = w
+                    rows[rr].add(other)
+                else:
+                    del oc[rr]
+                    rows[rr].discard(other)
+            if oc:
+                heapq.heappush(heap, (len(oc), other))
+        for rr in col:
+            rows[rr].discard(c)
+        columns[c] = None
+        rank += 1
+    rest = [col for col in columns if col]
+    if not rest:
+        return rank, ()
+    used = {r: i for i, r in enumerate(sorted({r for col in rest for r in col}))}
+    dense = [[0] * len(rest) for _ in used]
+    for j, col in enumerate(rest):
+        for r, v in col.items():
+            dense[used[r]][j] = v
+    factors, extra = smith_normal_form(dense)
+    return rank + extra, tuple(d for d in factors if d > 1)
 
 
 def homology(cx: SimplicialComplex) -> HomologyProfile:
-    """Reduced integral simplicial homology via Smith normal form."""
+    """Reduced integral simplicial homology of the augmented chain complex."""
     dim = cx.dimension()
+    chi = cx.euler_characteristic_reduced()
     if dim < 0:
-        return HomologyProfile((), (), cx.euler_characteristic_reduced())
+        # {()} is the (-1)-sphere
+        return HomologyProfile((1,), ((),), chi, first_degree=-1)
     by_dim = cx.faces_by_dim()  # sizes 0..dim+1
-    index = [
-        {f: i for i, f in enumerate(faces)} for faces in by_dim]
-    ranks = [0] * (dim + 2)    # rank of boundary from size-k chains, k = 1..dim+1
-    invariants = [()] * (dim + 2)
+    # rank and torsion of the boundary from size-k chains, k = 1..dim+1
+    ranks = [0] * (dim + 3)
+    torsion = [()] * (dim + 3)
     for k in range(1, dim + 2):
-        rows = len(by_dim[k - 1])
-        mat = [[0] * len(by_dim[k]) for _ in range(rows)]
-        for col, face in enumerate(by_dim[k]):
-            for drop in range(len(face)):
-                sub = face[:drop] + face[drop + 1:]
-                mat[index[k - 1][sub]][col] = (-1) ** drop
-        factors, rank = smith_normal_form(mat)
-        ranks[k] = rank
-        invariants[k] = tuple(d for d in factors if d > 1)
-    betti = []
-    torsion = []
-    for i in range(dim + 1):
-        chains = len(by_dim[i + 1])
-        upper = ranks[i + 2] if i + 2 <= dim + 1 else 0
-        betti.append(chains - ranks[i + 1] - upper)
-        torsion.append(invariants[i + 2] if i + 2 <= dim + 1 else ())
-    profile = HomologyProfile(tuple(betti), tuple(torsion),
-                              cx.euler_characteristic_reduced())
-    chi = sum((-1) ** i * b for i, b in enumerate(betti))
-    if chi != profile.euler_reduced:
+        index = {f: i for i, f in enumerate(by_dim[k - 1])}
+        columns = [{index[face[:d] + face[d + 1:]]: -1 if d % 2 else 1
+                    for d in range(k)} for face in by_dim[k]]
+        ranks[k], torsion[k] = integer_rank_torsion(columns)
+    betti = tuple(len(by_dim[i + 1]) - ranks[i + 1] - ranks[i + 2]
+                  for i in range(dim + 1))
+    profile = HomologyProfile(betti, tuple(torsion[2:]), chi)
+    if sum((-1) ** i * b for i, b in enumerate(betti)) != chi:
         raise RuntimeError("homology does not match Euler count")
     return profile
 
@@ -273,35 +325,48 @@ def fuss_catalan(rs: RootSystem, m: int, positive: bool = False) -> int:
 # -- Cohen-Macaulay audits --------------------------------------------------------------
 
 
-def is_cohen_macaulay(cx: SimplicialComplex) -> bool:
+def is_cohen_macaulay(cx: SimplicialComplex, memo: Optional[dict] = None) -> bool:
     """Reisner-style criterion over the integers.
 
     Every face link (the empty face included) must have vanishing reduced
-    integral homology below its own top dimension.
+    integral homology below its own top dimension.  The link of a face s
+    is {F - s : F a facet containing s}, already a list of maximal faces.
+    Verdicts on the links of nonempty faces are kept in ``memo``, keyed by
+    the link's facets relabelled to 0..k-1, so a caller checking many
+    complexes computes each such link once.
     """
     dim = cx.dimension()
-    if dim < 0:
-        return True
-    for face in sorted(cx.faces()):
-        if len(face) > dim - 1:
-            continue  # links of dimension <= 0 have nothing below the top
-        link = _link_of_face(cx, face)
-        d = link.dimension()
+    if dim <= 0:
+        return True  # links of dimension <= 0 have nothing below the top
+    if memo is None:
+        memo = {}
+    links: dict = {}
+    for f in cx.facets:
+        for size in range(1, dim):
+            for face in itertools.combinations(f, size):
+                links.setdefault(face, []).append(
+                    tuple(v for v in f if v not in face))
+    for star in links.values():
+        d = max(len(g) for g in star) - 1
         if d <= 0:
             continue
-        prof = homology(link)
-        if any(prof.betti[i] != 0 or prof.torsion[i] for i in range(d)):
+        relabel = {v: i for i, v in
+                   enumerate(sorted({v for g in star for v in g}))}
+        key = tuple(sorted(tuple(relabel[v] for v in g) for g in star))
+        ok = memo.get(key)
+        if ok is None:
+            ok = memo[key] = _acyclic_below(
+                SimplicialComplex(range(len(relabel)), key), d)
+        if not ok:
             return False
-    return True
+    # the link of the empty face is the complex itself; an audit checks
+    # each removal's complex once, so keeping it would only cost memory
+    return _acyclic_below(cx, dim)
 
 
-def _link_of_face(cx: SimplicialComplex, face: tuple) -> SimplicialComplex:
-    # indices are renumbered by each link, so walk by label
-    labels = [cx.vertices[v] for v in face]
-    out = cx
-    for lab in labels:
-        out = out.link(out.index_of(lab))
-    return out
+def _acyclic_below(cx: SimplicialComplex, d: int) -> bool:
+    prof = homology(cx)
+    return not any(prof.betti[i] or prof.torsion[i] for i in range(d))
 
 
 @dataclass
@@ -333,27 +398,37 @@ class KCMReport:
                 "failures": [f.to_dict() for f in self.failures]}
 
 
-def _audit_one(payload) -> Optional[str]:
-    """Check one vertex removal; module-level so worker pools can pickle it."""
-    vertices, facets, dim, removed, cm_check = payload
-    cx = SimplicialComplex(vertices, facets)
-    keep = [i for i in range(len(vertices)) if i not in set(removed)]
-    rest = cx.induce(keep)
-    if rest.dimension() != dim:
-        return "dimension-drop"
-    if not rest.is_pure():
-        return "impure"
-    if cm_check == "reisner":
-        if not is_cohen_macaulay(rest):
-            return "not-CM"
-    elif cm_check == "shelling":
-        try:
-            construct_shelling(rest)
-        except ShellingFailure:
-            return "not-CM"
-    else:
-        raise ValueError("cm_check must be 'reisner' or 'shelling'")
-    return None
+def _audit_removals(cx: SimplicialComplex, subsets: Iterable[tuple],
+                    cm_check: str, memo: dict) -> Iterator[Optional[str]]:
+    """The failure reason of each vertex removal, or None when it passes."""
+    dim = cx.dimension()
+    n = len(cx.vertices)
+    for removed in subsets:
+        gone = set(removed)
+        rest = cx.induce([i for i in range(n) if i not in gone])
+        if rest.dimension() != dim:
+            yield "dimension-drop"
+        elif not rest.is_pure():
+            yield "impure"
+        elif cm_check == "reisner":
+            yield None if is_cohen_macaulay(rest, memo) else "not-CM"
+        else:
+            try:
+                construct_shelling(rest)
+            except ShellingFailure:
+                yield "not-CM"
+            else:
+                yield None
+
+
+def _audit_chunk(payload) -> list:
+    """One worker's share of an audit, with its own link memo.
+
+    Module-level so worker pools can pickle it.
+    """
+    vertices, facets, subsets, cm_check = payload
+    return list(_audit_removals(SimplicialComplex(vertices, facets), subsets,
+                                cm_check, {}))
 
 
 def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
@@ -366,13 +441,18 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     Each removal must leave a complex that is pure, of the same dimension,
     and Cohen-Macaulay (by Reisner link homology, or by an explicit
     shelling when cm_check='shelling').  Failures are collected as data.
-    Independent removals may be distributed over a process pool; results
-    are merged in subset order either way.
+    Link verdicts are memoized for the length of the audit.  Independent
+    removals may be split over a process pool of at most os.cpu_count()
+    workers, one memo each; results are merged in subset order either way.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if cm_check not in ("reisner", "shelling"):
+        raise ValueError("cm_check must be 'reisner' or 'shelling'")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    workers = min(workers, os.cpu_count() or 1)
     n = len(cx.vertices)
-    dim = cx.dimension()
     sizes = list(sizes) if sizes is not None else list(range(0, k))
     report = KCMReport(k=k, mode=mode, cm_check=cm_check,
                        seed=seed if mode != "exhaustive" else None)
@@ -388,14 +468,15 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         subsets = sorted(pool)
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
-    payloads = ((cx.vertices, cx.facets, dim, removed, cm_check)
-                for removed in subsets)
     if workers > 1 and max_failures is None:
         import multiprocessing
+        step = max(1, -(-len(subsets) // workers))
+        chunks = [(cx.vertices, cx.facets, subsets[i:i + step], cm_check)
+                  for i in range(0, len(subsets), step)]
         with multiprocessing.Pool(workers) as p:
-            reasons = p.map(_audit_one, payloads)
+            reasons = [r for part in p.map(_audit_chunk, chunks) for r in part]
     else:
-        reasons = map(_audit_one, payloads)
+        reasons = _audit_removals(cx, subsets, cm_check, {})
     for removed, reason in zip(subsets, reasons):
         report.examined += 1
         if reason is not None:
@@ -419,7 +500,3 @@ def codim1_incidence(cx: SimplicialComplex) -> dict:
     for c in counts.values():
         hist[c] = hist.get(c, 0) + 1
     return hist
-
-
-def reduced_euler_characteristic(cx: SimplicialComplex) -> int:
-    return cx.euler_characteristic_reduced()

@@ -22,8 +22,8 @@ from clustercomplexes.noncrossing import (build_Lm, homotopy_compare, moebius,
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import facets_as_label_sets
 from clustercomplexes.topology import (codim1_incidence, construct_shelling,
-                                       fuss_narayana_positive, homology,
-                                       kcm_audit, verify_shelling,
+                                       fuss_catalan, fuss_narayana_positive,
+                                       homology, kcm_audit, verify_shelling,
                                        verify_wedge)
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
@@ -223,3 +223,23 @@ def test_criterion_12_frontier_facet_counts():
         ok = ok and len(cx.facets) == facets
         ok = ok and len(positive_part(cx).facets) == positive
     report("12 frontier facet counts (H4, B4)", ok, t0, 15)
+
+
+def test_criterion_13_frontier_homology():
+    t0 = time.time()
+    # The full complex is a wedge of N(m-1) spheres and the positive part
+    # of N+(m-1), all of dimension n-1:
+    # N(0) = 1 and N+(0) = prod (e_i - 1)/(e_i + 1) = 0, since e_1 = 1.
+    # B4, m=2: N(1) = 10*12*14*16/384 = 26880/384 = 70 and
+    #   N+(1) = 8*10*12*14/384 = 13440/384 = 35.
+    ok = True
+    for label, m, full, positive in (("H4", 1, 1, 0), ("B4", 2, 70, 35),
+                                     ("D5", 1, 1, 0)):
+        rs = build_root_system(label)
+        cx, _ = build_complex(rs, m)
+        ok = ok and (full, positive) == (fuss_catalan(rs, m - 1),
+                                         fuss_narayana_positive(rs, m - 1))
+        ok = ok and homology(cx).concentrated(rs.rank - 1, full)
+        ok = ok and homology(positive_part(cx)).concentrated(rs.rank - 1,
+                                                             positive)
+    report("13 frontier homology (H4, B4, D5)", ok, t0, 15)

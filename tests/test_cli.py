@@ -1,4 +1,7 @@
 import json
+import os
+
+import pytest
 
 from clustercomplexes.cli import run
 
@@ -86,13 +89,17 @@ def test_table_format_prints_checks(capsys):
     assert "codim1-incidence" in captured and "pass" in captured
 
 
-def test_verify_all_passes_workers_to_the_audit(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces multiprocessing.Pool by a recorder that maps in this process.
+
+    The machine reports four CPUs, so the clamp of --workers is fixed.
+    """
     # topology imports multiprocessing only when it starts a pool
     import multiprocessing
     requested = []
 
     class RecordingPool:
-        """Stands in for multiprocessing.Pool; maps in this process."""
 
         def __init__(self, processes):
             requested.append(processes)
@@ -107,5 +114,29 @@ def test_verify_all_passes_workers_to_the_audit(monkeypatch):
             return list(map(fn, items))
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return requested
+
+
+def test_verify_all_passes_workers_to_the_audit(pool_sizes):
     assert run(["verify-all", "--phi", "A2", "--m", "1", "--workers", "2"]) == 0
-    assert requested == [2]
+    assert pool_sizes == [2]
+
+
+def test_workers_are_bounded(pool_sizes, capsys):
+    assert run(["kcm", "--phi", "A2", "--m", "1", "--workers", "10000"]) == 0
+    assert pool_sizes == [4]
+    for bad in ("0", "-3"):
+        assert run(["kcm", "--phi", "A2", "--m", "1", "--workers", bad]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert pool_sizes == [4]
+
+
+def test_homology_at_m0_expects_one_minus_one_sphere(capsys):
+    for label in ("A1", "A2", "B3", "A1xA2"):
+        assert run(["homology", "--phi", label, "--m", "0",
+                    "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["positive"] == {"betti": [1], "torsion": [[]],
+                                      "euler_reduced": -1, "first_degree": -1}
+        assert report["checks"][0]["detail"] == {"expected_spheres": 1}

@@ -11,8 +11,7 @@ from clustercomplexes.noncrossing import (MultichainTuple, PosetView,
                                           nc_interval, order_complex,
                                           truncate)
 from clustercomplexes.roots import build_root_system
-from clustercomplexes.topology import (fuss_narayana_positive, homology,
-                                       reduced_euler_characteristic)
+from clustercomplexes.topology import fuss_narayana_positive, homology
 
 
 def identity_of(interval):
@@ -217,7 +216,7 @@ class TestHomotopyCompare:
             if x.rank == 0:
                 continue
             fib = fiber_complex(rs, 2, [x], pos_cx=pos, table=table)
-            assert reduced_euler_characteristic(fib) == 0
+            assert fib.euler_characteristic_reduced() == 0
             assert homology(fib).is_trivial()
 
     def test_sampled_order_ideals(self, complexes, positive_complexes):

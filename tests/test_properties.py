@@ -2,7 +2,8 @@
 
 Covers the invariants that back the desk-scale verification: color
 rotation orbits, join convolution of face counts, h-vector nonnegativity
-under certified shellings, and Smith-normal-form divisibility.
+under certified shellings, Smith-normal-form divisibility, and the sparse
+homology engine against the dense Smith normal form.
 """
 import random
 
@@ -14,10 +15,10 @@ from clustercomplexes.colored import (build_complex, colored_vertices,
                                       positive_part, rm_map)
 from clustercomplexes.exact import minor_gcd, smith_normal_form
 from clustercomplexes.roots import build_root_system, product_system
-from clustercomplexes.simplicial import f_to_h
+from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (codim1_incidence, construct_shelling,
                                        fuss_catalan, fuss_narayana_positive,
-                                       verify_shelling)
+                                       integer_rank_torsion, verify_shelling)
 
 SMALL_SYSTEMS = ["A1", "A2", "B2", "G2", "I2(5)"]
 
@@ -140,3 +141,46 @@ class TestSmithNormalForm:
             for k in range(1, rank + 1):
                 prod *= factors[k - 1]
                 assert prod == abs(minor_gcd(mat, k))
+
+
+def assert_sparse_matches_dense(mat):
+    """Rank and invariant factors: sparse engine against dense SNF."""
+    columns = [{i: row[j] for i, row in enumerate(mat) if row[j]}
+               for j in range(len(mat[0]))]
+    rank, torsion = integer_rank_torsion(columns)
+    factors, dense_rank = smith_normal_form([row[:] for row in mat])
+    assert rank == dense_rank
+    assert (1,) * (rank - len(torsion)) + torsion == factors
+
+
+class TestSparseEngine:
+
+    @settings(derandomize=True, max_examples=150)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_random_integer_matrices(self, rows, cols, data):
+        mat = [[data.draw(st.integers(-3, 3)) for _ in range(cols)]
+               for _ in range(rows)]
+        assert_sparse_matches_dense(mat)
+
+    @settings(derandomize=True, max_examples=60)
+    @given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
+                    min_size=1, max_size=10))
+    def test_boundary_maps_of_random_complexes(self, faces):
+        cx = SimplicialComplex([str(v) for v in range(7)], faces)
+        assert list(cx.facets) == sorted(
+            tuple(sorted(f)) for f in set(faces) if not any(f < g for g in faces))
+        by_dim = cx.faces_by_dim()
+        for k in range(1, len(by_dim)):
+            index = {f: i for i, f in enumerate(by_dim[k - 1])}
+            mat = [[0] * len(by_dim[k]) for _ in by_dim[k - 1]]
+            for j, face in enumerate(by_dim[k]):
+                for d in range(k):
+                    mat[index[face[:d] + face[d + 1:]]][j] = (-1) ** d
+            assert_sparse_matches_dense(mat)
+
+    def test_remainders_without_unit_entries(self):
+        # no entry is a unit, yet the gcd of the entries is 1
+        assert integer_rank_torsion([{0: 2, 1: 4}, {0: 3, 1: 5}]) == (2, (2,))
+        assert integer_rank_torsion([{0: 2}, {1: 6}]) == (2, (2, 6))
+        assert integer_rank_torsion([{0: 2, 1: 2}, {0: -2, 1: -2}]) == (1, (2,))
+        assert integer_rank_torsion([{}, {0: 1, 1: 3}]) == (1, ())

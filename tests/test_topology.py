@@ -3,14 +3,14 @@ import itertools
 
 import pytest
 
+from clustercomplexes import topology
 from clustercomplexes.colored import build_complex, positive_part
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
-from clustercomplexes.topology import (ShellingFailure, check_pure,
-                                       codim1_incidence, construct_shelling,
-                                       dimension, fuss_narayana_positive,
-                                       homology, is_cohen_macaulay, kcm_audit,
-                                       reduced_euler_characteristic,
+from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
+                                       construct_shelling,
+                                       fuss_narayana_positive, homology,
+                                       is_cohen_macaulay, kcm_audit,
                                        verify_shelling, verify_wedge)
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
@@ -36,21 +36,21 @@ class TestPurity:
 
     def test_a2_m2(self, complexes):
         _, cx, _ = complexes("A2", 2)
-        assert check_pure(cx) and dimension(cx) == 1
+        assert cx.is_pure() and cx.dimension() == 1
 
     def test_impure(self):
         cx = SimplicialComplex(list("abc"), [(0, 1), (2,)])
-        assert not check_pure(cx)
+        assert not cx.is_pure()
 
     def test_positive_parts_pure(self, positive_complexes):
         for label, m in MATRIX:
             pos = positive_complexes(label, m)
             rank = build_root_system(label).rank
-            assert check_pure(pos) and dimension(pos) == rank - 1
+            assert pos.is_pure() and pos.dimension() == rank - 1
 
     def test_empty_complex(self):
         cx = SimplicialComplex([], [])
-        assert dimension(cx) == -1 and check_pure(cx)
+        assert cx.dimension() == -1 and cx.is_pure()
 
 
 class TestVerifyShelling:
@@ -160,6 +160,19 @@ class TestHomology:
         cx = SimplicialComplex(list("abcd"), [(0, 1), (2, 3)])
         assert homology(cx).betti[0] == 1
 
+    def test_empty_face_complex_is_the_minus_one_sphere(self):
+        for cx in (SimplicialComplex([], []), SimplicialComplex(["a"], [()])):
+            prof = homology(cx)
+            assert prof.betti == (1,) and prof.first_degree == -1
+            assert prof.concentrated(-1, 1) and not prof.is_trivial()
+            assert prof.to_dict() == {"betti": [1], "torsion": [[]],
+                                      "euler_reduced": -1, "first_degree": -1}
+
+    def test_profiles_of_nonempty_complexes_start_at_degree_zero(self):
+        prof = homology(pentagon())
+        assert prof.first_degree == 0 and "first_degree" not in prof.to_dict()
+        assert prof.groups() == {1: (1, ())}
+
 
 class TestSphereCounts:
 
@@ -183,7 +196,7 @@ class TestSphereCounts:
         for label, m in MATRIX:
             rs = build_root_system(label)
             pos = positive_complexes(label, m)
-            chi = reduced_euler_characteristic(pos)
+            chi = pos.euler_characteristic_reduced()
             want = fuss_narayana_positive(rs, m - 1)
             assert chi == (-1) ** (rs.rank - 1) * want
 
@@ -204,14 +217,14 @@ class TestSphereCounts:
             rs = build_root_system(label)
             n = rs.rank
             lhs_sign = 1 if (n - 1) % 2 == 0 else -1
-            lhs = lhs_sign * reduced_euler_characteristic(build_complex(rs, m)[0])
+            lhs = lhs_sign * build_complex(rs, m)[0].euler_characteristic_reduced()
             rhs = 0
             for size in range(n + 1):
                 sign = 1 if (size - 1) % 2 == 0 else -1
                 for keep in itertools.combinations(range(n), size):
                     sub = rs.subsystem([rs.simple_roots[i] for i in keep])
                     cx, _ = build_complex(sub, m)
-                    rhs += sign * reduced_euler_characteristic(positive_part(cx))
+                    rhs += sign * positive_part(cx).euler_characteristic_reduced()
             assert lhs == rhs, (label, m, lhs, rhs)
 
     def test_wedge_count_equals_parabolic_sum(self):
@@ -223,7 +236,7 @@ class TestSphereCounts:
             for keep in itertools.combinations(range(rs.rank), size):
                 sub = rs.subsystem([rs.simple_roots[i] for i in keep])
                 total += fuss_narayana_positive(sub, 1)
-        assert abs(reduced_euler_characteristic(cx)) == total == 5
+        assert abs(cx.euler_characteristic_reduced()) == total == 5
 
 
 class TestKCM:
@@ -273,6 +286,19 @@ class TestKCM:
             [f.to_dict() for f in parallel.failures]
         assert serial.examined == parallel.examined
 
+    def test_audit_computes_each_link_once(self, complexes, monkeypatch):
+        seen = []
+        real = topology.homology
+
+        def counting(cx):
+            seen.append(cx.facets)
+            return real(cx)
+
+        monkeypatch.setattr(topology, "homology", counting)
+        _, cx, _ = complexes("B3", 2)
+        assert kcm_audit(cx, 3).passed
+        assert seen and len(seen) == len(set(seen))
+
     def test_reisner_criterion_basics(self):
         assert is_cohen_macaulay(pentagon())
         two_triangles = SimplicialComplex(list("abcde"), [(0, 1, 2), (2, 3, 4)])
@@ -292,6 +318,10 @@ class TestKCM:
             kcm_audit(cx, 0)
         with pytest.raises(ValueError):
             kcm_audit(cx, 2, mode="nope")
+        with pytest.raises(ValueError):
+            kcm_audit(cx, 2, workers=0)
+        with pytest.raises(ValueError):
+            kcm_audit(cx, 2, cm_check="nope")
 
 
 class TestIncidence:
