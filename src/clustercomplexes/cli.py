@@ -146,6 +146,14 @@ def _cached_complex(cfg: RunConfig):
     return rs, cx, graph
 
 
+def _check_homology_cap(cx) -> None:
+    """Refuse homology on a complex whose face count may exceed the cap."""
+    bound = sum(2 ** len(f) for f in cx.facets)
+    if bound > HOMOLOGY_FACE_CAP:
+        raise GuardError("face count bound %d exceeds the homology cap %d"
+                         % (bound, HOMOLOGY_FACE_CAP))
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -175,10 +183,7 @@ def cmd_fvector(cfg: RunConfig) -> int:
 
 def cmd_homology(cfg: RunConfig) -> int:
     rs, cx, _ = _cached_complex(cfg)
-    bound = sum(2 ** len(f) for f in cx.facets)
-    if bound > HOMOLOGY_FACE_CAP:
-        raise GuardError("face count bound %d exceeds the homology cap %d"
-                         % (bound, HOMOLOGY_FACE_CAP))
+    _check_homology_cap(cx)
     pos = positive_part(cx)
     report = _base_report(cfg)
     report["full"] = homology(cx).to_dict()
@@ -234,6 +239,7 @@ def cmd_incidence(cfg: RunConfig) -> int:
 
 def cmd_ncp(cfg: RunConfig) -> int:
     rs, cx, _ = _cached_complex(cfg)
+    _check_homology_cap(cx)
     pos = positive_part(cx)
     report = _base_report(cfg)
     checks = []
@@ -262,6 +268,7 @@ def cmd_ncp(cfg: RunConfig) -> int:
 
 def cmd_verify_all(cfg: RunConfig) -> int:
     rs, cx, graph = _cached_complex(cfg)
+    _check_homology_cap(cx)
     pos = positive_part(cx)
     m = cfg.m
     checks = []
@@ -272,7 +279,8 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     # structural checks
     add("purity", cx.is_pure() and cx.dimension() == rs.rank - 1,
         dim=cx.dimension())
-    add("purity-positive", pos.is_pure() and pos.dimension() == rs.rank - 1,
+    want, sphere_dim = _positive_wedge(rs, m)
+    add("purity-positive", pos.is_pure() and pos.dimension() == sphere_dim,
         dim=pos.dimension())
     hist = codim1_incidence(cx)
     add("codim1-incidence", set(hist) == {m + 1}, histogram=sorted(hist.items()))
@@ -285,8 +293,10 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     add("flagness", agree, pairs=len(verts) * (len(verts) - 1) // 2)
     add("facet-count", len(cx.facets) == fuss_catalan(rs, m),
         facets=len(cx.facets), expected=fuss_catalan(rs, m))
-    add("facet-count-positive", len(pos.facets) == fuss_catalan(rs, m, positive=True),
-        facets=len(pos.facets))
+    # facets of full size: none for {()} at m = 0, all of them for m >= 1
+    pos_facets = sum(len(f) == rs.rank for f in pos.facets)
+    add("facet-count-positive", pos_facets == fuss_catalan(rs, m, positive=True),
+        facets=pos_facets)
     # shelling
     for name, complex_ in (("full", cx), ("positive", pos)):
         try:
@@ -296,7 +306,6 @@ def cmd_verify_all(cfg: RunConfig) -> int:
             ok = False
         add("shelling-%s" % name, ok, facets=len(complex_.facets))
     # wedge counts
-    want, sphere_dim = _positive_wedge(rs, m)
     add("wedge-positive", verify_wedge(pos, want, sphere_dim), expected=want)
     chi = pos.euler_characteristic_reduced()
     add("euler-identity", chi == (-1 if sphere_dim % 2 else 1) * want, chi=chi)
@@ -311,13 +320,14 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     witness = kcm_audit(cx, m + 2, sizes=[m + 1], max_failures=1)
     add("kcm-witness", not witness.passed,
         witness=witness.failures[0].to_dict() if witness.failures else None)
-    # the polygon model double-checks type A
-    if rs.is_irreducible and rs.label.startswith("A"):
+    # the polygon model double-checks type A; it and the multichain poset
+    # need m >= 1
+    if m >= 1 and rs.is_irreducible and rs.label.startswith("A"):
         poly = typeA_polygon_oracle(rs.rank + 1, m)
         add("polygon-oracle", poly.f_vector() == cx.f_vector(),
             f_vector=list(cx.f_vector()))
     # noncrossing checks at small rank
-    if rs.rank <= 3 and m <= 3 and rs.is_irreducible:
+    if 1 <= m <= 3 and rs.rank <= 3 and rs.is_irreducible:
         L = build_Lm(rs, m)
         rep = homotopy_compare(rs, m, rs.rank, pos_cx=pos, poset=L)
         add("ncp-homotopy", rep.ok, fibers=rep.fibers_checked)

@@ -54,15 +54,11 @@ class ComplexContext:
         return self._order
 
 
-_context_cache: dict = {}
-
-
 def get_context(rs: RootSystem, m: int) -> ComplexContext:
-    key = (id(rs), m)
-    ctx = _context_cache.get(key)
+    """The context of (rs, m), kept on the system and freed with it."""
+    ctx = rs.contexts.get(m)
     if ctx is None:
-        ctx = ComplexContext(rs, m)
-        _context_cache[key] = ctx
+        ctx = rs.contexts[m] = ComplexContext(rs, m)
     return ctx
 
 

@@ -81,6 +81,7 @@ class RootSystem:
     positive_roots: list
     roots: list
     split_s: int
+    contexts: dict  # m -> colored.ComplexContext, filled by get_context
 
     def index_of(self, root: Root) -> int:
         return self._index[root.key]
@@ -196,6 +197,7 @@ class CoordinateRootSystem(RootSystem):
         self._components = None
         self._reflections = None
         self._lengths = {}
+        self.contexts = {}
         self._numerology = None
 
     # -- structure -----------------------------------------------------------
@@ -359,6 +361,7 @@ class DihedralRootSystem(RootSystem):
         self.component_simple_indices = [(0, 1)]
         self._reflections = None
         self._lengths = {}
+        self.contexts = {}
 
     def support(self, beta: Root) -> frozenset:
         if not self.is_positive(beta):

@@ -64,18 +64,14 @@ class SimplicialComplex:
             self._faces = out
         return self._faces
 
-    def faces_by_dim(self) -> list:
-        by_dim = [[] for _ in range(self.dimension() + 2)]
-        for f in self.faces():
-            by_dim[len(f)].append(f)
-        return [sorted(fs) for fs in by_dim]
-
     def has_face(self, face: Sequence[int]) -> bool:
         fs = set(face)
         return any(fs <= set(g) for g in self.facets)
 
     def f_vector(self) -> tuple:
-        counts = [len(fs) for fs in self.faces_by_dim()]
+        counts = [0] * (self.dimension() + 2)
+        for f in self.faces():
+            counts[len(f)] += 1
         return tuple(counts)
 
     def euler_characteristic_reduced(self) -> int:

@@ -2,11 +2,18 @@
 
 Shelling orders are constructed by recursive vertex decomposition and are
 always re-verified against the definition, so a returned order is a
-checked certificate.  Homology is integral: each sparse boundary matrix is
-reduced by exact unit-pivot elimination, and only the block left without a
-unit entry goes to a dense Smith normal form, for the torsion.
+checked certificate.  Homology is integral and read off a face table
+that indexes every face, with its vertex bitmask and sparse boundary
+column, once.  The two lowest boundary maps are ranked without a matrix
+(the augmentation has rank 1, the edge boundary V minus the components
+found by union-find); higher ones are reduced by exact unit-pivot
+elimination, and only the block left without a unit entry goes to a dense
+Smith normal form, for the torsion.
 Cohen-Macaulayness is decided homologically: every face link must have
-vanishing reduced homology below its top dimension.
+vanishing reduced homology below its top dimension.  A k-CM audit builds
+one face table of the complex and decides each vertex removal from it,
+since every face and face link of a restriction Delta|W is the
+restriction of one of Delta.
 """
 from __future__ import annotations
 
@@ -261,28 +268,185 @@ def integer_rank_torsion(columns: list) -> tuple:
     return rank + extra, tuple(d for d in factors if d > 1)
 
 
+def _mask(face) -> int:
+    out = 0
+    for v in face:
+        out |= 1 << v
+    return out
+
+
+def _component_count(vertices: list, edges: list) -> int:
+    """Connected components of a graph, by union-find."""
+    parent = {v: v for v in vertices}
+    count = len(parent)
+    for a, b in edges:
+        # find both roots, halving the paths on the way
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
+
+
+class _FaceTable:
+    """Every face of a complex, indexed once, for homology and CM audits.
+
+    ``faces[k]`` lists the faces with k vertices, ``masks[k]`` their vertex
+    bitmasks, and for k >= 3 ``columns[k]`` their boundary columns
+    {position in faces[k-1]: +-1}.  Every face of a restriction Delta|W is
+    a face of Delta, so a restriction is read off by keeping the faces whose
+    mask misses the removed vertices.  The audit data (top facets, stars and
+    link verdicts) is built on the first ``cm_failure`` call and lives as
+    long as the table, that is, for one audit.
+    """
+
+    def __init__(self, facets: Sequence[tuple]):
+        self.dim = max((len(f) for f in facets), default=0) - 1
+        index = [{(): 0}] + [{} for _ in range(self.dim + 1)]
+        for f in facets:
+            for k in range(1, len(f) + 1):
+                idx = index[k]
+                for face in itertools.combinations(f, k):
+                    if face not in idx:
+                        idx[face] = len(idx)
+        self.faces = [list(idx) for idx in index]
+        self.masks = [[_mask(face) for face in fs] for fs in self.faces]
+        self.columns = [None] * 3 + [
+            [{index[k - 1][face[:d] + face[d + 1:]]: -1 if d % 2 else 1
+              for d in range(k)} for face in self.faces[k]]
+            for k in range(3, self.dim + 2)]
+        self.facet_masks = [_mask(f) for f in facets]
+        self._audit = None
+
+    def profile(self, removed: int = 0) -> HomologyProfile:
+        """Reduced integral homology of the restriction missing ``removed``.
+
+        The restriction must keep a face of top size.  The augmentation has
+        rank 1 and the boundary from edges to vertices has rank V minus the
+        number of components; neither has torsion, an incidence matrix of a
+        graph being totally unimodular.  The boundaries from size 3 up are
+        eliminated on copies of the kept columns.
+        """
+        dim = self.dim
+        if dim < 0:
+            # {()} is the (-1)-sphere
+            return HomologyProfile((1,), ((),), -1, first_degree=-1)
+        kept = [[i for i, m in enumerate(ms) if not m & removed]
+                for ms in self.masks]
+        counts = [len(ks) for ks in kept]
+        ranks = [0] * (dim + 3)
+        torsion = [()] * (dim + 3)
+        ranks[1] = 1 if counts[1] else 0
+        if dim >= 1:
+            vertices = [self.faces[1][i][0] for i in kept[1]]
+            edges = [self.faces[2][i] for i in kept[2]]
+            ranks[2] = counts[1] - _component_count(vertices, edges)
+        for k in range(3, dim + 2):
+            columns = self.columns[k]
+            ranks[k], torsion[k] = integer_rank_torsion(
+                [dict(columns[i]) for i in kept[k]])
+        betti = tuple(counts[i + 1] - ranks[i + 1] - ranks[i + 2]
+                      for i in range(dim + 1))
+        chi = sum(-c if k % 2 == 0 else c for k, c in enumerate(counts))
+        if sum((-1) ** i * b for i, b in enumerate(betti)) != chi:
+            raise RuntimeError("homology does not match Euler count")
+        return HomologyProfile(betti, tuple(torsion[2:]), chi)
+
+    def cm_failure(self, removed: int = 0) -> Optional[str]:
+        """Why the restriction missing ``removed`` fails the audit, or None.
+
+        'dimension-drop' when no top facet misses the removal, 'impure' when
+        a face missing it lies in no such top facet, 'not-CM' when a face
+        link (the empty face included) has reduced homology below its top
+        dimension.  The link of a face s in the restriction is its star
+        {F - s : F a top facet containing s} cut down to the top facets
+        missing the removal, so a link verdict depends only on s and the
+        removed vertices of that star.  It is memoized on that pair, then
+        on the link's facets relabelled to 0..k-1.
+        """
+        if self._audit is None:
+            self._audit = _AuditData(self)
+        audit = self._audit
+        kept = audit.all_tops
+        rest = removed
+        while rest:
+            low = rest & -rest
+            kept &= audit.avoiding.get(low.bit_length() - 1, audit.all_tops)
+            rest ^= low
+        if not kept:
+            return "dimension-drop"
+        cover = audit.cover
+        if any(not cover.get(g & ~removed, 0) & kept for g in self.facet_masks):
+            return "impure"
+        if self.dim <= 0:
+            return None  # links of dimension <= 0 have nothing below the top
+        verdicts = audit.verdicts
+        for s, (smask, lmask, star, d) in enumerate(audit.links):
+            if smask & removed:
+                continue
+            key = (s, removed & lmask)
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = audit.link_ok(
+                    [g for t, g in star if not t & removed], d)
+            if not ok:
+                return "not-CM"
+        # the link of the empty face is the restriction itself; an audit
+        # meets each restriction once, so its verdict is not kept
+        return None if _acyclic_below(self.profile(removed), self.dim) \
+            else "not-CM"
+
+
+class _AuditData:
+    """The part of a face table only a Cohen-Macaulay audit reads."""
+
+    def __init__(self, table: _FaceTable):
+        tops = table.faces[table.dim + 1]
+        self.all_tops = (1 << len(tops)) - 1
+        self.avoiding: dict = {}   # vertex -> top facets missing it
+        self.cover: dict = {}      # face mask -> top facets containing it
+        stars: dict = {}
+        for j, (f, fmask) in enumerate(zip(tops, table.masks[table.dim + 1])):
+            bit = 1 << j
+            for v in f:
+                self.avoiding[v] = self.avoiding.get(v, self.all_tops) & ~bit
+            sub = fmask
+            while True:
+                self.cover[sub] = self.cover.get(sub, 0) | bit
+                if not sub:
+                    break
+                sub = (sub - 1) & fmask
+            for k in range(1, table.dim):
+                for s in itertools.combinations(f, k):
+                    stars.setdefault(s, []).append(
+                        (fmask, tuple(v for v in f if v not in s)))
+        self.links = []
+        for s, star in stars.items():
+            smask = _mask(s)
+            lmask = 0
+            for fmask, _ in star:
+                lmask |= fmask
+            self.links.append((smask, lmask & ~smask, star, table.dim - len(s)))
+        self.verdicts: dict = {}
+        self.relabelled: dict = {}
+
+    def link_ok(self, facets: list, d: int) -> bool:
+        relabel = {v: i for i, v in
+                   enumerate(sorted({v for g in facets for v in g}))}
+        key = tuple(sorted(tuple(relabel[v] for v in g) for g in facets))
+        ok = self.relabelled.get(key)
+        if ok is None:
+            ok = self.relabelled[key] = _acyclic_below(
+                homology(SimplicialComplex(range(len(relabel)), key)), d)
+        return ok
+
+
 def homology(cx: SimplicialComplex) -> HomologyProfile:
     """Reduced integral simplicial homology of the augmented chain complex."""
-    dim = cx.dimension()
-    chi = cx.euler_characteristic_reduced()
-    if dim < 0:
-        # {()} is the (-1)-sphere
-        return HomologyProfile((1,), ((),), chi, first_degree=-1)
-    by_dim = cx.faces_by_dim()  # sizes 0..dim+1
-    # rank and torsion of the boundary from size-k chains, k = 1..dim+1
-    ranks = [0] * (dim + 3)
-    torsion = [()] * (dim + 3)
-    for k in range(1, dim + 2):
-        index = {f: i for i, f in enumerate(by_dim[k - 1])}
-        columns = [{index[face[:d] + face[d + 1:]]: -1 if d % 2 else 1
-                    for d in range(k)} for face in by_dim[k]]
-        ranks[k], torsion[k] = integer_rank_torsion(columns)
-    betti = tuple(len(by_dim[i + 1]) - ranks[i + 1] - ranks[i + 2]
-                  for i in range(dim + 1))
-    profile = HomologyProfile(betti, tuple(torsion[2:]), chi)
-    if sum((-1) ** i * b for i, b in enumerate(betti)) != chi:
-        raise RuntimeError("homology does not match Euler count")
-    return profile
+    return _FaceTable(cx.facets).profile()
 
 
 def verify_wedge(cx: SimplicialComplex, expected_count: int, dim: int) -> bool:
@@ -325,47 +489,17 @@ def fuss_catalan(rs: RootSystem, m: int, positive: bool = False) -> int:
 # -- Cohen-Macaulay audits --------------------------------------------------------------
 
 
-def is_cohen_macaulay(cx: SimplicialComplex, memo: Optional[dict] = None) -> bool:
+def is_cohen_macaulay(cx: SimplicialComplex) -> bool:
     """Reisner-style criterion over the integers.
 
-    Every face link (the empty face included) must have vanishing reduced
-    integral homology below its own top dimension.  The link of a face s
-    is {F - s : F a facet containing s}, already a list of maximal faces.
-    Verdicts on the links of nonempty faces are kept in ``memo``, keyed by
-    the link's facets relabelled to 0..k-1, so a caller checking many
-    complexes computes each such link once.
+    The complex must be pure, and every face link (the empty face included)
+    must have vanishing reduced integral homology below its own top
+    dimension.
     """
-    dim = cx.dimension()
-    if dim <= 0:
-        return True  # links of dimension <= 0 have nothing below the top
-    if memo is None:
-        memo = {}
-    links: dict = {}
-    for f in cx.facets:
-        for size in range(1, dim):
-            for face in itertools.combinations(f, size):
-                links.setdefault(face, []).append(
-                    tuple(v for v in f if v not in face))
-    for star in links.values():
-        d = max(len(g) for g in star) - 1
-        if d <= 0:
-            continue
-        relabel = {v: i for i, v in
-                   enumerate(sorted({v for g in star for v in g}))}
-        key = tuple(sorted(tuple(relabel[v] for v in g) for g in star))
-        ok = memo.get(key)
-        if ok is None:
-            ok = memo[key] = _acyclic_below(
-                SimplicialComplex(range(len(relabel)), key), d)
-        if not ok:
-            return False
-    # the link of the empty face is the complex itself; an audit checks
-    # each removal's complex once, so keeping it would only cost memory
-    return _acyclic_below(cx, dim)
+    return _FaceTable(cx.facets).cm_failure() is None
 
 
-def _acyclic_below(cx: SimplicialComplex, d: int) -> bool:
-    prof = homology(cx)
+def _acyclic_below(prof: HomologyProfile, d: int) -> bool:
     return not any(prof.betti[i] or prof.torsion[i] for i in range(d))
 
 
@@ -399,8 +533,18 @@ class KCMReport:
 
 
 def _audit_removals(cx: SimplicialComplex, subsets: Iterable[tuple],
-                    cm_check: str, memo: dict) -> Iterator[Optional[str]]:
-    """The failure reason of each vertex removal, or None when it passes."""
+                    cm_check: str) -> Iterator[Optional[str]]:
+    """The failure reason of each vertex removal, or None when it passes.
+
+    The Reisner route reads every removal off one face table of cx.  The
+    shelling route, kept apart as an independent check, builds each
+    induced complex and shells it.
+    """
+    if cm_check == "reisner":
+        table = _FaceTable(cx.facets)
+        for removed in subsets:
+            yield table.cm_failure(_mask(removed))
+        return
     dim = cx.dimension()
     n = len(cx.vertices)
     for removed in subsets:
@@ -410,8 +554,6 @@ def _audit_removals(cx: SimplicialComplex, subsets: Iterable[tuple],
             yield "dimension-drop"
         elif not rest.is_pure():
             yield "impure"
-        elif cm_check == "reisner":
-            yield None if is_cohen_macaulay(rest, memo) else "not-CM"
         else:
             try:
                 construct_shelling(rest)
@@ -422,13 +564,13 @@ def _audit_removals(cx: SimplicialComplex, subsets: Iterable[tuple],
 
 
 def _audit_chunk(payload) -> list:
-    """One worker's share of an audit, with its own link memo.
+    """One worker's share of an audit, with its own face table.
 
     Module-level so worker pools can pickle it.
     """
     vertices, facets, subsets, cm_check = payload
     return list(_audit_removals(SimplicialComplex(vertices, facets), subsets,
-                                cm_check, {}))
+                                cm_check))
 
 
 def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
@@ -441,9 +583,11 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     Each removal must leave a complex that is pure, of the same dimension,
     and Cohen-Macaulay (by Reisner link homology, or by an explicit
     shelling when cm_check='shelling').  Failures are collected as data.
-    Link verdicts are memoized for the length of the audit.  Independent
-    removals may be split over a process pool of at most os.cpu_count()
-    workers, one memo each; results are merged in subset order either way.
+    The Reisner route builds one face table of cx per audit and decides
+    every removal from it, memoizing link verdicts for the audit.
+    Independent removals may be split over a process pool of at most
+    os.cpu_count() workers, one table each; results are merged in subset
+    order either way.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -476,7 +620,7 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         with multiprocessing.Pool(workers) as p:
             reasons = [r for part in p.map(_audit_chunk, chunks) for r in part]
     else:
-        reasons = _audit_removals(cx, subsets, cm_check, {})
+        reasons = _audit_removals(cx, subsets, cm_check)
     for removed, reason in zip(subsets, reasons):
         report.examined += 1
         if reason is not None:

@@ -243,3 +243,13 @@ def test_criterion_13_frontier_homology():
         ok = ok and homology(positive_part(cx)).concentrated(rs.rank - 1,
                                                              positive)
     report("13 frontier homology (H4, B4, D5)", ok, t0, 15)
+
+
+def test_criterion_14_frontier_kcm_audit():
+    t0 = time.time()
+    # D4, m=2 has 2*12 + 4 = 28 vertices, so the exhaustive 3-CM audit
+    # examines 1 + 28 + 28*27/2 = 407 removals.
+    cx, _ = build_complex(build_root_system("D4"), 2)
+    rep = kcm_audit(cx, 3, mode="exhaustive")
+    ok = rep.examined == 407 and rep.passed
+    report("14 frontier k-CM audit (D4 m=2)", ok, t0, 15)

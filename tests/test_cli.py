@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from clustercomplexes import cli
 from clustercomplexes.cli import run
 
 
@@ -140,3 +141,23 @@ def test_homology_at_m0_expects_one_minus_one_sphere(capsys):
         assert report["positive"] == {"betti": [1], "torsion": [[]],
                                       "euler_reduced": -1, "first_degree": -1}
         assert report["checks"][0]["detail"] == {"expected_spheres": 1}
+
+
+def test_verify_all_at_m0_passes(capsys):
+    # the positive part is {()}: no facet of full size, dimension -1
+    for label in ("A1", "A2", "B2", "G2", "I2(5)", "A1xA2"):
+        assert run(["verify-all", "--phi", label, "--m", "0",
+                    "--format", "json"]) == 0
+        detail = {c["id"]: c["detail"]
+                  for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert detail["purity-positive"] == {"dim": -1}
+        assert detail["facet-count-positive"] == {"facets": 0}
+        assert "polygon-oracle" not in detail and "ncp-homotopy" not in detail
+
+
+def test_homology_cap_guards_every_command_that_takes_homology(monkeypatch,
+                                                                capsys):
+    monkeypatch.setattr(cli, "HOMOLOGY_FACE_CAP", 10)
+    for command in ("homology", "verify-all", "ncp"):
+        assert run([command, "--phi", "A2", "--m", "1"]) == 2
+        assert "exceeds the homology cap 10" in capsys.readouterr().err

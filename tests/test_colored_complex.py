@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -436,3 +438,14 @@ class TestDihedralComplexes:
             assert len(cx.facets) == fuss_catalan(rs, m)
             pos = positive_part(cx)
             assert len(pos.facets) == fuss_catalan(rs, m, positive=True)
+
+
+def test_context_is_freed_with_its_system():
+    rs = build_root_system("A3")
+    sub = rs.subsystem(rs.simple_roots[:2])
+    build_complex(sub, 1)
+    assert get_context(sub, 1) is get_context(sub, 1)
+    ref = weakref.ref(sub)
+    del sub
+    gc.collect()
+    assert ref() is None

@@ -28,11 +28,12 @@ def _name(expr):
     return getattr(expr, "id", None)
 
 
-def test_no_module_level_caches_in_topology_and_simplicial():
-    # a memo that outlives one call grows with every complex ever checked
+def test_no_module_level_caches():
+    # a memo that outlives one call grows with every complex ever checked,
+    # and one keyed by id() keeps every system it has seen alive
     root = Path(clustercomplexes.__file__).parent
     found = []
-    for name in ("topology.py", "simplicial.py"):
+    for name in ("topology.py", "simplicial.py", "colored.py"):
         tree = ast.parse((root / name).read_text(), filename=name)
         for node in tree.body:
             value = getattr(node, "value", None)

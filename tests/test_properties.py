@@ -3,8 +3,10 @@
 Covers the invariants that back the desk-scale verification: color
 rotation orbits, join convolution of face counts, h-vector nonnegativity
 under certified shellings, Smith-normal-form divisibility, and the sparse
-homology engine against the dense Smith normal form.
+homology engine and the face-table k-CM audit against dense Smith normal
+form references.
 """
+import itertools
 import random
 
 import pytest
@@ -18,7 +20,9 @@ from clustercomplexes.roots import build_root_system, product_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (codim1_incidence, construct_shelling,
                                        fuss_catalan, fuss_narayana_positive,
-                                       integer_rank_torsion, verify_shelling)
+                                       homology, integer_rank_torsion,
+                                       is_cohen_macaulay, kcm_audit,
+                                       verify_shelling)
 
 SMALL_SYSTEMS = ["A1", "A2", "B2", "G2", "I2(5)"]
 
@@ -143,6 +147,132 @@ class TestSmithNormalForm:
                 assert prod == abs(minor_gcd(mat, k))
 
 
+def faces_by_size(facets):
+    """Every face of the complex with these facets, by size, sorted."""
+    faces = {()}
+    for f in facets:
+        for k in range(1, len(f) + 1):
+            faces.update(itertools.combinations(sorted(f), k))
+    by_size = [[] for _ in range(max(len(f) for f in faces) + 1)]
+    for f in faces:
+        by_size[len(f)].append(f)
+    return [sorted(fs) for fs in by_size]
+
+
+def boundary_matrix(by_size, k):
+    """Dense boundary from the size-k faces to the size-(k-1) faces."""
+    index = {f: i for i, f in enumerate(by_size[k - 1])}
+    mat = [[0] * len(by_size[k]) for _ in by_size[k - 1]]
+    for j, face in enumerate(by_size[k]):
+        for d in range(k):
+            mat[index[face[:d] + face[d + 1:]]][j] = (-1) ** d
+    return mat
+
+
+def dense_homology(facets):
+    """Nonzero reduced homology, degree -> (Betti number, torsion).
+
+    Every boundary map, the augmentation included, goes through the dense
+    Smith normal form.
+    """
+    by_size = faces_by_size(facets)
+    top = len(by_size) - 1
+    ranks = [0] * (top + 2)
+    torsion = [()] * (top + 2)
+    for k in range(1, top + 1):
+        factors, ranks[k] = smith_normal_form(boundary_matrix(by_size, k))
+        torsion[k] = tuple(d for d in factors if d > 1)
+    groups = {}
+    for k in range(top + 1):  # chains on size-k faces sit in degree k - 1
+        betti = len(by_size[k]) - ranks[k] - ranks[k + 1]
+        if betti or torsion[k + 1]:
+            groups[k - 1] = (betti, torsion[k + 1])
+    return groups
+
+
+def dense_cohen_macaulay(facets):
+    """Reisner's criterion with every face link taken from the facets."""
+    for face in itertools.chain.from_iterable(faces_by_size(facets)):
+        link = [tuple(v for v in f if v not in face)
+                for f in facets if set(face) <= set(f)]
+        d = max(len(g) for g in link) - 1
+        if any(deg < d for deg in dense_homology(link)):
+            return False
+    return True
+
+
+def reference_audit(cx, k):
+    """(examined, failures) of the exhaustive k-CM audit, removal by removal."""
+    n, dim = len(cx.vertices), cx.dimension()
+    examined, failures = 0, []
+    for size in range(k):
+        for removed in itertools.combinations(range(n), size):
+            examined += 1
+            rest = cx.induce([i for i in range(n) if i not in removed])
+            if rest.dimension() != dim:
+                reason = "dimension-drop"
+            elif not rest.is_pure():
+                reason = "impure"
+            elif rest.facets and not dense_cohen_macaulay(rest.facets):
+                reason = "not-CM"
+            else:
+                continue
+            failures.append({"removed": [cx.vertices[i] for i in removed],
+                             "reason": reason})
+    return examined, failures
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes on at most 8 vertices: pure, impure, or a simplex skeleton.
+
+    Vertices in no facet and facets of one vertex both occur, and so do
+    disconnected complexes.
+    """
+    n = draw(st.integers(4, 8))
+    size = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["pure", "skeleton", "impure"]))
+    if kind == "skeleton":
+        n = min(n, 6)
+        faces = list(itertools.combinations(range(n), size))
+        dropped = draw(st.sets(st.sampled_from(faces), max_size=3))
+        faces = [f for f in faces if f not in dropped] or faces
+    else:
+        lo = size if kind == "pure" else 1
+        faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=lo,
+                                      max_size=size), min_size=2, max_size=10))
+    return SimplicialComplex([str(v) for v in range(n)], faces)
+
+
+class TestFaceTable:
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(small_complexes())
+    def test_homology_matches_dense_reference(self, cx):
+        prof = homology(cx)
+        assert prof.groups() == dense_homology(cx.facets)
+        assert prof.euler_reduced == sum(
+            (-1) ** (k - 1) * c for k, c in enumerate(cx.f_vector()))
+
+    def test_projective_plane_keeps_its_torsion(self):
+        rp2 = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
+               (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+        cx = SimplicialComplex([str(v) for v in range(6)], rp2)
+        assert homology(cx).groups() == dense_homology(rp2) == {1: (0, (2,))}
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(small_complexes())
+    def test_cohen_macaulay_matches_dense_reference(self, cx):
+        assert is_cohen_macaulay(cx) == dense_cohen_macaulay(cx.facets)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(small_complexes(), st.sampled_from([3, 2, 1]))
+    def test_audit_matches_removal_by_removal_reference(self, cx, k):
+        rep = kcm_audit(cx, k)
+        assert (rep.examined, [f.to_dict() for f in rep.failures]) == \
+            reference_audit(cx, k)
+
+
 def assert_sparse_matches_dense(mat):
     """Rank and invariant factors: sparse engine against dense SNF."""
     columns = [{i: row[j] for i, row in enumerate(mat) if row[j]}
@@ -169,14 +299,9 @@ class TestSparseEngine:
         cx = SimplicialComplex([str(v) for v in range(7)], faces)
         assert list(cx.facets) == sorted(
             tuple(sorted(f)) for f in set(faces) if not any(f < g for g in faces))
-        by_dim = cx.faces_by_dim()
-        for k in range(1, len(by_dim)):
-            index = {f: i for i, f in enumerate(by_dim[k - 1])}
-            mat = [[0] * len(by_dim[k]) for _ in by_dim[k - 1]]
-            for j, face in enumerate(by_dim[k]):
-                for d in range(k):
-                    mat[index[face[:d] + face[d + 1:]]][j] = (-1) ** d
-            assert_sparse_matches_dense(mat)
+        by_size = faces_by_size(cx.facets)
+        for k in range(1, len(by_size)):
+            assert_sparse_matches_dense(boundary_matrix(by_size, k))
 
     def test_remainders_without_unit_entries(self):
         # no entry is a unit, yet the gcd of the entries is 1
