@@ -28,8 +28,8 @@ from .topology import (HomologyProfile, KCMReport, ShellingOrder,  # noqa: F401
                        codim1_incidence, construct_shelling,
                        fuss_narayana_positive, homology, kcm_audit,
                        verify_shelling, verify_wedge)
-from .noncrossing import (MultichainTuple, PosetView, build_Lm,  # noqa: F401
+from .noncrossing import (MultichainTuple, Poset, build_Lm,  # noqa: F401
                           face_to_tuple, homotopy_compare, moebius,
-                          nc_interval, order_complex, truncate)
+                          nc_interval, order_complex)
 from .exact import (Matrix, Scalar, fixed_space_dim,  # noqa: F401
                     reflection_matrix, smith_normal_form)

@@ -238,7 +238,14 @@ def cmd_incidence(cfg: RunConfig) -> int:
 
 
 def cmd_ncp(cfg: RunConfig) -> int:
-    rs, cx, _ = _cached_complex(cfg)
+    if cfg.m < 1:
+        raise GuardError("ncp needs m >= 1: the multichain poset is built "
+                         "from m-tuples")
+    rs = _load_system(cfg)
+    if not rs.is_irreducible:
+        raise GuardError("ncp needs an irreducible system: the face-to-tuple "
+                         "map follows the Coxeter element's root sequence")
+    cx, _ = build_complex(rs, cfg.m)
     _check_homology_cap(cx)
     pos = positive_part(cx)
     report = _base_report(cfg)
@@ -246,16 +253,15 @@ def cmd_ncp(cfg: RunConfig) -> int:
     interval = nc_interval(rs)
     report["interval_size"] = len(interval)
     if cfg.m == 1:
-        p = interval.poset()
-        e = next(w for w in interval.elements if w.is_identity())
-        mu = moebius(p, e, interval.gamma)
+        # from e, at position 0, to gamma, at the last
+        mu = moebius(interval, 0, len(interval) - 1)
         cx1_pos_facets = len(pos.facets)
         ok = mu == (-1) ** rs.rank * cx1_pos_facets
         report["moebius"] = mu
         checks.append({"id": "ncp-moebius", "ok": ok,
                        "detail": {"positive_facets": cx1_pos_facets}})
-    L = build_Lm(rs, cfg.m)
-    report["poset_size"] = len(L.elements)
+    L = build_Lm(interval, cfg.m)
+    report["poset_size"] = len(L)
     for k in range(1, rs.rank + 1):
         rep = homotopy_compare(rs, cfg.m, k, pos_cx=pos, poset=L,
                                check_fibers=(k == rs.rank))
@@ -328,8 +334,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
             f_vector=list(cx.f_vector()))
     # noncrossing checks at small rank
     if 1 <= m <= 3 and rs.rank <= 3 and rs.is_irreducible:
-        L = build_Lm(rs, m)
-        rep = homotopy_compare(rs, m, rs.rank, pos_cx=pos, poset=L)
+        rep = homotopy_compare(rs, m, rs.rank, pos_cx=pos)
         add("ncp-homotopy", rep.ok, fibers=rep.fibers_checked)
     report = _base_report(cfg)
     report["checks"] = checks
@@ -341,6 +346,8 @@ def cmd_polygon(cfg: RunConfig) -> int:
     fam, rank, _ = parse_label(cfg.phi)
     if fam != "A":
         raise GuardError("the polygon oracle models type A only")
+    if cfg.m < 1:
+        raise GuardError("the polygon oracle needs m >= 1")
     rs, cx, _ = _cached_complex(cfg)
     poly = typeA_polygon_oracle(rank + 1, cfg.m)
     ok = poly.f_vector() == cx.f_vector()

@@ -349,11 +349,6 @@ def _root_in(rs: RootSystem, root: Root) -> Root:
     return rs.roots[rs.index_of(root)]
 
 
-def face_word(rs: RootSystem, m: int, sigma: Iterable[ColoredRoot]) -> GroupElement:
-    """Convenience wrapper building a context for a single word."""
-    return word_of_face(ComplexContext(rs, m), sigma)
-
-
 def restrict(cx: SimplicialComplex, mode: str, arg=None) -> SimplicialComplex:
     """Dispatch to link / delete / induce / skeleton by mode name."""
     if mode == "link":

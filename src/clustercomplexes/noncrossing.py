@@ -1,19 +1,20 @@
 """Generalized noncrossing partitions and their order topology.
 
-The poset of m-tuples with additive reflection length below a Coxeter
-element is materialized from the interval under the bipartite element, and
-its chain complexes are compared to skeleta of the positive cluster
-complex, homology group by homology group, together with the triviality
-check of every fiber of the face-to-tuple map.
+The interval [e, gamma] of the absolute order and the poset L_m of m-tuples
+with additive reflection length below gamma are indexed posets: their
+elements are listed in a linear extension, bottom first, with one down-set
+bitset per element.  Chain complexes of L_m are compared to skeleta of the
+positive cluster complex, homology group by homology group, together with
+the triviality check of every fiber of the face-to-tuple map.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .colored import (ColoredRoot, ComplexContext, build_complex, get_context,
-                      positive_part, word_of_face)
+from .colored import (ColoredRoot, ComplexContext, _max_cliques, build_complex,
+                      get_context, positive_part, word_of_face)
 from .coxeter import GroupElement, absolute_interval, absolute_leq, bipartite_coxeter
 from .roots import RootSystem
 from .simplicial import SimplicialComplex
@@ -33,139 +34,104 @@ class MultichainTuple:
     def leq(self, other: "MultichainTuple") -> bool:
         return all(absolute_leq(u, w) for u, w in zip(self.words, other.words))
 
-    def key(self) -> tuple:
-        return tuple(w.perm for w in self.words)
 
+class Poset:
+    """A finite poset listed in a linear extension.
 
-class PosetView:
-    """A finite poset given by elements, an order predicate and a rank."""
+    Bit i of ``down[j]`` is set iff element i lies below element j.  It is
+    built in one pass from ``lower_covers``, whose j-th entry lists the
+    positions that element j covers; each must precede j.  ``index`` maps
+    each element to its position.
+    """
 
-    def __init__(self, elements: Sequence, leq: Callable, rank: Callable,
-                 label: Optional[Callable] = None):
+    def __init__(self, elements: Sequence, ranks: Sequence[int],
+                 lower_covers: Iterable[Iterable[int]]):
         self.elements = list(elements)
-        self._leq = leq
-        self.rank = rank
-        self.label = label or (lambda x: repr(x))
-        self._matrix: Optional[dict] = None
+        self.ranks = list(ranks)
+        self.down: list = []
+        for j, below in enumerate(lower_covers):
+            bits = 1 << j
+            for i in below:
+                if i >= j:
+                    raise ValueError("a lower cover must precede its element")
+                bits |= self.down[i]
+            self.down.append(bits)
+        self.index = {x: i for i, x in enumerate(self.elements)}
 
-    def leq(self, x, y) -> bool:
-        return self._leq(x, y)
-
-    def order_pairs(self) -> dict:
-        if self._matrix is None:
-            self._matrix = {}
-            for i, x in enumerate(self.elements):
-                for j, y in enumerate(self.elements):
-                    if self._leq(x, y):
-                        self._matrix.setdefault(i, set()).add(j)
-        return self._matrix
-
-    def truncate(self, k: int) -> "PosetView":
-        kept = [x for x in self.elements if self.rank(x) <= k]
-        return PosetView(kept, self._leq, self.rank, self.label)
-
-    def without(self, removed: Iterable) -> "PosetView":
-        removed = list(removed)
-        kept = [x for x in self.elements if all(x is not r and x != r
-                                                for r in removed)]
-        return PosetView(kept, self._leq, self.rank, self.label)
-
-    def minimum(self):
-        mins = [x for x in self.elements
-                if all(self._leq(x, y) for y in self.elements)]
-        if len(mins) != 1:
-            raise ValueError("poset has no unique minimum")
-        return mins[0]
-
-    def covers(self) -> list:
-        pairs = self.order_pairs()
-        out = []
-        for i, x in enumerate(self.elements):
-            ups = pairs.get(i, set()) - {i}
-            for j in ups:
-                if not any(k in ups and j in pairs.get(k, set()) and k != j
-                           for k in ups):
-                    out.append((i, j))
-        return sorted(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "elements": [self.label(x) for x in self.elements],
-            "ranks": [self.rank(x) for x in self.elements],
-            "covers": self.covers(),
-        }
-
-
-@dataclass
-class NCInterval:
-    """The absolute-order interval below a Coxeter element."""
-
-    system: RootSystem
-    gamma: GroupElement
-    elements: list
-
-    def poset(self) -> PosetView:
-        return PosetView(self.elements, absolute_leq, lambda w: w.length,
-                         label=lambda w: list(w.perm))
+    def leq(self, i: int, j: int) -> bool:
+        return self.down[j] >> i & 1 == 1
 
     def __len__(self):
         return len(self.elements)
 
 
-def nc_interval(rs: RootSystem, gamma: Optional[GroupElement] = None) -> NCInterval:
+def nc_interval(rs: RootSystem, gamma: Optional[GroupElement] = None) -> Poset:
+    """The absolute-order interval [e, gamma], e first and gamma last.
+
+    Its covers are u < ut for reflections t with ut in the interval and one
+    longer than u (Brady and Watt, 2002).
+    """
     if gamma is None:
         gamma = bipartite_coxeter(rs)
-    elements = absolute_interval(rs, gamma)
-    elements.sort(key=lambda w: (w.length, w.perm))
-    return NCInterval(rs, gamma, elements)
+    elements = sorted(absolute_interval(rs, gamma),
+                      key=lambda w: (w.length, w.perm))
+    ranks = [w.length for w in elements]
+    where = {w: i for i, w in enumerate(elements)}
+    reflections = [rs.reflection(r) for r in rs.positive_roots]
+    lower_covers = []
+    for j, v in enumerate(elements):
+        below = (where.get(v * t) for t in reflections)
+        lower_covers.append([i for i in below
+                             if i is not None and ranks[i] == ranks[j] - 1])
+    return Poset(elements, ranks, lower_covers)
 
 
-def build_Lm(rs: RootSystem, m: int,
-             gamma: Optional[GroupElement] = None) -> PosetView:
-    """m-tuples whose product is below gamma with additive length."""
+def build_Lm(interval: Poset, m: int) -> Poset:
+    """m-tuples of the interval whose product lies in it with additive length.
+
+    The order is componentwise; its covers raise one coordinate by a cover
+    of the interval.
+    """
     if m < 1:
         raise ValueError("the tuple length m must be at least 1")
-    interval = nc_interval(rs, gamma)
-    gamma = interval.gamma
-    top_len = gamma.length
+    elements, ranks, where = interval.elements, interval.ranks, interval.index
+    top = ranks[-1]
     tuples: list = []
 
-    def extend(prefix: list, product: GroupElement, used: int):
+    def extend(prefix: tuple, product: GroupElement, used: int):
         if len(prefix) == m:
-            if absolute_leq(product, gamma):
-                tuples.append(MultichainTuple(tuple(prefix)))
+            tuples.append(prefix)
             return
-        for w in interval.elements:
-            if used + w.length > top_len:
-                continue
-            nxt = product * w
-            if nxt.length != used + w.length:
-                continue
-            extend(prefix + [w], nxt, used + w.length)
+        for i, w in enumerate(elements):
+            if used + ranks[i] > top:
+                break  # the elements ascend in rank
+            # every prefix of a tuple in L_m has its product in the interval
+            j = where.get(product * w)
+            if j is not None and ranks[j] == used + ranks[i]:
+                extend(prefix + (i,), elements[j], ranks[j])
 
-    extend([], rs.identity_element(), 0)
-    tuples.sort(key=lambda t: (t.rank, t.key()))
-    return PosetView(tuples, lambda a, b: a.leq(b), lambda t: t.rank,
-                     label=lambda t: [list(w.perm) for w in t.words])
+    extend((), elements[0], 0)
+    tuples.sort(key=lambda t: (sum(ranks[i] for i in t), t))
+    position = {t: p for p, t in enumerate(tuples)}
+    covers = [[i for i in range(j) if interval.leq(i, j)
+               and ranks[i] == ranks[j] - 1] for j in range(len(interval))]
+    return Poset(
+        [MultichainTuple(tuple(elements[i] for i in t)) for t in tuples],
+        [sum(ranks[i] for i in t) for t in tuples],
+        [[position[t[:c] + (i,) + t[c + 1:]]
+          for c in range(m) for i in covers[t[c]]] for t in tuples])
 
 
-def moebius(p: PosetView, x, y) -> int:
-    """Recursive Moebius function of the interval [x, y]."""
+def moebius(p: Poset, x: int, y: int) -> int:
+    """Moebius function of the interval [x, y], in one pass up from x."""
     if not p.leq(x, y):
         raise ValueError("moebius requires comparable elements")
-    memo: dict = {}
-    between = [z for z in p.elements if p.leq(x, z) and p.leq(z, y)]
-
-    def mu(z) -> int:
-        zk = id(z)
-        if zk in memo:
-            return memo[zk]
-        total = 1 if z is x or z == x else \
-            -sum(mu(v) for v in between if p.leq(v, z) and not (v is z or v == z))
-        memo[zk] = total
-        return total
-
-    return mu(next(z for z in between if z is y or z == y))
+    mu = {x: 1}
+    for z in range(x + 1, y + 1):
+        if p.leq(x, z) and p.leq(z, y):
+            below = p.down[z]
+            mu[z] = -sum(v for i, v in mu.items() if below >> i & 1)
+    return mu[y]
 
 
 def face_to_tuple(rs: RootSystem, m: int, sigma: Sequence[ColoredRoot],
@@ -191,59 +157,45 @@ def face_to_tuple(rs: RootSystem, m: int, sigma: Sequence[ColoredRoot],
     return out
 
 
-def order_complex(p: PosetView, strip: Iterable = ()) -> SimplicialComplex:
-    """Chains of the poset, as a flag complex of the comparability graph."""
-    q = p.without(strip) if strip else p
-    n = len(q.elements)
-    labels = []
-    seen = set()
-    for x in q.elements:
-        lab = str(q.label(x))
-        if lab in seen:
-            lab = "%s#%d" % (lab, len(seen))
-        seen.add(lab)
-        labels.append(lab)
-    adjacency = {i: set() for i in range(n)}
-    for i, j in itertools.combinations(range(n), 2):
-        if q.leq(q.elements[i], q.elements[j]) or q.leq(q.elements[j], q.elements[i]):
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-    from .colored import _max_cliques
-    facets = _max_cliques({i: frozenset(a) for i, a in adjacency.items()}) \
-        if n else []
-    return SimplicialComplex(labels, facets, objects=list(q.elements))
+def order_complex(p: Poset, keep: Iterable[int]) -> SimplicialComplex:
+    """Chains of the elements at positions ``keep``, as a flag complex."""
+    keep = sorted(keep)
+    adjacency = {a: set() for a in range(len(keep))}
+    for a, b in itertools.combinations(range(len(keep)), 2):
+        if p.leq(keep[a], keep[b]):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    facets = _max_cliques({a: frozenset(s) for a, s in adjacency.items()}) \
+        if keep else []
+    return SimplicialComplex([str(i) for i in keep], facets,
+                             objects=[p.elements[i] for i in keep])
 
 
-def truncate(p: PosetView, k: int) -> PosetView:
-    return p.truncate(k)
-
-
-def face_tuple_table(rs: RootSystem, m: int,
-                     pos_cx: SimplicialComplex) -> dict:
-    """The face-to-tuple map evaluated on every nonempty face."""
+def face_tuple_table(rs: RootSystem, m: int, pos_cx: SimplicialComplex,
+                     poset: Poset) -> dict:
+    """The position in ``poset`` of the tuple of every nonempty face."""
     ctx = get_context(rs, m)
     table = {}
     for f in pos_cx.faces():
         if f:
-            table[f] = face_to_tuple(rs, m, [pos_cx.objects[i] for i in f],
-                                     ctx=ctx)
+            t = face_to_tuple(rs, m, [pos_cx.objects[i] for i in f], ctx=ctx)
+            if t not in poset.index:
+                raise RuntimeError("face tuple lies outside the multichain poset")
+            table[f] = poset.index[t]
     return table
 
 
-def fiber_complex(rs: RootSystem, m: int, ideal: Iterable[MultichainTuple],
-                  pos_cx: Optional[SimplicialComplex] = None,
-                  table: Optional[dict] = None) -> SimplicialComplex:
-    """Subcomplex of the positive part mapping into an order ideal."""
-    ideal = list(ideal)
-    if pos_cx is None:
-        pos_cx, _ = build_complex(rs, m)
-        pos_cx = positive_part(pos_cx)
-    if table is None:
-        table = face_tuple_table(rs, m, pos_cx)
-    faces = [f for f, t in table.items() if any(t.leq(x) for x in ideal)]
-    keep = sorted({v for f in faces for v in f})
+def fiber_complex(pos_cx: SimplicialComplex, table: dict,
+                  ideal: int) -> SimplicialComplex:
+    """Subcomplex of the positive part mapping into an order ideal.
+
+    ``table`` is the face-to-tuple table and ``ideal`` a bitset of poset
+    positions, such as a down-set.
+    """
+    faces = [f for f, i in table.items() if ideal >> i & 1]
     if not faces:
         return SimplicialComplex([], [()])
+    keep = sorted({v for f in faces for v in f})
     remap = {old: new for new, old in enumerate(keep)}
     return SimplicialComplex([pos_cx.vertices[i] for i in keep],
                              [tuple(remap[v] for v in f) for f in faces],
@@ -269,7 +221,7 @@ class HomotopyCompareReport:
 
 def homotopy_compare(rs: RootSystem, m: int, k: int,
                      pos_cx: Optional[SimplicialComplex] = None,
-                     poset: Optional[PosetView] = None,
+                     poset: Optional[Poset] = None,
                      check_fibers: bool = True) -> HomotopyCompareReport:
     """Compare the (k-1)-skeleton of the positive part with the truncated poset.
 
@@ -284,24 +236,23 @@ def homotopy_compare(rs: RootSystem, m: int, k: int,
         cx, _ = build_complex(rs, m)
         pos_cx = positive_part(cx)
     if poset is None:
-        poset = build_Lm(rs, m)
-    bottom = poset.minimum()
+        poset = build_Lm(nc_interval(rs), m)
     skel = pos_cx.skeleton(k - 1)
-    oc = order_complex(poset.truncate(k), strip=[bottom])
+    # the bottom sits at position 0
+    oc = order_complex(poset, [i for i in range(1, len(poset))
+                               if poset.ranks[i] <= k])
     hs = homology(skel)
     hp = homology(oc)
     ok = hs.groups() == hp.groups()
     fiber_failures: list = []
     checked = 0
     if check_fibers:
-        table = face_tuple_table(rs, m, pos_cx)
-        for x in poset.elements:
-            if x == bottom:
-                continue
+        table = face_tuple_table(rs, m, pos_cx, poset)
+        for x in range(1, len(poset)):
             checked += 1
-            fib = fiber_complex(rs, m, [x], pos_cx=pos_cx, table=table)
-            prof = homology(fib)
-            if fib.dimension() < 0 or not prof.is_trivial():
-                fiber_failures.append(poset.label(x))
+            fib = fiber_complex(pos_cx, table, poset.down[x])
+            if fib.dimension() < 0 or not homology(fib).is_trivial():
+                fiber_failures.append(
+                    [list(w.perm) for w in poset.elements[x].words])
         ok = ok and not fiber_failures
     return HomotopyCompareReport(ok, k, hs, hp, checked, fiber_failures)

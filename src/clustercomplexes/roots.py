@@ -92,9 +92,6 @@ class RootSystem:
     def negate(self, root: Root) -> Root:
         return self.roots[self._neg[self._index[root.key]]]
 
-    def negation_index(self, i: int) -> int:
-        return self._neg[i]
-
     @property
     def is_irreducible(self) -> bool:
         return len(self.components) == 1

@@ -48,12 +48,6 @@ class SimplicialComplex:
         sizes = {len(f) for f in self.facets}
         return len(sizes) == 1
 
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    def facet_count(self) -> int:
-        return len(self.facets)
-
     def faces(self) -> set:
         """All faces, the empty face included, as sorted index tuples."""
         if self._faces is None:
@@ -63,10 +57,6 @@ class SimplicialComplex:
                     out.update(itertools.combinations(f, k))
             self._faces = out
         return self._faces
-
-    def has_face(self, face: Sequence[int]) -> bool:
-        fs = set(face)
-        return any(fs <= set(g) for g in self.facets)
 
     def f_vector(self) -> tuple:
         counts = [0] * (self.dimension() + 2)
@@ -127,20 +117,6 @@ class SimplicialComplex:
         facets += [f for f in self.facets if len(f) <= k]
         return SimplicialComplex(self.vertices, facets, objects=self.objects,
                                  meta=dict(self.meta))
-
-    def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        if set(self.vertices) & set(other.vertices):
-            raise ValueError("join requires disjoint vertex labels")
-        labels = self.vertices + other.vertices
-        objs = None
-        if self.objects is not None and other.objects is not None:
-            objs = self.objects + other.objects
-        off = len(self.vertices)
-        mine = self.facets or ((),)
-        theirs = other.facets or ((),)
-        facets = [tuple(sorted(f + tuple(v + off for v in g)))
-                  for f in mine for g in theirs]
-        return SimplicialComplex(labels, facets, objects=objs)
 
     # -- output ---------------------------------------------------------------
 

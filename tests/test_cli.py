@@ -80,6 +80,19 @@ def test_ncp_command():
     assert run(["ncp", "--phi", "A2", "--m", "1"]) == 0
 
 
+def test_ncp_guards_m0_and_reducible_systems(capsys):
+    assert run(["ncp", "--phi", "A2", "--m", "0"]) == 2
+    assert "ncp needs m >= 1" in capsys.readouterr().err
+    assert run(["ncp", "--phi", "A1xA2", "--m", "1"]) == 2
+    assert "ncp needs an irreducible system" in capsys.readouterr().err
+
+
+def test_polygon_guards_m0(capsys):
+    for label in ("A2", "A3"):
+        assert run(["polygon", "--phi", label, "--m", "0"]) == 2
+        assert "the polygon oracle needs m >= 1" in capsys.readouterr().err
+
+
 def test_separate_rank_flag():
     assert run(["incidence", "--phi", "A", "--rank", "2", "--m", "1"]) == 0
 

@@ -2,20 +2,19 @@ import itertools
 
 import pytest
 
+from clustercomplexes import coxeter, noncrossing
 from clustercomplexes.colored import positive_part
-from clustercomplexes.coxeter import bipartite_coxeter
-from clustercomplexes.noncrossing import (MultichainTuple, PosetView,
-                                          build_Lm, face_to_tuple,
-                                          face_tuple_table, fiber_complex,
-                                          homotopy_compare, moebius,
-                                          nc_interval, order_complex,
-                                          truncate)
+from clustercomplexes.coxeter import absolute_leq, bipartite_coxeter
+from clustercomplexes.noncrossing import (MultichainTuple, Poset, build_Lm,
+                                          face_to_tuple, face_tuple_table,
+                                          fiber_complex, homotopy_compare,
+                                          moebius, nc_interval, order_complex)
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.topology import fuss_narayana_positive, homology
 
 
-def identity_of(interval):
-    return next(w for w in interval.elements if w.is_identity())
+def multichains(label, m):
+    return build_Lm(nc_interval(build_root_system(label)), m)
 
 
 class TestInterval:
@@ -34,62 +33,106 @@ class TestInterval:
     def test_square_of_coxeter_element_outside(self):
         rs = build_root_system("A2")
         interval = nc_interval(rs)
-        gamma = interval.gamma
+        gamma = interval.elements[-1]
+        assert gamma == bipartite_coxeter(rs)
         assert all(w != gamma * gamma for w in interval.elements)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4"])
+    def test_bitset_order_is_the_absolute_order(self, label):
+        interval = nc_interval(build_root_system(label))
+        els = interval.elements
+        assert els[0].is_identity()
+        for i, u in enumerate(els):
+            for j, w in enumerate(els):
+                assert interval.leq(i, j) == absolute_leq(u, w), (i, j)
 
 
 class TestMultichainPoset:
 
     def test_m1_collapses_to_the_interval(self):
         rs = build_root_system("A2")
-        L = build_Lm(rs, 1)
-        assert len(L.elements) == len(nc_interval(rs))
+        interval = nc_interval(rs)
+        assert len(build_Lm(interval, 1)) == len(interval)
 
     def test_a2_m2_rank_counts(self):
-        L = build_Lm(build_root_system("A2"), 2)
+        L = multichains("A2", 2)
         by_rank = {}
         for t in L.elements:
             by_rank[t.rank] = by_rank.get(t.rank, 0) + 1
         assert by_rank == {0: 1, 1: 6, 2: 5}
+        assert L.ranks == [t.rank for t in L.elements]
 
     def test_unique_bottom(self):
-        L = build_Lm(build_root_system("A2"), 2)
-        bottom = L.minimum()
+        L = multichains("A2", 2)
+        bottom = L.elements[0]
         assert bottom.rank == 0
         assert all(w.is_identity() for w in bottom.words)
+        assert all(L.leq(0, j) for j in range(len(L)))
 
     def test_membership_requires_additive_lengths(self):
         rs = build_root_system("A2")
         gamma = bipartite_coxeter(rs)
-        L = build_Lm(rs, 2)
-        keys = {t.key() for t in L.elements}
-        assert (gamma.perm, gamma.perm) not in keys
+        L = build_Lm(nc_interval(rs), 2)
+        assert MultichainTuple((gamma, gamma)) not in L.index
 
     def test_downward_closure(self):
         rs = build_root_system("A2")
         interval = nc_interval(rs)
         for m in (1, 2, 3):
-            L = build_Lm(rs, m)
-            keys = {t.key() for t in L.elements}
+            L = build_Lm(interval, m)
             for t in L.elements:
                 for smaller in itertools.product(interval.elements, repeat=m):
                     cand = MultichainTuple(tuple(smaller))
                     if cand.leq(t):
-                        assert cand.key() in keys
+                        assert cand in L.index
+
+    @pytest.mark.parametrize("label,m", [("A3", 1), ("A3", 2), ("A3", 3),
+                                         ("B3", 1), ("B3", 2), ("D4", 1)])
+    def test_bitset_order_is_the_componentwise_order(self, label, m):
+        L = multichains(label, m)
+        for i, s in enumerate(L.elements):
+            for j, t in enumerate(L.elements):
+                assert L.leq(i, j) == s.leq(t), (i, j)
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):
-            build_Lm(build_root_system("A1"), 0)
+            build_Lm(nc_interval(build_root_system("A1")), 0)
+
+
+def test_the_bitset_route_never_calls_absolute_leq(monkeypatch, complexes,
+                                                   positive_complexes):
+    rs, _, _ = complexes("A2", 2)
+    pos = positive_complexes("A2", 2)
+    calls = []
+
+    def counted(u, w):
+        calls.append((u, w))
+        return absolute_leq(u, w)
+
+    for module in (coxeter, noncrossing):
+        monkeypatch.setattr(module, "absolute_leq", counted)
+    interval = nc_interval(rs)
+    L = build_Lm(interval, 2)
+    moebius(interval, 0, len(interval) - 1)
+    moebius(L, 0, len(L) - 1)
+    order_complex(L, range(1, len(L)))
+    assert calls == []
+    # face_to_tuple keeps absolute_leq as its self-check
+    table = face_tuple_table(rs, 2, pos, L)
+    calls.clear()
+    for x in range(1, len(L)):
+        fiber_complex(pos, table, L.down[x])
+    assert calls == []
 
 
 class TestMoebius:
 
     def test_two_chain(self):
-        chain = PosetView([0, 1], lambda a, b: a <= b, lambda x: x)
+        chain = Poset([0, 1], [0, 1], [[], [0]])
         assert moebius(chain, 0, 1) == -1
 
     def test_incomparable_rejected(self):
-        antichain = PosetView([0, 1], lambda a, b: a == b, lambda x: 0)
+        antichain = Poset([0, 1], [0, 0], [[], []])
         with pytest.raises(ValueError):
             moebius(antichain, 0, 1)
 
@@ -98,8 +141,7 @@ class TestMoebius:
                                                   positive_complexes):
         rs, cx, _ = complexes(label, 1)
         interval = nc_interval(rs)
-        p = interval.poset()
-        mu = moebius(p, identity_of(interval), interval.gamma)
+        mu = moebius(interval, 0, len(interval) - 1)
         facets = len(positive_complexes(label, 1).facets)
         sign = 1 if rs.rank % 2 == 0 else -1
         assert mu == sign * facets
@@ -131,18 +173,20 @@ class TestFaceToTuple:
         for label, m in [("A2", 1), ("A2", 2), ("B2", 2)]:
             rs, cx, _ = complexes(label, m)
             pos = positive_complexes(label, m)
-            for face, t in face_tuple_table(rs, m, pos).items():
-                assert t.rank == len(face)
+            L = build_Lm(nc_interval(rs), m)
+            for face, i in face_tuple_table(rs, m, pos, L).items():
+                assert L.elements[i].rank == len(face)
 
     def test_order_preserving(self, complexes, positive_complexes):
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
-        table = face_tuple_table(rs, 2, pos)
+        L = build_Lm(nc_interval(rs), 2)
+        table = face_tuple_table(rs, 2, pos, L)
         assert len(table) == 13
-        for tau_face, tau_t in table.items():
-            for sigma_face, sigma_t in table.items():
+        for tau_face, tau_i in table.items():
+            for sigma_face, sigma_i in table.items():
                 if set(tau_face) <= set(sigma_face):
-                    assert tau_t.leq(sigma_t)
+                    assert L.elements[tau_i].leq(L.elements[sigma_i])
 
     def test_empty_face_rejected(self):
         rs = build_root_system("A2")
@@ -153,29 +197,26 @@ class TestFaceToTuple:
 class TestOrderComplexes:
 
     def test_two_chain_gives_a_segment(self):
-        chain = PosetView([0, 1], lambda a, b: a <= b, lambda x: x)
-        cx = order_complex(chain)
+        chain = Poset([0, 1], [0, 1], [[], [0]])
+        cx = order_complex(chain, [0, 1])
         assert cx.f_vector() == (1, 2, 1)
 
     def test_interval_minus_bottom_contractible(self):
-        rs = build_root_system("A2")
-        interval = nc_interval(rs)
-        p = interval.poset()
-        cx = order_complex(p, strip=[identity_of(interval)])
+        interval = nc_interval(build_root_system("A2"))
+        cx = order_complex(interval, range(1, len(interval)))
         assert homology(cx).is_trivial()
 
     def test_truncated_poset_is_an_antichain(self):
-        L = build_Lm(build_root_system("A2"), 2)
-        t = truncate(L, 1)
-        cx = order_complex(t, strip=[L.minimum()])
+        L = multichains("A2", 2)
+        cx = order_complex(L, [i for i in range(1, len(L)) if L.ranks[i] <= 1])
         assert cx.dimension() == 0
         assert len(cx.vertices) == 6
 
     def test_wedge_ranks_match_sphere_counts(self):
         for label, m in [("A2", 1), ("A2", 2), ("A2", 3), ("B2", 2)]:
             rs = build_root_system(label)
-            L = build_Lm(rs, m)
-            cx = order_complex(L, strip=[L.minimum()])
+            L = build_Lm(nc_interval(rs), m)
+            cx = order_complex(L, range(1, len(L)))
             want = fuss_narayana_positive(rs, m - 1)
             assert homology(cx).concentrated(rs.rank - 1, want)
 
@@ -193,7 +234,7 @@ class TestHomotopyCompare:
     def test_a3_m2_all_k(self, complexes, positive_complexes):
         rs, _, _ = complexes("A3", 2)
         pos = positive_complexes("A3", 2)
-        L = build_Lm(rs, 2)
+        L = build_Lm(nc_interval(rs), 2)
         for k in (1, 2, 3):
             report = homotopy_compare(rs, 2, k, pos_cx=pos, poset=L,
                                       check_fibers=(k == 3))
@@ -210,12 +251,10 @@ class TestHomotopyCompare:
         # spot-check euler characteristics are those of cones (contractible)
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
-        L = build_Lm(rs, 2)
-        table = face_tuple_table(rs, 2, pos)
-        for x in L.elements:
-            if x.rank == 0:
-                continue
-            fib = fiber_complex(rs, 2, [x], pos_cx=pos, table=table)
+        L = build_Lm(nc_interval(rs), 2)
+        table = face_tuple_table(rs, 2, pos, L)
+        for x in range(1, len(L)):
+            fib = fiber_complex(pos, table, L.down[x])
             assert fib.euler_characteristic_reduced() == 0
             assert homology(fib).is_trivial()
 
@@ -225,38 +264,34 @@ class TestHomotopyCompare:
         import random
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
-        L = build_Lm(rs, 2)
-        table = face_tuple_table(rs, 2, pos)
+        L = build_Lm(nc_interval(rs), 2)
+        table = face_tuple_table(rs, 2, pos, L)
         rng = random.Random(3)
-        nontrivial = [t for t in L.elements if t.rank > 0]
+        nontrivial = range(1, len(L))
         for _ in range(6):
             seeds = rng.sample(nontrivial, 2)
-            ideal = [t for t in nontrivial
-                     if any(t.leq(s) for s in seeds)]
-            fib = fiber_complex(rs, 2, seeds, pos_cx=pos, table=table)
-            sub = PosetView(ideal, lambda a, b: a.leq(b), lambda t: t.rank)
-            oc = order_complex(sub)
+            ideal = [i for i in nontrivial
+                     if any(L.elements[i].leq(L.elements[s]) for s in seeds)]
+            fib = fiber_complex(pos, table, L.down[seeds[0]] | L.down[seeds[1]])
+            oc = order_complex(L, ideal)
             ha, hb = homology(fib), homology(oc)
             la = list(ha.betti) + [0] * (len(hb.betti) - len(ha.betti))
             lb = list(hb.betti) + [0] * (len(ha.betti) - len(hb.betti))
             assert la == lb
 
 
-class TestPosetView:
+class TestPoset:
 
-    def test_covers_and_serialization(self):
-        rs = build_root_system("A2")
-        interval = nc_interval(rs)
-        p = interval.poset()
-        data = p.to_dict()
-        assert len(data["elements"]) == 5
-        assert sorted(data["ranks"]) == [0, 1, 1, 1, 2]
+    def test_a2_interval_ranks_and_covers(self):
+        interval = nc_interval(build_root_system("A2"))
+        assert len(interval) == 5
+        assert sorted(interval.ranks) == [0, 1, 1, 1, 2]
         # covers: bottom under each atom, each atom under the top
-        assert len(data["covers"]) == 6
+        covers = [(i, j) for j in range(5) for i in range(j)
+                  if interval.leq(i, j)
+                  and interval.ranks[j] == interval.ranks[i] + 1]
+        assert len(covers) == 6
 
-    def test_truncate_and_without(self):
-        L = build_Lm(build_root_system("A2"), 2)
-        t = truncate(L, 1)
-        assert all(x.rank <= 1 for x in t.elements)
-        stripped = L.without([L.minimum()])
-        assert len(stripped.elements) == len(L.elements) - 1
+    def test_cover_after_its_element_rejected(self):
+        with pytest.raises(ValueError):
+            Poset([0, 1], [1, 0], [[1], []])

@@ -33,7 +33,8 @@ def test_no_module_level_caches():
     # and one keyed by id() keeps every system it has seen alive
     root = Path(clustercomplexes.__file__).parent
     found = []
-    for name in ("topology.py", "simplicial.py", "colored.py"):
+    for name in ("topology.py", "simplicial.py", "colored.py",
+                 "noncrossing.py"):
         tree = ast.parse((root / name).read_text(), filename=name)
         for node in tree.body:
             value = getattr(node, "value", None)
