@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .coxeter import (GroupElement, absolute_leq, bipartite_coxeter,
                       total_order)
 from .roots import Root, RootSystem
-from .simplicial import SimplicialComplex, f_h_vectors  # noqa: F401 (re-export)
+from .simplicial import SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class ComplexContext:
         self.m = m
         self.gamma = bipartite_coxeter(rs)
         self._order = None
-
-    def component_context(self, comp: RootSystem) -> "ComplexContext":
-        return get_context(comp, self.m)
 
     @property
     def order(self):
@@ -124,8 +121,7 @@ def fr_compatible(rs: RootSystem, m: int, a: ColoredRoot, b: ColoredRoot) -> boo
         comp_b = _component_of(rs, b.root)
         if comp_a is not comp_b:
             return True
-        sub = comp_a
-        return fr_compatible(sub, m, _retarget(sub, a), _retarget(sub, b))
+        return fr_compatible(comp_a, m, a, b)
     guard = m * len(rs.positive_roots) + rs.rank + 1
     for _ in range(guard):
         if _is_negative_simple(rs, a):
@@ -145,18 +141,11 @@ def _support_rule(rs: RootSystem, neg: ColoredRoot, other: ColoredRoot) -> bool:
 
 
 def _component_of(rs: RootSystem, root: Root) -> RootSystem:
-    comps = rs.components
     if rs.is_positive(root):
         idx = min(rs.support(root))
     else:
         idx = rs.simple_index(rs.negate(root))
     return rs.component_of_simple(idx)
-
-
-def _retarget(sub: RootSystem, v: ColoredRoot) -> ColoredRoot:
-    """Rebind a colored root to the component system owning its root."""
-    target = sub.roots[sub.index_of(v.root)]
-    return ColoredRoot(target, v.color)
 
 
 # -- the word criterion -----------------------------------------------------------
@@ -191,12 +180,12 @@ def word_of_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> GroupElem
     return out
 
 
-def is_face(ctx_or_rs, m_or_sigma, sigma=None) -> bool:
-    """Word criterion: the product has additive length and sits below gamma."""
-    if sigma is None:
-        ctx, sigma = ctx_or_rs, m_or_sigma
-    else:
-        ctx = get_context(ctx_or_rs, m_or_sigma)
+def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:
+    """Word criterion: the product has additive length and sits below gamma.
+
+    A component's roots carry the parent's coordinates, and roots compare
+    by key, so the roots of a reducible system serve its components as is.
+    """
     sigma = list(sigma)
     if len({v.key() for v in sigma}) != len(sigma):
         raise ValueError("faces may not repeat a colored root")
@@ -206,25 +195,13 @@ def is_face(ctx_or_rs, m_or_sigma, sigma=None) -> bool:
         for v in sigma:
             comp = _component_of(rs, v.root)
             groups.setdefault(id(comp), (comp, []))[1].append(v)
-        return all(
-            is_face(ctx.component_context(comp), [_retarget(comp, v) for v in part])
-            for comp, part in groups.values())
+        return all(is_face(get_context(comp, ctx.m), part)
+                   for comp, part in groups.values())
     w = word_of_face(ctx, sigma)
     return w.length == len(sigma) and absolute_leq(w, ctx.gamma)
 
 
 # -- the complex builder -----------------------------------------------------------
-
-
-class CompatibilityGraph:
-    """Symmetric pairwise-compatibility relation over the colored vertices."""
-
-    def __init__(self, vertices: Sequence[ColoredRoot], adjacency: dict):
-        self.vertices = list(vertices)
-        self.adjacency = adjacency  # index -> frozenset of indices
-
-    def is_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
 
 
 def _max_cliques(adjacency: dict) -> list:
@@ -246,24 +223,27 @@ def _max_cliques(adjacency: dict) -> list:
 
 
 def build_complex(rs: RootSystem, m: int) -> tuple:
-    """The generalized cluster complex and its compatibility graph."""
-    ctx = get_context(rs, m)
-    return _build_complex(ctx, rs, m)
+    """The generalized cluster complex and its compatibility graph.
+
+    The graph is the adjacency of the vertex positions: i -> the frozenset
+    of the positions j != i that form a face with i.
+    """
+    return _build_complex(get_context(rs, m))
 
 
-def _build_complex(ctx: ComplexContext, rs: RootSystem, m: int) -> tuple:
+def _build_complex(ctx: ComplexContext) -> tuple:
+    rs, m = ctx.system, ctx.m
     if rs.rank == 0:
         cx = SimplicialComplex([], [()], objects=[])
-        return cx, CompatibilityGraph([], {})
+        return cx, {}
     if not rs.is_irreducible:
-        comps = rs.components
-        parts = [_build_complex(ctx.component_context(c), c, m)[0] for c in comps]
-        # join at the index level, then relabel in the parent system's basis
+        parts = [_build_complex(get_context(c, m))[0] for c in rs.components]
+        # join at the index level, then label in the parent system's basis
         objects = []
         facet_lists = []
         for p in parts:
             off = len(objects)
-            objects.extend(_retarget_to(rs, v) for v in p.objects)
+            objects.extend(p.objects)
             fl = p.facets or ((),)
             facet_lists.append([tuple(v + off for v in f) for f in fl])
         facets = [tuple(sorted(sum(fs, ())))
@@ -271,12 +251,10 @@ def _build_complex(ctx: ComplexContext, rs: RootSystem, m: int) -> tuple:
         labels = [canonical_label(rs, v) for v in objects]
         cx = SimplicialComplex(labels, facets, objects=objects,
                                meta=_shelling_meta(ctx, objects))
-        graph = _pair_graph(ctx, objects)
-        return cx, graph
+        return cx, _pair_graph(ctx, objects)
 
     vertices = colored_vertices(rs, m)
-    graph = _pair_graph(ctx, vertices)
-    adjacency = graph.adjacency
+    adjacency = _pair_graph(ctx, vertices)
     cliques = _max_cliques(adjacency) if vertices else []
     for clique in cliques:
         if not is_face(ctx, [vertices[i] for i in clique]):
@@ -286,14 +264,10 @@ def _build_complex(ctx: ComplexContext, rs: RootSystem, m: int) -> tuple:
     labels = [canonical_label(rs, v) for v in vertices]
     cx = SimplicialComplex(labels, cliques, objects=vertices,
                            meta=_shelling_meta(ctx, vertices))
-    return cx, graph
+    return cx, adjacency
 
 
-def _retarget_to(rs: RootSystem, v: ColoredRoot) -> ColoredRoot:
-    return ColoredRoot(rs.roots[rs.index_of(v.root)], v.color)
-
-
-def _pair_graph(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> CompatibilityGraph:
+def _pair_graph(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> dict:
     n = len(vertices)
     adjacency = {i: set() for i in range(n)}
     for i in range(n):
@@ -301,7 +275,7 @@ def _pair_graph(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> Compati
             if is_face(ctx, [vertices[i], vertices[j]]):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
-    return CompatibilityGraph(vertices, {i: frozenset(a) for i, a in adjacency.items()})
+    return {i: frozenset(a) for i, a in adjacency.items()}
 
 
 def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> dict:
@@ -319,8 +293,7 @@ def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> dict
             rank[label] = (0, 0)
         else:
             owner = rs if rs.is_irreducible else _component_of(rs, v.root)
-            octx = ctx if owner is rs else ctx.component_context(owner)
-            pos = octx.order.position(_retarget(owner, v).root)
+            pos = get_context(owner, ctx.m).order.position(v.root)
             rank[label] = (v.color, pos)
     return {"vertex_rank": rank, "negative_labels": tuple(negatives)}
 
@@ -334,33 +307,15 @@ def positive_part(cx: SimplicialComplex) -> SimplicialComplex:
 def subcomplex_below(rs: RootSystem, m: int, w: GroupElement,
                      cx: Optional[SimplicialComplex] = None) -> SimplicialComplex:
     """Faces of the positive part whose word sits below w."""
-    ctx = ComplexContext(rs, m)
+    ctx = get_context(rs, m)
     if not absolute_leq(w, ctx.gamma):
         raise ValueError("subcomplex_below requires w below the Coxeter element")
     if cx is None:
         cx, _ = build_complex(rs, m)
     pos = positive_part(cx)
     keep = [i for i, v in enumerate(pos.objects)
-            if absolute_leq(rs.reflection(_root_in(rs, v.root)), w)]
+            if absolute_leq(rs.reflection(v.root), w)]
     return pos.induce(keep)
-
-
-def _root_in(rs: RootSystem, root: Root) -> Root:
-    return rs.roots[rs.index_of(root)]
-
-
-def restrict(cx: SimplicialComplex, mode: str, arg=None) -> SimplicialComplex:
-    """Dispatch to link / delete / induce / skeleton by mode name."""
-    if mode == "link":
-        return cx.link(arg if isinstance(arg, int) else cx.index_of(arg))
-    if mode == "delete":
-        return cx.delete(arg if isinstance(arg, int) else cx.index_of(arg))
-    if mode == "induce":
-        idx = [v if isinstance(v, int) else cx.index_of(v) for v in arg]
-        return cx.induce(idx)
-    if mode == "skeleton":
-        return cx.skeleton(int(arg))
-    raise ValueError("unknown restriction mode %r" % (mode,))
 
 
 # -- the polygon model for type A ---------------------------------------------------

@@ -7,8 +7,9 @@ keyed by the permutation: coordinate systems apply Carter's lemma,
 l_T(w) = codim Fix(w) = rank(w - I), with w - I read in the simple-root
 basis from the stored root expansions of w(alpha_j); I2(m) reads the
 length off the permutation (0 for the identity, 1 for a reflection, 2 for
-a rotation).  A breadth-first word-length oracle and the type-A
-permutation oracles are independent routes at desk scale.
+a rotation).  ``word_length_bfs`` and the type-A permutation oracles
+``typeA_reflection_length`` and ``typeA_absolute_leq`` are independent
+routes at desk scale.
 """
 from __future__ import annotations
 
@@ -64,19 +65,15 @@ class GroupElement:
         return "GroupElement(len=%s, perm=%s)" % (self.length, self.perm)
 
 
-def reflection_length(w: GroupElement, mode: str = "fixed_space") -> int:
-    """Smallest r such that w is a product of r reflections."""
-    if mode == "fixed_space":
-        return w.length
-    if mode == "word_bfs":
-        return _word_length_bfs(w)
-    raise ValueError("unknown mode %r (use 'fixed_space' or 'word_bfs')" % mode)
+def word_length_bfs(w: GroupElement, cap: int = 60) -> int:
+    """Reflection length by breadth-first search over reflection words.
 
-
-def _word_length_bfs(w: GroupElement, cap: int = 60) -> int:
+    The independent route to ``GroupElement.length``; it refuses systems
+    with more than ``cap`` reflections.
+    """
     rs = w.system
     if len(rs.positive_roots) > cap:
-        raise ValueError("word_bfs oracle refused: %d reflections exceeds "
+        raise ValueError("word_length_bfs refused: %d reflections exceeds "
                          "the desk-scale cap %d" % (len(rs.positive_roots), cap))
     if w.is_identity():
         return 0
@@ -342,8 +339,3 @@ def _blocks_cross(b1: list, b2: list, size: int) -> bool:
         if all(0 < (x - start) % size < gap for x in b2):
             return False
     return True
-
-
-def typeA_oracles() -> tuple:
-    """Independent (length, order) implementations on one-line permutations."""
-    return typeA_reflection_length, typeA_absolute_leq

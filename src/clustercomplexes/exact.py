@@ -8,7 +8,6 @@ point enters any computation in this module.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -213,14 +212,6 @@ class Matrix:
     def rank(self) -> int:
         return _rank(list(list(r) for r in self.entries))
 
-    def is_integral(self) -> bool:
-        return all(x.is_integer() for row in self.entries for x in row)
-
-    def int_rows(self) -> list:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return [[x.as_int() for x in row] for row in self.entries]
-
     def __repr__(self):
         return "Matrix(%r)" % (self.entries,)
 
@@ -264,25 +255,15 @@ def reflection_matrix(alpha: Sequence, dim: int | None = None) -> Matrix:
                     for j in range(dim)] for i in range(dim)])
 
 
-def fixed_space_dim(m: Matrix) -> int:
-    """Dimension of the fixed space ker(M - I), by exact elimination."""
-    if m.rows != m.cols:
-        raise ValueError("fixed space requires a square matrix")
-    return m.rows - (m - Matrix.identity(m.rows)).rank()
+def smith_normal_form(a: list) -> tuple:
+    """Smith normal form of an integer matrix, given as a list of rows.
 
-
-def smith_normal_form(m) -> tuple:
-    """Smith normal form of an integer matrix.
-
-    Returns (factors, rank) where factors is the tuple of invariant
-    factors d1 | d2 | ... (all positive) and rank their count.
+    The rows are lists of ints of one length; they are consumed.  Returns
+    (factors, rank) where factors is the tuple of invariant factors
+    d1 | d2 | ... (all positive) and rank their count.
     """
-    if isinstance(m, Matrix):
-        a = m.int_rows()
-    else:
-        a = [[int(x) for x in row] for row in m]
-        if any(len(r) != len(a[0]) for r in a):
-            raise ValueError("ragged matrix")
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("ragged matrix")
     rows = len(a)
     cols = len(a[0]) if rows else 0
     factors = []
@@ -344,37 +325,3 @@ def smith_normal_form(m) -> tuple:
             g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
     return tuple(factors), len(factors)
-
-
-def minor_gcd(m, k: int) -> int:
-    """gcd of all k x k minors of an integer matrix (test oracle helper)."""
-    if isinstance(m, Matrix):
-        a = m.int_rows()
-    else:
-        a = [[int(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0]) if a else 0
-    g = 0
-    for ri in itertools.combinations(range(rows), k):
-        for ci in itertools.combinations(range(cols), k):
-            g = gcd(g, _int_det([[a[i][j] for j in ci] for i in ri]))
-    return g
-
-
-def _int_det(a: list) -> int:
-    """Determinant of a small integer matrix by fraction-free elimination."""
-    n = len(a)
-    a = [row[:] for row in a]
-    det = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        for i in range(col + 1, n):
-            f = Fraction(a[i][col], a[col][col])
-            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    for i in range(n):
-        det *= a[i][i]
-    return int(det)

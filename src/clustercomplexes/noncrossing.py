@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .colored import (ColoredRoot, ComplexContext, _max_cliques, build_complex,
-                      get_context, positive_part, word_of_face)
-from .coxeter import GroupElement, absolute_interval, absolute_leq, bipartite_coxeter
+from .colored import (ColoredRoot, _max_cliques, build_complex, get_context,
+                      positive_part, word_of_face)
+from .coxeter import GroupElement, absolute_interval, absolute_leq
 from .roots import RootSystem
 from .simplicial import SimplicialComplex
 from .topology import HomologyProfile, homology
@@ -65,15 +65,13 @@ class Poset:
         return len(self.elements)
 
 
-def nc_interval(rs: RootSystem, gamma: Optional[GroupElement] = None) -> Poset:
+def nc_interval(rs: RootSystem) -> Poset:
     """The absolute-order interval [e, gamma], e first and gamma last.
 
     Its covers are u < ut for reflections t with ut in the interval and one
     longer than u (Brady and Watt, 2002).
     """
-    if gamma is None:
-        gamma = bipartite_coxeter(rs)
-    elements = sorted(absolute_interval(rs, gamma),
+    elements = sorted(absolute_interval(rs),
                       key=lambda w: (w.length, w.perm))
     ranks = [w.length for w in elements]
     where = {w: i for i, w in enumerate(elements)}
@@ -134,14 +132,13 @@ def moebius(p: Poset, x: int, y: int) -> int:
     return mu[y]
 
 
-def face_to_tuple(rs: RootSystem, m: int, sigma: Sequence[ColoredRoot],
-                  ctx: Optional[ComplexContext] = None) -> MultichainTuple:
+def face_to_tuple(rs: RootSystem, m: int,
+                  sigma: Sequence[ColoredRoot]) -> MultichainTuple:
     """The color-class words of a face, highest color first."""
     sigma = list(sigma)
     if not sigma:
         raise ValueError("the face-to-tuple map is defined on nonempty faces")
-    if ctx is None:
-        ctx = get_context(rs, m)
+    ctx = get_context(rs, m)
     words = []
     for color in range(m, 0, -1):
         cls = [v for v in sigma if v.color == color]
@@ -174,11 +171,10 @@ def order_complex(p: Poset, keep: Iterable[int]) -> SimplicialComplex:
 def face_tuple_table(rs: RootSystem, m: int, pos_cx: SimplicialComplex,
                      poset: Poset) -> dict:
     """The position in ``poset`` of the tuple of every nonempty face."""
-    ctx = get_context(rs, m)
     table = {}
     for f in pos_cx.faces():
         if f:
-            t = face_to_tuple(rs, m, [pos_cx.objects[i] for i in f], ctx=ctx)
+            t = face_to_tuple(rs, m, [pos_cx.objects[i] for i in f])
             if t not in poset.index:
                 raise RuntimeError("face tuple lies outside the multichain poset")
             table[f] = poset.index[t]

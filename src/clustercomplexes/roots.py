@@ -96,10 +96,6 @@ class RootSystem:
     def is_irreducible(self) -> bool:
         return len(self.components) == 1
 
-    def negative_simple(self, i: int) -> Root:
-        """The negative of the i-th stored simple root (0-based)."""
-        return self.negate(self.simple_roots[i])
-
     def simple_index(self, root: Root) -> Optional[int]:
         for i, a in enumerate(self.simple_roots):
             if a == root:
@@ -216,17 +212,15 @@ class CoordinateRootSystem(RootSystem):
                 self.component_simple_indices = [tuple(g) for g in groups]
         return self._components
 
-    def inner(self, r1: Root, r2: Root) -> Scalar:
-        return dot(r1.coords, r2.coords)
-
     def orthogonal(self, r1: Root, r2: Root) -> bool:
-        return self.inner(r1, r2).sign() == 0
+        return dot(r1.coords, r2.coords).sign() == 0
 
     def expansion(self, root: Root) -> tuple:
         """Coefficients of root over the stored simple-root basis."""
         return self._expansion[root.key]
 
     def support(self, beta: Root) -> frozenset:
+        """Indices of the simple roots appearing in beta's expansion."""
         if not self.is_positive(beta):
             raise ValueError("support is defined for positive roots only")
         return frozenset(i for i, c in enumerate(self.expansion(beta))
@@ -300,6 +294,7 @@ class CoordinateRootSystem(RootSystem):
         return self._numerology
 
     def parabolic(self, removed: Root) -> "CoordinateRootSystem":
+        """Standard parabolic subsystem obtained by deleting one simple root."""
         idx = self.simple_index(removed)
         if idx is None:
             raise ValueError("parabolic subsystem: %r is not a simple root" % (removed,))
@@ -749,20 +744,6 @@ def bipartition(rs: RootSystem) -> tuple:
         raise ValueError("bipartition requires an irreducible system")
     s = rs.split_s
     return (rs.simple_roots[:s], rs.simple_roots[s:])
-
-
-def parabolic(rs: RootSystem, removed: Root) -> RootSystem:
-    """Standard parabolic subsystem obtained by deleting one simple root."""
-    return rs.parabolic(removed)
-
-
-def numerology(rs: RootSystem) -> Numerology:
-    return rs.numerology()
-
-
-def support(rs: RootSystem, beta: Root) -> frozenset:
-    """Indices of the simple roots appearing in beta's expansion."""
-    return rs.support(beta)
 
 
 # -- diagram classification (labels for parabolics) ------------------------------

@@ -587,7 +587,7 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     every removal from it, memoizing link verdicts for the audit.
     Independent removals may be split over a process pool of at most
     os.cpu_count() workers, one table each; results are merged in subset
-    order either way.
+    order either way, and only then cut at ``max_failures``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -612,7 +612,7 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         subsets = sorted(pool)
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
-    if workers > 1 and max_failures is None:
+    if workers > 1:
         import multiprocessing
         step = max(1, -(-len(subsets) // workers))
         chunks = [(cx.vertices, cx.facets, subsets[i:i + step], cm_check)

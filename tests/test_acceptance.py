@@ -81,12 +81,12 @@ def test_criterion_03_definition_equivalence(complexes):
     t0 = time.time()
     ok = True
     for label, m in MATRIX:
-        rs, cx, graph = complexes(label, m)
+        rs, cx, adjacency = complexes(label, m)
         ctx = get_context(rs, m)
         verts = cx.objects
         for i, j in itertools.combinations(range(len(verts)), 2):
             ok = ok and (fr_compatible(rs, m, verts[i], verts[j])
-                         == graph.is_edge(i, j))
+                         == (j in adjacency[i]))
         for facet in cx.facets:  # maximal cliques satisfy the word test
             ok = ok and is_face(ctx, [verts[i] for i in facet])
         if not ok:

@@ -1,7 +1,4 @@
 import json
-import os
-
-import pytest
 
 from clustercomplexes import cli
 from clustercomplexes.cli import run
@@ -103,35 +100,6 @@ def test_table_format_prints_checks(capsys):
     assert "codim1-incidence" in captured and "pass" in captured
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces multiprocessing.Pool by a recorder that maps in this process.
-
-    The machine reports four CPUs, so the clamp of --workers is fixed.
-    """
-    # topology imports multiprocessing only when it starts a pool
-    import multiprocessing
-    requested = []
-
-    class RecordingPool:
-
-        def __init__(self, processes):
-            requested.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    return requested
-
-
 def test_verify_all_passes_workers_to_the_audit(pool_sizes):
     assert run(["verify-all", "--phi", "A2", "--m", "1", "--workers", "2"]) == 0
     assert pool_sizes == [2]
@@ -174,3 +142,16 @@ def test_homology_cap_guards_every_command_that_takes_homology(monkeypatch,
     for command in ("homology", "verify-all", "ncp"):
         assert run([command, "--phi", "A2", "--m", "1"]) == 2
         assert "exceeds the homology cap 10" in capsys.readouterr().err
+
+
+def test_library_self_check_failure_exits_1(monkeypatch, capsys):
+    def failing(rs, m):
+        raise RuntimeError("flagness violated: maximal clique (0, 1) fails "
+                           "the word criterion")
+
+    monkeypatch.setattr(cli, "build_complex", failing)
+    for command in ("build", "verify-all", "ncp"):
+        assert run([command, "--phi", "A2", "--m", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: flagness violated: maximal clique (0, 1) fails the word "
+            "criterion\n")

@@ -6,14 +6,13 @@ import pytest
 
 from clustercomplexes.colored import (ColoredRoot, build_complex,
                                       canonical_label, colored_vertices,
-                                      deformed_coxeter, f_h_vectors,
-                                      fr_compatible, get_context, is_face,
-                                      positive_part, restrict, rm_map,
-                                      subcomplex_below, tau,
+                                      deformed_coxeter, fr_compatible,
+                                      get_context, is_face, positive_part,
+                                      rm_map, subcomplex_below, tau,
                                       typeA_polygon_oracle, word_of_face)
 from clustercomplexes.coxeter import absolute_interval, bipartite_coxeter
 from clustercomplexes.roots import build_root_system
-from clustercomplexes.simplicial import facets_as_label_sets
+from clustercomplexes.simplicial import f_h_vectors, facets_as_label_sets
 from clustercomplexes.topology import fuss_catalan
 
 A2_FACETS_M1 = {
@@ -150,11 +149,11 @@ class TestCompatibility:
                                                           "B3", "G2")
                                          for m in (1, 2, 3)])
     def test_agrees_with_word_criterion(self, label, m, complexes):
-        rs, cx, graph = complexes(label, m)
+        rs, cx, adjacency = complexes(label, m)
         verts = cx.objects
         for i, j in itertools.combinations(range(len(verts)), 2):
             assert fr_compatible(rs, m, verts[i], verts[j]) == \
-                graph.is_edge(i, j)
+                (j in adjacency[i])
 
 
 class TestWordCriterion:
@@ -177,20 +176,21 @@ class TestWordCriterion:
         rs = build_root_system("A2")
         a1 = rs.simple_roots[0]
         sigma = [ColoredRoot(rs.negate(a1), 1), ColoredRoot(a1, 1)]
-        assert not is_face(rs, 1, sigma)
+        assert not is_face(get_context(rs, 1), sigma)
 
     def test_two_element_face_count_m2(self):
         rs = build_root_system("A2")
         verts = colored_vertices(rs, 2)
+        ctx = get_context(rs, 2)
         count = sum(1 for a, b in itertools.combinations(verts, 2)
-                    if is_face(rs, 2, [a, b]))
+                    if is_face(ctx, [a, b]))
         assert count == 12
 
     def test_repeated_vertex_rejected(self):
         rs = build_root_system("A2")
         v = ColoredRoot(rs.positive_roots[0], 1)
         with pytest.raises(ValueError):
-            is_face(rs, 1, [v, v])
+            is_face(get_context(rs, 1), [v, v])
 
 
 class TestBuildComplex:
@@ -231,13 +231,14 @@ class TestBuildComplex:
         # flagness: every mutually-compatible subset is a face, exhaustively
         for label, m in [("A2", 2), ("B2", 2), ("A3", 2)]:
             rs = build_root_system(label)
-            cx, graph = build_complex(rs, m)
+            cx, adjacency = build_complex(rs, m)
+            ctx = get_context(rs, m)
             verts = cx.objects
             for size in range(2, rs.rank + 1):
                 for combo in itertools.combinations(range(len(verts)), size):
-                    pairwise = all(graph.is_edge(i, j)
+                    pairwise = all(j in adjacency[i]
                                    for i, j in itertools.combinations(combo, 2))
-                    word = is_face(rs, m, [verts[i] for i in combo])
+                    word = is_face(ctx, [verts[i] for i in combo])
                     assert pairwise == word
 
     def test_rotation_equivariance_on_facets(self):
@@ -246,15 +247,15 @@ class TestBuildComplex:
             cx, _ = build_complex(rs, m)
             for f in cx.facets:
                 image = [rm_map(rs, m, cx.objects[i]) for i in f]
-                assert is_face(rs, m, image)
+                assert is_face(get_context(rs, m), image)
 
     def test_rotation_equivariance_of_the_graph(self, complexes):
-        rs, cx, graph = complexes("A2", 2)
-        index = {v.key(): i for i, v in enumerate(graph.vertices)}
-        for i, j in itertools.combinations(range(len(graph.vertices)), 2):
-            ri = index[rm_map(rs, 2, graph.vertices[i]).key()]
-            rj = index[rm_map(rs, 2, graph.vertices[j]).key()]
-            assert graph.is_edge(i, j) == graph.is_edge(ri, rj)
+        rs, cx, adjacency = complexes("A2", 2)
+        index = {v.key(): i for i, v in enumerate(cx.objects)}
+        for i, j in itertools.combinations(range(len(cx.objects)), 2):
+            ri = index[rm_map(rs, 2, cx.objects[i]).key()]
+            rj = index[rm_map(rs, 2, cx.objects[j]).key()]
+            assert (j in adjacency[i]) == (rj in adjacency[ri])
 
     def test_join_for_products(self):
         rs = build_root_system("A1xA2")
@@ -342,7 +343,7 @@ class TestRestrictions:
 
     def test_link_of_negative_simple(self, complexes):
         rs, cx, _ = complexes("A2", 2)
-        link = restrict(cx, "link", "-s1")
+        link = cx.link(cx.index_of("-s1"))
         assert set(link.vertices) == {"-s2", "[0,1]:1", "[0,1]:2"}
         assert all(len(f) == 1 for f in link.facets)
         # combinatorially the rank-one complex with two colors
@@ -351,7 +352,7 @@ class TestRestrictions:
 
     def test_link_matches_parabolic_complex(self, complexes):
         rs, cx, _ = complexes("A2", 2)
-        link = restrict(cx, "link", "-s1")
+        link = cx.link(cx.index_of("-s1"))
         par = rs.parabolic(rs.simple_roots[0])
         sub, _ = build_complex(par, 2)
         key = lambda c, f: frozenset((c.objects[i].root.key, c.objects[i].color)
@@ -361,23 +362,21 @@ class TestRestrictions:
 
     def test_delete_equals_induce_complement(self, complexes):
         _, cx, _ = complexes("A2", 2)
-        deleted = restrict(cx, "delete", "[1,1]:1")
-        complement = [v for v in cx.vertices if v != "[1,1]:1"]
-        induced = restrict(cx, "induce", complement)
+        deleted = cx.delete(cx.index_of("[1,1]:1"))
+        complement = [i for i, v in enumerate(cx.vertices) if v != "[1,1]:1"]
+        induced = cx.induce(complement)
         assert deleted.facets == induced.facets
         assert deleted.vertices == induced.vertices
 
     def test_zero_skeleton(self, complexes):
         _, cx, _ = complexes("A2", 2)
-        skel = restrict(cx, "skeleton", 0)
+        skel = cx.skeleton(0)
         assert len(skel.facets) == len(cx.vertices)
 
     def test_unknown_vertex(self, complexes):
         _, cx, _ = complexes("A2", 1)
         with pytest.raises(ValueError):
-            restrict(cx, "link", "[9,9]:1")
-        with pytest.raises(ValueError):
-            restrict(cx, "nonsense", 0)
+            cx.link(cx.index_of("[9,9]:1"))
 
 
 class TestFHVectors:

@@ -5,9 +5,9 @@ import pytest
 from clustercomplexes.coxeter import (absolute_interval, absolute_leq,
                                       bipartite_coxeter, cycles_of,
                                       enumerate_group, one_line_permutation,
-                                      reflection_length, rho_sequence,
-                                      total_order, typeA_absolute_leq,
-                                      typeA_oracles, typeA_reflection_length)
+                                      rho_sequence, total_order,
+                                      typeA_absolute_leq,
+                                      typeA_reflection_length, word_length_bfs)
 from clustercomplexes.roots import build_root_system
 
 
@@ -26,21 +26,20 @@ class TestReflectionLength:
     def test_reflections(self):
         rs = build_root_system("B3")
         for root in rs.positive_roots:
-            assert reflection_length(rs.reflection(root)) == 1
+            assert rs.reflection(root).length == 1
 
     def test_bipartite_element_a2(self):
         rs = build_root_system("A2")
         gamma = bipartite_coxeter(rs)
-        assert reflection_length(gamma, "fixed_space") == 2
-        assert reflection_length(gamma, "word_bfs") == 2
+        assert gamma.length == 2
+        assert word_length_bfs(gamma) == 2
         assert (gamma * gamma * gamma).is_identity()  # rotation by a third
 
     def test_modes_agree_on_intervals(self):
         for label in ("A3", "B3"):
             rs = build_root_system(label)
             for w in absolute_interval(rs):
-                assert reflection_length(w, "fixed_space") == \
-                    reflection_length(w, "word_bfs")
+                assert w.length == word_length_bfs(w)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "H3", "G2", "A1xA2", "I2(5)"])
     def test_carter_length_is_word_length_on_the_group(self, label):
@@ -65,12 +64,7 @@ class TestReflectionLength:
     def test_bfs_guard(self):
         rs = build_root_system("E7")
         with pytest.raises(ValueError, match="cap"):
-            reflection_length(rs.identity_element(), "word_bfs")
-
-    def test_unknown_mode(self):
-        rs = build_root_system("A1")
-        with pytest.raises(ValueError):
-            reflection_length(rs.identity_element(), "nope")
+            word_length_bfs(rs.identity_element())
 
 
 class TestAbsoluteOrder:
@@ -195,11 +189,10 @@ class TestRhoSequence:
 class TestTypeAOracles:
 
     def test_three_cycle_length(self):
-        length, _ = typeA_oracles()
-        assert length((1, 2, 0)) == 2
+        assert typeA_reflection_length((1, 2, 0)) == 2
 
     def test_deletion_examples(self):
-        _, leq = typeA_oracles()
+        leq = typeA_absolute_leq
         assert leq((1, 0, 2, 3), (1, 2, 0, 3))        # (12) below (123)
         assert leq((1, 0, 3, 2), (1, 2, 3, 0))        # (12)(34) below (1234)
         assert leq((2, 1, 0, 3), (1, 2, 3, 0))        # (13) below (1234)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercomplexes.exact import (GOLDEN, ONE, SQRT5, ZERO, Matrix, Scalar,
-                                    fixed_space_dim, minor_gcd,
                                     reflection_matrix, smith_normal_form)
+from exact_oracles import fixed_space_dim, minor_gcd
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -121,10 +121,3 @@ class TestSmithNormalForm:
         for k in range(1, rank + 1):
             prod *= factors[k - 1]
             assert prod == abs(minor_gcd(rows, k))
-
-    def test_matrix_integer_view(self):
-        m = Matrix([[1, 2], [3, 4]])
-        assert m.is_integral()
-        assert smith_normal_form(m) == ((1, 2), 2)
-        with pytest.raises(ValueError):
-            Matrix([[Fraction(1, 2)]]).int_rows()

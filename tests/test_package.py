@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import clustercomplexes
@@ -49,3 +50,49 @@ def test_no_module_level_caches():
                 if _name(dec) in CACHE_DECORATORS:
                     found.append("%s:%d" % (name, dec.lineno))
     assert found == []
+
+
+def _bound_names(node):
+    """The names an import statement binds in its module."""
+    if isinstance(node, ast.Import):
+        return [(a.asname or a.name).split(".")[0] for a in node.names]
+    return [a.asname or a.name for a in node.names]
+
+
+def test_library_reads_every_name_it_imports():
+    # the package __init__ imports to re-export, so it is left out
+    root = Path(clustercomplexes.__file__).parent
+    unread = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += ["%s:%d %s" % (path.name, node.lineno, name)
+                           for name in _bound_names(node)
+                           if name not in read and name != "annotations"]
+    assert unread == []
+
+
+def test_traced_names_resolve():
+    # the traced benchmark run patches these names; read the list without
+    # importing the benchmark
+    tracer = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    assert traced
+    missing = []
+    for module, attr, _ in traced:
+        obj = importlib.import_module("clustercomplexes." + module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append("%s.%s" % (module, attr))
+    assert missing == []
+    # its reflection-length getter reads the per-element cache
+    assert "_length" in clustercomplexes.GroupElement.__slots__

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from clustercomplexes.colored import (build_complex, colored_vertices,
                                       positive_part, rm_map)
-from clustercomplexes.exact import minor_gcd, smith_normal_form
+from clustercomplexes.exact import smith_normal_form
 from clustercomplexes.roots import build_root_system, product_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (codim1_incidence, construct_shelling,
@@ -23,6 +23,7 @@ from clustercomplexes.topology import (codim1_incidence, construct_shelling,
                                        homology, integer_rank_torsion,
                                        is_cohen_macaulay, kcm_audit,
                                        verify_shelling)
+from exact_oracles import minor_gcd
 
 SMALL_SYSTEMS = ["A1", "A2", "B2", "G2", "I2(5)"]
 

@@ -6,8 +6,7 @@ import pytest
 from clustercomplexes.coxeter import bipartite_coxeter, enumerate_group
 from clustercomplexes.exact import reflection_matrix
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
-                                    Root, bipartition, build_root_system, classify,
-                                    numerology, parabolic, support)
+                                    Root, bipartition, build_root_system, classify)
 
 EXPECTED = {
     # label -> (positive root count, coxeter number, exponents)
@@ -63,7 +62,7 @@ class TestConstruction:
         rs = build_root_system(label)
         count, h, exps = EXPECTED[label]
         assert len(rs.positive_roots) == count
-        num = numerology(rs)
+        num = rs.numerology()
         assert num.coxeter_number == h
         assert num.exponents == exps
         assert num.positive_root_count == count
@@ -152,14 +151,14 @@ class TestParabolic:
         middle = next(r for r in rs.simple_roots
                       if sum(1 for s in rs.simple_roots
                              if s != r and not rs.orthogonal(r, s)) == 2)
-        sub = parabolic(rs, middle)
+        sub = rs.parabolic(middle)
         assert classify(sub) == "A1xA1"
         assert len(sub.positive_roots) == 2
         assert not sub.is_irreducible
 
     def test_a2_drop_first(self):
         rs = build_root_system("A2")
-        sub = parabolic(rs, rs.simple_roots[0])
+        sub = rs.parabolic(rs.simple_roots[0])
         assert classify(sub) == "A1"
         assert len(sub.positive_roots) == 1
 
@@ -169,23 +168,23 @@ class TestParabolic:
         target = next(r for r in rs.simple_roots
                       if all(x.sign() == 0 or abs(x) == 1 for x in r.coords)
                       and r.coords[2].sign() == 0 and r.coords[0].sign() != 0)
-        sub = parabolic(rs, target)
+        sub = rs.parabolic(target)
         assert len(sub.positive_roots) == 4
         assert classify(sub) == "B2"
 
     def test_non_simple_rejected(self):
         rs = build_root_system("A2")
         with pytest.raises(ValueError):
-            parabolic(rs, rs.positive_roots[-1])
+            rs.parabolic(rs.positive_roots[-1])
 
     def test_root_count_matches_support_filter(self):
         for label in ("A3", "B3", "G2"):
             rs = build_root_system(label)
             for i, removed in enumerate(rs.simple_roots):
-                sub = parabolic(rs, removed)
+                sub = rs.parabolic(removed)
                 kept = set(range(rs.rank)) - {i}
                 direct = [r for r in rs.positive_roots
-                          if support(rs, r) <= kept]
+                          if rs.support(r) <= kept]
                 assert len(sub.positive_roots) == len(direct)
 
 
@@ -194,22 +193,22 @@ class TestSupport:
     def test_highest_root_a2(self):
         rs = build_root_system("A2")
         full = next(r for r in rs.positive_roots if rs.expansion(r) == (1, 1))
-        assert support(rs, full) == {0, 1}
+        assert rs.support(full) == {0, 1}
 
     def test_simple_root(self):
         rs = build_root_system("A2")
-        assert support(rs, rs.simple_roots[0]) == {0}
+        assert rs.support(rs.simple_roots[0]) == {0}
 
     def test_highest_root_b2(self):
         rs = build_root_system("B2")
         top = max(rs.positive_roots,
                   key=lambda r: sum(int(c.a) for c in rs.expansion(r)))
-        assert support(rs, top) == {0, 1}
+        assert rs.support(top) == {0, 1}
 
     def test_negative_root_rejected(self):
         rs = build_root_system("A2")
         with pytest.raises(ValueError):
-            support(rs, rs.negate(rs.positive_roots[0]))
+            rs.support(rs.negate(rs.positive_roots[0]))
 
 
 class TestExponentOracles:
@@ -219,13 +218,13 @@ class TestExponentOracles:
                                        "H3", "H4", "E6"])
     def test_eigenvalue_angles(self, label):
         rs = build_root_system(label)
-        assert eigenvalue_exponent_oracle(rs) == numerology(rs).exponents
+        assert eigenvalue_exponent_oracle(rs) == rs.numerology().exponents
 
     @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "G2", "H3"])
     def test_fixed_space_statistic(self, label):
         rs = build_root_system(label)
         elements = enumerate_group(rs)
-        exps = numerology(rs).exponents
+        exps = rs.numerology().exponents
         order = 1
         for e in exps:
             order *= e + 1
@@ -269,13 +268,13 @@ class TestDihedralModel:
 
     def test_interior_support(self):
         rs = build_root_system("I2(5)")
-        assert support(rs, rs.positive_roots[0]) == {0}
-        assert support(rs, rs.positive_roots[4]) == {1}
-        assert support(rs, rs.positive_roots[2]) == {0, 1}
+        assert rs.support(rs.positive_roots[0]) == {0}
+        assert rs.support(rs.positive_roots[4]) == {1}
+        assert rs.support(rs.positive_roots[2]) == {0, 1}
 
     def test_small_orders(self):
         rs = build_root_system("I2", dihedral_order=2)
-        assert numerology(rs).exponents == (1, 1)
+        assert rs.numerology().exponents == (1, 1)
         with pytest.raises(ValueError):
             build_root_system("I2", dihedral_order=1)
 

@@ -286,6 +286,15 @@ class TestKCM:
             [f.to_dict() for f in parallel.failures]
         assert serial.examined == parallel.examined
 
+    def test_worker_pool_honours_max_failures(self, complexes, pool_sizes):
+        _, cx, _ = complexes("A2", 2)
+        serial = kcm_audit(cx, 4, max_failures=2)
+        assert pool_sizes == []
+        parallel = kcm_audit(cx, 4, max_failures=2, workers=2)
+        assert pool_sizes == [2]
+        assert len(serial.failures) == 2
+        assert parallel.to_dict() == serial.to_dict()
+
     def test_audit_computes_each_link_once(self, complexes, monkeypatch):
         seen = []
         real = topology.homology
