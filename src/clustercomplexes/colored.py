@@ -241,16 +241,20 @@ def _build_complex(ctx: ComplexContext) -> tuple:
         # join at the index level, then label in the parent system's basis
         objects = []
         facet_lists = []
+        symmetry = []
         for p in parts:
             off = len(objects)
             objects.extend(p.objects)
             fl = p.facets or ((),)
             facet_lists.append([tuple(v + off for v in f) for f in fl])
+            if p.symmetry is not None:
+                symmetry.extend(v + off for v in p.symmetry)
         facets = [tuple(sorted(sum(fs, ())))
                   for fs in itertools.product(*facet_lists)]
         labels = [canonical_label(rs, v) for v in objects]
         cx = SimplicialComplex(labels, facets, objects=objects,
-                               meta=_shelling_meta(ctx, objects))
+                               meta=_shelling_meta(ctx, objects),
+                               symmetry=symmetry if m >= 1 else None)
         return cx, _pair_graph(ctx, objects)
 
     vertices = colored_vertices(rs, m)
@@ -263,8 +267,22 @@ def _build_complex(ctx: ComplexContext) -> tuple:
                 % (clique,))
     labels = [canonical_label(rs, v) for v in vertices]
     cx = SimplicialComplex(labels, cliques, objects=vertices,
-                           meta=_shelling_meta(ctx, vertices))
+                           meta=_shelling_meta(ctx, vertices),
+                           symmetry=_rotation(rs, m, vertices))
     return cx, adjacency
+
+
+def _rotation(rs: RootSystem, m: int, vertices: Sequence[ColoredRoot]):
+    """R_m as a permutation of the vertex positions, or None at m = 0.
+
+    R_m preserves compatibility (Fomin and Reading), so the permutation is
+    an automorphism of the complex.  At m = 0 the vertex set is -Pi, which
+    R_m does not preserve.
+    """
+    if m < 1:
+        return None
+    position = {v.key(): i for i, v in enumerate(vertices)}
+    return [position[rm_map(rs, m, v).key()] for v in vertices]
 
 
 def _pair_graph(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> dict:

@@ -201,9 +201,10 @@ def absolute_interval(rs: RootSystem, top: Optional[GroupElement] = None) -> lis
         for u in frontier:
             for t in gens:
                 v = u * t
-                if v.perm in seen or v.length != level:
-                    continue
-                if (v.inverse() * top).length != top_len - level:
+                # v = u*t gives l(v) <= level, and l(top) <= l(v) + l(v^-1 top)
+                # gives l(v) >= level once l(v^-1 top) = l(top) - level
+                if v.perm in seen or \
+                        (v.inverse() * top).length != top_len - level:
                     continue
                 seen.add(v.perm)
                 nxt.append(v)

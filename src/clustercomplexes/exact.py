@@ -120,9 +120,6 @@ class Scalar:
 
     # -- views ---------------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_integer(self) -> bool:
         return self.b == 0 and self.a.denominator == 1
 

@@ -3,7 +3,10 @@
 Vertices are identified by string labels (kept stable for output); an
 optional parallel tuple of payload objects lets callers recover the
 underlying combinatorial data of each vertex.  Facets are sorted tuples
-of vertex indices, and the facet list itself is kept sorted.
+of vertex indices, and the facet list itself is kept sorted.  A complex
+may carry a vertex permutation, ``symmetry``, that its builder knows to
+be an automorphism; no construction passes it on, since a subcomplex is
+in general not invariant under it.
 """
 from __future__ import annotations
 
@@ -15,11 +18,18 @@ from typing import Iterable, Optional, Sequence
 class SimplicialComplex:
 
     def __init__(self, vertices: Sequence[str], facets: Iterable[Sequence[int]],
-                 objects: Optional[Sequence] = None, meta: Optional[dict] = None):
+                 objects: Optional[Sequence] = None, meta: Optional[dict] = None,
+                 symmetry: Optional[Sequence[int]] = None):
         self.vertices = tuple(vertices)
         self.objects = tuple(objects) if objects is not None else None
         if self.objects is not None and len(self.objects) != len(self.vertices):
             raise ValueError("objects and vertices differ in length")
+        self.symmetry = tuple(symmetry) if symmetry is not None else None
+        n = len(self.vertices)
+        if self.symmetry is not None and (
+                len(self.symmetry) != n or set(self.symmetry) != set(range(n))):
+            raise ValueError("symmetry is not a permutation of the vertex "
+                             "indices")
         cleaned = sorted({tuple(sorted(f)) for f in facets})
         if len({len(f) for f in cleaned}) > 1:
             # drop faces contained in larger ones: only faces holding its

@@ -13,7 +13,11 @@ Cohen-Macaulayness is decided homologically: every face link must have
 vanishing reduced homology below its top dimension.  A k-CM audit builds
 one face table of the complex and decides each vertex removal from it,
 since every face and face link of a restriction Delta|W is the
-restriction of one of Delta.
+restriction of one of Delta.  When the complex carries a vertex symmetry
+(R_m on a generalized cluster complex), the audit first checks that it
+maps the facet list onto itself, then decides one removal per orbit of
+the group it generates, since Delta|W and Delta|g(W) are isomorphic.  The
+shelling route uses no symmetry.
 """
 from __future__ import annotations
 
@@ -532,45 +536,93 @@ class KCMReport:
                 "failures": [f.to_dict() for f in self.failures]}
 
 
-def _audit_removals(cx: SimplicialComplex, subsets: Iterable[tuple],
-                    cm_check: str) -> Iterator[Optional[str]]:
-    """The failure reason of each vertex removal, or None when it passes.
+def _symmetry_powers(cx: SimplicialComplex) -> list:
+    """The powers of ``cx.symmetry``, the identity first.
+
+    The symmetry must map the facet list onto itself, that is, be an
+    automorphism of cx; a complex without one has only the identity.
+    """
+    n = len(cx.vertices)
+    identity = tuple(range(n))
+    perm = cx.symmetry
+    if perm is None:
+        return [identity]
+    facets = set(cx.facets)
+    for f in cx.facets:
+        image = tuple(sorted(perm[v] for v in f))
+        if image not in facets:
+            raise RuntimeError(
+                "the vertex symmetry is not an automorphism: it maps facet "
+                "%r to %r, which is not a facet" % (f, image))
+    powers = [identity]
+    q = perm
+    while q != identity:
+        powers.append(q)
+        q = tuple(perm[v] for v in q)
+    return powers
+
+
+def _orbit_keys(powers: list, subsets: Iterable[tuple]) -> Iterator[int]:
+    """Each removal's least image mask under ``powers``, in subset order.
+
+    The first removal met in an orbit computes the whole orbit, and every
+    member's own mask is then looked up.
+    """
+    images = [[1 << v for v in q] for q in powers]
+    least: dict = {}
+    for removed in subsets:
+        key = least.get(sum(images[0][v] for v in removed))
+        if key is None:
+            orbit = [sum(bits[v] for v in removed) for bits in images]
+            key = min(orbit)
+            least.update(dict.fromkeys(orbit, key))
+        yield key
+
+
+def _decider(cx: SimplicialComplex, cm_check: str):
+    """The failure reason of a vertex removal, given as a mask, or None.
 
     The Reisner route reads every removal off one face table of cx.  The
     shelling route, kept apart as an independent check, builds each
     induced complex and shells it.
     """
     if cm_check == "reisner":
-        table = _FaceTable(cx.facets)
-        for removed in subsets:
-            yield table.cm_failure(_mask(removed))
-        return
+        return _FaceTable(cx.facets).cm_failure
     dim = cx.dimension()
-    n = len(cx.vertices)
-    for removed in subsets:
-        gone = set(removed)
-        rest = cx.induce([i for i in range(n) if i not in gone])
+
+    def decide(removed: int) -> Optional[str]:
+        rest = cx.induce([i for i in range(len(cx.vertices))
+                          if not removed >> i & 1])
         if rest.dimension() != dim:
-            yield "dimension-drop"
-        elif not rest.is_pure():
-            yield "impure"
-        else:
-            try:
-                construct_shelling(rest)
-            except ShellingFailure:
-                yield "not-CM"
-            else:
-                yield None
+            return "dimension-drop"
+        if not rest.is_pure():
+            return "impure"
+        try:
+            construct_shelling(rest)
+        except ShellingFailure:
+            return "not-CM"
+        return None
+
+    return decide
+
+
+def _memoized(decide, keys: Iterable[int]) -> Iterator[Optional[str]]:
+    """``decide`` of each key, calling it once per distinct key."""
+    verdicts: dict = {}
+    for key in keys:
+        if key not in verdicts:
+            verdicts[key] = decide(key)
+        yield verdicts[key]
 
 
 def _audit_chunk(payload) -> list:
-    """One worker's share of an audit, with its own face table.
+    """One worker's share of an audit's distinct keys, with its own table.
 
     Module-level so worker pools can pickle it.
     """
-    vertices, facets, subsets, cm_check = payload
-    return list(_audit_removals(SimplicialComplex(vertices, facets), subsets,
-                                cm_check))
+    vertices, facets, keys, cm_check = payload
+    decide = _decider(SimplicialComplex(vertices, facets), cm_check)
+    return [decide(key) for key in keys]
 
 
 def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
@@ -584,10 +636,17 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     and Cohen-Macaulay (by Reisner link homology, or by an explicit
     shelling when cm_check='shelling').  Failures are collected as data.
     The Reisner route builds one face table of cx per audit and decides
-    every removal from it, memoizing link verdicts for the audit.
-    Independent removals may be split over a process pool of at most
-    os.cpu_count() workers, one table each; results are merged in subset
-    order either way, and only then cut at ``max_failures``.
+    every removal from it, memoizing link verdicts for the audit.  It
+    first checks that ``cx.symmetry``, when set, maps the facet list onto
+    itself, and raises RuntimeError if not.  An automorphism g gives
+    Delta|W and Delta|g(W) isomorphic, and every failure reason is an
+    isomorphism invariant, so each removal is keyed by its least image
+    mask under the powers of g and each key is decided once.  The
+    shelling route uses no symmetry: every removal is its own key.
+    ``examined`` counts every removal, and failures name each removal's
+    own vertices.  Distinct keys may be split over a process pool of at
+    most os.cpu_count() workers, one table each; results are merged in
+    subset order either way, and only then cut at ``max_failures``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -612,16 +671,23 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         subsets = sorted(pool)
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
+    powers = _symmetry_powers(cx) if cm_check == "reisner" \
+        else [tuple(range(n))]
+    keys = _orbit_keys(powers, subsets)
     if workers > 1:
         import multiprocessing
-        step = max(1, -(-len(subsets) // workers))
-        chunks = [(cx.vertices, cx.facets, subsets[i:i + step], cm_check)
-                  for i in range(0, len(subsets), step)]
+        keys = list(keys)
+        distinct = list(dict.fromkeys(keys))
+        step = max(1, -(-len(distinct) // workers))
+        chunks = [(cx.vertices, cx.facets, distinct[i:i + step], cm_check)
+                  for i in range(0, len(distinct), step)]
         with multiprocessing.Pool(workers) as p:
-            reasons = [r for part in p.map(_audit_chunk, chunks) for r in part]
+            decide = dict(zip(distinct, [r for part in
+                                         p.map(_audit_chunk, chunks)
+                                         for r in part])).__getitem__
     else:
-        reasons = _audit_removals(cx, subsets, cm_check)
-    for removed, reason in zip(subsets, reasons):
+        decide = _decider(cx, cm_check)
+    for removed, reason in zip(subsets, _memoized(decide, keys)):
         report.examined += 1
         if reason is not None:
             report.failures.append(

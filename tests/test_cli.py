@@ -2,6 +2,7 @@ import json
 
 from clustercomplexes import cli
 from clustercomplexes.cli import run
+from clustercomplexes.simplicial import SimplicialComplex
 
 
 def test_build_writes_twelve_facets(tmp_path):
@@ -155,3 +156,20 @@ def test_library_self_check_failure_exits_1(monkeypatch, capsys):
         assert capsys.readouterr().err == (
             "error: flagness violated: maximal clique (0, 1) fails the word "
             "criterion\n")
+
+
+def test_kcm_symmetry_self_check_failure_exits_1(monkeypatch, capsys):
+    real = cli.build_complex
+
+    def swapped(rs, m):
+        # A2, m=1 is a pentagon, and no transposition is an automorphism
+        cx, adjacency = real(rs, m)
+        bad = SimplicialComplex(cx.vertices, cx.facets, objects=cx.objects,
+                                meta=cx.meta, symmetry=[1, 0, 2, 3, 4])
+        return bad, adjacency
+
+    monkeypatch.setattr(cli, "build_complex", swapped)
+    assert run(["kcm", "--phi", "A2", "--m", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the vertex symmetry is not an automorphism")
+    assert err.count("\n") == 1

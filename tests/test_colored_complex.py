@@ -12,7 +12,8 @@ from clustercomplexes.colored import (ColoredRoot, build_complex,
                                       typeA_polygon_oracle, word_of_face)
 from clustercomplexes.coxeter import absolute_interval, bipartite_coxeter
 from clustercomplexes.roots import build_root_system
-from clustercomplexes.simplicial import f_h_vectors, facets_as_label_sets
+from clustercomplexes.simplicial import (SimplicialComplex, f_h_vectors,
+                                         facets_as_label_sets)
 from clustercomplexes.topology import fuss_catalan
 
 A2_FACETS_M1 = {
@@ -377,6 +378,47 @@ class TestRestrictions:
         _, cx, _ = complexes("A2", 1)
         with pytest.raises(ValueError):
             cx.link(cx.index_of("[9,9]:1"))
+
+    def test_restrictions_drop_the_symmetry(self, complexes):
+        # a subcomplex is in general not invariant under R_m
+        _, cx, _ = complexes("A2", 2)
+        assert cx.symmetry is not None
+        v = cx.index_of("-s1")
+        for sub in (cx.induce(range(5)), cx.link(v), cx.delete(v),
+                    cx.skeleton(0), positive_part(cx)):
+            assert sub.symmetry is None
+
+
+class TestSymmetry:
+
+    def test_symmetry_is_r_m_on_the_vertices(self, complexes):
+        rs, cx, _ = complexes("A3", 2)
+        assert [cx.objects[j].key() for j in cx.symmetry] == \
+            [rm_map(rs, 2, v).key() for v in cx.objects]
+
+    def test_products_join_the_component_rotations(self):
+        rs = build_root_system("A1xA2")
+        cx, _ = build_complex(rs, 2)
+        for v, j in zip(cx.objects, cx.symmetry):
+            comp = rs.component_of_simple(
+                min(rs.support(v.root)) if rs.is_positive(v.root)
+                else rs.simple_index(rs.negate(v.root)))
+            assert cx.objects[j].key() == rm_map(comp, 2, v).key()
+
+    def test_no_symmetry_at_m0_or_rank_0(self):
+        # at m = 0, R_m sends -Pi outside the vertex set
+        for label in ("A1", "B3", "A1xA2"):
+            assert build_complex(build_root_system(label), 0)[0].symmetry \
+                is None
+        rank0 = build_root_system("A2").subsystem([])
+        assert build_complex(rank0, 2)[0].symmetry is None
+
+    def test_non_permutations_are_rejected(self):
+        for bad in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3)):
+            with pytest.raises(ValueError):
+                SimplicialComplex("abc", [(0, 1), (1, 2)], symmetry=bad)
+        assert SimplicialComplex("abc", [(0, 1), (1, 2)],
+                                 symmetry=[2, 1, 0]).symmetry == (2, 1, 0)
 
 
 class TestFHVectors:

@@ -230,3 +230,31 @@ class TestIntervalEnumeration:
         rs = build_root_system("A2")
         t = rs.reflection(rs.positive_roots[0])
         assert len(absolute_interval(rs, t)) == 2
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4"])
+    def test_interval_matches_brute_force_and_old_order(self, label):
+        # the closure tests only l(v^-1 gamma); the old loop also tested
+        # l(v) = level, which that test implies
+        rs = build_root_system(label)
+        gamma = bipartite_coxeter(rs)
+        gens = [rs.reflection(r) for r in rs.positive_roots]
+        old = [rs.identity_element()]
+        seen = {old[0].perm}
+        frontier = old[:]
+        for level in range(1, gamma.length + 1):
+            nxt = []
+            for u in frontier:
+                for t in gens:
+                    v = u * t
+                    if v.perm in seen or v.length != level or \
+                            (v.inverse() * gamma).length != gamma.length - level:
+                        continue
+                    seen.add(v.perm)
+                    nxt.append(v)
+            old.extend(nxt)
+            frontier = nxt
+        interval = [w.perm for w in absolute_interval(rs)]
+        assert interval == [w.perm for w in old]
+        brute = {w.perm for w in enumerate_group(rs)
+                 if w.length + (w.inverse() * gamma).length == gamma.length}
+        assert set(interval) == brute and len(interval) == len(brute)

@@ -96,3 +96,32 @@ def test_traced_names_resolve():
     assert missing == []
     # its reflection-length getter reads the per-element cache
     assert "_length" in clustercomplexes.GroupElement.__slots__
+
+
+def test_every_library_definition_is_read():
+    # a def or class that nothing reads is dead code; the benchmark and the
+    # scripts count as readers, and so do the tests
+    repo = Path(__file__).resolve().parents[1]
+    read = set()
+    for folder in ("src", "tests", "scripts", "benchmark"):
+        for path in (repo / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(a.name for a in node.names)
+    root = Path(clustercomplexes.__file__).parent
+    unread = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unread += ["%s:%d %s" % (path.name, node.lineno, node.name)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   and not (node.name.startswith("__")
+                            and node.name.endswith("__"))
+                   and node.name not in read]
+    assert unread == []

@@ -8,6 +8,7 @@ form references.
 """
 import itertools
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,41 @@ class TestColorRotationOrbits:
         for m in (1, 2):
             verts = colored_vertices(rs, m)
             assert len({rm_map(rs, m, v).key() for v in verts}) == len(verts)
+
+
+ROTATION_CASES = (
+    [(label, m) for label in ["A1", "A2", "A3", "B2", "B3", "G2", "H3",
+                              "A1xA1", "A1xA2"]
+     + ["I2(%d)" % p for p in range(2, 13)] for m in (1, 2, 3)]
+    + [(label, 1) for label in ("A4", "B4", "D4", "F4", "H4")])
+
+
+class TestComplexSymmetry:
+
+    @pytest.mark.parametrize("label,m", ROTATION_CASES)
+    def test_order_and_facets_match_fomin_reading(self, label, m):
+        # R_m has order (mh+2)/2 when w0 = -1, that is, when every exponent
+        # is odd, and mh+2 otherwise; a product takes the lcm
+        rs = build_root_system(label)
+        cx, _ = build_complex(rs, m)
+        want = 1
+        for comp in rs.components:
+            num = comp.numerology()
+            order = m * num.coxeter_number + 2
+            want = lcm(want, order // 2 if all(e % 2 for e in num.exponents)
+                       else order)
+        perm = cx.symmetry
+        got, seen = 1, set()
+        for start in range(len(perm)):
+            cycle, v = 0, start
+            while v not in seen:
+                seen.add(v)
+                v = perm[v]
+                cycle += 1
+            got = lcm(got, cycle or 1)
+        assert got == want
+        assert {tuple(sorted(perm[v] for v in f)) for f in cx.facets} == \
+            set(cx.facets)
 
 
 class TestJoinConvolution:

@@ -333,6 +333,76 @@ class TestKCM:
             kcm_audit(cx, 2, cm_check="nope")
 
 
+AUDITS = ("exhaustive", "sample", "witness")
+
+
+def orbit_and_plain(cx, m, audit, **extra):
+    """An audit of cx, and the same audit, serial, of cx without symmetry.
+
+    The audits are the exhaustive (m+1)-CM audit, a sampled (m+2)-CM audit
+    and the search for a removal of size m+1 that breaks (m+2)-CM.
+    """
+    k, kwargs = {
+        "exhaustive": (m + 1, {}),
+        "sample": (m + 2, {"mode": "sample", "sample_count": 60, "seed": 5}),
+        "witness": (m + 2, {"sizes": [m + 1], "max_failures": 1}),
+    }[audit]
+    plain = SimplicialComplex(cx.vertices, cx.facets)
+    assert plain.symmetry is None
+    return (kcm_audit(cx, k, **kwargs, **extra).to_dict(),
+            kcm_audit(plain, k, **kwargs).to_dict())
+
+
+class TestOrbitAudit:
+
+    @pytest.mark.parametrize("audit", AUDITS)
+    @pytest.mark.parametrize("label,m", MATRIX + [("A1xA2", 2), ("I2(5)", 2)])
+    def test_orbit_audit_equals_plain_audit(self, label, m, audit, complexes):
+        if label in ("A1xA2", "I2(5)"):
+            cx, _ = build_complex(build_root_system(label), m)
+        else:
+            _, cx, _ = complexes(label, m)
+        assert cx.symmetry is not None
+        orbit, plain = orbit_and_plain(cx, m, audit)
+        assert orbit == plain
+
+    def test_worker_pool_splits_the_orbit_keys(self, complexes, pool_sizes):
+        _, cx, _ = complexes("B3", 2)
+        for audit in AUDITS:
+            orbit, plain = orbit_and_plain(cx, 2, audit, workers=2)
+            assert orbit == plain
+        assert pool_sizes == [2] * len(AUDITS)
+
+    def test_each_orbit_is_decided_once(self, complexes, monkeypatch):
+        # B3 m=2: R_m has order 7, and the 232 removals of the exhaustive
+        # 3-CM audit fall into 34 orbits
+        calls = []
+        real = topology._FaceTable.cm_failure
+
+        def counting(table, removed=0):
+            calls.append(removed)
+            return real(table, removed)
+
+        monkeypatch.setattr(topology._FaceTable, "cm_failure", counting)
+        _, cx, _ = complexes("B3", 2)
+        report = kcm_audit(cx, 3)
+        assert report.passed and report.examined == 232
+        assert len(calls) == len(set(calls)) == 34
+
+    def test_symmetry_must_be_an_automorphism(self):
+        cx = pentagon()
+        rotated = SimplicialComplex(cx.vertices, cx.facets,
+                                    symmetry=[1, 2, 3, 4, 0])
+        assert kcm_audit(rotated, 2).to_dict() == kcm_audit(cx, 2).to_dict()
+        # a transposition is no automorphism of a 5-cycle
+        swapped = SimplicialComplex(cx.vertices, cx.facets,
+                                    symmetry=[1, 0, 2, 3, 4])
+        with pytest.raises(RuntimeError, match="not an automorphism"):
+            kcm_audit(swapped, 2)
+        # the shelling route uses no symmetry
+        assert kcm_audit(swapped, 2, cm_check="shelling").passed
+
+
 class TestIncidence:
 
     def test_pentagon_vertices_in_two_edges(self, complexes):
