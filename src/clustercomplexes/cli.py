@@ -3,7 +3,9 @@
 Subcommands build complexes and run the verification suites, emitting
 deterministic reports (pretty table, JSON, or CSV).  Exit codes: 0 when
 all requested checks pass, 1 when a structural check or a library
-self-check fails, 2 for usage errors.
+self-check fails, 2 for usage errors.  Bad input (label, rank, m, k; the
+parser checks the mode) and the desk-scale guards raise ``GuardError``; any
+other exception is a fault of the program and propagates.
 """
 from __future__ import annotations
 
@@ -47,7 +49,15 @@ class RunConfig:
 
 
 class GuardError(ValueError):
-    pass
+    """A usage error or a refused request: exit 2."""
+
+
+def _guarded(fn, *args):
+    """Call a label parser, reporting its ValueError as a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise GuardError(str(exc)) from None
 
 
 MAX_RANK = 6
@@ -56,7 +66,9 @@ HOMOLOGY_FACE_CAP = 200_000
 
 
 def _load_system(cfg: RunConfig):
-    rs = build_root_system(cfg.phi)
+    if cfg.m < 0:
+        raise GuardError("the color count m must be nonnegative, got %d" % cfg.m)
+    rs = _guarded(build_root_system, cfg.phi)
     if rs.rank > MAX_RANK:
         raise GuardError("rank %d exceeds the desk-scale limit %d; full "
                          "enumeration at that size is out of reach"
@@ -214,8 +226,10 @@ def cmd_shelling(cfg: RunConfig) -> int:
 
 
 def cmd_kcm(cfg: RunConfig) -> int:
-    rs, cx, _ = _cached_complex(cfg)
     k = cfg.k if cfg.k is not None else cfg.m + 1
+    if k < 1:
+        raise GuardError("k must be at least 1, got %d" % k)
+    rs, cx, _ = _cached_complex(cfg)
     rep = kcm_audit(cx, k, mode=cfg.mode, seed=cfg.seed, workers=cfg.workers)
     report = _base_report(cfg)
     report["audit"] = rep.to_dict()
@@ -342,7 +356,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
 
 
 def cmd_polygon(cfg: RunConfig) -> int:
-    fam, rank, _ = parse_label(cfg.phi)
+    fam, rank, _ = _guarded(parse_label, cfg.phi)
     if fam != "A":
         raise GuardError("the polygon oracle models type A only")
     if cfg.m < 1:
@@ -420,7 +434,7 @@ def run(argv=None) -> int:
                     command=args.command)
     try:
         return COMMANDS[args.command](cfg)
-    except (GuardError, ValueError) as exc:
+    except GuardError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeError as exc:

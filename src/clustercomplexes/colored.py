@@ -6,9 +6,10 @@ characterized two ways: through the recursive compatibility relation
 driven by the color-rotation map, and through the word criterion that a
 set is a face exactly when its ordered reflection product w has length
 equal to the set's size and sits below the bipartite Coxeter element in
-absolute order.  The builder enumerates facets as maximal cliques of the
-pairwise-face graph and re-validates every clique against the word
-criterion, so the flag property is checked rather than assumed.
+absolute order; the face test decides it with one reflection length, that
+of w^-1 gamma (see ``is_face``).  The builder enumerates facets as maximal
+cliques of the pairwise-face graph and re-validates every clique against
+the word criterion, so the flag property is checked rather than assumed.
 """
 from __future__ import annotations
 
@@ -197,8 +198,14 @@ def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:
             groups.setdefault(id(comp), (comp, []))[1].append(v)
         return all(is_face(get_context(comp, ctx.m), part)
                    for comp, part in groups.values())
+    # One length decides l(w) = |sigma| and w <= gamma: w is a product of
+    # |sigma| reflections, so l(w) <= |sigma|, and l(gamma) <= l(w) +
+    # l(w^-1 gamma).  So l(w^-1 gamma) = l(gamma) - |sigma| forces
+    # l(w) >= |sigma|, hence l(w) = |sigma| and l(w) + l(w^-1 gamma) =
+    # l(gamma); the converse is immediate.
     w = word_of_face(ctx, sigma)
-    return w.length == len(sigma) and absolute_leq(w, ctx.gamma)
+    gamma = ctx.gamma
+    return (w.inverse() * gamma).length == gamma.length - len(sigma)
 
 
 # -- the complex builder -----------------------------------------------------------

@@ -10,6 +10,11 @@ length off the permutation (0 for the identity, 1 for a reflection, 2 for
 a rotation).  ``word_length_bfs`` and the type-A permutation oracles
 ``typeA_reflection_length`` and ``typeA_absolute_leq`` are independent
 routes at desk scale.
+
+u <= w in absolute order when l(u) + l(u^-1 w) = l(w).  When u is a product
+of k reflections, l(u^-1 w) = l(w) - k alone decides both l(u) = k and
+u <= w, since l(u) <= k and l(w) <= l(u) + l(u^-1 w); the face test of
+``colored`` and ``absolute_interval`` each pay one length per candidate.
 """
 from __future__ import annotations
 
@@ -213,63 +218,7 @@ def absolute_interval(rs: RootSystem, top: Optional[GroupElement] = None) -> lis
     return out
 
 
-def enumerate_group(rs: RootSystem, limit: int = 200000) -> list:
-    """The full reflection group, by closure under the simple reflections."""
-    gens = [rs.reflection(r) for r in rs.simple_roots]
-    ident = rs.identity_element()
-    seen = {ident.perm: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for t in gens:
-                v = u * t
-                if v.perm not in seen:
-                    seen[v.perm] = v
-                    nxt.append(v)
-                    if len(seen) > limit:
-                        raise ValueError("group exceeds enumeration limit %d" % limit)
-        frontier = nxt
-    return list(seen.values())
-
-
 # -- type A oracles ----------------------------------------------------------------
-
-
-def one_line_permutation(w: GroupElement) -> tuple:
-    """One-line notation of a type-A element acting on coordinates.
-
-    Every root is some e_i - e_j, and w sends it to e_pi(i) - e_pi(j);
-    pi is read off the permutation of the roots and checked on all of them.
-    """
-    rs = w.system
-    pairs = [_unit_difference(r) for r in rs.roots]
-    if None in pairs:
-        raise ValueError("one-line notation needs roots of the form e_i - e_j")
-    out = [None] * rs.ambient
-    for k, (i, j) in enumerate(pairs):
-        for src, dst in zip((i, j), pairs[w.perm[k]]):
-            if out[src] not in (None, dst):
-                raise ValueError("element is not a coordinate permutation")
-            out[src] = dst
-    if None in out or len(set(out)) != len(out):
-        raise ValueError("element is not a coordinate permutation")
-    return tuple(out)
-
-
-def _unit_difference(root: Root) -> Optional[tuple]:
-    """(i, j) when root is e_i - e_j, else None."""
-    if root.coords is None:
-        return None
-    nonzero = [(k, x) for k, x in enumerate(root.coords) if x.sign() != 0]
-    if len(nonzero) != 2:
-        return None
-    (i, x), (j, y) = nonzero
-    if x == 1 and y == -1:
-        return (i, j)
-    if x == -1 and y == 1:
-        return (j, i)
-    return None
 
 
 def cycles_of(perm: Sequence[int]) -> list:

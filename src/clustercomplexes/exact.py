@@ -5,11 +5,15 @@ stored as pairs of arbitrary-precision rationals.  This single extension
 covers the icosahedral types H3 and H4 (via the golden ratio); every
 crystallographic type stays inside the rationals (b == 0).  No floating
 point enters any computation in this module.
+
+``Matrix.rank`` clears denominators row by row and then eliminates
+fraction-free over the ring Z[sqrt5], each entry an int pair (p, q) standing
+for p + q*sqrt5; no ``Fraction`` is built during the elimination.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -186,12 +190,6 @@ class Matrix:
         ot = tuple(zip(*other.entries))
         return Matrix([[dot(row, col) for col in ot] for row in self.entries])
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in difference")
-        return Matrix([[x - y for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
-
     def apply(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
@@ -207,29 +205,46 @@ class Matrix:
         return hash(self.entries)
 
     def rank(self) -> int:
-        return _rank(list(list(r) for r in self.entries))
+        return _rank(self.entries)
 
     def __repr__(self):
         return "Matrix(%r)" % (self.entries,)
 
 
-def _rank(m: list) -> int:
-    """Rank by exact Gaussian elimination (mutates its argument)."""
+def _rank(entries: Sequence[Sequence[Scalar]]) -> int:
+    """Rank by fraction-free elimination over Z[sqrt5].
+
+    Each row is scaled by the lcm of its denominators, which leaves the
+    rank alone, so its entries become int pairs (p, q) = p + q*sqrt5.  A
+    pivot (x, y) clears the entry (u, v) of a lower row by
+    row <- (x + y r) row - (u + v r) pivot_row, with r = sqrt5, and the new
+    row is divided by the gcd of its ints.  Z[sqrt5] is a domain and sqrt5
+    is irrational, so a pair is zero exactly when both ints are.
+    """
+    m = []
+    for row in entries:
+        den = lcm(*(d for x in row for d in (x.a.denominator, x.b.denominator)))
+        m.append([(x.a.numerator * (den // x.a.denominator),
+                   x.b.numerator * (den // x.b.denominator)) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
     rank = 0
     for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col].sign() != 0), None)
+        pivot = next((i for i in range(rank, rows) if m[i][col] != (0, 0)), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
+        top = m[rank]
+        x, y = top[col]
         for i in range(rank + 1, rows):
-            f = m[i][col]
-            if f.sign() == 0:
+            u, v = m[i][col]
+            if u == 0 and v == 0:
                 continue
-            factor = f * inv
-            m[i] = [x - factor * y for x, y in zip(m[i], m[rank])]
+            row = [(x * p + 5 * y * q - u * s - 5 * v * t,
+                    x * q + y * p - u * t - v * s)
+                   for (p, q), (s, t) in zip(m[i], top)]
+            g = gcd(*(n for pair in row for n in pair))
+            m[i] = [(p // g, q // g) for p, q in row] if g > 1 else row
         rank += 1
         if rank == rows:
             break

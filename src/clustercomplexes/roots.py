@@ -16,9 +16,16 @@ I2(m) is modeled combinatorially: its 2m roots are unit vectors at angles
 k*pi/m represented by their integer angle index, so no cyclotomic
 arithmetic is ever needed.
 
-Group elements are permutations of ``roots`` (see ``coxeter``).  Each
-system builds its reflections on first use and memoizes reflection length
-per permutation.
+A coordinate root's ``key`` is the flat tuple of the ints (numerator,
+denominator) of each coordinate's a and b, so two keys are equal exactly
+when the coordinates are, and every lookup by root hashes machine ints.
+
+Group elements are permutations of ``roots`` (see ``coxeter``).  The
+positive closure records s_i(beta) for every positive beta, and set-up turns
+those images into the simple reflections as permutations, each checked to
+be an involution that sends alpha_i to -alpha_i and the other positive roots
+to positive roots.  Every other reflection is a conjugate of a simple one,
+built on first use; reflection length is memoized per permutation.
 """
 from __future__ import annotations
 
@@ -27,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (GOLDEN, ONE, ZERO, Matrix, Scalar, coerce_scalar, dot,
-                    reflection_matrix)
+from .exact import GOLDEN, ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
 
 _HALF = Fraction(1, 2)
 
@@ -54,7 +60,8 @@ class Root:
         if coords is not None:
             self.coords = tuple(coerce_scalar(x) for x in coords)
             self.angle = None
-            self.key = self.coords
+            self.key = tuple(n for x in self.coords for n in (
+                x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator))
         else:
             self.coords = None
             self.angle = angle
@@ -142,10 +149,6 @@ def _scalar_to_json(x: Scalar) -> list:
     return [x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator]
 
 
-def _scalar_from_json(q: Sequence[int]) -> Scalar:
-    return Scalar(Fraction(q[0], q[1]), Fraction(q[2], q[3]))
-
-
 class CoordinateRootSystem(RootSystem):
     """A root system realized by exact coordinate vectors."""
 
@@ -155,7 +158,7 @@ class CoordinateRootSystem(RootSystem):
         self.rank = len(simples)
         self.ambient = len(simples[0].coords) if simples else 0
 
-        positives, expansions = _positive_closure(simples)
+        positives, expansions, images = _positive_closure(simples)
         # 2-color the Coxeter diagram; trees are always 2-colorable
         order, split = _bipartite_order(simples)
         self.split_s = split
@@ -187,11 +190,40 @@ class CoordinateRootSystem(RootSystem):
             pos_exp = self._expansion[self.negate(root).key]
             self._expansion[root.key] = tuple(-c for c in pos_exp)
 
+        self._simple_perms = self._simple_reflections(order, images)
         self._components = None
         self._reflections = None
         self._lengths = {}
         self.contexts = {}
         self._numerology = None
+
+    def _simple_reflections(self, order: Sequence[int], images: dict) -> list:
+        """The simple reflections as permutations of ``roots``, self-checked.
+
+        ``images`` maps each positive root's key to the keys of its images
+        under the simple reflections in the closure's order (``order[j]`` is
+        the closure index of the stored simple root j), None where the image
+        is negative; s_i(-beta) = -s_i(beta) gives the negative roots.
+        """
+        index, neg = self._index, self._neg
+        npos = len(self.positive_roots)
+        out = []
+        for a, old in zip(self.simple_roots, order):
+            ai = index[a.key]
+            perm = [0] * len(self.roots)
+            for p in range(npos):
+                image = images[self.roots[p].key][old]
+                q = neg[ai] if image is None else index[image]
+                perm[p], perm[neg[p]] = q, neg[q]
+            if perm[ai] != neg[ai] \
+                    or any(perm[q] != p for p, q in enumerate(perm)) \
+                    or any(perm[p] >= npos for p in range(npos) if p != ai):
+                raise RuntimeError(
+                    "simple reflection in %r of %s is not an involution sending "
+                    "it to its negative and the other positive roots to "
+                    "positive roots" % (a, self.label))
+            out.append(tuple(perm))
+        return out
 
     # -- structure -----------------------------------------------------------
 
@@ -229,16 +261,13 @@ class CoordinateRootSystem(RootSystem):
     def _build_reflections(self) -> list:
         """Every reflection, indexed like ``roots``.
 
-        Only the simple reflections come from exact matrices.  The others
+        The simple reflections come from the positive closure.  The others
         are conjugates s_{s_i(beta)} = s_i s_beta s_i, found breadth-first
         from the simple roots, whose W-orbit is the whole root system.
         """
         from .coxeter import GroupElement
         index, neg = self._index, self._neg
-        simple = []
-        for a in self.simple_roots:
-            mat = reflection_matrix(a.coords, self.ambient)
-            simple.append(tuple(index[mat.apply(r.coords)] for r in self.roots))
+        simple = self._simple_perms
         perms = [None] * len(self.roots)
         frontier = []
         for a, perm in zip(self.simple_roots, simple):
@@ -317,11 +346,6 @@ class CoordinateRootSystem(RootSystem):
                                for r in self.positive_roots],
             "split_s": self.split_s,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoordinateRootSystem":
-        coords = [[_scalar_from_json(q) for q in r] for r in data["simple_roots"]]
-        return cls(coords, label=data["type"])
 
     def __repr__(self):
         return "RootSystem(%s, rank=%d, N=%d)" % (
@@ -428,12 +452,17 @@ class DihedralRootSystem(RootSystem):
 
 
 def _positive_closure(simples: Sequence[Root]) -> tuple:
-    """All positive roots and their simple-root expansions, by reflection closure."""
+    """All positive roots, their simple-root expansions and reflection images.
+
+    By reflection closure.  The images map each positive root's key to the
+    keys of s_1(beta) .. s_n(beta), None where the image is negative.
+    """
     n = len(simples)
     norms = [dot(r.coords, r.coords) for r in simples]
     cartan = [[Scalar(2) * dot(a.coords, b.coords) / norms[j]
                for j, b in enumerate(simples)] for a in simples]
     seen = {}
+    images = {}
     frontier = []
     for i, r in enumerate(simples):
         exp = tuple(ONE if j == i else ZERO for j in range(n))
@@ -442,6 +471,7 @@ def _positive_closure(simples: Sequence[Root]) -> tuple:
     while frontier:
         new = []
         for root, exp in frontier:
+            image = images[root.key] = [None] * n
             for i in range(n):
                 # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
                 c = ZERO
@@ -453,13 +483,14 @@ def _positive_closure(simples: Sequence[Root]) -> tuple:
                     coords = tuple(x - c * y for x, y in
                                    zip(root.coords, simples[i].coords))
                     nr = Root(coords=coords)
+                    image[i] = nr.key
                     if nr.key not in seen:
                         seen[nr.key] = (nr, new_exp)
                         new.append((nr, new_exp))
         frontier = new
     roots = [v[0] for v in seen.values()]
     exps = [v[1] for v in seen.values()]
-    return roots, exps
+    return roots, exps, images
 
 
 def _diagram_components(simples: Sequence[Root]) -> list:

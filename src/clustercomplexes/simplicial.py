@@ -163,7 +163,3 @@ def f_h_vectors(cx: SimplicialComplex) -> tuple:
     if not cx.is_pure():
         return f, None
     return f, f_to_h(f)
-
-
-def facets_as_label_sets(cx: SimplicialComplex) -> set:
-    return {frozenset(f) for f in cx.labeled_facets()}

@@ -13,18 +13,18 @@ from pathlib import Path
 from clustercomplexes.colored import (build_complex, fr_compatible,
                                       get_context, is_face, positive_part,
                                       typeA_polygon_oracle)
-from clustercomplexes.coxeter import (absolute_leq, enumerate_group,
-                                      one_line_permutation, rho_sequence,
+from clustercomplexes.coxeter import (absolute_leq, rho_sequence,
                                       total_order, typeA_absolute_leq,
                                       typeA_reflection_length)
 from clustercomplexes.noncrossing import (build_Lm, homotopy_compare, moebius,
                                           nc_interval)
 from clustercomplexes.roots import build_root_system
-from clustercomplexes.simplicial import facets_as_label_sets
 from clustercomplexes.topology import (codim1_incidence, construct_shelling,
                                        fuss_catalan, fuss_narayana_positive,
                                        homology, kcm_audit, verify_shelling,
                                        verify_wedge)
+from exact_oracles import (enumerate_group, facets_as_label_sets,
+                           one_line_permutation)
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
           for m in (1, 2, 3)]

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import clustercomplexes
 from clustercomplexes import cli
 from clustercomplexes.cli import run
 from clustercomplexes.simplicial import SimplicialComplex
@@ -173,3 +180,35 @@ def test_kcm_symmetry_self_check_failure_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the vertex symmetry is not an automorphism")
     assert err.count("\n") == 1
+
+
+def test_library_value_error_is_a_fault_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("dimension mismatch in product")
+
+    monkeypatch.setattr(cli, "kcm_audit", broken)
+    for command in ("kcm", "verify-all"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run([command, "--phi", "A2", "--m", "1"])
+    # as a process: a traceback and exit 1, not the usage exit 2
+    src = Path(clustercomplexes.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from clustercomplexes import cli\n"
+            "def broken(*args, **kwargs):\n"
+            "    raise ValueError('dimension mismatch in product')\n"
+            "cli.homology = broken\n"
+            "sys.exit(cli.run(['homology', '--phi', 'A2', '--m', '1']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert "ValueError: dimension mismatch in product" in proc.stderr
+
+
+def test_bad_m_and_k_are_usage_errors(capsys):
+    assert run(["build", "--phi", "A2", "--m", "-1"]) == 2
+    assert "m must be nonnegative" in capsys.readouterr().err
+    for k in ("0", "-2"):
+        assert run(["kcm", "--phi", "A2", "--m", "1", "--k", k]) == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+    assert run(["polygon", "--phi", "Q2", "--m", "1"]) == 2
+    assert "cannot parse root-system label" in capsys.readouterr().err

@@ -11,10 +11,11 @@ from clustercomplexes.colored import (ColoredRoot, build_complex,
                                       rm_map, subcomplex_below, tau,
                                       typeA_polygon_oracle, word_of_face)
 from clustercomplexes.coxeter import absolute_interval, bipartite_coxeter
+from clustercomplexes.exact import Scalar
 from clustercomplexes.roots import build_root_system
-from clustercomplexes.simplicial import (SimplicialComplex, f_h_vectors,
-                                         facets_as_label_sets)
+from clustercomplexes.simplicial import SimplicialComplex, f_h_vectors
 from clustercomplexes.topology import fuss_catalan
+from exact_oracles import facets_as_label_sets, two_length_is_face
 
 A2_FACETS_M1 = {
     frozenset(f) for f in [
@@ -490,3 +491,36 @@ def test_context_is_freed_with_its_system():
     del sub
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("label, m", [("A3", 2), ("B3", 2), ("H3", 1), ("D4", 1),
+                                      ("G2", 3), ("I2(5)", 2), ("A1xA2", 2)])
+def test_one_length_face_test_matches_two_lengths(label, m):
+    rs = build_root_system(label)
+    cx, _ = build_complex(rs, m)
+    ctx = get_context(rs, m)
+    verts = cx.objects
+    sets = [list(s) for k in (2, 3) for s in itertools.combinations(verts, k)]
+    sets += [[verts[i] for i in f] for f in cx.facets]
+    verdicts = [is_face(ctx, sigma) for sigma in sets]
+    assert verdicts == [two_length_is_face(ctx, sigma) for sigma in sets]
+    assert True in verdicts and False in verdicts
+
+
+def test_building_a_complex_hashes_no_scalar(monkeypatch):
+    # root keys are int tuples, so no lookup by root hashes a Scalar
+    cases = [("F4", 1), ("H3", 2), ("D4", 2), ("A1xA2", 2)]
+    systems = {label: build_root_system(label) for label, _ in cases}
+    for rs in systems.values():
+        rs.components
+    calls = []
+    real = Scalar.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Scalar, "__hash__", counted)
+    for label, m in cases:
+        build_complex(systems[label], m)
+    assert len(calls) == 0

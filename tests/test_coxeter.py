@@ -4,11 +4,11 @@ import pytest
 
 from clustercomplexes.coxeter import (absolute_interval, absolute_leq,
                                       bipartite_coxeter, cycles_of,
-                                      enumerate_group, one_line_permutation,
                                       rho_sequence, total_order,
                                       typeA_absolute_leq,
                                       typeA_reflection_length, word_length_bfs)
 from clustercomplexes.roots import build_root_system
+from exact_oracles import enumerate_group, one_line_permutation
 
 
 def label_of(rs, root):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from clustercomplexes.exact import (GOLDEN, ONE, SQRT5, ZERO, Matrix, Scalar,
                                     reflection_matrix, smith_normal_form)
-from exact_oracles import fixed_space_dim, minor_gcd
+from clustercomplexes.coxeter import absolute_interval
+from clustercomplexes.roots import build_root_system
+from exact_oracles import fixed_space_dim, fraction_rank, minor_gcd
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -121,3 +124,71 @@ class TestSmithNormalForm:
         for k in range(1, rank + 1):
             prod *= factors[k - 1]
             assert prod == abs(minor_gcd(rows, k))
+
+
+def random_scalar(rnd):
+    """Zero a third of the time; otherwise fractional a and, often, b."""
+    if rnd.random() < 0.3:
+        return ZERO
+    a = Fraction(rnd.randint(-9, 9), rnd.randint(1, 12))
+    b = Fraction(rnd.randint(-9, 9), rnd.randint(1, 12)) if rnd.random() < 0.6 else 0
+    return Scalar(a, b)
+
+
+def random_matrix(rnd, rows, cols):
+    return Matrix([[random_scalar(rnd) for _ in range(cols)] for _ in range(rows)])
+
+
+class TestFractionFreeRank:
+
+    def test_golden_ratio_cases(self):
+        # phi^2 = phi + 1 and (1 + sqrt5)^2 / 2 = 3 + sqrt5 make rank-one rows
+        assert Matrix([[ONE, GOLDEN], [GOLDEN, GOLDEN + 1]]).rank() == 1
+        assert Matrix([[ONE, GOLDEN], [GOLDEN, ONE]]).rank() == 2
+        assert Matrix([[Scalar(2), Scalar(1, 1)],
+                       [Scalar(1, 1), Scalar(3, 1)]]).rank() == 1
+        assert Matrix([[SQRT5, ONE], [Scalar(5), SQRT5]]).rank() == 1
+
+    def test_zero_and_empty(self):
+        assert Matrix([]).rank() == 0
+        assert Matrix([[0, 0, 0], [0, 0, 0]]).rank() == 0
+        assert Matrix([[], []]).rank() == 0
+
+    def test_random_matrices_match_fraction_elimination(self):
+        for seed in range(400):
+            rnd = random.Random(seed)
+            rows, cols = rnd.randint(1, 8), rnd.randint(1, 8)
+            entries = [list(r) for r in random_matrix(rnd, rows, cols).entries]
+            if rnd.random() < 0.3:
+                entries[rnd.randrange(rows)] = [ZERO] * cols
+            if rnd.random() < 0.3:
+                j = rnd.randrange(cols)
+                for row in entries:
+                    row[j] = ZERO
+            m = Matrix(entries)
+            assert m.rank() == fraction_rank(m), (seed, m)
+
+    def test_rank_deficient_by_construction(self):
+        for seed in range(200):
+            rnd = random.Random(1000 + seed)
+            rows, cols = rnd.randint(2, 8), rnd.randint(2, 8)
+            inner = rnd.randint(1, min(rows, cols) - 1)
+            m = random_matrix(rnd, rows, inner) * random_matrix(rnd, inner, cols)
+            assert m.rank() == fraction_rank(m) <= inner, (seed, m)
+            # a row that repeats a combination of two others adds no rank
+            r0, r1 = m.entries[0], m.entries[1]
+            c = random_scalar(rnd)
+            extra = Matrix(m.entries + (tuple(x + c * y for x, y in zip(r0, r1)),))
+            assert extra.rank() == m.rank()
+
+    @pytest.mark.parametrize("label", ["B3", "H3"])
+    def test_carter_matrices_over_the_interval(self, label):
+        # w - I in the simple-root basis, for every w below gamma
+        rs = build_root_system(label)
+        for w in absolute_interval(rs):
+            rows = []
+            for j, a in enumerate(rs.simple_roots):
+                image = rs.expansion(w.apply(a))
+                rows.append([c - ONE if k == j else c for k, c in enumerate(image)])
+            m = Matrix(rows)
+            assert m.rank() == fraction_rank(m) == w.length

@@ -1,12 +1,17 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from clustercomplexes.coxeter import bipartite_coxeter, enumerate_group
-from clustercomplexes.exact import reflection_matrix
+from clustercomplexes import roots
+from clustercomplexes.cli import run
+from clustercomplexes.coxeter import bipartite_coxeter
+from clustercomplexes.exact import ZERO, Scalar, reflection_matrix
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
-                                    Root, bipartition, build_root_system, classify)
+                                    Root, bipartition, build_root_system,
+                                    classify)
+from exact_oracles import enumerate_group, root_system_from_dict
 
 EXPECTED = {
     # label -> (positive root count, coxeter number, exponents)
@@ -247,7 +252,7 @@ class TestSerialization:
                              "split_s"}
         assert data["type"] == "B3" and data["rank"] == 3
         assert all(len(q) == 4 for row in data["simple_roots"] for q in row)
-        back = CoordinateRootSystem.from_dict(data)
+        back = root_system_from_dict(data)
         assert classify(back) == "B3"
         assert len(back.positive_roots) == 9
         assert back.split_s == rs.split_s
@@ -290,3 +295,91 @@ class TestClassification:
     def test_self_classification(self, label):
         rs = build_root_system(label)
         assert classify(rs) == label
+
+
+SUPPORTED = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3",
+             "D4", "D5", "E6", "E7", "E8", "F4", "G2", "H3", "H4", "I2(2)",
+             "I2(5)", "I2(8)", "A1xA2", "B2xG2"]
+
+
+class TestRootKeys:
+
+    @pytest.mark.parametrize("label", SUPPORTED)
+    def test_keys_are_equal_exactly_when_coordinates_are(self, label):
+        rs = build_root_system(label)
+        for r in rs.roots:
+            if r.coords is not None:
+                assert all(type(n) is int for n in r.key)
+                rebuilt = Root(coords=[Scalar(x.a, x.b) for x in r.coords])
+                assert rebuilt.key == r.key and rebuilt == r
+        for r1 in rs.roots:
+            for r2 in rs.roots:
+                same = r1.coords == r2.coords if r1.coords is not None \
+                    else r1.angle == r2.angle
+                assert (r1.key == r2.key) == same
+
+    def test_keys_separate_rational_and_sqrt5_parts(self):
+        values = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3, 4)]
+        scalars = [Scalar(a, b) for a in values for b in values[::5]]
+        for x in scalars:
+            for y in scalars:
+                assert (Root(coords=[x, ZERO]).key == Root(coords=[y, ZERO]).key) \
+                    == (x == y)
+
+    @pytest.mark.parametrize("label", ["A1xA2", "B2xG2"])
+    def test_components_share_the_parents_keys(self, label):
+        rs = build_root_system(label)
+        assert len(rs.components) == 2
+        for comp in rs.components:
+            for r in comp.roots:
+                assert rs.roots[rs.index_of(r)].coords == r.coords
+        assert sum(len(c.roots) for c in rs.components) == len(rs.roots)
+
+
+class TestSimpleReflectionsFromTheClosure:
+
+    @pytest.mark.parametrize("label", [k for k in SUPPORTED if "I2" not in k])
+    def test_involution_negating_its_root_and_permuting_the_rest(self, label):
+        rs = build_root_system(label)
+        npos = len(rs.positive_roots)
+        for a in rs.simple_roots:
+            perm = rs.reflection(a).perm
+            i = rs.index_of(a)
+            assert all(perm[perm[k]] == k for k in range(len(perm)))
+            assert rs.roots[perm[i]] == rs.negate(a)
+            assert all(perm[p] < npos for p in range(npos) if p != i)
+
+    @pytest.mark.parametrize("corrupt", ["negative image", "simple root kept",
+                                         "not an involution"])
+    def test_a_corrupt_closure_raises(self, monkeypatch, corrupt):
+        # A2: s_1 sends a1 to -a1, a2 to a1 + a2 and a1 + a2 to a2
+        a1, a2 = (Root(coords=c) for c in roots._simples_A(2))
+        top = Root(coords=[x + y for x, y in zip(a1.coords, a2.coords)])
+        real = roots._positive_closure
+
+        def corrupted(simples):
+            positives, expansions, images = real(simples)
+            if corrupt == "negative image":
+                images[top.key][0] = None
+            elif corrupt == "simple root kept":
+                images[a1.key][0] = a1.key
+            else:
+                images[a2.key][0] = a2.key
+            return positives, expansions, images
+
+        monkeypatch.setattr(roots, "_positive_closure", corrupted)
+        with pytest.raises(RuntimeError, match="simple reflection"):
+            CoordinateRootSystem(roots._simples_A(2), label="A2")
+
+    def test_a_corrupt_closure_exits_1(self, monkeypatch, capsys):
+        real = roots._positive_closure
+
+        def corrupted(simples):
+            positives, expansions, images = real(simples)
+            images[positives[0].key][0] = positives[0].key
+            return positives, expansions, images
+
+        monkeypatch.setattr(roots, "_positive_closure", corrupted)
+        monkeypatch.setattr(roots, "_build_cache", {})
+        assert run(["build", "--phi", "A2", "--m", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: simple reflection")
