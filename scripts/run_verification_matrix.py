@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Run the full verification checklist over a matrix of (type, colors).
 
-Prints one row per (root system, m) with the outcome of every check the
-``verify-all`` pipeline runs, and exits nonzero if anything fails.
+Prints one report per (root system, m) with the outcome of every check the
+``verify-all`` pipeline runs.  Each case goes through ``clustercx
+verify-all``, so a bad label, m or worker count is a usage error, and the
+script exits with the worst exit code of its cases: 0 when every check
+passes, 1 when one fails, 2 on a usage error.
 """
 import argparse
 import sys
 
-from clustercomplexes.cli import RunConfig, cmd_verify_all
+from clustercomplexes.cli import run
 
 
 def main() -> int:
@@ -22,10 +25,10 @@ def main() -> int:
     worst = 0
     for label in args.types:
         for m in args.colors:
-            print("=== %s, m=%d ===" % (label, m))
-            cfg = RunConfig(phi=label, m=m, seed=args.seed,
-                            workers=args.workers, command="verify-all")
-            code = cmd_verify_all(cfg)
+            print("=== %s, m=%d ===" % (label, m), flush=True)
+            code = run(["verify-all", "--phi", label, "--m", str(m),
+                        "--seed", str(args.seed),
+                        "--workers", str(args.workers)])
             worst = max(worst, code)
     print("overall:", "PASS" if worst == 0 else "FAIL")
     return worst

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -152,7 +153,7 @@ def _positive_wedge(rs, m: int) -> tuple:
     return fuss_narayana_positive(rs, m - 1), rs.rank - 1
 
 
-def _cached_complex(cfg: RunConfig):
+def _load_complex(cfg: RunConfig):
     rs = _load_system(cfg)
     cx, adjacency = build_complex(rs, cfg.m)
     return rs, cx, adjacency
@@ -170,7 +171,7 @@ def _check_homology_cap(cx) -> None:
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    rs, cx, _ = _cached_complex(cfg)
+    rs, cx, _ = _load_complex(cfg)
     report = _base_report(cfg)
     report.update({"phi": rs.label, "m": cfg.m, "rank": rs.rank})
     report.update(cx.to_dict())
@@ -179,7 +180,7 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def cmd_fvector(cfg: RunConfig) -> int:
-    rs, cx, _ = _cached_complex(cfg)
+    rs, cx, _ = _load_complex(cfg)
     pos = positive_part(cx)
     f, h = f_h_vectors(cx)
     fp, hp = f_h_vectors(pos)
@@ -194,14 +195,15 @@ def cmd_fvector(cfg: RunConfig) -> int:
 
 
 def cmd_homology(cfg: RunConfig) -> int:
-    rs, cx, _ = _cached_complex(cfg)
+    rs, cx, _ = _load_complex(cfg)
     _check_homology_cap(cx)
     pos = positive_part(cx)
     report = _base_report(cfg)
     report["full"] = homology(cx).to_dict()
-    report["positive"] = homology(pos).to_dict()
+    prof = homology(pos)
+    report["positive"] = prof.to_dict()
     want, sphere_dim = _positive_wedge(rs, cfg.m)
-    ok = verify_wedge(pos, want, sphere_dim)
+    ok = prof.concentrated(sphere_dim, want)
     report["checks"] = [{"id": "wedge-positive", "ok": ok,
                          "detail": {"expected_spheres": want}}]
     _emit(cfg, report)
@@ -209,7 +211,7 @@ def cmd_homology(cfg: RunConfig) -> int:
 
 
 def cmd_shelling(cfg: RunConfig) -> int:
-    rs, cx, _ = _cached_complex(cfg)
+    rs, cx, _ = _load_complex(cfg)
     report = _base_report(cfg)
     checks = []
     for name, complex_ in (("full", cx), ("positive", positive_part(cx))):
@@ -229,7 +231,7 @@ def cmd_kcm(cfg: RunConfig) -> int:
     k = cfg.k if cfg.k is not None else cfg.m + 1
     if k < 1:
         raise GuardError("k must be at least 1, got %d" % k)
-    rs, cx, _ = _cached_complex(cfg)
+    rs, cx, _ = _load_complex(cfg)
     rep = kcm_audit(cx, k, mode=cfg.mode, seed=cfg.seed, workers=cfg.workers)
     report = _base_report(cfg)
     report["audit"] = rep.to_dict()
@@ -240,7 +242,7 @@ def cmd_kcm(cfg: RunConfig) -> int:
 
 
 def cmd_incidence(cfg: RunConfig) -> int:
-    rs, cx, _ = _cached_complex(cfg)
+    rs, cx, _ = _load_complex(cfg)
     hist = codim1_incidence(cx)
     ok = set(hist) == {cfg.m + 1}
     report = _base_report(cfg)
@@ -287,7 +289,7 @@ def cmd_ncp(cfg: RunConfig) -> int:
 
 
 def cmd_verify_all(cfg: RunConfig) -> int:
-    rs, cx, adjacency = _cached_complex(cfg)
+    rs, cx, adjacency = _load_complex(cfg)
     _check_homology_cap(cx)
     pos = positive_part(cx)
     m = cfg.m
@@ -361,7 +363,7 @@ def cmd_polygon(cfg: RunConfig) -> int:
         raise GuardError("the polygon oracle models type A only")
     if cfg.m < 1:
         raise GuardError("the polygon oracle needs m >= 1")
-    rs, cx, _ = _cached_complex(cfg)
+    rs, cx, _ = _load_complex(cfg)
     poly = typeA_polygon_oracle(rank + 1, cfg.m)
     ok = poly.f_vector() == cx.f_vector()
     report = _base_report(cfg)
@@ -392,6 +394,7 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="clustercx",

@@ -2,18 +2,17 @@
 
 Shelling orders are constructed by recursive vertex decomposition and are
 always re-verified against the definition, so a returned order is a
-checked certificate.  Homology is integral and read off a face table
-that indexes every face, with its vertex bitmask and sparse boundary
-column, once.  The two lowest boundary maps are ranked without a matrix
-(the augmentation has rank 1, the edge boundary V minus the components
-found by union-find); higher ones are reduced by exact unit-pivot
-elimination, and only the block left without a unit entry goes to a dense
-Smith normal form, for the torsion.
+checked certificate.  Homology is integral and read off a face table that
+indexes every face once, with its vertex bitmask, boundary and cofaces.
+A chain complex is a set of the table's cells with the boundary restricted
+to them; it is coreduced first, which keeps the integral homology and
+creates no fill-in, and only what is left is eliminated on unit pivots,
+with a dense Smith normal form on the block left without a unit entry.
 Cohen-Macaulayness is decided homologically: every face link must have
-vanishing reduced homology below its top dimension.  A k-CM audit builds
-one face table of the complex and decides each vertex removal from it,
-since every face and face link of a restriction Delta|W is the
-restriction of one of Delta.  When the complex carries a vertex symmetry
+vanishing reduced homology below its top dimension.  A k-CM audit decides
+each vertex removal W from one face table: Delta|W keeps the faces that
+miss W, and a face link in it is the relative complex of the faces that
+contain the face and miss W.  When the complex carries a vertex symmetry
 (R_m on a generalized cluster complex), the audit first checks that it
 maps the facet list onto itself, then decides one removal per orbit of
 the group it generates, since Delta|W and Delta|g(W) are isomorphic.  The
@@ -21,7 +20,6 @@ shelling route uses no symmetry.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
 import random
@@ -218,24 +216,17 @@ def integer_rank_torsion(columns: list) -> tuple:
 
     ``columns`` holds one {row: entry} dict per column, without zero
     entries; the dicts are consumed.  Unit pivots are eliminated first,
-    from the shortest column and within it the sparsest row.  These are
-    unimodular operations, so the invariant factors are kept.  Only the
-    columns left without a unit entry go to ``smith_normal_form``.
+    column by column, each on the sparsest of its unit rows.  These are
+    unimodular operations, so the invariant factors are kept.  The columns
+    left unpivoted go to ``smith_normal_form``.
     Returns (rank, torsion), torsion being the invariant factors > 1.
     """
     rows: dict = {}
     for c, col in enumerate(columns):
         for r in col:
             rows.setdefault(r, set()).add(c)
-    # a column is pushed again whenever it changes; stale entries are skipped
-    heap = [(len(col), c) for c, col in enumerate(columns) if col]
-    heapq.heapify(heap)
     rank = 0
-    while heap:
-        size, c = heapq.heappop(heap)
-        col = columns[c]
-        if col is None or len(col) != size:
-            continue
+    for c, col in enumerate(columns):
         units = [r for r, v in col.items() if v == 1 or v == -1]
         if not units:
             continue
@@ -254,8 +245,6 @@ def integer_rank_torsion(columns: list) -> tuple:
                 else:
                     del oc[rr]
                     rows[rr].discard(other)
-            if oc:
-                heapq.heappush(heap, (len(oc), other))
         for rr in col:
             rows[rr].discard(c)
         columns[c] = None
@@ -272,39 +261,14 @@ def integer_rank_torsion(columns: list) -> tuple:
     return rank + extra, tuple(d for d in factors if d > 1)
 
 
-def _mask(face) -> int:
-    out = 0
-    for v in face:
-        out |= 1 << v
-    return out
-
-
-def _component_count(vertices: list, edges: list) -> int:
-    """Connected components of a graph, by union-find."""
-    parent = {v: v for v in vertices}
-    count = len(parent)
-    for a, b in edges:
-        # find both roots, halving the paths on the way
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
-
-
 class _FaceTable:
     """Every face of a complex, indexed once, for homology and CM audits.
 
     ``faces[k]`` lists the faces with k vertices, ``masks[k]`` their vertex
-    bitmasks, and for k >= 3 ``columns[k]`` their boundary columns
-    {position in faces[k-1]: +-1}.  Every face of a restriction Delta|W is
-    a face of Delta, so a restriction is read off by keeping the faces whose
-    mask misses the removed vertices.  The audit data (top facets, stars and
-    link verdicts) is built on the first ``cm_failure`` call and lives as
-    long as the table, that is, for one audit.
+    bitmasks, ``columns[k]`` their boundary columns {position in
+    faces[k-1]: +-1} and ``cofaces[k]`` their cofaces' positions in
+    faces[k+1].  The audit data is built on the first ``cm_failure`` call
+    and lives as long as the table, that is, for one audit.
     """
 
     def __init__(self, facets: Sequence[tuple]):
@@ -317,47 +281,88 @@ class _FaceTable:
                     if face not in idx:
                         idx[face] = len(idx)
         self.faces = [list(idx) for idx in index]
-        self.masks = [[_mask(face) for face in fs] for fs in self.faces]
-        self.columns = [None] * 3 + [
+        self.masks = [[sum(1 << v for v in face) for face in fs]
+                      for fs in self.faces]
+        self.columns = [None] + [
             [{index[k - 1][face[:d] + face[d + 1:]]: -1 if d % 2 else 1
               for d in range(k)} for face in self.faces[k]]
-            for k in range(3, self.dim + 2)]
-        self.facet_masks = [_mask(f) for f in facets]
+            for k in range(1, self.dim + 2)]
+        self.cofaces = [[[] for _ in fs] for fs in self.faces]
+        for k in range(1, self.dim + 2):
+            for i, col in enumerate(self.columns[k]):
+                for f in col:
+                    self.cofaces[k - 1][f].append(i)
+        self.facet_masks = [sum(1 << v for v in f) for f in facets]
         self._audit = None
+
+    def _reduce(self, base: int, ups: list, removed: int) -> tuple:
+        """Reduced homology of the cells in ``ups`` that miss ``removed``.
+
+        ``ups[j]`` lists faces with base + j vertices, ``ups[0]`` the base
+        cell alone; the faces of a listed face that contain the base cell
+        are listed too.  The base is paired with one cell above it, then the rest is
+        coreduced, last queued first: a cell with one kept boundary face
+        goes with that face.  Its boundary is +-1 times the face, so the
+        pair's reduction (Kaczynski, Mrozek and Slusarek, 1998) deletes a
+        row and a column and keeps the integral homology.  The columns left
+        go to ``integer_rank_torsion`` as they are.  Returns (betti,
+        torsion, chi); entry j of the first two belongs to degree j - 1.
+        """
+        masks, columns, cofaces = self.masks, self.columns, self.cofaces
+        # each kept cell with its number of kept boundary faces; top cells
+        # have no cofaces
+        alive = [{c: j for c in cells if not masks[base + j][c] & removed}
+                 for j, cells in enumerate(ups)] + [{}]
+        top = len(ups)
+        chi = sum(-len(c) if j % 2 == 0 else len(c) for j, c in enumerate(alive))
+        stack = [(1, next(iter(alive[1])))] if alive[1] else []
+        while stack:
+            j, c = stack.pop()
+            cells = alive[j]
+            if cells.get(c) != 1:
+                continue
+            below = alive[j - 1]
+            for face in columns[base + j][c]:
+                if face in below:
+                    break
+            del cells[c], below[face]
+            for jj, up, ds in ((j, cells, cofaces[base + j - 1][face]),
+                               (j + 1, alive[j + 1], cofaces[base + j][c])):
+                for d in ds:
+                    n = up.get(d)
+                    if n is not None:
+                        up[d] = n - 1
+                        if n == 2:
+                            stack.append((jj, d))
+        ranks = [0] * (top + 1)
+        torsion = [()] * (top + 1)
+        for j in range(1, top):
+            below = alive[j - 1]
+            cols = [{r: v for r, v in columns[base + j][c].items() if r in below}
+                    for c, n in alive[j].items() if n]
+            if cols:
+                ranks[j], torsion[j] = integer_rank_torsion(cols)
+        betti = [len(alive[j]) - ranks[j] - ranks[j + 1] for j in range(top)]
+        if sum(-b if j % 2 == 0 else b for j, b in enumerate(betti)) != chi:
+            raise RuntimeError("homology does not match Euler count")
+        return betti, torsion[1:], chi
+
+    def _acyclic(self, base: int, ups: list, removed: int) -> bool:
+        """Whether ``_reduce`` finds no homology below the top degree."""
+        betti, torsion, _ = self._reduce(base, ups, removed)
+        return not any(betti[:-1]) and not any(torsion[:-1])
 
     def profile(self, removed: int = 0) -> HomologyProfile:
         """Reduced integral homology of the restriction missing ``removed``.
 
-        The restriction must keep a face of top size.  The augmentation has
-        rank 1 and the boundary from edges to vertices has rank V minus the
-        number of components; neither has torsion, an incidence matrix of a
-        graph being totally unimodular.  The boundaries from size 3 up are
-        eliminated on copies of the kept columns.
+        Its reduction starts at the empty face, so the first coreductions
+        walk a spanning forest.  Only {()} has homology in degree -1.
         """
-        dim = self.dim
-        if dim < 0:
-            # {()} is the (-1)-sphere
-            return HomologyProfile((1,), ((),), -1, first_degree=-1)
-        kept = [[i for i, m in enumerate(ms) if not m & removed]
-                for ms in self.masks]
-        counts = [len(ks) for ks in kept]
-        ranks = [0] * (dim + 3)
-        torsion = [()] * (dim + 3)
-        ranks[1] = 1 if counts[1] else 0
-        if dim >= 1:
-            vertices = [self.faces[1][i][0] for i in kept[1]]
-            edges = [self.faces[2][i] for i in kept[2]]
-            ranks[2] = counts[1] - _component_count(vertices, edges)
-        for k in range(3, dim + 2):
-            columns = self.columns[k]
-            ranks[k], torsion[k] = integer_rank_torsion(
-                [dict(columns[i]) for i in kept[k]])
-        betti = tuple(counts[i + 1] - ranks[i + 1] - ranks[i + 2]
-                      for i in range(dim + 1))
-        chi = sum(-c if k % 2 == 0 else c for k, c in enumerate(counts))
-        if sum((-1) ** i * b for i, b in enumerate(betti)) != chi:
-            raise RuntimeError("homology does not match Euler count")
-        return HomologyProfile(betti, tuple(torsion[2:]), chi)
+        betti, torsion, chi = self._reduce(
+            0, [range(len(fs)) for fs in self.faces], removed)
+        start = 0 if betti[0] else 1
+        return HomologyProfile(tuple(betti[start:]), tuple(torsion[start:]),
+                               chi, first_degree=start - 1)
 
     def cm_failure(self, removed: int = 0) -> Optional[str]:
         """Why the restriction missing ``removed`` fails the audit, or None.
@@ -365,11 +370,10 @@ class _FaceTable:
         'dimension-drop' when no top facet misses the removal, 'impure' when
         a face missing it lies in no such top facet, 'not-CM' when a face
         link (the empty face included) has reduced homology below its top
-        dimension.  The link of a face s in the restriction is its star
-        {F - s : F a top facet containing s} cut down to the top facets
-        missing the removal, so a link verdict depends only on s and the
-        removed vertices of that star.  It is memoized on that pair, then
-        on the link's facets relabelled to 0..k-1.
+        dimension.  In a pure restriction the link of a face s is made of
+        the faces that contain s, lie in a top facet and miss the removal,
+        so its verdict depends only on s and the removed vertices of its
+        star, and is memoized on that pair.
         """
         if self._audit is None:
             self._audit = _AuditData(self)
@@ -388,32 +392,35 @@ class _FaceTable:
         if self.dim <= 0:
             return None  # links of dimension <= 0 have nothing below the top
         verdicts = audit.verdicts
-        for s, (smask, lmask, star, d) in enumerate(audit.links):
+        for s, (smask, lmask, size, ups) in enumerate(audit.links):
             if smask & removed:
                 continue
             key = (s, removed & lmask)
             ok = verdicts.get(key)
             if ok is None:
-                ok = verdicts[key] = audit.link_ok(
-                    [g for t, g in star if not t & removed], d)
+                ok = verdicts[key] = self._acyclic(size, ups, key[1])
             if not ok:
                 return "not-CM"
         # the link of the empty face is the restriction itself; an audit
         # meets each restriction once, so its verdict is not kept
-        return None if _acyclic_below(self.profile(removed), self.dim) \
-            else "not-CM"
+        return None if self._acyclic(
+            0, [range(len(fs)) for fs in self.faces], removed) else "not-CM"
 
 
 class _AuditData:
-    """The part of a face table only a Cohen-Macaulay audit reads."""
+    """The part of a face table only a Cohen-Macaulay audit reads.
+
+    ``links`` holds (mask of s, mask of its star minus s, |s|, ups) for
+    each face s with 1 .. dim - 1 vertices in a top facet, ``ups[j]``
+    listing the faces with |s| + j vertices that contain s and lie in one.
+    """
 
     def __init__(self, table: _FaceTable):
-        tops = table.faces[table.dim + 1]
-        self.all_tops = (1 << len(tops)) - 1
+        top = table.dim + 1
+        self.all_tops = (1 << len(table.faces[top])) - 1
         self.avoiding: dict = {}   # vertex -> top facets missing it
         self.cover: dict = {}      # face mask -> top facets containing it
-        stars: dict = {}
-        for j, (f, fmask) in enumerate(zip(tops, table.masks[table.dim + 1])):
+        for j, (f, fmask) in enumerate(zip(table.faces[top], table.masks[top])):
             bit = 1 << j
             for v in f:
                 self.avoiding[v] = self.avoiding.get(v, self.all_tops) & ~bit
@@ -423,29 +430,21 @@ class _AuditData:
                 if not sub:
                     break
                 sub = (sub - 1) & fmask
-            for k in range(1, table.dim):
-                for s in itertools.combinations(f, k):
-                    stars.setdefault(s, []).append(
-                        (fmask, tuple(v for v in f if v not in s)))
         self.links = []
-        for s, star in stars.items():
-            smask = _mask(s)
-            lmask = 0
-            for fmask, _ in star:
-                lmask |= fmask
-            self.links.append((smask, lmask & ~smask, star, table.dim - len(s)))
+        masks, cofaces = table.masks, table.cofaces
+        for size in range(1, table.dim):
+            for s, smask in enumerate(masks[size]):
+                if smask not in self.cover:
+                    continue
+                ups = [[s]]
+                for k in range(size, top):
+                    ups.append(sorted({d for c in ups[-1] for d in cofaces[k][c]
+                                       if masks[k + 1][d] in self.cover}))
+                lmask = 0
+                for c in ups[-1]:
+                    lmask |= masks[top][c]
+                self.links.append((smask, lmask & ~smask, size, ups))
         self.verdicts: dict = {}
-        self.relabelled: dict = {}
-
-    def link_ok(self, facets: list, d: int) -> bool:
-        relabel = {v: i for i, v in
-                   enumerate(sorted({v for g in facets for v in g}))}
-        key = tuple(sorted(tuple(relabel[v] for v in g) for g in facets))
-        ok = self.relabelled.get(key)
-        if ok is None:
-            ok = self.relabelled[key] = _acyclic_below(
-                homology(SimplicialComplex(range(len(relabel)), key)), d)
-        return ok
 
 
 def homology(cx: SimplicialComplex) -> HomologyProfile:
@@ -501,10 +500,6 @@ def is_cohen_macaulay(cx: SimplicialComplex) -> bool:
     dimension.
     """
     return _FaceTable(cx.facets).cm_failure() is None
-
-
-def _acyclic_below(prof: HomologyProfile, d: int) -> bool:
-    return not any(prof.betti[i] or prof.torsion[i] for i in range(d))
 
 
 @dataclass

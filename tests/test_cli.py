@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -212,3 +213,21 @@ def test_bad_m_and_k_are_usage_errors(capsys):
         assert "k must be at least 1" in capsys.readouterr().err
     assert run(["polygon", "--phi", "Q2", "--m", "1"]) == 2
     assert "cannot parse root-system label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--types", "Q3", "--colors", "1"], 2),
+    (["--types", "A2", "--colors", "9"], 2),
+    (["--types", "A2", "--colors", "1", "--workers", "0"], 2),
+    (["--types", "A2", "--colors", "1"], 0),
+])
+def test_verification_matrix_keeps_the_exit_codes(argv, code, monkeypatch,
+                                                  capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "run_verification_matrix.py"
+    monkeypatch.setattr(sys, "argv", [str(script)] + argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == code
+    assert capsys.readouterr().out.endswith(
+        "overall: %s\n" % ("PASS" if code == 0 else "FAIL"))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustercomplexes import topology
 from clustercomplexes.colored import (build_complex, colored_vertices,
                                       positive_part, rm_map)
 from clustercomplexes.exact import smith_normal_form
@@ -281,6 +282,11 @@ def small_complexes(draw):
     return SimplicialComplex([str(v) for v in range(n)], faces)
 
 
+# a six-vertex triangulation of the real projective plane
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
+       (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+
 class TestFaceTable:
 
     @settings(derandomize=True, max_examples=120, deadline=None)
@@ -292,10 +298,64 @@ class TestFaceTable:
             (-1) ** (k - 1) * c for k, c in enumerate(cx.f_vector()))
 
     def test_projective_plane_keeps_its_torsion(self):
-        rp2 = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
-               (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
-        cx = SimplicialComplex([str(v) for v in range(6)], rp2)
-        assert homology(cx).groups() == dense_homology(rp2) == {1: (0, (2,))}
+        cx = SimplicialComplex([str(v) for v in range(6)], RP2)
+        assert homology(cx).groups() == dense_homology(RP2) == {1: (0, (2,))}
+
+    @pytest.mark.parametrize("name,facets", [
+        # the link of the apex is the projective plane
+        ("cone over RP2", [f + (6,) for f in RP2]),
+        # so is the link of the edge (6, 7)
+        ("RP2 joined with an edge", [f + (6, 7) for f in RP2]),
+    ])
+    def test_torsion_in_a_link_breaks_cohen_macaulay(self, name, facets):
+        cx = SimplicialComplex([str(v) for v in range(8)], facets)
+        assert not dense_cohen_macaulay(cx.facets)
+        assert not is_cohen_macaulay(cx)
+        assert [f.to_dict() for f in kcm_audit(cx, 1).failures] == \
+            [{"removed": [], "reason": "not-CM"}]
+
+    @pytest.mark.parametrize("label,m", [("B3", 2), ("D4", 1)])
+    def test_link_verdicts_match_link_complexes(self, label, m):
+        # every face link of every pure restriction after removing at most
+        # two vertices, against the homology of the link's own complex
+        cx, _ = build_complex(build_root_system(label), m)
+        table = topology._FaceTable(cx.facets)
+        tops = [set(f) for f in cx.facets]
+        checked = 0
+        for size in range(3):
+            for removed in itertools.combinations(range(len(cx.vertices)), size):
+                mask = sum(1 << v for v in removed)
+                if table.cm_failure(mask) not in (None, "not-CM"):
+                    continue
+                for smask, _, k, ups in table._audit.links:
+                    if smask & mask:
+                        continue
+                    face = {v for v in range(len(cx.vertices)) if smask >> v & 1}
+                    link = [tuple(sorted(f - face)) for f in tops
+                            if face <= f and not f & set(removed)]
+                    prof = homology(SimplicialComplex(cx.vertices, link))
+                    # acyclic below the top dimension of the link
+                    want = set(prof.groups()) <= {cx.dimension() - k}
+                    assert table._acyclic(k, ups, mask) == want, (removed, face)
+                    checked += 1
+        assert checked > 1000
+
+    def test_cluster_complexes_coreduce_to_their_top_homology(self, monkeypatch):
+        # coreduction leaves nothing to eliminate: no integer_rank_torsion
+        calls = []
+        real = topology.integer_rank_torsion
+
+        def counting(columns):
+            calls.append(len(columns))
+            return real(columns)
+
+        monkeypatch.setattr(topology, "integer_rank_torsion", counting)
+        for label, m in [("A3", 2), ("B3", 2), ("D4", 2), ("H3", 2), ("A4", 2),
+                         ("F4", 1), ("E6", 1)]:
+            cx, _ = build_complex(build_root_system(label), m)
+            for complex_ in (cx, positive_part(cx)):
+                assert set(homology(complex_).groups()) <= {cx.dimension()}
+        assert calls == []
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(small_complexes())

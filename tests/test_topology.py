@@ -295,18 +295,32 @@ class TestKCM:
         assert len(serial.failures) == 2
         assert parallel.to_dict() == serial.to_dict()
 
-    def test_audit_computes_each_link_once(self, complexes, monkeypatch):
-        seen = []
-        real = topology.homology
+    def test_audit_reduces_each_link_once(self, complexes, monkeypatch):
+        # every removal of a passing audit reaches every link of a face it
+        # misses; each (face, removed part of its star) is reduced once
+        decided, reduced = [], []
+        real_cm = topology._FaceTable.cm_failure
+        real_acyclic = topology._FaceTable._acyclic
 
-        def counting(cx):
-            seen.append(cx.facets)
-            return real(cx)
+        def deciding(table, removed=0):
+            decided.append((table, removed))
+            return real_cm(table, removed)
 
-        monkeypatch.setattr(topology, "homology", counting)
+        def reducing(table, base, ups, removed):
+            if base:  # not the restriction itself
+                reduced.append((id(ups), removed))
+            return real_acyclic(table, base, ups, removed)
+
+        monkeypatch.setattr(topology._FaceTable, "cm_failure", deciding)
+        monkeypatch.setattr(topology._FaceTable, "_acyclic", reducing)
         _, cx, _ = complexes("B3", 2)
         assert kcm_audit(cx, 3).passed
-        assert seen and len(seen) == len(set(seen))
+        (table,) = {t for t, _ in decided}
+        keys = {(id(ups), removed & lmask) for _, removed in decided
+                for smask, lmask, _, ups in table._audit.links
+                if not smask & removed}
+        assert len(reduced) == len(set(reduced)) == len(keys)
+        assert set(reduced) == keys
 
     def test_reisner_criterion_basics(self):
         assert is_cohen_macaulay(pentagon())
