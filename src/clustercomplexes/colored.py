@@ -7,9 +7,12 @@ driven by the color-rotation map, and through the word criterion that a
 set is a face exactly when its ordered reflection product w has length
 equal to the set's size and sits below the bipartite Coxeter element in
 absolute order; the face test decides it with one reflection length, that
-of w^-1 gamma (see ``is_face``).  The builder enumerates facets as maximal
-cliques of the pairwise-face graph and re-validates every clique against
-the word criterion, so the flag property is checked rather than assumed.
+of w^-1 gamma (see ``is_face``).  It builds no group element: the context
+keeps one step per vertex (its place in the word and its reflection), and
+the test applies the sorted steps to the n simple-root images of gamma.
+The builder enumerates facets as maximal cliques of the pairwise-face
+graph and re-validates every clique against the word criterion, so the
+flag property is checked rather than assumed.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ class ColoredRoot:
 
 
 class ComplexContext:
-    """Per-(system, m) data shared by the face tests: order, gamma, labels."""
+    """Per-(system, m) data shared by the face tests: order, gamma, steps."""
 
     def __init__(self, rs: RootSystem, m: int):
         if m < 0:
@@ -43,13 +46,41 @@ class ComplexContext:
         self.system = rs
         self.m = m
         self.gamma = bipartite_coxeter(rs)
+        self.gamma_images = tuple(self.gamma.perm[i]
+                                  for i in rs.simple_positions)
         self._order = None
+        self._steps = None
 
     @property
     def order(self):
         if self._order is None:
             self._order = total_order(self.system)
         return self._order
+
+    @property
+    def steps(self) -> dict:
+        """Vertex key -> (word class, -position, reflection permutation).
+
+        The word of a face multiplies the negative simples of the plus
+        block first (class 0), then the color classes from m down to 1,
+        then the minus-block negatives (class m + 1); inside a class the
+        reflections are taken against the total order, largest first.  So
+        the steps of a face, sorted, are its word's reflections in order.
+        """
+        if self._steps is None:
+            rs, m = self.system, self.m
+            position = self.order.position
+            table = {}
+            for v in colored_vertices(rs, m):
+                if rs.is_positive(v.root):
+                    cls = m + 1 - v.color
+                else:
+                    cls = 0 if rs.simple_index(rs.negate(v.root)) < rs.split_s \
+                        else m + 1
+                table[v.key()] = (cls, -position(v.root),
+                                  rs.reflection(v.root).perm)
+            self._steps = table
+        return self._steps
 
 
 def get_context(rs: RootSystem, m: int) -> ComplexContext:
@@ -142,42 +173,50 @@ def _support_rule(rs: RootSystem, neg: ColoredRoot, other: ColoredRoot) -> bool:
 
 
 def _component_of(rs: RootSystem, root: Root) -> RootSystem:
+    """The component of a positive or negative simple root of rs.
+
+    Raises KeyError for a root of another system and ValueError for any
+    other negative root.
+    """
     if rs.is_positive(root):
         idx = min(rs.support(root))
     else:
         idx = rs.simple_index(rs.negate(root))
+        if idx is None:
+            raise ValueError("%r is not the negative of a simple root" % (root,))
     return rs.component_of_simple(idx)
 
 
 # -- the word criterion -----------------------------------------------------------
 
 
-def word_of_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> GroupElement:
-    """Ordered reflection product of a colored-root set.
+def _word(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> list:
+    """The reflection permutations of sigma's word, in multiplication order.
 
-    Negative simples from the plus block multiply first, then the color
-    classes from m down to 1, then the minus-block negatives; inside each
-    class the reflections are taken against the total order, largest first.
+    Raises ValueError on a colored root outside the context's vertex set.
     """
-    rs = ctx.system
-    sigma = list(sigma)
-    order = ctx.order
-    s = rs.split_s
-    plus = {rs.negate(a).key for a in rs.simple_roots[:s]}
-    minus = {rs.negate(a).key for a in rs.simple_roots[s:]}
-    classes = [[] for _ in range(ctx.m + 2)]
+    table = ctx.steps
+    steps = []
     for v in sigma:
-        if v.root.key in plus:
-            classes[0].append(v)
-        elif v.root.key in minus:
-            classes[ctx.m + 1].append(v)
-        else:
-            classes[ctx.m + 1 - v.color].append(v)
+        step = table.get(v.key())
+        if step is None:
+            raise _not_a_vertex(ctx, v)
+        steps.append(step)
+    steps.sort()
+    return [t for _, _, t in steps]
+
+
+def _not_a_vertex(ctx: ComplexContext, v: ColoredRoot) -> ValueError:
+    return ValueError("%r is not a vertex of the complex of %s at m = %d"
+                      % (v, ctx.system.label, ctx.m))
+
+
+def word_of_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> GroupElement:
+    """Ordered reflection product of a colored-root set (see ``steps``)."""
+    rs = ctx.system
     out = rs.identity_element()
-    for cls in classes:
-        roots = order.sort([v.root for v in cls])
-        for r in reversed(roots):
-            out = out * rs.reflection(r)
+    for t in _word(ctx, sigma):
+        out = out * GroupElement(rs, t)
     return out
 
 
@@ -194,18 +233,24 @@ def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:
     if not rs.is_irreducible:
         groups = {}
         for v in sigma:
-            comp = _component_of(rs, v.root)
+            try:
+                comp = _component_of(rs, v.root)
+            except (KeyError, ValueError):
+                raise _not_a_vertex(ctx, v) from None
             groups.setdefault(id(comp), (comp, []))[1].append(v)
-        return all(is_face(get_context(comp, ctx.m), part)
-                   for comp, part in groups.values())
+        # every part is tested, so a bad vertex in any of them raises
+        return all([is_face(get_context(comp, ctx.m), part)
+                    for comp, part in groups.values()])
     # One length decides l(w) = |sigma| and w <= gamma: w is a product of
     # |sigma| reflections, so l(w) <= |sigma|, and l(gamma) <= l(w) +
     # l(w^-1 gamma).  So l(w^-1 gamma) = l(gamma) - |sigma| forces
     # l(w) >= |sigma|, hence l(w) = |sigma| and l(w) + l(w^-1 gamma) =
-    # l(gamma); the converse is immediate.
-    w = word_of_face(ctx, sigma)
-    gamma = ctx.gamma
-    return (w.inverse() * gamma).length == gamma.length - len(sigma)
+    # l(gamma); the converse is immediate.  With w = t_1 .. t_k,
+    # w^-1 gamma = t_k .. t_1 gamma, so t_1 is applied first.
+    images = ctx.gamma_images
+    for t in _word(ctx, sigma):
+        images = tuple(t[i] for i in images)
+    return rs.image_length(images) == ctx.gamma.length - len(sigma)
 
 
 # -- the complex builder -----------------------------------------------------------

@@ -3,11 +3,12 @@
 A group element is its permutation of the system's full root list; the
 roots span, so the permutation is faithful.  There is no matrix and no
 other backend data.  Reflection length comes from the system's memo,
-keyed by the permutation: coordinate systems apply Carter's lemma,
+keyed by the images w(alpha_1), .., w(alpha_n) of the simple roots, which
+fix w: coordinate systems apply Carter's lemma,
 l_T(w) = codim Fix(w) = rank(w - I), with w - I read in the simple-root
-basis from the stored root expansions of w(alpha_j); I2(m) reads the
-length off the permutation (0 for the identity, 1 for a reflection, 2 for
-a rotation).  ``word_length_bfs`` and the type-A permutation oracles
+basis from the root expansions of the images; I2(m) reads the length off
+its two images (0 for the identity, 1 for a reflection, 2 for a
+rotation).  ``word_length_bfs`` and the type-A permutation oracles
 ``typeA_reflection_length`` and ``typeA_absolute_leq`` are independent
 routes at desk scale.
 
@@ -15,6 +16,9 @@ u <= w in absolute order when l(u) + l(u^-1 w) = l(w).  When u is a product
 of k reflections, l(u^-1 w) = l(w) - k alone decides both l(u) = k and
 u <= w, since l(u) <= k and l(w) <= l(u) + l(u^-1 w); the face test of
 ``colored`` and ``absolute_interval`` each pay one length per candidate.
+Neither builds u^-1 w: each applies reflections to the n simple-root
+images of w, n lookups per reflection, and looks the length up by the
+images it reaches.
 """
 from __future__ import annotations
 
@@ -171,9 +175,6 @@ class TotalOrder:
     def position(self, root: Root) -> int:
         return self._pos[root.key]
 
-    def sort(self, roots) -> list:
-        return sorted(roots, key=lambda r: self._pos[r.key])
-
     def __len__(self):
         return len(self.ordered)
 
@@ -193,27 +194,37 @@ def total_order(rs: RootSystem) -> TotalOrder:
 
 
 def absolute_interval(rs: RootSystem, top: Optional[GroupElement] = None) -> list:
-    """All w below ``top`` in absolute order, by additive-length closure."""
+    """All w below ``top`` in absolute order, by additive-length closure.
+
+    Each frontier element u carries the simple-root images of u^-1 top.  A
+    candidate v = u t is known by its own images u(t(alpha_j)), and
+    v^-1 top = t u^-1 top by t applied to u's carried images; v's
+    permutation is built only once v is accepted.
+    """
     if top is None:
         top = bipartite_coxeter(rs)
-    gens = [rs.reflection(r) for r in rs.positive_roots]
+    simple = rs.simple_positions
+    gens = [(t.perm, tuple(t.perm[i] for i in simple))
+            for t in (rs.reflection(r) for r in rs.positive_roots)]
     top_len = top.length
     out = [rs.identity_element()]
-    seen = {out[0].perm}
-    frontier = out[:]
+    seen = {simple}
+    frontier = [(out[0].perm, tuple(top.perm[i] for i in simple))]
     for level in range(1, top_len + 1):
         nxt = []
-        for u in frontier:
-            for t in gens:
-                v = u * t
+        for u, carried in frontier:
+            for t, t_images in gens:
+                key = tuple(u[i] for i in t_images)
+                if key in seen:
+                    continue
+                rest = tuple(t[i] for i in carried)
                 # v = u*t gives l(v) <= level, and l(top) <= l(v) + l(v^-1 top)
                 # gives l(v) >= level once l(v^-1 top) = l(top) - level
-                if v.perm in seen or \
-                        (v.inverse() * top).length != top_len - level:
+                if rs.image_length(rest) != top_len - level:
                     continue
-                seen.add(v.perm)
-                nxt.append(v)
-        out.extend(nxt)
+                seen.add(key)
+                nxt.append((tuple(u[i] for i in t), rest))
+        out.extend(GroupElement(rs, v) for v, _ in nxt)
         frontier = nxt
     return out
 

@@ -6,9 +6,11 @@ covers the icosahedral types H3 and H4 (via the golden ratio); every
 crystallographic type stays inside the rationals (b == 0).  No floating
 point enters any computation in this module.
 
-``Matrix.rank`` clears denominators row by row and then eliminates
-fraction-free over the ring Z[sqrt5], each entry an int pair (p, q) standing
-for p + q*sqrt5; no ``Fraction`` is built during the elimination.
+``pair_rank`` eliminates fraction-free over the ring Z[sqrt5], each entry
+an int pair (p, q) standing for p + q*sqrt5; no ``Fraction`` is built
+during the elimination.  Reflection length (see ``roots``) calls it on its
+own integer rows, and ``Matrix.rank`` clears denominators row by row and
+calls the same elimination.
 """
 from __future__ import annotations
 
@@ -205,27 +207,41 @@ class Matrix:
         return hash(self.entries)
 
     def rank(self) -> int:
-        return _rank(self.entries)
+        """Rank, by clearing denominators row by row for ``pair_rank``.
+
+        Scaling a row by the lcm of its denominators leaves the rank alone.
+        """
+        return pair_rank([int_pairs(row, common_denominator(row))
+                          for row in self.entries])
 
     def __repr__(self):
         return "Matrix(%r)" % (self.entries,)
 
 
-def _rank(entries: Sequence[Sequence[Scalar]]) -> int:
-    """Rank by fraction-free elimination over Z[sqrt5].
+def common_denominator(xs: Iterable[Scalar]) -> int:
+    """The lcm of the denominators of every a and b in ``xs``."""
+    return lcm(*(d for x in xs for d in (x.a.denominator, x.b.denominator)))
 
-    Each row is scaled by the lcm of its denominators, which leaves the
-    rank alone, so its entries become int pairs (p, q) = p + q*sqrt5.  A
-    pivot (x, y) clears the entry (u, v) of a lower row by
+
+def int_pairs(xs: Iterable[Scalar], den: int) -> list:
+    """Each x in ``xs`` times ``den``, as an int pair (p, q) = p + q*sqrt5.
+
+    ``den`` must be a multiple of ``common_denominator(xs)``.
+    """
+    return [(x.a.numerator * (den // x.a.denominator),
+             x.b.numerator * (den // x.b.denominator)) for x in xs]
+
+
+def pair_rank(m: list) -> int:
+    """Rank of a matrix over Z[sqrt5] by fraction-free elimination.
+
+    ``m`` is a list of rows of one length, each entry an int pair (p, q)
+    standing for p + q*sqrt5; the rows are consumed.  A pivot (x, y)
+    clears the entry (u, v) of a lower row by
     row <- (x + y r) row - (u + v r) pivot_row, with r = sqrt5, and the new
     row is divided by the gcd of its ints.  Z[sqrt5] is a domain and sqrt5
     is irrational, so a pair is zero exactly when both ints are.
     """
-    m = []
-    for row in entries:
-        den = lcm(*(d for x in row for d in (x.a.denominator, x.b.denominator)))
-        m.append([(x.a.numerator * (den // x.a.denominator),
-                   x.b.numerator * (den // x.b.denominator)) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
     rank = 0

@@ -25,7 +25,16 @@ positive closure records s_i(beta) for every positive beta, and set-up turns
 those images into the simple reflections as permutations, each checked to
 be an involution that sends alpha_i to -alpha_i and the other positive roots
 to positive roots.  Every other reflection is a conjugate of a simple one,
-built on first use; reflection length is memoized per permutation.
+built on first use.
+
+The simple roots span, so an element is fixed by its images
+w(alpha_1), .., w(alpha_n): the tuple of their indices in ``roots``, read
+at ``simple_positions``.  Reflection length is memoized per such tuple.
+Coordinate systems read it by Carter's lemma off integer rows: on the
+first length, each root's simple-root expansion is scaled by the common
+denominator of all of them into int pairs (p, q) = p + q*sqrt5, and the
+rank of w - I goes to the fraction-free elimination ``exact.pair_rank``.
+I2(m) tells a rotation from a reflection by its two images.
 """
 from __future__ import annotations
 
@@ -34,7 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import GOLDEN, ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
+from .exact import (GOLDEN, ONE, ZERO, Scalar, coerce_scalar,
+                    common_denominator, dot, int_pairs, pair_rank)
 
 _HALF = Fraction(1, 2)
 
@@ -88,6 +98,7 @@ class RootSystem:
     positive_roots: list
     roots: list
     split_s: int
+    simple_positions: tuple  # index in ``roots`` of each simple root
     contexts: dict  # m -> colored.ComplexContext, filled by get_context
 
     def index_of(self, root: Root) -> int:
@@ -127,15 +138,19 @@ class RootSystem:
 
     def length_of(self, perm: tuple) -> int:
         """Reflection length of the element permuting ``roots`` by ``perm``."""
-        out = self._lengths.get(perm)
+        return self.image_length(tuple(perm[i] for i in self.simple_positions))
+
+    def image_length(self, images: tuple) -> int:
+        """Reflection length of the w with w(alpha_j) = roots[images[j]]."""
+        out = self._lengths.get(images)
         if out is None:
-            out = self._lengths[perm] = self._reflection_length(perm)
+            out = self._lengths[images] = self._reflection_length(images)
         return out
 
     def _build_reflections(self) -> list:
         raise NotImplementedError
 
-    def _reflection_length(self, perm: tuple) -> int:
+    def _reflection_length(self, images: tuple) -> int:
         raise NotImplementedError
 
     def numerology(self) -> Numerology:
@@ -190,10 +205,13 @@ class CoordinateRootSystem(RootSystem):
             pos_exp = self._expansion[self.negate(root).key]
             self._expansion[root.key] = tuple(-c for c in pos_exp)
 
+        self.simple_positions = tuple(self._index[a.key]
+                                      for a in self.simple_roots)
         self._simple_perms = self._simple_reflections(order, images)
         self._components = None
         self._reflections = None
         self._lengths = {}
+        self._int_expansions = None
         self.contexts = {}
         self._numerology = None
 
@@ -291,15 +309,31 @@ class CoordinateRootSystem(RootSystem):
             out[i] = out[neg[i]] = GroupElement(self, perms[i])
         return out
 
-    def _reflection_length(self, perm: tuple) -> int:
+    def _reflection_length(self, images: tuple) -> int:
         # Carter's lemma: l_T(w) = codim Fix(w) = rank(w - I) on the root
-        # span.  Row j below is expansion(w(alpha_j)) - e_j, the j-th column
-        # of w - I in the simple-root basis; the rank is transpose-invariant.
+        # span.  Row j below is D (expansion(w(alpha_j)) - e_j), D the common
+        # denominator: D times the j-th column of w - I in the simple-root
+        # basis.  Neither D nor the transpose moves the rank.
+        if self._int_expansions is None:
+            self._int_expansions = self._scaled_expansions()
+        table, den = self._int_expansions
         rows = []
-        for j, a in enumerate(self.simple_roots):
-            image = self.expansion(self.roots[perm[self._index[a.key]]])
-            rows.append([c - ONE if k == j else c for k, c in enumerate(image)])
-        return Matrix(rows).rank()
+        for j, i in enumerate(images):
+            row = table[i][:]
+            p, q = row[j]
+            row[j] = (p - den, q)
+            rows.append(row)
+        return pair_rank(rows)
+
+    def _scaled_expansions(self) -> tuple:
+        """Every root's expansion times D, as int pairs, and D.
+
+        The rows are indexed like ``roots``; D is the lcm of the
+        denominators of every coefficient's a and b.
+        """
+        exps = [self._expansion[r.key] for r in self.roots]
+        den = common_denominator(c for exp in exps for c in exp)
+        return [int_pairs(exp, den) for exp in exps], den
 
     # -- derived numbers -------------------------------------------------------
 
@@ -370,6 +404,7 @@ class DihedralRootSystem(RootSystem):
         negatives = [Root(angle=k + m, dihedral_order=m) for k in range(m)]
         self.roots = self.positive_roots + negatives
         self.simple_roots = [self.positive_roots[0], self.positive_roots[m - 1]]
+        self.simple_positions = (0, m - 1)
         self.split_s = 1
         self._index = {r.key: i for i, r in enumerate(self.roots)}
         self._neg = {i: (i + m) % (2 * m) for i in range(2 * m)}
@@ -417,12 +452,16 @@ class DihedralRootSystem(RootSystem):
             out.append(GroupElement(self, tuple((shift - j) % m2 for j in range(m2))))
         return out + out
 
-    def _reflection_length(self, perm: tuple) -> int:
+    def _reflection_length(self, images: tuple) -> int:
         # Every element is k -> shift + k (a rotation, the identity when
-        # shift = 0) or k -> shift - k (a reflection).
-        if (perm[1] - perm[0]) % (2 * self.order) != 1:
+        # shift = 0) or k -> shift - k (a reflection).  The simple roots sit
+        # at 0 and m - 1, so their images differ by m - 1 under a rotation
+        # and by 1 - m, which is another residue mod 2m, under a reflection.
+        m = self.order
+        a, b = images
+        if (b - a) % (2 * m) != m - 1:
             return 1
-        return 0 if perm[0] == 0 else 2
+        return 0 if a == 0 else 2
 
     def numerology(self) -> Numerology:
         return Numerology((1, self.order - 1), self.order, self.order)

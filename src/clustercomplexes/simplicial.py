@@ -6,7 +6,9 @@ underlying combinatorial data of each vertex.  Facets are sorted tuples
 of vertex indices, and the facet list itself is kept sorted.  A complex
 may carry a vertex permutation, ``symmetry``, that its builder knows to
 be an automorphism; no construction passes it on, since a subcomplex is
-in general not invariant under it.
+in general not invariant under it.  ``face_table`` holds the index of
+every face that ``topology``'s Cohen-Macaulay audits build, once per
+complex, on first use.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ class SimplicialComplex:
         self.facets = tuple(cleaned)
         self.meta = dict(meta or {})
         self._faces = None
+        self.face_table = None
 
     # -- basic queries -------------------------------------------------------
 

@@ -3,7 +3,9 @@
 Shelling orders are constructed by recursive vertex decomposition and are
 always re-verified against the definition, so a returned order is a
 checked certificate.  Homology is integral and read off a face table that
-indexes every face once, with its vertex bitmask, boundary and cofaces.
+indexes every face once, with its vertex bitmask, boundary and cofaces; a
+Cohen-Macaulay audit keeps the table on its complex, with its link memo,
+for every later audit of that complex.
 A chain complex is a set of the table's cells with the boundary restricted
 to them; it is coreduced first, which keeps the integral homology and
 creates no fill-in, and only what is left is eliminated on unit pivots,
@@ -267,8 +269,9 @@ class _FaceTable:
     ``faces[k]`` lists the faces with k vertices, ``masks[k]`` their vertex
     bitmasks, ``columns[k]`` their boundary columns {position in
     faces[k-1]: +-1} and ``cofaces[k]`` their cofaces' positions in
-    faces[k+1].  The audit data is built on the first ``cm_failure`` call
-    and lives as long as the table, that is, for one audit.
+    faces[k+1].  The audit data, with its memo of link verdicts, is built
+    on the first ``cm_failure`` call and lives as long as the table, that
+    is, as long as its complex: every audit of the complex shares it.
     """
 
     def __init__(self, facets: Sequence[tuple]):
@@ -401,8 +404,8 @@ class _FaceTable:
                 ok = verdicts[key] = self._acyclic(size, ups, key[1])
             if not ok:
                 return "not-CM"
-        # the link of the empty face is the restriction itself; an audit
-        # meets each restriction once, so its verdict is not kept
+        # the link of the empty face is the restriction itself; a removal
+        # is decided once per audit, so its verdict is not kept
         return None if self._acyclic(
             0, [range(len(fs)) for fs in self.faces], removed) else "not-CM"
 
@@ -445,6 +448,13 @@ class _AuditData:
                     lmask |= masks[top][c]
                 self.links.append((smask, lmask & ~smask, size, ups))
         self.verdicts: dict = {}
+
+
+def _table_of(cx: SimplicialComplex) -> _FaceTable:
+    """The face table of cx, built on first use and kept on cx."""
+    if cx.face_table is None:
+        cx.face_table = _FaceTable(cx.facets)
+    return cx.face_table
 
 
 def homology(cx: SimplicialComplex) -> HomologyProfile:
@@ -499,7 +509,7 @@ def is_cohen_macaulay(cx: SimplicialComplex) -> bool:
     must have vanishing reduced integral homology below its own top
     dimension.
     """
-    return _FaceTable(cx.facets).cm_failure() is None
+    return _table_of(cx).cm_failure() is None
 
 
 @dataclass
@@ -577,12 +587,14 @@ def _orbit_keys(powers: list, subsets: Iterable[tuple]) -> Iterator[int]:
 def _decider(cx: SimplicialComplex, cm_check: str):
     """The failure reason of a vertex removal, given as a mask, or None.
 
-    The Reisner route reads every removal off one face table of cx.  The
-    shelling route, kept apart as an independent check, builds each
-    induced complex and shells it.
+    The Reisner route reads every removal off the face table of cx, which
+    every audit of cx shares with its link verdicts: a verdict is keyed by
+    a face and the removed vertices of its star, whatever k.  The shelling
+    route, kept apart as an independent check, builds each induced complex
+    and shells it.
     """
     if cm_check == "reisner":
-        return _FaceTable(cx.facets).cm_failure
+        return _table_of(cx).cm_failure
     dim = cx.dimension()
 
     def decide(removed: int) -> Optional[str]:
@@ -630,8 +642,8 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     Each removal must leave a complex that is pure, of the same dimension,
     and Cohen-Macaulay (by Reisner link homology, or by an explicit
     shelling when cm_check='shelling').  Failures are collected as data.
-    The Reisner route builds one face table of cx per audit and decides
-    every removal from it, memoizing link verdicts for the audit.  It
+    The Reisner route decides every removal from the face table of cx,
+    built once per complex, memoizing link verdicts across audits.  It
     first checks that ``cx.symmetry``, when set, maps the facet list onto
     itself, and raises RuntimeError if not.  An automorphism g gives
     Delta|W and Delta|g(W) isomorphic, and every failure reason is an

@@ -2,8 +2,9 @@
 
 Each is an independent, slower route to something the library computes:
 ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
-the whole group by closure, type-A one-line notation, the two-length face
-test, and a root system rebuilt from its JSON report.
+the whole group by closure, type-A one-line notation, reflection length
+and the face test by full permutation products, the two-length face test,
+and a root system rebuilt from its JSON report.
 """
 import itertools
 from fractions import Fraction
@@ -12,7 +13,7 @@ from math import gcd
 from clustercomplexes.colored import _component_of, get_context, word_of_face
 from clustercomplexes.coxeter import absolute_leq
 from clustercomplexes.exact import Matrix, Scalar
-from clustercomplexes.roots import CoordinateRootSystem
+from clustercomplexes.roots import CoordinateRootSystem, DihedralRootSystem
 
 
 def difference(a: Matrix, b: Matrix) -> Matrix:
@@ -137,6 +138,41 @@ def unit_difference(root):
     if x == -1 and y == 1:
         return (j, i)
     return None
+
+
+def permutation_length(w) -> int:
+    """Reflection length of w read off its whole permutation.
+
+    Coordinate systems: Carter's lemma, rank(w - I) over a ``Matrix`` of
+    ``Scalar`` expansions, ranked by ``fraction_rank``.  I2(m): w is
+    k -> shift + k (a rotation) or k -> shift - k (a reflection).
+    """
+    rs = w.system
+    if isinstance(rs, DihedralRootSystem):
+        if (w.perm[1] - w.perm[0]) % (2 * rs.order) != 1:
+            return 1
+        return 0 if w.perm[0] == 0 else 2
+    rows = []
+    for j, a in enumerate(rs.simple_roots):
+        image = rs.expansion(w.apply(a))
+        rows.append([c - 1 if k == j else c for k, c in enumerate(image)])
+    return fraction_rank(Matrix(rows))
+
+
+def permutation_is_face(ctx, sigma) -> bool:
+    """The one-length face test on permutations: l(w^-1 gamma) = l(gamma) - |sigma|."""
+    sigma = list(sigma)
+    rs = ctx.system
+    if not rs.is_irreducible:
+        groups = {}
+        for v in sigma:
+            comp = _component_of(rs, v.root)
+            groups.setdefault(id(comp), (comp, []))[1].append(v)
+        return all(permutation_is_face(get_context(comp, ctx.m), part)
+                   for comp, part in groups.values())
+    gamma = ctx.gamma
+    rest = word_of_face(ctx, sigma).inverse() * gamma
+    return permutation_length(rest) == permutation_length(gamma) - len(sigma)
 
 
 def two_length_is_face(ctx, sigma) -> bool:

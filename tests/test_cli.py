@@ -29,6 +29,26 @@ def test_verify_all_smallest_case():
     assert run(["verify-all", "--phi", "A2", "--m", "1"]) == 0
 
 
+@pytest.mark.parametrize("phi, m", [("A2", 1), ("B3", 2), ("I2(5)", 2),
+                                    ("A1xA2", 2)])
+def test_verify_all_builds_the_audit_data_once(phi, m, monkeypatch, capsys):
+    # the (m+1)-CM audit and the witness search read one face table of the
+    # complex, with one link index and one memo of link verdicts
+    from clustercomplexes import topology
+    built = []
+    real = topology._AuditData.__init__
+
+    def recording(self, table):
+        built.append(table)
+        real(self, table)
+
+    monkeypatch.setattr(topology._AuditData, "__init__", recording)
+    assert run(["verify-all", "--phi", phi, "--m", str(m)]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert built[0].dim == clustercomplexes.build_root_system(phi).rank - 1
+
+
 def test_kcm_failure_exit_code_and_witness(tmp_path, capsys):
     out = tmp_path / "kcm.json"
     code = run(["kcm", "--phi", "A2", "--m", "2", "--k", "4", "--exhaustive",

@@ -10,12 +10,15 @@ from clustercomplexes.colored import (ColoredRoot, build_complex,
                                       get_context, is_face, positive_part,
                                       rm_map, subcomplex_below, tau,
                                       typeA_polygon_oracle, word_of_face)
-from clustercomplexes.coxeter import absolute_interval, bipartite_coxeter
-from clustercomplexes.exact import Scalar
+from clustercomplexes.coxeter import (GroupElement, absolute_interval,
+                                      bipartite_coxeter)
+from clustercomplexes.exact import Matrix, Scalar
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_h_vectors
 from clustercomplexes.topology import fuss_catalan
-from exact_oracles import facets_as_label_sets, two_length_is_face
+from conftest import ACCEPTANCE_MATRIX
+from exact_oracles import (facets_as_label_sets, permutation_is_face,
+                           two_length_is_face)
 
 A2_FACETS_M1 = {
     frozenset(f) for f in [
@@ -193,6 +196,72 @@ class TestWordCriterion:
         v = ColoredRoot(rs.positive_roots[0], 1)
         with pytest.raises(ValueError):
             is_face(get_context(rs, 1), [v, v])
+
+    @pytest.mark.parametrize("label", ["A2", "B3", "I2(5)", "A1xA2"])
+    def test_vertex_outside_the_vertex_set_rejected(self, label):
+        rs = build_root_system(label)
+        ctx = get_context(rs, 2)
+        ok = ColoredRoot(rs.positive_roots[0], 1)
+        # a negative root that is not the negative of a simple one, and a
+        # root of another system
+        neg = rs.negate(next(r for r in rs.positive_roots
+                             if rs.simple_index(r) is None))
+        foreign = build_root_system("H3").positive_roots[-1]
+        bad = [ColoredRoot(rs.positive_roots[0], 0),
+               ColoredRoot(rs.positive_roots[-1], 3),
+               ColoredRoot(rs.negate(rs.simple_roots[0]), 2),
+               ColoredRoot(neg, 1), ColoredRoot(foreign, 1)]
+        for v in bad:
+            with pytest.raises(ValueError, match="not a vertex"):
+                is_face(ctx, [ok, v])
+            if rs.is_irreducible:
+                with pytest.raises(ValueError, match="not a vertex"):
+                    word_of_face(ctx, [v])
+        # a non-face part does not hide a bad vertex in another component
+        if not rs.is_irreducible:
+            a1 = rs.components[0].simple_roots[0]
+            other = rs.components[1].positive_roots[0]
+            pair = [ColoredRoot(a1, 1), ColoredRoot(rs.negate(a1), 1)]
+            assert not is_face(ctx, pair)
+            with pytest.raises(ValueError, match="not a vertex"):
+                is_face(ctx, pair + [ColoredRoot(other, 0)])
+
+    @pytest.mark.parametrize("label, m", ACCEPTANCE_MATRIX + [
+        ("A1xA2", 2), ("I2(5)", 2), ("I2(7)", 3)])
+    def test_face_test_matches_the_permutation_route(self, label, m):
+        # every pair and every facet, against l(w^-1 gamma) of the whole
+        # permutations, ranked over Scalars
+        rs = build_root_system(label)
+        cx, _ = build_complex(rs, m)
+        ctx = get_context(rs, m)
+        verts = cx.objects
+        sets = [list(p) for p in itertools.combinations(verts, 2)]
+        sets += [[verts[i] for i in f] for f in cx.facets]
+        verdicts = [is_face(ctx, sigma) for sigma in sets]
+        assert verdicts == [permutation_is_face(ctx, sigma) for sigma in sets]
+        assert True in verdicts and False in verdicts
+
+    def test_face_test_builds_no_group_element(self, monkeypatch):
+        # the face test walks n simple-root images; it makes no permutation
+        # product and no Scalar rank
+        for label, m in [("B3", 2), ("H3", 1), ("I2(5)", 2), ("A1xA2", 2)]:
+            rs = build_root_system(label)
+            cx, _ = build_complex(rs, m)
+            ctx = get_context(rs, m)
+            made = []
+            real = GroupElement.__init__
+
+            def counting(self, system, perm):
+                made.append(perm)
+                real(self, system, perm)
+
+            monkeypatch.setattr(GroupElement, "__init__", counting)
+            monkeypatch.setattr(Matrix, "rank", None)
+            verts = cx.objects
+            for f in cx.facets:
+                assert is_face(ctx, [verts[i] for i in f])
+            monkeypatch.undo()
+            assert made == []
 
 
 class TestBuildComplex:

@@ -7,8 +7,13 @@ from clustercomplexes.coxeter import (absolute_interval, absolute_leq,
                                       rho_sequence, total_order,
                                       typeA_absolute_leq,
                                       typeA_reflection_length, word_length_bfs)
-from clustercomplexes.roots import build_root_system
-from exact_oracles import enumerate_group, one_line_permutation
+from clustercomplexes.roots import CoordinateRootSystem, build_root_system
+from exact_oracles import (enumerate_group, one_line_permutation,
+                           permutation_length)
+
+
+def simple_images(w):
+    return tuple(w.perm[i] for i in w.system.simple_positions)
 
 
 def label_of(rs, root):
@@ -60,6 +65,43 @@ class TestReflectionLength:
         assert len(depth) == len(enumerate_group(rs))
         for perm, d in depth.items():
             assert rs.length_of(perm) == d
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "F4", "H4"])
+    def test_image_length_matches_the_permutation_route(self, label):
+        rs = build_root_system(label)
+        interval = absolute_interval(rs)
+        for w in interval:
+            assert rs.image_length(simple_images(w)) == permutation_length(w)
+        if len(rs.positive_roots) <= 15:  # desk scale for the word search
+            for w in interval:
+                assert rs.image_length(simple_images(w)) == word_length_bfs(w)
+
+    @pytest.mark.parametrize("order", range(2, 13))
+    def test_dihedral_image_length_on_the_group(self, order):
+        rs = build_root_system("I2(%d)" % order)
+        assert rs.simple_positions == (0, order - 1)
+        group = enumerate_group(rs)
+        assert len(group) == 2 * order
+        lengths = []
+        for w in group:
+            got = rs.image_length(simple_images(w))
+            assert got == permutation_length(w) == word_length_bfs(w)
+            lengths.append(got)
+        assert sorted(lengths) == [0] + [1] * order + [2] * (order - 1)
+
+    def test_simple_positions_index_the_simple_roots(self):
+        for label in ("A3", "G2", "H4", "A1xA2", "I2(7)"):
+            rs = build_root_system(label)
+            assert [rs.roots[i] for i in rs.simple_positions] == rs.simple_roots
+
+    def test_integer_rows_are_built_on_the_first_length(self):
+        # a fresh system: set-up leaves the table to the first length
+        h3 = build_root_system("H3")
+        rs = CoordinateRootSystem([r.coords for r in h3.simple_roots])
+        assert rs._int_expansions is None
+        assert rs.identity_element().length == 0
+        rows, den = rs._int_expansions
+        assert den == 2 and len(rows) == len(rs.roots)
 
     def test_bfs_guard(self):
         rs = build_root_system("E7")
@@ -231,7 +273,7 @@ class TestIntervalEnumeration:
         t = rs.reflection(rs.positive_roots[0])
         assert len(absolute_interval(rs, t)) == 2
 
-    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4"])
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "F4", "B4"])
     def test_interval_matches_brute_force_and_old_order(self, label):
         # the closure tests only l(v^-1 gamma); the old loop also tested
         # l(v) = level, which that test implies

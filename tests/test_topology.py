@@ -295,9 +295,10 @@ class TestKCM:
         assert len(serial.failures) == 2
         assert parallel.to_dict() == serial.to_dict()
 
-    def test_audit_reduces_each_link_once(self, complexes, monkeypatch):
+    def test_audit_reduces_each_link_once(self, monkeypatch):
         # every removal of a passing audit reaches every link of a face it
-        # misses; each (face, removed part of its star) is reduced once
+        # misses; each (face, removed part of its star) is reduced once.  A
+        # complex keeps its link verdicts, so this one is built afresh
         decided, reduced = [], []
         real_cm = topology._FaceTable.cm_failure
         real_acyclic = topology._FaceTable._acyclic
@@ -313,7 +314,7 @@ class TestKCM:
 
         monkeypatch.setattr(topology._FaceTable, "cm_failure", deciding)
         monkeypatch.setattr(topology._FaceTable, "_acyclic", reducing)
-        _, cx, _ = complexes("B3", 2)
+        cx, _ = build_complex(build_root_system("B3"), 2)
         assert kcm_audit(cx, 3).passed
         (table,) = {t for t, _ in decided}
         keys = {(id(ups), removed & lmask) for _, removed in decided
