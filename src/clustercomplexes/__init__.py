@@ -3,29 +3,28 @@
 Modules
 -------
 exact        rational / Q(sqrt5) scalars, matrices, Smith normal form
-roots        root systems: construction, bipartition, products; parabolics,
-             supports and numerology are RootSystem methods
+roots        root systems: construction, products; parabolics, supports
+             and numerology are RootSystem methods
 coxeter      group elements, reflection length (two routes), absolute order,
              root sequences, type-A permutation oracles
-simplicial   facet-list complexes: links, deletions, induced subcomplexes,
-             skeleta; f/h-vectors
+simplicial   facet-list complexes and induced subcomplexes; f/h-vectors
 colored      colored roots, compatibility, the complexes, positive parts,
              the polygon model
 topology     purity, shellings, integral homology, sphere counts, k-CM audits
-noncrossing  multichain posets, Moebius functions, order-complex comparisons
+noncrossing  multichain posets, Moebius functions, and the homotopy
+             comparison read off two face tables
 cli          the ``clustercx`` command-line front end
 """
 
 __version__ = "0.1.0"
 
-from .roots import (RootSystem, Root, Numerology, bipartition,  # noqa: F401
+from .roots import (RootSystem, Root, Numerology,  # noqa: F401
                     build_root_system)
 from .coxeter import (GroupElement, absolute_leq, bipartite_coxeter,  # noqa: F401
                       rho_sequence, total_order, word_length_bfs)
 from .colored import (ColoredRoot, build_complex, fr_compatible,  # noqa: F401
-                      is_face, positive_part, rm_map, subcomplex_below,
-                      tau, deformed_coxeter, typeA_polygon_oracle,
-                      word_of_face)
+                      is_face, positive_part, rm_map, tau, deformed_coxeter,
+                      typeA_polygon_oracle, word_of_face)
 from .simplicial import SimplicialComplex, f_h_vectors  # noqa: F401
 from .topology import (HomologyProfile, KCMReport, ShellingOrder,  # noqa: F401
                        codim1_incidence, construct_shelling,
@@ -34,5 +33,4 @@ from .topology import (HomologyProfile, KCMReport, ShellingOrder,  # noqa: F401
 from .noncrossing import (MultichainTuple, Poset, build_Lm,  # noqa: F401
                           face_to_tuple, homotopy_compare, moebius,
                           nc_interval, order_complex)
-from .exact import (Matrix, Scalar,  # noqa: F401
-                    reflection_matrix, smith_normal_form)
+from .exact import Matrix, Scalar, smith_normal_form  # noqa: F401

@@ -278,11 +278,13 @@ def cmd_ncp(cfg: RunConfig) -> int:
                        "detail": {"positive_facets": cx1_pos_facets}})
     L = build_Lm(interval, cfg.m)
     report["poset_size"] = len(L)
-    for k in range(1, rs.rank + 1):
-        rep = homotopy_compare(rs, cfg.m, k, pos_cx=pos, poset=L,
-                               check_fibers=(k == rs.rank))
-        checks.append({"id": "ncp-homotopy-k%d" % k, "ok": rep.ok,
-                       "detail": {"fibers": rep.fibers_checked}})
+    rep = homotopy_compare(rs, cfg.m, pos_cx=pos, poset=L)
+    # the fibers belong to the whole map; they are reported with k = n
+    n = rs.rank
+    checks += [{"id": "ncp-homotopy-k%d" % k,
+                "ok": rep.agrees(k) and (k < n or not rep.fiber_failures),
+                "detail": {"fibers": rep.fibers_checked if k == n else 0}}
+               for k in range(1, n + 1)]
     report["checks"] = checks
     _emit(cfg, report)
     return 0 if all(c["ok"] for c in checks) else 1
@@ -349,7 +351,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
             f_vector=list(cx.f_vector()))
     # noncrossing checks at small rank
     if 1 <= m <= 3 and rs.rank <= 3 and rs.is_irreducible:
-        rep = homotopy_compare(rs, m, rs.rank, pos_cx=pos)
+        rep = homotopy_compare(rs, m, pos_cx=pos)
         add("ncp-homotopy", rep.ok, fibers=rep.fibers_checked)
     report = _base_report(cfg)
     report["checks"] = checks

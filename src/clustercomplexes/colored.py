@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .coxeter import (GroupElement, absolute_leq, bipartite_coxeter,
-                      total_order)
+from .coxeter import GroupElement, bipartite_coxeter, total_order
 from .roots import Root, RootSystem
 from .simplicial import SimplicialComplex
 
@@ -372,20 +371,6 @@ def positive_part(cx: SimplicialComplex) -> SimplicialComplex:
     """Induced subcomplex on the colored positive roots."""
     keep = [i for i, lab in enumerate(cx.vertices) if not lab.startswith("-s")]
     return cx.induce(keep)
-
-
-def subcomplex_below(rs: RootSystem, m: int, w: GroupElement,
-                     cx: Optional[SimplicialComplex] = None) -> SimplicialComplex:
-    """Faces of the positive part whose word sits below w."""
-    ctx = get_context(rs, m)
-    if not absolute_leq(w, ctx.gamma):
-        raise ValueError("subcomplex_below requires w below the Coxeter element")
-    if cx is None:
-        cx, _ = build_complex(rs, m)
-    pos = positive_part(cx)
-    keep = [i for i, v in enumerate(pos.objects)
-            if absolute_leq(rs.reflection(v.root), w)]
-    return pos.induce(keep)
 
 
 # -- the polygon model for type A ---------------------------------------------------

@@ -182,23 +182,11 @@ class Matrix:
         if any(len(r) != self.cols for r in rows):
             raise ValueError("ragged matrix")
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
         ot = tuple(zip(*other.entries))
         return Matrix([[dot(row, col) for col in ot] for row in self.entries])
-
-    def apply(self, v: Sequence[Scalar]) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(dot(row, v) for row in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)))
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
@@ -265,22 +253,6 @@ def pair_rank(m: list) -> int:
         if rank == rows:
             break
     return rank
-
-
-def reflection_matrix(alpha: Sequence, dim: int | None = None) -> Matrix:
-    """Matrix of the reflection x -> x - 2 (x, alpha)/(alpha, alpha) alpha."""
-    alpha = tuple(coerce_scalar(x) for x in alpha)
-    if dim is None:
-        dim = len(alpha)
-    if dim != len(alpha):
-        raise ValueError("vector has length %d, expected %d" % (len(alpha), dim))
-    norm = dot(alpha, alpha)
-    if norm.sign() == 0:
-        raise ValueError("degenerate reflection: zero vector")
-    scale = Scalar(2) / norm
-    ident = Matrix.identity(dim)
-    return Matrix([[ident.entries[i][j] - scale * alpha[i] * alpha[j]
-                    for j in range(dim)] for i in range(dim)])
 
 
 def smith_normal_form(a: list) -> tuple:

@@ -3,9 +3,14 @@
 The interval [e, gamma] of the absolute order and the poset L_m of m-tuples
 with additive reflection length below gamma are indexed posets: their
 elements are listed in a linear extension, bottom first, with one down-set
-bitset per element.  Chain complexes of L_m are compared to skeleta of the
-positive cluster complex, homology group by homology group, together with
-the triviality check of every fiber of the face-to-tuple map.
+bitset per element; covers are looked up by the n simple-root images of a
+product, never by the product itself.  The comparison with the positive
+cluster complex reads every complex off two face tables, the positive
+part's and that of the order complex of L_m minus its bottom: for each k,
+the (k-1)-skeleton is the positive part's cells with at most k vertices,
+the order complex of the ranks 1..k is the restriction missing the
+vertices of higher rank, and the fiber of the face-to-tuple map over an
+order ideal is the set of cells whose tuple lies in it.
 """
 from __future__ import annotations
 
@@ -15,10 +20,10 @@ from typing import Iterable, Optional, Sequence
 
 from .colored import (ColoredRoot, _max_cliques, build_complex, get_context,
                       positive_part, word_of_face)
-from .coxeter import GroupElement, absolute_interval, absolute_leq
+from .coxeter import absolute_interval, absolute_leq
 from .roots import RootSystem
 from .simplicial import SimplicialComplex
-from .topology import HomologyProfile, homology
+from .topology import _table_of
 
 
 @dataclass(frozen=True)
@@ -69,46 +74,59 @@ def nc_interval(rs: RootSystem) -> Poset:
     """The absolute-order interval [e, gamma], e first and gamma last.
 
     Its covers are u < ut for reflections t with ut in the interval and one
-    longer than u (Brady and Watt, 2002).
+    longer than u (Brady and Watt, 2002).  ut is looked up by its simple-root
+    images u(t(alpha_j)): n lookups, no product.
     """
     elements = sorted(absolute_interval(rs),
                       key=lambda w: (w.length, w.perm))
     ranks = [w.length for w in elements]
-    where = {w: i for i, w in enumerate(elements)}
-    reflections = [rs.reflection(r) for r in rs.positive_roots]
+    where = _by_images(elements)
+    simple = rs.simple_positions
+    reflections = [tuple(rs.reflection(r).perm[i] for i in simple)
+                   for r in rs.positive_roots]
     lower_covers = []
     for j, v in enumerate(elements):
-        below = (where.get(v * t) for t in reflections)
+        p = v.perm
+        below = (where.get(tuple(p[i] for i in t)) for t in reflections)
         lower_covers.append([i for i in below
                              if i is not None and ranks[i] == ranks[j] - 1])
     return Poset(elements, ranks, lower_covers)
+
+
+def _by_images(elements: Sequence) -> dict:
+    """Each element's position, keyed by its simple-root images."""
+    simple = elements[0].system.simple_positions
+    return {tuple(w.perm[i] for i in simple): j for j, w in enumerate(elements)}
 
 
 def build_Lm(interval: Poset, m: int) -> Poset:
     """m-tuples of the interval whose product lies in it with additive length.
 
     The order is componentwise; its covers raise one coordinate by a cover
-    of the interval.
+    of the interval.  A product is carried as a permutation, and its
+    product with w is looked up by its images at w's simple-root images.
     """
     if m < 1:
         raise ValueError("the tuple length m must be at least 1")
-    elements, ranks, where = interval.elements, interval.ranks, interval.index
+    elements, ranks = interval.elements, interval.ranks
+    where = _by_images(elements)
+    images = list(where)  # in element order: the images fix an element
     top = ranks[-1]
     tuples: list = []
 
-    def extend(prefix: tuple, product: GroupElement, used: int):
+    def extend(prefix: tuple, product: tuple, used: int):
         if len(prefix) == m:
             tuples.append(prefix)
             return
-        for i, w in enumerate(elements):
+        for i, w_images in enumerate(images):
             if used + ranks[i] > top:
                 break  # the elements ascend in rank
             # every prefix of a tuple in L_m has its product in the interval
-            j = where.get(product * w)
+            j = where.get(tuple(product[x] for x in w_images))
             if j is not None and ranks[j] == used + ranks[i]:
-                extend(prefix + (i,), elements[j], ranks[j])
+                extend(prefix + (i,), elements[j].perm, ranks[j])
 
-    extend((), elements[0], 0)
+    extend((), elements[0].perm, 0)
     tuples.sort(key=lambda t: (sum(ranks[i] for i in t), t))
     position = {t: p for p, t in enumerate(tuples)}
     covers = [[i for i in range(j) if interval.leq(i, j)
@@ -169,86 +187,110 @@ def order_complex(p: Poset, keep: Iterable[int]) -> SimplicialComplex:
 
 
 def face_tuple_table(rs: RootSystem, m: int, pos_cx: SimplicialComplex,
-                     poset: Poset) -> dict:
-    """The position in ``poset`` of the tuple of every nonempty face."""
-    table = {}
-    for f in pos_cx.faces():
-        if f:
-            t = face_to_tuple(rs, m, [pos_cx.objects[i] for i in f])
+                     poset: Poset) -> list:
+    """The position in ``poset`` of the tuple of each cell of the face table.
+
+    Entry [k][c] belongs to cell c with k vertices of the positive part's
+    table; the empty face sits at the bottom, position 0.  The map must be
+    order-preserving, which the fiber lemma needs and which makes every
+    down-set's fiber a subcomplex: each boundary face of a cell must map
+    into the down-set of the cell's tuple.  RuntimeError names the first
+    face that does not.
+    """
+    table = _table_of(pos_cx)
+    positions = [[0]]
+    for faces in table.faces[1:]:
+        row = []
+        for f in faces:
+            t = face_to_tuple(rs, m, [pos_cx.objects[v] for v in f])
             if t not in poset.index:
                 raise RuntimeError("face tuple lies outside the multichain poset")
-            table[f] = poset.index[t]
-    return table
+            row.append(poset.index[t])
+        positions.append(row)
+    for k in range(1, len(positions)):
+        for c, column in enumerate(table.columns[k]):
+            below = poset.down[positions[k][c]]
+            for b in column:
+                if not below >> positions[k - 1][b] & 1:
+                    raise RuntimeError(
+                        "the face-to-tuple map is not order-preserving: face "
+                        "%s of %s maps outside the down-set of its tuple" % (
+                            _labels(pos_cx, table.faces[k - 1][b]),
+                            _labels(pos_cx, table.faces[k][c])))
+    return positions
 
 
-def fiber_complex(pos_cx: SimplicialComplex, table: dict,
-                  ideal: int) -> SimplicialComplex:
-    """Subcomplex of the positive part mapping into an order ideal.
+def _labels(cx: SimplicialComplex, face: tuple) -> str:
+    return "{%s}" % ", ".join(cx.vertices[v] for v in face)
 
-    ``table`` is the face-to-tuple table and ``ideal`` a bitset of poset
-    positions, such as a down-set.
+
+def fiber_complex(positions: list, ideal: int) -> list:
+    """The cells of the face table mapping into an order ideal, by size.
+
+    ``positions`` is the face-to-tuple table and ``ideal`` a bitset of
+    poset positions holding the bottom, such as a down-set; the empty
+    face is then always listed.
     """
-    faces = [f for f, i in table.items() if ideal >> i & 1]
-    if not faces:
-        return SimplicialComplex([], [()])
-    keep = sorted({v for f in faces for v in f})
-    remap = {old: new for new, old in enumerate(keep)}
-    return SimplicialComplex([pos_cx.vertices[i] for i in keep],
-                             [tuple(remap[v] for v in f) for f in faces],
-                             objects=[pos_cx.objects[i] for i in keep])
+    return [[c for c, x in enumerate(row) if ideal >> x & 1]
+            for row in positions]
 
 
 @dataclass
 class HomotopyCompareReport:
-    ok: bool
-    k: int
-    skeleton_homology: HomologyProfile
-    poset_homology: HomologyProfile
+    """Entry k - 1 of each homology list belongs to k = 1 .. n."""
+
+    skeleton_homology: list
+    poset_homology: list
     fibers_checked: int
     fiber_failures: list
 
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "k": self.k,
-                "skeleton_homology": self.skeleton_homology.to_dict(),
-                "poset_homology": self.poset_homology.to_dict(),
-                "fibers_checked": self.fibers_checked,
-                "fiber_failures": self.fiber_failures}
+    def agrees(self, k: int) -> bool:
+        """Whether the two complexes at k have the same homology groups."""
+        return self.skeleton_homology[k - 1].groups() == \
+            self.poset_homology[k - 1].groups()
+
+    @property
+    def ok(self) -> bool:
+        return all(self.agrees(k) for k in
+                   range(1, len(self.skeleton_homology) + 1)) \
+            and not self.fiber_failures
 
 
-def homotopy_compare(rs: RootSystem, m: int, k: int,
+def homotopy_compare(rs: RootSystem, m: int,
                      pos_cx: Optional[SimplicialComplex] = None,
-                     poset: Optional[Poset] = None,
-                     check_fibers: bool = True) -> HomotopyCompareReport:
-    """Compare the (k-1)-skeleton of the positive part with the truncated poset.
+                     poset: Optional[Poset] = None) -> HomotopyCompareReport:
+    """Compare the skeleta of the positive part with the truncated poset.
 
-    Equality of all reduced homology groups is required, plus (optionally)
-    trivial reduced homology of every principal-ideal fiber of the
-    face-to-tuple map.
+    For each k = 1 .. n, the (k-1)-skeleton of the positive part and the
+    order complex of the elements of L_m of ranks 1 .. k must have the same
+    reduced homology groups.  Every principal-ideal fiber of the
+    face-to-tuple map must have trivial reduced homology, as Quillen's
+    fiber lemma asks of the whole map.  Both complexes at k are read with
+    their cells of at most k vertices, so each profile spans degrees
+    0 .. k-1, as the complex's own homology would.
     """
-    n = rs.rank
-    if not 1 <= k <= n:
-        raise ValueError("k must lie between 1 and the rank")
     if pos_cx is None:
         cx, _ = build_complex(rs, m)
         pos_cx = positive_part(cx)
     if poset is None:
         poset = build_Lm(nc_interval(rs), m)
-    skel = pos_cx.skeleton(k - 1)
-    # the bottom sits at position 0
-    oc = order_complex(poset, [i for i in range(1, len(poset))
-                               if poset.ranks[i] <= k])
-    hs = homology(skel)
-    hp = homology(oc)
-    ok = hs.groups() == hp.groups()
-    fiber_failures: list = []
-    checked = 0
-    if check_fibers:
-        table = face_tuple_table(rs, m, pos_cx, poset)
-        for x in range(1, len(poset)):
-            checked += 1
-            fib = fiber_complex(pos_cx, table, poset.down[x])
-            if fib.dimension() < 0 or not homology(fib).is_trivial():
-                fiber_failures.append(
-                    [list(w.perm) for w in poset.elements[x].words])
-        ok = ok and not fiber_failures
-    return HomotopyCompareReport(ok, k, hs, hp, checked, fiber_failures)
+    pos_table = _table_of(pos_cx)
+    # the bottom sits at position 0, so order-complex vertex a is position a + 1
+    chains = _table_of(order_complex(poset, range(1, len(poset))))
+
+    def upto(table, k: int) -> list:
+        return [range(len(faces)) for faces in table.faces[:k + 1]]
+
+    skeleta, truncations = [], []
+    for k in range(1, rs.rank + 1):
+        higher = sum(1 << (i - 1) for i in range(1, len(poset))
+                     if poset.ranks[i] > k)
+        skeleta.append(pos_table.profile(upto(pos_table, k)))
+        truncations.append(chains.profile(upto(chains, k), higher))
+    positions = face_tuple_table(rs, m, pos_cx, poset)
+    failures = [[list(w.perm) for w in poset.elements[x].words]
+                for x in range(1, len(poset))
+                if not pos_table.profile(
+                    fiber_complex(positions, poset.down[x])).is_trivial()]
+    return HomotopyCompareReport(skeleta, truncations, len(poset) - 1,
+                                 failures)

@@ -808,14 +808,6 @@ def product_system(factors: Sequence[RootSystem]) -> CoordinateRootSystem:
     return CoordinateRootSystem(coords, label="x".join(f.label for f in factors))
 
 
-def bipartition(rs: RootSystem) -> tuple:
-    """The two orthogonal blocks (Pi_plus, Pi_minus) of the simple system."""
-    if not rs.is_irreducible:
-        raise ValueError("bipartition requires an irreducible system")
-    s = rs.split_s
-    return (rs.simple_roots[:s], rs.simple_roots[s:])
-
-
 # -- diagram classification (labels for parabolics) ------------------------------
 
 

@@ -5,10 +5,12 @@ optional parallel tuple of payload objects lets callers recover the
 underlying combinatorial data of each vertex.  Facets are sorted tuples
 of vertex indices, and the facet list itself is kept sorted.  A complex
 may carry a vertex permutation, ``symmetry``, that its builder knows to
-be an automorphism; no construction passes it on, since a subcomplex is
-in general not invariant under it.  ``face_table`` holds the index of
-every face that ``topology``'s Cohen-Macaulay audits build, once per
-complex, on first use.
+be an automorphism; ``induce``, the only construction, does not pass it
+on, since a subcomplex is in general not invariant under it.
+``face_table`` holds the index of every face that ``topology`` builds
+once per complex, on first use: its Cohen-Macaulay audits read links
+off it, and ``noncrossing`` reads skeleta and fibers off the positive
+part's.
 """
 from __future__ import annotations
 
@@ -91,50 +93,19 @@ class SimplicialComplex:
 
     # -- constructions -------------------------------------------------------
 
-    def _subset(self, keep: Sequence[int], new_facets: Iterable) -> "SimplicialComplex":
-        keep = sorted(keep)
-        remap = {old: new for new, old in enumerate(keep)}
-        labels = [self.vertices[i] for i in keep]
-        objs = [self.objects[i] for i in keep] if self.objects is not None else None
-        facets = [tuple(sorted(remap[v] for v in f)) for f in new_facets]
-        meta = dict(self.meta)
-        return SimplicialComplex(labels, facets, objects=objs, meta=meta)
-
-    def link(self, v: int) -> "SimplicialComplex":
-        star = [f for f in self.facets if v in f]
-        if not star:
-            raise ValueError("unknown vertex index %r" % (v,))
-        shrunk = [tuple(x for x in f if x != v) for f in star]
-        keep = sorted({x for f in shrunk for x in f})
-        return self._subset(keep, shrunk)
-
-    def delete(self, v: int) -> "SimplicialComplex":
-        if v < 0 or v >= len(self.vertices):
-            raise ValueError("unknown vertex index %r" % (v,))
-        keep = [i for i in range(len(self.vertices)) if i != v]
-        shrunk = [tuple(x for x in f if x != v) for f in self.facets]
-        return self._subset(keep, shrunk)
-
     def induce(self, subset: Iterable[int]) -> "SimplicialComplex":
+        """The induced subcomplex on ``subset``, its vertices renumbered."""
         keep = sorted(set(subset))
         if any(v < 0 or v >= len(self.vertices) for v in keep):
             raise ValueError("unknown vertex index in %r" % (subset,))
-        ks = set(keep)
-        shrunk = [tuple(x for x in f if x in ks) for f in self.facets]
-        return self._subset(keep, shrunk)
-
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        if k < 0:
-            return SimplicialComplex(self.vertices, [], objects=self.objects)
-        facets = [f for f in self.faces() if len(f) == k + 1]
-        facets += [f for f in self.facets if len(f) <= k]
-        return SimplicialComplex(self.vertices, facets, objects=self.objects,
-                                 meta=dict(self.meta))
+        remap = {old: new for new, old in enumerate(keep)}
+        objs = [self.objects[i] for i in keep] if self.objects is not None else None
+        return SimplicialComplex(
+            [self.vertices[i] for i in keep],
+            [tuple(remap[x] for x in f if x in remap) for f in self.facets],
+            objects=objs, meta=self.meta)
 
     # -- output ---------------------------------------------------------------
-
-    def labeled_facets(self) -> list:
-        return [tuple(self.vertices[v] for v in f) for f in self.facets]
 
     def to_dict(self) -> dict:
         return {

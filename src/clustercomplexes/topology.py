@@ -5,7 +5,9 @@ always re-verified against the definition, so a returned order is a
 checked certificate.  Homology is integral and read off a face table that
 indexes every face once, with its vertex bitmask, boundary and cofaces; a
 Cohen-Macaulay audit keeps the table on its complex, with its link memo,
-for every later audit of that complex.
+for every later audit of that complex.  A profile is taken of any
+subcomplex given as the table's cells by size, less a vertex set:
+``noncrossing`` reads skeleta, restrictions and fibers this way.
 A chain complex is a set of the table's cells with the boundary restricted
 to them; it is coreduced first, which keeps the integral homology and
 creates no fill-in, and only what is left is eliminated on unit pivots,
@@ -355,14 +357,20 @@ class _FaceTable:
         betti, torsion, _ = self._reduce(base, ups, removed)
         return not any(betti[:-1]) and not any(torsion[:-1])
 
-    def profile(self, removed: int = 0) -> HomologyProfile:
-        """Reduced integral homology of the restriction missing ``removed``.
+    def profile(self, cells: Optional[list] = None,
+                removed: int = 0) -> HomologyProfile:
+        """Reduced integral homology of a subcomplex of the table.
 
-        Its reduction starts at the empty face, so the first coreductions
-        walk a spanning forest.  Only {()} has homology in degree -1.
+        ``cells[k]`` lists its cells with k vertices, every cell of the
+        table when None, and the cells meeting ``removed`` are left out;
+        what is left must be closed under taking faces.  The degrees run
+        up to the largest listed size minus one.  The reduction starts at
+        the empty face, so the first coreductions walk a spanning forest.
+        Only {()} has homology in degree -1.
         """
-        betti, torsion, chi = self._reduce(
-            0, [range(len(fs)) for fs in self.faces], removed)
+        if cells is None:
+            cells = [range(len(fs)) for fs in self.faces]
+        betti, torsion, chi = self._reduce(0, cells, removed)
         start = 0 if betti[0] else 1
         return HomologyProfile(tuple(betti[start:]), tuple(torsion[start:]),
                                chi, first_degree=start - 1)

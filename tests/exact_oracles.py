@@ -4,16 +4,25 @@ Each is an independent, slower route to something the library computes:
 ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
 the whole group by closure, type-A one-line notation, reflection length
 and the face test by full permutation products, the two-length face test,
-and a root system rebuilt from its JSON report.
+and a root system rebuilt from its JSON report.  The noncrossing
+comparison is redone on explicit complexes: a skeleton and an order complex
+per k, and each fiber relabelled as a complex of its own.  The rest are
+constructions only the tests read: reflection matrices, the bipartition of
+the simple roots, the subcomplex below an element, and vertex links,
+deletions and labelled facets.
 """
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from clustercomplexes.colored import _component_of, get_context, word_of_face
+from clustercomplexes.colored import (_component_of, build_complex,
+                                      get_context, positive_part, word_of_face)
 from clustercomplexes.coxeter import absolute_leq
-from clustercomplexes.exact import Matrix, Scalar
+from clustercomplexes.exact import ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
+from clustercomplexes.noncrossing import face_to_tuple, order_complex
 from clustercomplexes.roots import CoordinateRootSystem, DihedralRootSystem
+from clustercomplexes.simplicial import SimplicialComplex
+from clustercomplexes.topology import homology
 
 
 def difference(a: Matrix, b: Matrix) -> Matrix:
@@ -28,7 +37,7 @@ def fixed_space_dim(m: Matrix) -> int:
     """Dimension of the fixed space ker(M - I), by exact elimination."""
     if m.rows != m.cols:
         raise ValueError("fixed space requires a square matrix")
-    return m.rows - difference(m, Matrix.identity(m.rows)).rank()
+    return m.rows - difference(m, identity(m.rows)).rank()
 
 
 def fraction_rank(m: Matrix) -> int:
@@ -191,7 +200,7 @@ def two_length_is_face(ctx, sigma) -> bool:
 
 
 def facets_as_label_sets(cx) -> set:
-    return {frozenset(f) for f in cx.labeled_facets()}
+    return {frozenset(f) for f in labeled_facets(cx)}
 
 
 def root_system_from_dict(data: dict) -> CoordinateRootSystem:
@@ -199,3 +208,133 @@ def root_system_from_dict(data: dict) -> CoordinateRootSystem:
     coords = [[Scalar(Fraction(q[0], q[1]), Fraction(q[2], q[3])) for q in r]
               for r in data["simple_roots"]]
     return CoordinateRootSystem(coords, label=data["type"])
+
+
+# -- matrices -------------------------------------------------------------------------
+
+
+def identity(n: int) -> Matrix:
+    return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+def apply(m: Matrix, v) -> tuple:
+    """The matrix-vector product m v."""
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch in matrix-vector product")
+    return tuple(dot(row, v) for row in m.entries)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(tuple(zip(*m.entries)))
+
+
+def reflection_matrix(alpha, dim=None) -> Matrix:
+    """Matrix of the reflection x -> x - 2 (x, alpha)/(alpha, alpha) alpha."""
+    alpha = tuple(coerce_scalar(x) for x in alpha)
+    if dim is None:
+        dim = len(alpha)
+    if dim != len(alpha):
+        raise ValueError("vector has length %d, expected %d" % (len(alpha), dim))
+    norm = dot(alpha, alpha)
+    if norm.sign() == 0:
+        raise ValueError("degenerate reflection: zero vector")
+    scale = Scalar(2) / norm
+    ident = identity(dim)
+    return Matrix([[ident.entries[i][j] - scale * alpha[i] * alpha[j]
+                    for j in range(dim)] for i in range(dim)])
+
+
+# -- root systems and complexes -------------------------------------------------------
+
+
+def bipartition(rs) -> tuple:
+    """The two orthogonal blocks (Pi_plus, Pi_minus) of the simple system."""
+    if not rs.is_irreducible:
+        raise ValueError("bipartition requires an irreducible system")
+    s = rs.split_s
+    return (rs.simple_roots[:s], rs.simple_roots[s:])
+
+
+def subcomplex_below(rs, m: int, w, cx=None) -> SimplicialComplex:
+    """Faces of the positive part whose word sits below w."""
+    ctx = get_context(rs, m)
+    if not absolute_leq(w, ctx.gamma):
+        raise ValueError("subcomplex_below requires w below the Coxeter element")
+    if cx is None:
+        cx, _ = build_complex(rs, m)
+    pos = positive_part(cx)
+    keep = [i for i, v in enumerate(pos.objects)
+            if absolute_leq(rs.reflection(v.root), w)]
+    return pos.induce(keep)
+
+
+def _relabelled(cx, keep, facets) -> SimplicialComplex:
+    """The complex on the vertices ``keep`` of cx with the given facets."""
+    keep = sorted(keep)
+    remap = {old: new for new, old in enumerate(keep)}
+    objects = [cx.objects[i] for i in keep] if cx.objects is not None else None
+    return SimplicialComplex([cx.vertices[i] for i in keep],
+                             [tuple(remap[v] for v in f) for f in facets],
+                             objects=objects, meta=cx.meta)
+
+
+def link(cx, v: int) -> SimplicialComplex:
+    star = [f for f in cx.facets if v in f]
+    if not star:
+        raise ValueError("unknown vertex index %r" % (v,))
+    shrunk = [tuple(x for x in f if x != v) for f in star]
+    return _relabelled(cx, {x for f in shrunk for x in f}, shrunk)
+
+
+def delete(cx, v: int) -> SimplicialComplex:
+    if v < 0 or v >= len(cx.vertices):
+        raise ValueError("unknown vertex index %r" % (v,))
+    keep = [i for i in range(len(cx.vertices)) if i != v]
+    return _relabelled(cx, keep,
+                       [tuple(x for x in f if x != v) for f in cx.facets])
+
+
+def skeleton(cx, k: int) -> SimplicialComplex:
+    """The faces of cx with at most k + 1 vertices, as a complex."""
+    if k < 0:
+        return SimplicialComplex(cx.vertices, [], objects=cx.objects)
+    facets = [f for f in cx.faces() if len(f) == k + 1]
+    facets += [f for f in cx.facets if len(f) <= k]
+    return SimplicialComplex(cx.vertices, facets, objects=cx.objects,
+                             meta=cx.meta)
+
+
+def labeled_facets(cx) -> list:
+    return [tuple(cx.vertices[v] for v in f) for f in cx.facets]
+
+
+# -- the noncrossing comparison on explicit complexes ---------------------------------
+
+
+def face_tuple_dict(rs, m: int, pos, poset) -> dict:
+    """The poset position of the tuple of every nonempty face of ``pos``."""
+    return {f: poset.index[face_to_tuple(rs, m, [pos.objects[i] for i in f])]
+            for f in pos.faces() if f}
+
+
+def fiber_subcomplex(pos, table: dict, ideal: int) -> SimplicialComplex:
+    """The faces mapping into an order ideal, on their own vertices.
+
+    The complex closes the face set; {()} when no face maps in.
+    """
+    faces = [f for f, i in table.items() if ideal >> i & 1]
+    if not faces:
+        return SimplicialComplex([], [()])
+    return _relabelled(pos, {v for f in faces for v in f}, faces)
+
+
+def skeleton_and_poset_homology(rs, pos, poset) -> list:
+    """Per k = 1 .. n, the homology of two explicit complexes.
+
+    They are the (k-1)-skeleton of ``pos`` and the order complex of the
+    poset elements of ranks 1 .. k.
+    """
+    return [(homology(skeleton(pos, k - 1)),
+             homology(order_complex(poset, [i for i in range(1, len(poset))
+                                            if poset.ranks[i] <= k])))
+            for k in range(1, rs.rank + 1)]

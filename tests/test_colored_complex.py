@@ -8,7 +8,7 @@ from clustercomplexes.colored import (ColoredRoot, build_complex,
                                       canonical_label, colored_vertices,
                                       deformed_coxeter, fr_compatible,
                                       get_context, is_face, positive_part,
-                                      rm_map, subcomplex_below, tau,
+                                      rm_map, tau,
                                       typeA_polygon_oracle, word_of_face)
 from clustercomplexes.coxeter import (GroupElement, absolute_interval,
                                       bipartite_coxeter)
@@ -17,8 +17,9 @@ from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_h_vectors
 from clustercomplexes.topology import fuss_catalan
 from conftest import ACCEPTANCE_MATRIX
-from exact_oracles import (facets_as_label_sets, permutation_is_face,
-                           two_length_is_face)
+from exact_oracles import (delete, facets_as_label_sets, labeled_facets,
+                           link, permutation_is_face, skeleton,
+                           subcomplex_below, two_length_is_face)
 
 A2_FACETS_M1 = {
     frozenset(f) for f in [
@@ -286,7 +287,7 @@ class TestBuildComplex:
     def test_m0_is_the_negative_simplex(self):
         rs = build_root_system("B2")
         cx, _ = build_complex(rs, 0)
-        assert cx.labeled_facets() == [("-s1", "-s2")]
+        assert labeled_facets(cx) == [("-s1", "-s2")]
 
     @pytest.mark.parametrize("label,m", [(l, m) for l in ("A2", "A3", "B2",
                                                           "B3", "G2")
@@ -414,26 +415,26 @@ class TestRestrictions:
 
     def test_link_of_negative_simple(self, complexes):
         rs, cx, _ = complexes("A2", 2)
-        link = cx.link(cx.index_of("-s1"))
-        assert set(link.vertices) == {"-s2", "[0,1]:1", "[0,1]:2"}
-        assert all(len(f) == 1 for f in link.facets)
+        lk = link(cx, cx.index_of("-s1"))
+        assert set(lk.vertices) == {"-s2", "[0,1]:1", "[0,1]:2"}
+        assert all(len(f) == 1 for f in lk.facets)
         # combinatorially the rank-one complex with two colors
         sub = build_complex(build_root_system("A1"), 2)[0]
-        assert link.f_vector() == sub.f_vector()
+        assert lk.f_vector() == sub.f_vector()
 
     def test_link_matches_parabolic_complex(self, complexes):
         rs, cx, _ = complexes("A2", 2)
-        link = cx.link(cx.index_of("-s1"))
+        lk = link(cx, cx.index_of("-s1"))
         par = rs.parabolic(rs.simple_roots[0])
         sub, _ = build_complex(par, 2)
         key = lambda c, f: frozenset((c.objects[i].root.key, c.objects[i].color)
                                      for i in f)
-        assert {key(link, f) for f in link.facets} == \
+        assert {key(lk, f) for f in lk.facets} == \
             {key(sub, f) for f in sub.facets}
 
     def test_delete_equals_induce_complement(self, complexes):
         _, cx, _ = complexes("A2", 2)
-        deleted = cx.delete(cx.index_of("[1,1]:1"))
+        deleted = delete(cx, cx.index_of("[1,1]:1"))
         complement = [i for i, v in enumerate(cx.vertices) if v != "[1,1]:1"]
         induced = cx.induce(complement)
         assert deleted.facets == induced.facets
@@ -441,21 +442,21 @@ class TestRestrictions:
 
     def test_zero_skeleton(self, complexes):
         _, cx, _ = complexes("A2", 2)
-        skel = cx.skeleton(0)
+        skel = skeleton(cx, 0)
         assert len(skel.facets) == len(cx.vertices)
 
     def test_unknown_vertex(self, complexes):
         _, cx, _ = complexes("A2", 1)
         with pytest.raises(ValueError):
-            cx.link(cx.index_of("[9,9]:1"))
+            link(cx, cx.index_of("[9,9]:1"))
 
     def test_restrictions_drop_the_symmetry(self, complexes):
         # a subcomplex is in general not invariant under R_m
         _, cx, _ = complexes("A2", 2)
         assert cx.symmetry is not None
         v = cx.index_of("-s1")
-        for sub in (cx.induce(range(5)), cx.link(v), cx.delete(v),
-                    cx.skeleton(0), positive_part(cx)):
+        for sub in (cx.induce(range(5)), link(cx, v), delete(cx, v),
+                    skeleton(cx, 0), positive_part(cx)):
             assert sub.symmetry is None
 
 

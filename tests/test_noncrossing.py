@@ -1,8 +1,12 @@
+import contextlib
+import io
 import itertools
+import random
 
 import pytest
 
 from clustercomplexes import coxeter, noncrossing
+from clustercomplexes.cli import run
 from clustercomplexes.colored import positive_part
 from clustercomplexes.coxeter import absolute_leq, bipartite_coxeter
 from clustercomplexes.noncrossing import (MultichainTuple, Poset, build_Lm,
@@ -10,7 +14,10 @@ from clustercomplexes.noncrossing import (MultichainTuple, Poset, build_Lm,
                                           fiber_complex, homotopy_compare,
                                           moebius, nc_interval, order_complex)
 from clustercomplexes.roots import build_root_system
-from clustercomplexes.topology import fuss_narayana_positive, homology
+from clustercomplexes.topology import (_table_of, fuss_narayana_positive,
+                                       homology)
+from exact_oracles import (face_tuple_dict, fiber_subcomplex,
+                           skeleton_and_poset_homology)
 
 
 def multichains(label, m):
@@ -118,10 +125,10 @@ def test_the_bitset_route_never_calls_absolute_leq(monkeypatch, complexes,
     order_complex(L, range(1, len(L)))
     assert calls == []
     # face_to_tuple keeps absolute_leq as its self-check
-    table = face_tuple_table(rs, 2, pos, L)
+    positions = face_tuple_table(rs, 2, pos, L)
     calls.clear()
     for x in range(1, len(L)):
-        fiber_complex(pos, table, L.down[x])
+        fiber_complex(positions, L.down[x])
     assert calls == []
 
 
@@ -174,19 +181,30 @@ class TestFaceToTuple:
             rs, cx, _ = complexes(label, m)
             pos = positive_complexes(label, m)
             L = build_Lm(nc_interval(rs), m)
-            for face, i in face_tuple_table(rs, m, pos, L).items():
-                assert L.elements[i].rank == len(face)
+            for size, row in enumerate(face_tuple_table(rs, m, pos, L)):
+                assert all(L.elements[i].rank == size for i in row)
 
     def test_order_preserving(self, complexes, positive_complexes):
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
         L = build_Lm(nc_interval(rs), 2)
-        table = face_tuple_table(rs, 2, pos, L)
+        table = face_tuple_dict(rs, 2, pos, L)
         assert len(table) == 13
         for tau_face, tau_i in table.items():
             for sigma_face, sigma_i in table.items():
                 if set(tau_face) <= set(sigma_face):
                     assert L.elements[tau_i].leq(L.elements[sigma_i])
+
+    def test_table_matches_the_face_map(self, complexes, positive_complexes):
+        rs, _, _ = complexes("A2", 2)
+        pos = positive_complexes("A2", 2)
+        L = build_Lm(nc_interval(rs), 2)
+        positions = face_tuple_table(rs, 2, pos, L)
+        faces = _table_of(pos).faces
+        assert positions[0] == [0]
+        assert {f: i for size, row in enumerate(positions) if size
+                for f, i in zip(faces[size], row)} == \
+            face_tuple_dict(rs, 2, pos, L)
 
     def test_empty_face_rejected(self):
         rs = build_root_system("A2")
@@ -221,29 +239,51 @@ class TestOrderComplexes:
             assert homology(cx).concentrated(rs.rank - 1, want)
 
 
+REFERENCE_CASES = [("A2", 1), ("A2", 2), ("A2", 3), ("A3", 1), ("A3", 2),
+                   ("B3", 1), ("B3", 2), ("H3", 1), ("D4", 1), ("G2", 2),
+                   ("I2(5)", 2)]
+
+
+def _fiber_homology(pos, positions, ideal):
+    return _table_of(pos).profile(fiber_complex(positions, ideal))
+
+
 class TestHomotopyCompare:
 
-    @pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_a2(self, m, k, complexes, positive_complexes):
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a2(self, m, complexes, positive_complexes):
         rs, _, _ = complexes("A2", m)
-        report = homotopy_compare(rs, m, k,
-                                  pos_cx=positive_complexes("A2", m))
+        report = homotopy_compare(rs, m, pos_cx=positive_complexes("A2", m))
         assert report.ok
+        assert [report.agrees(k) for k in (1, 2)] == [True, True]
         assert not report.fiber_failures
 
     def test_a3_m2_all_k(self, complexes, positive_complexes):
         rs, _, _ = complexes("A3", 2)
-        pos = positive_complexes("A3", 2)
-        L = build_Lm(nc_interval(rs), 2)
-        for k in (1, 2, 3):
-            report = homotopy_compare(rs, 2, k, pos_cx=pos, poset=L,
-                                      check_fibers=(k == 3))
-            assert report.ok, (k, report)
+        report = homotopy_compare(rs, 2, pos_cx=positive_complexes("A3", 2))
+        assert report.ok, report
+        assert len(report.skeleton_homology) == 3
+        assert report.fibers_checked == len(multichains("A3", 2)) - 1
 
-    def test_k_range_validated(self):
-        rs = build_root_system("A2")
-        with pytest.raises(ValueError):
-            homotopy_compare(rs, 1, 3)
+    @pytest.mark.parametrize("label,m", REFERENCE_CASES)
+    def test_matches_the_complex_route(self, label, m, complexes,
+                                       positive_complexes):
+        # per k the skeleton and the order complex, and every principal
+        # fiber, as explicit complexes of their own
+        rs, _, _ = complexes(label, m)
+        pos = positive_complexes(label, m)
+        L = build_Lm(nc_interval(rs), m)
+        report = homotopy_compare(rs, m, pos_cx=pos, poset=L)
+        want = skeleton_and_poset_homology(rs, pos, L)
+        assert list(zip(report.skeleton_homology, report.poset_homology)) == \
+            want
+        assert report.ok
+        positions = face_tuple_table(rs, m, pos, L)
+        table = face_tuple_dict(rs, m, pos, L)
+        for x in range(1, len(L)):
+            got = _fiber_homology(pos, positions, L.down[x])
+            fib = fiber_subcomplex(pos, table, L.down[x])
+            assert got.groups() == homology(fib).groups() == {}, x
 
     def test_fibers_are_joins_of_below_complexes(self, complexes,
                                                  positive_complexes):
@@ -252,32 +292,52 @@ class TestHomotopyCompare:
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
         L = build_Lm(nc_interval(rs), 2)
-        table = face_tuple_table(rs, 2, pos, L)
+        positions = face_tuple_table(rs, 2, pos, L)
         for x in range(1, len(L)):
-            fib = fiber_complex(pos, table, L.down[x])
-            assert fib.euler_characteristic_reduced() == 0
-            assert homology(fib).is_trivial()
+            fib = _fiber_homology(pos, positions, L.down[x])
+            assert fib.euler_reduced == 0
+            assert fib.is_trivial()
 
     def test_sampled_order_ideals(self, complexes, positive_complexes):
         # non-principal ideals: homology of the fiber matches the ideal's
-        # order complex
-        import random
+        # order complex, and the fiber as a complex of its own
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
         L = build_Lm(nc_interval(rs), 2)
-        table = face_tuple_table(rs, 2, pos, L)
+        positions = face_tuple_table(rs, 2, pos, L)
+        table = face_tuple_dict(rs, 2, pos, L)
         rng = random.Random(3)
         nontrivial = range(1, len(L))
         for _ in range(6):
             seeds = rng.sample(nontrivial, 2)
             ideal = [i for i in nontrivial
                      if any(L.elements[i].leq(L.elements[s]) for s in seeds)]
-            fib = fiber_complex(pos, table, L.down[seeds[0]] | L.down[seeds[1]])
-            oc = order_complex(L, ideal)
-            ha, hb = homology(fib), homology(oc)
-            la = list(ha.betti) + [0] * (len(hb.betti) - len(ha.betti))
-            lb = list(hb.betti) + [0] * (len(ha.betti) - len(hb.betti))
-            assert la == lb
+            bits = L.down[seeds[0]] | L.down[seeds[1]]
+            fib = _fiber_homology(pos, positions, bits)
+            assert fib.groups() == \
+                homology(order_complex(L, ideal)).groups() == \
+                homology(fiber_subcomplex(pos, table, bits)).groups()
+
+    def test_a_map_that_is_not_order_preserving_is_refused(self, monkeypatch):
+        # move one vertex's tuple to another's, below no tuple of its edges
+        rs = build_root_system("A2")
+        L = build_Lm(nc_interval(rs), 2)
+        real = noncrossing.face_to_tuple
+        atoms = [t for t in L.elements if t.rank == 1]
+
+        def moved(rs_, m_, sigma):
+            t = real(rs_, m_, sigma)
+            return atoms[(atoms.index(t) + 1) % len(atoms)] \
+                if len(sigma) == 1 and t == atoms[0] else t
+
+        monkeypatch.setattr(noncrossing, "face_to_tuple", moved)
+        with pytest.raises(RuntimeError, match="not order-preserving"):
+            homotopy_compare(rs, 2, poset=L)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            assert run(["ncp", "--phi", "A2", "--m", "2"]) == 1
+        assert "not order-preserving: face {" in err.getvalue()
 
 
 class TestPoset:
