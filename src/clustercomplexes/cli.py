@@ -323,8 +323,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     # shelling
     for name, complex_ in (("full", cx), ("positive", pos)):
         try:
-            construct_shelling(complex_)
-            ok = True
+            ok = construct_shelling(complex_).ok
         except ShellingFailure:
             ok = False
         add("shelling-%s" % name, ok, facets=len(complex_.facets))

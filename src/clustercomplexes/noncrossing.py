@@ -14,7 +14,6 @@ order ideal is the set of cells whose tuple lies in it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -175,13 +174,17 @@ def face_to_tuple(rs: RootSystem, m: int,
 def order_complex(p: Poset, keep: Iterable[int]) -> SimplicialComplex:
     """Chains of the elements at positions ``keep``, as a flag complex."""
     keep = sorted(keep)
+    slot = {x: a for a, x in enumerate(keep)}
+    kept = sum(1 << x for x in keep)
     adjacency = {a: set() for a in range(len(keep))}
-    for a, b in itertools.combinations(range(len(keep)), 2):
-        if p.leq(keep[a], keep[b]):
+    for b, y in enumerate(keep):
+        below = p.down[y] & kept ^ 1 << y  # y lies in its own down-set
+        while below:
+            a = slot[below.bit_length() - 1]
             adjacency[a].add(b)
             adjacency[b].add(a)
-    facets = _max_cliques({a: frozenset(s) for a, s in adjacency.items()}) \
-        if keep else []
+            below ^= 1 << keep[a]
+    facets = _max_cliques(adjacency) if keep else []
     return SimplicialComplex([str(i) for i in keep], facets,
                              objects=[p.elements[i] for i in keep])
 

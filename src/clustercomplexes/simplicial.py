@@ -8,9 +8,9 @@ may carry a vertex permutation, ``symmetry``, that its builder knows to
 be an automorphism; ``induce``, the only construction, does not pass it
 on, since a subcomplex is in general not invariant under it.
 ``face_table`` holds the index of every face that ``topology`` builds
-once per complex, on first use: its Cohen-Macaulay audits read links
-off it, and ``noncrossing`` reads skeleta and fibers off the positive
-part's.
+once per complex, on first use: its homology and Cohen-Macaulay audits
+read off it, and ``noncrossing`` reads skeleta and fibers off the
+positive part's.
 """
 from __future__ import annotations
 

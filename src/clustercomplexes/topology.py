@@ -1,11 +1,11 @@
 """Topological checks: purity, shellings, homology, connectivity audits.
 
-Shelling orders are constructed by recursive vertex decomposition and are
-always re-verified against the definition, so a returned order is a
+Shelling orders are constructed by recursive vertex decomposition and
+checked in one pass by their restriction faces, so a returned order is a
 checked certificate.  Homology is integral and read off a face table that
-indexes every face once, with its vertex bitmask, boundary and cofaces; a
-Cohen-Macaulay audit keeps the table on its complex, with its link memo,
-for every later audit of that complex.  A profile is taken of any
+indexes every face once, with its vertex bitmask, boundary and cofaces,
+kept on its complex with the link memo of its Cohen-Macaulay audits for
+every later homology or audit of that complex.  A profile is taken of any
 subcomplex given as the table's cells by size, less a vertex set:
 ``noncrossing`` reads skeleta, restrictions and fibers this way.
 A chain complex is a set of the table's cells with the boundary restricted
@@ -41,54 +41,52 @@ from .simplicial import SimplicialComplex
 
 @dataclass
 class ShellingOrder:
-    """An ordered facet list together with its restriction faces."""
+    """A facet order with its restriction faces, or its failing step."""
 
     facets: tuple
     restrictions: tuple = ()
+    failure: Optional[tuple] = None  # (k, i) indices violating the condition
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
     def __len__(self):
         return len(self.facets)
 
 
-@dataclass
-class ShellingCheck:
-    ok: bool
-    restrictions: tuple = ()
-    failure: Optional[tuple] = None  # (k, i) indices violating the condition
+def verify_shelling(cx: SimplicialComplex,
+                    order: Sequence[Sequence[int]]) -> ShellingOrder:
+    """Check a shelling order in one pass, by its restriction faces.
 
-    def __bool__(self):
-        return self.ok
-
-
-def verify_shelling(cx: SimplicialComplex, order: Sequence[Sequence[int]]) -> ShellingCheck:
-    """Definition check: each new facet meets an earlier one in codim one."""
+    R_k is the set of vertices v of F_k with F_k - v in an earlier facet.
+    Step k fails iff an earlier facet contains R_k, and ``failure`` names
+    the first, as the definition does: an earlier F_i meets F_k outside
+    every F_k - v, v in R_k, iff F_i contains R_k.
+    """
     if not cx.is_pure():
         raise ValueError("the shelling definition used here is for pure complexes")
     facets = [tuple(sorted(f)) for f in order]
     if sorted(facets) != list(cx.facets):
         raise ValueError("order is not a permutation of the facet list")
+    kept: dict = {}  # mask of each face of F_0 .. F_k-1 -> first facet
     restrictions = []
     for k, fk in enumerate(facets):
-        fk_set = set(fk)
-        codim1 = set()
-        for j in range(k):
-            inter = fk_set & set(facets[j])
-            if len(inter) == len(fk) - 1:
-                codim1.add(frozenset(inter))
-        for i in range(k):
-            inter = fk_set & set(facets[i])
-            if not any(inter <= c for c in codim1):
-                return ShellingCheck(False, failure=(k, i))
-        # restriction face: vertices v whose deletion leaves an earlier facet
-        rest = tuple(sorted(v for v in fk if frozenset(fk_set - {v}) in codim1))
+        bits = [1 << v for v in fk]
+        full = sum(bits)
+        rest = tuple(v for v, b in zip(fk, bits) if full ^ b in kept)
+        first = kept.get(sum(1 << v for v in rest))
+        if first is not None:
+            return ShellingOrder(tuple(facets), failure=(k, first))
         restrictions.append(rest)
-    return ShellingCheck(True, restrictions=tuple(restrictions))
+        for size in range(len(bits) + 1):
+            for face in itertools.combinations(bits, size):
+                kept.setdefault(sum(face), k)
+    return ShellingOrder(tuple(facets), tuple(restrictions))
 
 
 class ShellingFailure(RuntimeError):
-    def __init__(self, message, subcomplex=None):
-        super().__init__(message)
-        self.subcomplex = subcomplex
+    """No shelling order was found, or the one found failed its check."""
 
 
 def construct_shelling(cx: SimplicialComplex) -> ShellingOrder:
@@ -97,18 +95,16 @@ def construct_shelling(cx: SimplicialComplex) -> ShellingOrder:
     Candidate shedding vertices follow the complex's vertex ranking when
     present (negative simple roots first, then the extremes of the
     color-then-root order); other complexes fall back to trying every
-    vertex, with memoization on the induced facet sets.  The result is
-    re-verified before being returned.
+    vertex, with memoization on the induced facet sets.  The order is
+    checked by ``verify_shelling`` and returned with its restriction faces.
     """
-    memo: dict = {}
-    facets = _vd_order(cx.facets, cx, memo)
+    facets = _vd_order(cx.facets, cx, {})
     if facets is None:
-        raise ShellingFailure("no vertex decomposition found", cx)
-    order = [tuple(sorted(f)) for f in facets]
-    check = verify_shelling(cx, order)
-    if not check.ok:
-        raise ShellingFailure("constructed order failed verification", cx)
-    return ShellingOrder(tuple(order), check.restrictions)
+        raise ShellingFailure("no vertex decomposition found")
+    order = verify_shelling(cx, facets)
+    if not order.ok:
+        raise ShellingFailure("constructed order failed verification")
+    return order
 
 
 def _vd_order(facets: tuple, cx: SimplicialComplex, memo: dict) -> Optional[list]:
@@ -467,7 +463,7 @@ def _table_of(cx: SimplicialComplex) -> _FaceTable:
 
 def homology(cx: SimplicialComplex) -> HomologyProfile:
     """Reduced integral simplicial homology of the augmented chain complex."""
-    return _FaceTable(cx.facets).profile()
+    return _table_of(cx).profile()
 
 
 def verify_wedge(cx: SimplicialComplex, expected_count: int, dim: int) -> bool:

@@ -4,9 +4,10 @@ Each is an independent, slower route to something the library computes:
 ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
 the whole group by closure, type-A one-line notation, reflection length
 and the face test by full permutation products, the two-length face test,
-and a root system rebuilt from its JSON report.  The noncrossing
-comparison is redone on explicit complexes: a skeleton and an order complex
-per k, and each fiber relabelled as a complex of its own.  The rest are
+a root system rebuilt from its JSON report, and the shelling condition
+checked on every pair of facets.  The noncrossing comparison is redone
+on explicit complexes: a skeleton and an order complex per k, and each
+fiber relabelled as a complex of its own.  The rest are
 constructions only the tests read: reflection matrices, the bipartition of
 the simple roots, the subcomplex below an element, and vertex links,
 deletions and labelled facets.
@@ -22,7 +23,7 @@ from clustercomplexes.exact import ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
 from clustercomplexes.noncrossing import face_to_tuple, order_complex
 from clustercomplexes.roots import CoordinateRootSystem, DihedralRootSystem
 from clustercomplexes.simplicial import SimplicialComplex
-from clustercomplexes.topology import homology
+from clustercomplexes.topology import ShellingOrder, homology
 
 
 def difference(a: Matrix, b: Matrix) -> Matrix:
@@ -306,6 +307,31 @@ def skeleton(cx, k: int) -> SimplicialComplex:
 
 def labeled_facets(cx) -> list:
     return [tuple(cx.vertices[v] for v in f) for f in cx.facets]
+
+
+def shelling_by_definition(cx, order) -> ShellingOrder:
+    """Definition check: each new facet meets an earlier one in codim one."""
+    if not cx.is_pure():
+        raise ValueError("the shelling definition used here is for pure complexes")
+    facets = [tuple(sorted(f)) for f in order]
+    if sorted(facets) != list(cx.facets):
+        raise ValueError("order is not a permutation of the facet list")
+    restrictions = []
+    for k, fk in enumerate(facets):
+        fk_set = set(fk)
+        codim1 = set()
+        for j in range(k):
+            inter = fk_set & set(facets[j])
+            if len(inter) == len(fk) - 1:
+                codim1.add(frozenset(inter))
+        for i in range(k):
+            inter = fk_set & set(facets[i])
+            if not any(inter <= c for c in codim1):
+                return ShellingOrder(tuple(facets), failure=(k, i))
+        # restriction face: vertices v whose deletion leaves an earlier facet
+        rest = tuple(sorted(v for v in fk if frozenset(fk_set - {v}) in codim1))
+        restrictions.append(rest)
+    return ShellingOrder(tuple(facets), tuple(restrictions))
 
 
 # -- the noncrossing comparison on explicit complexes ---------------------------------

@@ -11,6 +11,7 @@ import clustercomplexes
 from clustercomplexes import cli
 from clustercomplexes.cli import run
 from clustercomplexes.simplicial import SimplicialComplex
+from clustercomplexes.topology import fuss_catalan
 
 
 def test_build_writes_twelve_facets(tmp_path):
@@ -33,20 +34,44 @@ def test_verify_all_smallest_case():
                                     ("A1xA2", 2)])
 def test_verify_all_builds_the_audit_data_once(phi, m, monkeypatch, capsys):
     # the (m+1)-CM audit and the witness search read one face table of the
-    # complex, with one link index and one memo of link verdicts
+    # complex, with one link index and one memo of link verdicts; homology
+    # and the homotopy comparison read the one table of each complex too
     from clustercomplexes import topology
-    built = []
+    built, tables = [], []
     real = topology._AuditData.__init__
+    real_table = topology._FaceTable.__init__
 
     def recording(self, table):
         built.append(table)
         real(self, table)
 
+    def recording_table(self, facets):
+        tables.append(tuple(facets))
+        real_table(self, facets)
+
     monkeypatch.setattr(topology._AuditData, "__init__", recording)
+    monkeypatch.setattr(topology._FaceTable, "__init__", recording_table)
     assert run(["verify-all", "--phi", phi, "--m", str(m)]) == 0
     capsys.readouterr()
     assert len(built) == 1
     assert built[0].dim == clustercomplexes.build_root_system(phi).rank - 1
+    assert len(set(tables)) == len(tables)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("phi", ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2",
+                                 "A1xB2", "A2xA2", "A1xA1xA1"]
+                         + ["I2(%d)" % q for q in range(2, 13)])
+def test_shelling_counts_the_facets(phi, m, capsys):
+    assert run(["shelling", "--phi", phi, "--m", str(m),
+                "--format", "json"]) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert all(c["ok"] for c in checks.values())
+    rs = clustercomplexes.build_root_system(phi)
+    assert checks["shelling-full"]["detail"]["facets"] == fuss_catalan(rs, m)
+    # at m = 0 the positive part is {()}: one empty facet
+    assert checks["shelling-positive"]["detail"]["facets"] == \
+        (fuss_catalan(rs, m, positive=True) if m else 1)
 
 
 def test_kcm_failure_exit_code_and_witness(tmp_path, capsys):

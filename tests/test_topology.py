@@ -2,19 +2,29 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercomplexes import topology
 from clustercomplexes.colored import build_complex, positive_part
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
-                                       construct_shelling,
+                                       construct_shelling, fuss_catalan,
                                        fuss_narayana_positive, homology,
                                        is_cohen_macaulay, kcm_audit,
                                        verify_shelling, verify_wedge)
+from conftest import ACCEPTANCE_MATRIX
+from exact_oracles import shelling_by_definition
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
           for m in (1, 2, 3)]
+# complexes whose shelling orders are reordered against the definition
+ORDER_CASES = [("pentagon", None, False)] + [
+    (label, m, positive)
+    for label, m in [("A2", 1), ("A2", 2), ("B2", 2), ("I2(5)", 2),
+                     ("A1xA2", 1)]
+    for positive in (False, True)]
 
 
 def pentagon():
@@ -71,12 +81,42 @@ class TestVerifyShelling:
         assert not check.ok
         assert check.failure is not None
 
-    def test_restriction_faces_recover_h_vector(self, complexes):
-        _, cx, _ = complexes("A2", 2)
+    @pytest.mark.parametrize("positive", [False, True],
+                             ids=["full", "positive"])
+    @pytest.mark.parametrize("label, m", ACCEPTANCE_MATRIX)
+    def test_restriction_faces_recover_h_vector(self, label, m, positive,
+                                                complexes, positive_complexes):
+        rs, cx, _ = complexes(label, m)
+        if positive:
+            cx = positive_complexes(label, m)
         order = construct_shelling(cx)
+        assert order == shelling_by_definition(cx, order.facets)
         hist = collections.Counter(len(r) for r in order.restrictions)
         h = f_to_h(cx.f_vector())
         assert tuple(hist.get(i, 0) for i in range(len(h))) == h
+        # the facets whose restriction is the whole facet count the spheres
+        spheres = sum(r == f for r, f in zip(order.restrictions, order.facets))
+        assert spheres == (fuss_narayana_positive(rs, m - 1) if positive
+                           else fuss_catalan(rs, m - 1))
+
+    @pytest.mark.parametrize("label, m, positive", ORDER_CASES)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_definition_on_reordered_shellings(
+            self, label, m, positive, data, complexes, positive_complexes):
+        if label == "pentagon":
+            cx = pentagon()
+        else:
+            cx = positive_complexes(label, m) if positive \
+                else complexes(label, m)[1]
+        order = list(construct_shelling(cx).facets)
+        if data.draw(st.booleans()):
+            order = data.draw(st.permutations(order))
+        else:
+            i = data.draw(st.integers(0, len(order) - 1))
+            j = data.draw(st.integers(0, len(order) - 1))
+            order[i], order[j] = order[j], order[i]
+        assert verify_shelling(cx, order) == shelling_by_definition(cx, order)
 
     def test_rejects_non_permutations(self):
         cx = pentagon()
