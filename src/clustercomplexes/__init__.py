@@ -11,8 +11,8 @@ simplicial   facet-list complexes and induced subcomplexes; f/h-vectors
 colored      colored roots, compatibility, the complexes, positive parts,
              the polygon model
 topology     purity, shellings, integral homology, sphere counts, k-CM audits
-noncrossing  multichain posets, Moebius functions, and the homotopy
-             comparison read off two face tables
+noncrossing  multichain posets on simple-root images, Moebius functions,
+             and the homotopy comparison read off two face tables
 cli          the ``clustercx`` command-line front end
 """
 
@@ -24,13 +24,13 @@ from .coxeter import (GroupElement, absolute_leq, bipartite_coxeter,  # noqa: F4
                       rho_sequence, total_order, word_length_bfs)
 from .colored import (ColoredRoot, build_complex, fr_compatible,  # noqa: F401
                       is_face, positive_part, rm_map, tau, deformed_coxeter,
-                      typeA_polygon_oracle, word_of_face)
+                      typeA_polygon_oracle)
 from .simplicial import SimplicialComplex, f_h_vectors  # noqa: F401
 from .topology import (HomologyProfile, KCMReport, ShellingOrder,  # noqa: F401
                        codim1_incidence, construct_shelling,
                        fuss_narayana_positive, homology, kcm_audit,
                        verify_shelling, verify_wedge)
-from .noncrossing import (MultichainTuple, Poset, build_Lm,  # noqa: F401
-                          face_to_tuple, homotopy_compare, moebius,
-                          nc_interval, order_complex)
+from .noncrossing import (Poset, build_Lm, face_to_tuple,  # noqa: F401
+                          homotopy_compare, moebius, nc_interval,
+                          order_complex)
 from .exact import Matrix, Scalar, smith_normal_form  # noqa: F401

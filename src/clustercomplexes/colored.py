@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coxeter import GroupElement, bipartite_coxeter, total_order
+from .coxeter import bipartite_coxeter, total_order
 from .roots import Root, RootSystem
 from .simplicial import SimplicialComplex
 
@@ -208,15 +208,6 @@ def _word(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> list:
 def _not_a_vertex(ctx: ComplexContext, v: ColoredRoot) -> ValueError:
     return ValueError("%r is not a vertex of the complex of %s at m = %d"
                       % (v, ctx.system.label, ctx.m))
-
-
-def word_of_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> GroupElement:
-    """Ordered reflection product of a colored-root set (see ``steps``)."""
-    rs = ctx.system
-    out = rs.identity_element()
-    for t in _word(ctx, sigma):
-        out = out * GroupElement(rs, t)
-    return out
 
 
 def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:

@@ -4,39 +4,28 @@ The interval [e, gamma] of the absolute order and the poset L_m of m-tuples
 with additive reflection length below gamma are indexed posets: their
 elements are listed in a linear extension, bottom first, with one down-set
 bitset per element; covers are looked up by the n simple-root images of a
-product, never by the product itself.  The comparison with the positive
-cluster complex reads every complex off two face tables, the positive
-part's and that of the order complex of L_m minus its bottom: for each k,
-the (k-1)-skeleton is the positive part's cells with at most k vertices,
-the order complex of the ranks 1..k is the restriction missing the
-vertices of higher rank, and the fiber of the face-to-tuple map over an
-order ideal is the set of cells whose tuple lies in it.
+product, never by the product itself.  An element of L_m is the m-tuple of
+its words' simple-root images, and the face-to-tuple map reads each color
+class's word off the face test's steps, with no group product.  The
+comparison with the positive cluster complex reads every complex off two
+face tables, the positive part's and that of the order complex of L_m
+minus its bottom: for each k, the (k-1)-skeleton is the positive part's
+cells with at most k vertices, the order complex of the ranks 1..k is the
+restriction missing the vertices of higher rank, and the fiber of the
+face-to-tuple map over an order ideal is the set of cells whose tuple
+lies in it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .colored import (ColoredRoot, _max_cliques, build_complex, get_context,
-                      positive_part, word_of_face)
-from .coxeter import absolute_interval, absolute_leq
+from .colored import (ColoredRoot, _max_cliques, _word, build_complex,
+                      get_context, is_face, positive_part)
+from .coxeter import absolute_interval
 from .roots import RootSystem
 from .simplicial import SimplicialComplex
 from .topology import _table_of
-
-
-@dataclass(frozen=True)
-class MultichainTuple:
-    """An m-tuple of group elements with additive length below gamma."""
-
-    words: tuple
-
-    @property
-    def rank(self) -> int:
-        return sum(w.length for w in self.words)
-
-    def leq(self, other: "MultichainTuple") -> bool:
-        return all(absolute_leq(u, w) for u, w in zip(self.words, other.words))
 
 
 class Poset:
@@ -101,9 +90,11 @@ def _by_images(elements: Sequence) -> dict:
 def build_Lm(interval: Poset, m: int) -> Poset:
     """m-tuples of the interval whose product lies in it with additive length.
 
-    The order is componentwise; its covers raise one coordinate by a cover
-    of the interval.  A product is carried as a permutation, and its
-    product with w is looked up by its images at w's simple-root images.
+    An element is the m-tuple of its words' simple-root images, each as
+    ``_by_images`` keys it.  The order is componentwise; its covers raise
+    one coordinate by a cover of the interval.  A product is carried as a
+    permutation, and its product with w is looked up by its images at w's
+    simple-root images.
     """
     if m < 1:
         raise ValueError("the tuple length m must be at least 1")
@@ -131,7 +122,7 @@ def build_Lm(interval: Poset, m: int) -> Poset:
     covers = [[i for i in range(j) if interval.leq(i, j)
                and ranks[i] == ranks[j] - 1] for j in range(len(interval))]
     return Poset(
-        [MultichainTuple(tuple(elements[i] for i in t)) for t in tuples],
+        [tuple(images[i] for i in t) for t in tuples],
         [sum(ranks[i] for i in t) for t in tuples],
         [[position[t[:c] + (i,) + t[c + 1:]]
           for c in range(m) for i in covers[t[c]]] for t in tuples])
@@ -150,25 +141,30 @@ def moebius(p: Poset, x: int, y: int) -> int:
 
 
 def face_to_tuple(rs: RootSystem, m: int,
-                  sigma: Sequence[ColoredRoot]) -> MultichainTuple:
-    """The color-class words of a face, highest color first."""
+                  sigma: Sequence[ColoredRoot]) -> tuple:
+    """The simple-root images of a face's color-class words, highest first.
+
+    Each class word is read off the class's sorted steps, the ones
+    ``is_face`` multiplies.  The classes, highest color first, make up the
+    face's word, so ``is_face`` puts their product below gamma with length
+    |sigma|, and their lengths must add up to |sigma|.
+    """
     sigma = list(sigma)
     if not sigma:
         raise ValueError("the face-to-tuple map is defined on nonempty faces")
     ctx = get_context(rs, m)
     words = []
     for color in range(m, 0, -1):
-        cls = [v for v in sigma if v.color == color]
-        words.append(word_of_face(ctx, cls))
-    out = MultichainTuple(tuple(words))
-    if out.rank != len(sigma):
+        images = rs.simple_positions
+        # w = t_1 .. t_k acts by t_k first
+        for t in reversed(_word(ctx, [v for v in sigma if v.color == color])):
+            images = tuple(t[i] for i in images)
+        words.append(images)
+    if sum(rs.image_length(w) for w in words) != len(sigma):
         raise RuntimeError("face word lengths do not add up to the face size")
-    product = rs.identity_element()
-    for w in out.words:
-        product = product * w
-    if not absolute_leq(product, ctx.gamma):
+    if not is_face(ctx, sigma):
         raise RuntimeError("face tuple escapes the noncrossing interval")
-    return out
+    return tuple(words)
 
 
 def order_complex(p: Poset, keep: Iterable[int]) -> SimplicialComplex:
@@ -245,7 +241,7 @@ class HomotopyCompareReport:
     skeleton_homology: list
     poset_homology: list
     fibers_checked: int
-    fiber_failures: list
+    fiber_failures: list  # the L_m elements whose fibers have homology
 
     def agrees(self, k: int) -> bool:
         """Whether the two complexes at k have the same homology groups."""
@@ -291,8 +287,7 @@ def homotopy_compare(rs: RootSystem, m: int,
         skeleta.append(pos_table.profile(upto(pos_table, k)))
         truncations.append(chains.profile(upto(chains, k), higher))
     positions = face_tuple_table(rs, m, pos_cx, poset)
-    failures = [[list(w.perm) for w in poset.elements[x].words]
-                for x in range(1, len(poset))
+    failures = [poset.elements[x] for x in range(1, len(poset))
                 if not pos_table.profile(
                     fiber_complex(positions, poset.down[x])).is_trivial()]
     return HomotopyCompareReport(skeleta, truncations, len(poset) - 1,

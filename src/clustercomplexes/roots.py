@@ -713,33 +713,51 @@ _EXPECTED_POSITIVE_COUNT = {
 
 _SUPPORTED = "A(n>=1) B(n>=2) C(n>=2) D(n>=3) E6 E7 E8 F4 G2 H3 H4 I2(m>=2), products with 'x'"
 
+_FIXED = {"E6": (lambda: _simples_E8()[:6], 6),
+          "E7": (lambda: _simples_E8()[:7], 7),
+          "E8": (_simples_E8, 8),
+          "F4": (_simples_F4, 4),
+          "G2": (_simples_G2, 2),
+          "H3": (_simples_H3, 3),
+          "H4": (_simples_H4, 4)}
+
 _build_cache: dict = {}
 
 
 def build_root_system(label: str, rank: int | None = None,
                       dihedral_order: int | None = None) -> RootSystem:
-    """Build a root system by type label, e.g. ('A', 2), 'B3' or 'I2(7)'."""
-    key = (label, rank, dihedral_order)
-    if key in _build_cache:
-        return _build_cache[key]
-    rs = _build_root_system(label, rank, dihedral_order)
-    _build_cache[key] = rs
-    return rs
+    """Build a root system by type label, e.g. ('A', 2), 'B3' or 'I2(7)'.
+
+    Systems are cached by the parsed (family, rank, dihedral order) of each
+    factor, so every form of a label gives the same system.
+    """
+    parts = label.split("x")
+    key = tuple(_factor_key(*parse_label(p)) for p in parts) if len(parts) > 1 \
+        else (_factor_key(label, rank, dihedral_order),)
+    if key not in _build_cache:
+        factors = [_build_factor(*f) for f in key]
+        _build_cache[key] = product_system(factors) if len(key) > 1 \
+            else factors[0]
+    return _build_cache[key]
 
 
-def _build_root_system(label, rank, dihedral_order) -> RootSystem:
-    if "x" in label:
-        factors = [parse_label(part) for part in label.split("x")]
-        return product_system([_build_root_system(*f) for f in factors])
+def _factor_key(label, rank, dihedral_order) -> tuple:
+    """The (family, rank, dihedral order) that one factor's label names."""
     if rank is None or dihedral_order is not None:
         label, rank, parsed_m = parse_label(label)
         dihedral_order = dihedral_order if dihedral_order is not None else parsed_m
     if label == "I2":
-        m = dihedral_order if dihedral_order is not None else rank
-        if m is None or m < 2:
+        return ("I2", 2, dihedral_order if dihedral_order is not None else rank)
+    name = "%s%s" % (label, rank)  # ('E', 6) names E6
+    return (name if name in _FIXED else label, rank, None)
+
+
+def _build_factor(label, rank, dihedral_order) -> RootSystem:
+    if label == "I2":
+        if dihedral_order < 2:
             raise ValueError("I2 requires a dihedral order m >= 2; supported: %s"
                              % _SUPPORTED)
-        return DihedralRootSystem(m)
+        return DihedralRootSystem(dihedral_order)
     builders = {"A": (_simples_A, lambda n: n >= 1),
                 "B": (_simples_B, lambda n: n >= 2),
                 "C": (_simples_C, lambda n: n >= 2),
@@ -750,24 +768,16 @@ def _build_root_system(label, rank, dihedral_order) -> RootSystem:
             raise ValueError("unsupported rank %r for type %s; supported: %s"
                              % (rank, label, _SUPPORTED))
         return CoordinateRootSystem(fn(rank), label="%s%d" % (label, rank))
-    fixed = {"E6": (lambda: _simples_E8()[:6], 6),
-             "E7": (lambda: _simples_E8()[:7], 7),
-             "E8": (_simples_E8, 8),
-             "F4": (_simples_F4, 4),
-             "G2": (_simples_G2, 2),
-             "H3": (_simples_H3, 3),
-             "H4": (_simples_H4, 4)}
-    name = label if label in fixed else "%s%s" % (label, rank)
-    if name in fixed:
-        fn, want_rank = fixed[name]
+    if label in _FIXED:
+        fn, want_rank = _FIXED[label]
         if rank not in (None, want_rank):
-            raise ValueError("type %s has rank %d, got %r" % (name, want_rank, rank))
-        rs = CoordinateRootSystem(fn(), label=name)
-        expected = _EXPECTED_POSITIVE_COUNT[name]
+            raise ValueError("type %s has rank %d, got %r" % (label, want_rank, rank))
+        rs = CoordinateRootSystem(fn(), label=label)
+        expected = _EXPECTED_POSITIVE_COUNT[label]
         if len(rs.positive_roots) != expected:
             raise RuntimeError(
                 "closure produced %d positive roots for %s, expected %d" % (
-                    len(rs.positive_roots), name, expected))
+                    len(rs.positive_roots), label, expected))
         return rs
     raise ValueError("unsupported root system %r; supported: %s"
                      % (label if rank is None else (label, rank), _SUPPORTED))

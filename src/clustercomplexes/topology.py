@@ -24,6 +24,7 @@ shelling route uses no symmetry.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import random
@@ -132,18 +133,17 @@ def _vd_order(facets: tuple, cx: SimplicialComplex, memo: dict) -> Optional[list
             [tuple(sorted(f + tuple(apexes))) for f in sub]
         memo[facets] = out
         return out
+    ridges = collections.Counter(f[:i] + f[i + 1:] for f in facets
+                                 for i in range(size))
     result = None
     for v in _shedding_candidates(verts, cx):
         vfree = [f for f in facets if v not in f]
         star = [f for f in facets if v in f]
-        if not vfree or not star:
-            continue
-        # deletion stays pure of the same dimension iff every star facet
-        # minus v is absorbed by a facet avoiding v
-        free_sets = [set(f) for f in vfree]
-        if not all(any(set(f) - {v} <= g for g in free_sets) for f in star):
-            continue
+        # deletion stays pure iff each star facet minus v lies in a second
+        # facet, which avoids v since all facets have one size
         link = tuple(tuple(x for x in f if x != v) for f in star)
+        if any(ridges[r] < 2 for r in link):
+            continue
         link_order = _vd_order(link, cx, memo)
         if link_order is None:
             continue
@@ -160,16 +160,16 @@ def _shedding_candidates(verts: list, cx: SimplicialComplex) -> list:
     rank = cx.meta.get("vertex_rank")
     if not rank:
         return verts
-    negatives = [v for v in verts if cx.vertices[v] in
-                 set(cx.meta.get("negative_labels", ()))]
-    positives = [v for v in verts if v not in set(negatives)]
-    out = list(negatives)
+    negative = set(cx.meta.get("negative_labels", ()))
+    out = [v for v in verts if cx.vertices[v] in negative]
+    positives = [v for v in verts if cx.vertices[v] not in negative]
     if positives:
         ranked = sorted(positives, key=lambda v: rank[cx.vertices[v]])
         lo, hi = ranked[0], ranked[-1]
         out.extend([lo] if lo == hi else [lo, hi])
     # fall back to everything else if the canonical picks dead-end
-    out.extend(v for v in verts if v not in set(out))
+    picked = set(out)
+    out.extend(v for v in verts if v not in picked)
     return out
 
 
@@ -654,6 +654,7 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     isomorphism invariant, so each removal is keyed by its least image
     mask under the powers of g and each key is decided once.  The
     shelling route uses no symmetry: every removal is its own key.
+    Sample mode draws only sizes that fit in the vertex set.
     ``examined`` counts every removal, and failures name each removal's
     own vertices.  Distinct keys may be split over a process pool of at
     most os.cpu_count() workers, one table each; results are merged in
@@ -675,9 +676,10 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
                    for c in itertools.combinations(range(n), size)]
     elif mode == "sample":
         rng = random.Random(seed)
+        fits = [size for size in sizes if size <= n]
         pool = set()
-        for _ in range(sample_count):
-            size = rng.choice(sizes)
+        for _ in range(sample_count if fits else 0):
+            size = rng.choice(fits)
             pool.add(tuple(sorted(rng.sample(range(n), size))))
         subsets = sorted(pool)
     else:

@@ -5,7 +5,9 @@ ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
 the whole group by closure, type-A one-line notation, reflection length
 and the face test by full permutation products, the two-length face test,
 a root system rebuilt from its JSON report, and the shelling condition
-checked on every pair of facets.  The noncrossing comparison is redone
+checked on every pair of facets.  The noncrossing side is redone with
+group elements: the componentwise absolute order on L_m and the
+face-to-tuple map by permutation products; and its comparison is redone
 on explicit complexes: a skeleton and an order complex per k, and each
 fiber relabelled as a complex of its own.  The rest are
 constructions only the tests read: reflection matrices, the bipartition of
@@ -16,9 +18,9 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from clustercomplexes.colored import (_component_of, build_complex,
-                                      get_context, positive_part, word_of_face)
-from clustercomplexes.coxeter import absolute_leq
+from clustercomplexes.colored import (_component_of, _word, build_complex,
+                                      get_context, positive_part)
+from clustercomplexes.coxeter import GroupElement, absolute_leq
 from clustercomplexes.exact import ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
 from clustercomplexes.noncrossing import face_to_tuple, order_complex
 from clustercomplexes.roots import CoordinateRootSystem, DihedralRootSystem
@@ -167,6 +169,15 @@ def permutation_length(w) -> int:
         image = rs.expansion(w.apply(a))
         rows.append([c - 1 if k == j else c for k, c in enumerate(image)])
     return fraction_rank(Matrix(rows))
+
+
+def word_of_face(ctx, sigma) -> GroupElement:
+    """Ordered reflection product of a colored-root set, by permutations."""
+    rs = ctx.system
+    out = rs.identity_element()
+    for t in _word(ctx, sigma):
+        out = out * GroupElement(rs, t)
+    return out
 
 
 def permutation_is_face(ctx, sigma) -> bool:
@@ -335,6 +346,39 @@ def shelling_by_definition(cx, order) -> ShellingOrder:
 
 
 # -- the noncrossing comparison on explicit complexes ---------------------------------
+
+
+def componentwise_leq(interval):
+    """The order of L_m on image tuples, coordinate by coordinate.
+
+    Each coordinate is compared as a group element of ``interval`` by
+    ``absolute_leq``.
+    """
+    simple = interval.elements[0].system.simple_positions
+    element = {tuple(w.perm[i] for i in simple): w for w in interval.elements}
+
+    def leq(s, t) -> bool:
+        return all(absolute_leq(element[u], element[w]) for u, w in zip(s, t))
+    return leq
+
+
+def face_tuple_by_products(rs, m: int, sigma):
+    """The face-to-tuple map by permutation products, or None off L_m.
+
+    The color-class words are multiplied out by ``word_of_face``, highest
+    color first; their lengths must add up to |sigma| and their product
+    must lie below gamma.  Each word is read at the simple roots.
+    """
+    ctx = get_context(rs, m)
+    words = [word_of_face(ctx, [v for v in sigma if v.color == color])
+             for color in range(m, 0, -1)]
+    product = rs.identity_element()
+    for w in words:
+        product = product * w
+    if sum(w.length for w in words) != len(sigma) or \
+            not absolute_leq(product, ctx.gamma):
+        return None
+    return tuple(tuple(w.perm[i] for i in rs.simple_positions) for w in words)
 
 
 def face_tuple_dict(rs, m: int, pos, poset) -> dict:

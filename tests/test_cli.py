@@ -74,6 +74,27 @@ def test_shelling_counts_the_facets(phi, m, capsys):
         (fuss_catalan(rs, m, positive=True) if m else 1)
 
 
+@pytest.mark.parametrize("m", range(3))
+@pytest.mark.parametrize("phi", ["A1", "A2", "B2", "G2", "A1xA1", "I2(5)"])
+def test_sampled_kcm_survives_removals_larger_than_the_vertex_set(phi, m,
+                                                                  capsys):
+    for k in range(1, 9):
+        code = run(["kcm", "--phi", phi, "--m", str(m), "--k", str(k),
+                    "--mode", "sample", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == (0 if report["audit"]["passed"] else 1), k
+
+
+def test_sampled_kcm_finds_the_exhaustive_witness(capsys):
+    failures = []
+    for mode in ("sample", "exhaustive"):
+        assert run(["kcm", "--phi", "A1", "--m", "1", "--k", "5", "--mode",
+                    mode, "--format", "json"]) == 1
+        failures.append(json.loads(capsys.readouterr().out)["audit"]["failures"])
+    assert failures[0] == failures[1]
+    assert [f["reason"] for f in failures[0]] == ["dimension-drop"]
+
+
 def test_kcm_failure_exit_code_and_witness(tmp_path, capsys):
     out = tmp_path / "kcm.json"
     code = run(["kcm", "--phi", "A2", "--m", "2", "--k", "4", "--exhaustive",

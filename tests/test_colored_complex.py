@@ -8,8 +8,7 @@ from clustercomplexes.colored import (ColoredRoot, build_complex,
                                       canonical_label, colored_vertices,
                                       deformed_coxeter, fr_compatible,
                                       get_context, is_face, positive_part,
-                                      rm_map, tau,
-                                      typeA_polygon_oracle, word_of_face)
+                                      rm_map, tau, typeA_polygon_oracle)
 from clustercomplexes.coxeter import (GroupElement, absolute_interval,
                                       bipartite_coxeter)
 from clustercomplexes.exact import Matrix, Scalar
@@ -19,7 +18,8 @@ from clustercomplexes.topology import fuss_catalan
 from conftest import ACCEPTANCE_MATRIX
 from exact_oracles import (delete, facets_as_label_sets, labeled_facets,
                            link, permutation_is_face, skeleton,
-                           subcomplex_below, two_length_is_face)
+                           subcomplex_below, two_length_is_face,
+                           word_of_face)
 
 A2_FACETS_M1 = {
     frozenset(f) for f in [

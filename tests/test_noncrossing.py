@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import itertools
 import random
@@ -7,16 +8,17 @@ import pytest
 
 from clustercomplexes import coxeter, noncrossing
 from clustercomplexes.cli import run
-from clustercomplexes.colored import positive_part
+from clustercomplexes.colored import build_complex, get_context, positive_part
 from clustercomplexes.coxeter import absolute_leq, bipartite_coxeter
-from clustercomplexes.noncrossing import (MultichainTuple, Poset, build_Lm,
-                                          face_to_tuple, face_tuple_table,
+from clustercomplexes.noncrossing import (Poset, build_Lm, face_to_tuple,
+                                          face_tuple_table,
                                           fiber_complex, homotopy_compare,
                                           moebius, nc_interval, order_complex)
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.topology import (_table_of, fuss_narayana_positive,
                                        homology)
-from exact_oracles import (face_tuple_dict, fiber_subcomplex,
+from exact_oracles import (componentwise_leq, face_tuple_by_products,
+                           face_tuple_dict, fiber_subcomplex,
                            skeleton_and_poset_homology)
 
 
@@ -62,44 +64,51 @@ class TestMultichainPoset:
         assert len(build_Lm(interval, 1)) == len(interval)
 
     def test_a2_m2_rank_counts(self):
-        L = multichains("A2", 2)
+        rs = build_root_system("A2")
+        L = build_Lm(nc_interval(rs), 2)
         by_rank = {}
-        for t in L.elements:
-            by_rank[t.rank] = by_rank.get(t.rank, 0) + 1
+        for r in L.ranks:
+            by_rank[r] = by_rank.get(r, 0) + 1
         assert by_rank == {0: 1, 1: 6, 2: 5}
-        assert L.ranks == [t.rank for t in L.elements]
+        assert L.ranks == [sum(rs.image_length(w) for w in t)
+                           for t in L.elements]
 
     def test_unique_bottom(self):
-        L = multichains("A2", 2)
-        bottom = L.elements[0]
-        assert bottom.rank == 0
-        assert all(w.is_identity() for w in bottom.words)
+        rs = build_root_system("A2")
+        L = build_Lm(nc_interval(rs), 2)
+        assert L.ranks[0] == 0
+        assert L.elements[0] == (rs.simple_positions,) * 2
         assert all(L.leq(0, j) for j in range(len(L)))
 
     def test_membership_requires_additive_lengths(self):
         rs = build_root_system("A2")
         gamma = bipartite_coxeter(rs)
         L = build_Lm(nc_interval(rs), 2)
-        assert MultichainTuple((gamma, gamma)) not in L.index
+        images = tuple(gamma.perm[i] for i in rs.simple_positions)
+        assert (images, images) not in L.index
 
     def test_downward_closure(self):
         rs = build_root_system("A2")
         interval = nc_interval(rs)
+        leq = componentwise_leq(interval)
+        words = [tuple(w.perm[i] for i in rs.simple_positions)
+                 for w in interval.elements]
         for m in (1, 2, 3):
             L = build_Lm(interval, m)
             for t in L.elements:
-                for smaller in itertools.product(interval.elements, repeat=m):
-                    cand = MultichainTuple(tuple(smaller))
-                    if cand.leq(t):
+                for cand in itertools.product(words, repeat=m):
+                    if leq(cand, t):
                         assert cand in L.index
 
     @pytest.mark.parametrize("label,m", [("A3", 1), ("A3", 2), ("A3", 3),
                                          ("B3", 1), ("B3", 2), ("D4", 1)])
     def test_bitset_order_is_the_componentwise_order(self, label, m):
-        L = multichains(label, m)
+        interval = nc_interval(build_root_system(label))
+        L = build_Lm(interval, m)
+        leq = componentwise_leq(interval)
         for i, s in enumerate(L.elements):
             for j, t in enumerate(L.elements):
-                assert L.leq(i, j) == s.leq(t), (i, j)
+                assert L.leq(i, j) == leq(s, t), (i, j)
 
     def test_invalid_m(self):
         with pytest.raises(ValueError):
@@ -108,27 +117,34 @@ class TestMultichainPoset:
 
 def test_the_bitset_route_never_calls_absolute_leq(monkeypatch, complexes,
                                                    positive_complexes):
-    rs, _, _ = complexes("A2", 2)
-    pos = positive_complexes("A2", 2)
+    cases = [(complexes(label, m)[0], m, positive_complexes(label, m))
+             for label, m in [("A2", 2), ("B3", 2), ("A3", 3)]]
+    # each interval's top is the product of the simple reflections
+    intervals = [nc_interval(rs) for rs, _, _ in cases]
     calls = []
 
-    def counted(u, w):
-        calls.append((u, w))
-        return absolute_leq(u, w)
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
 
-    for module in (coxeter, noncrossing):
-        monkeypatch.setattr(module, "absolute_leq", counted)
-    interval = nc_interval(rs)
-    L = build_Lm(interval, 2)
-    moebius(interval, 0, len(interval) - 1)
-    moebius(L, 0, len(L) - 1)
-    order_complex(L, range(1, len(L)))
-    assert calls == []
-    # face_to_tuple keeps absolute_leq as its self-check
-    positions = face_tuple_table(rs, 2, pos, L)
-    calls.clear()
-    for x in range(1, len(L)):
-        fiber_complex(positions, L.down[x])
+    element = coxeter.GroupElement
+    monkeypatch.setattr(coxeter, "absolute_leq",
+                        counted("absolute_leq", coxeter.absolute_leq))
+    monkeypatch.setattr(element, "__mul__",
+                        counted("__mul__", element.__mul__))
+    monkeypatch.setattr(element, "inverse",
+                        counted("inverse", element.inverse))
+    for (rs, m, pos), interval in zip(cases, intervals):
+        L = build_Lm(interval, m)
+        moebius(interval, 0, len(interval) - 1)
+        moebius(L, 0, len(L) - 1)
+        order_complex(L, range(1, len(L)))
+        positions = face_tuple_table(rs, m, pos, L)
+        for x in range(1, len(L)):
+            fiber_complex(positions, L.down[x])
+        assert homotopy_compare(rs, m, pos_cx=pos, poset=L).ok
     assert calls == []
 
 
@@ -162,19 +178,20 @@ class TestFaceToTuple:
         idx = {lab: i for i, lab in enumerate(pos.vertices)}
         sigma = [pos.objects[idx["[0,1]:1"]], pos.objects[idx["[1,0]:2"]]]
         t = face_to_tuple(rs, 2, sigma)
-        assert t.rank == 2
-        assert [w.length for w in t.words] == [1, 1]
-        assert t.words[0] * t.words[1] == bipartite_coxeter(rs)
+        assert [rs.image_length(w) for w in t] == [1, 1]
+        element = {tuple(w.perm[i] for i in rs.simple_positions): w
+                   for w in nc_interval(rs).elements}
+        assert element[t[0]] * element[t[1]] == bipartite_coxeter(rs)
 
     def test_singleton_slot_placement(self, complexes):
         rs, cx, _ = complexes("A2", 2)
         pos = positive_part(cx)
         for i, v in enumerate(pos.objects):
             t = face_to_tuple(rs, 2, [v])
-            assert t.rank == 1
             # color i lands in slot m - i + 1 (1-indexed from the left)
             slot = 2 - v.color  # 0-indexed
-            assert t.words[slot].length == 1
+            assert [rs.image_length(w) for w in t] == \
+                [int(c == slot) for c in range(2)]
 
     def test_rank_equals_size_everywhere(self, complexes, positive_complexes):
         for label, m in [("A2", 1), ("A2", 2), ("B2", 2)]:
@@ -182,18 +199,68 @@ class TestFaceToTuple:
             pos = positive_complexes(label, m)
             L = build_Lm(nc_interval(rs), m)
             for size, row in enumerate(face_tuple_table(rs, m, pos, L)):
-                assert all(L.elements[i].rank == size for i in row)
+                assert all(L.ranks[i] == size for i in row)
 
     def test_order_preserving(self, complexes, positive_complexes):
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
-        L = build_Lm(nc_interval(rs), 2)
+        interval = nc_interval(rs)
+        L = build_Lm(interval, 2)
+        leq = componentwise_leq(interval)
         table = face_tuple_dict(rs, 2, pos, L)
         assert len(table) == 13
         for tau_face, tau_i in table.items():
             for sigma_face, sigma_i in table.items():
                 if set(tau_face) <= set(sigma_face):
-                    assert L.elements[tau_i].leq(L.elements[sigma_i])
+                    assert leq(L.elements[tau_i], L.elements[sigma_i])
+
+    @pytest.mark.parametrize("label,m", [
+        ("A2", 1), ("A2", 2), ("A2", 3), ("A3", 1), ("A3", 2), ("B3", 1),
+        ("B3", 2), ("H3", 1), ("D4", 1), ("G2", 2), ("I2(5)", 2)])
+    def test_equals_the_product_route(self, label, m, complexes,
+                                      positive_complexes):
+        rs, _, _ = complexes(label, m)
+        pos = positive_complexes(label, m)
+        for f in pos.faces():
+            if f:
+                sigma = [pos.objects[v] for v in f]
+                assert face_to_tuple(rs, m, sigma) == \
+                    face_tuple_by_products(rs, m, sigma), f
+
+    def test_a_swapped_step_table_is_refused(self, monkeypatch):
+        # the two vertices of an edge trade reflections, so its word is
+        # reversed and leaves the interval below gamma
+        rs = build_root_system("A2")
+        L = build_Lm(nc_interval(rs), 1)
+        pos = positive_part(build_complex(rs, 1)[0])
+        u, v = (pos.objects[i] for i in pos.facets[0])
+        real = get_context(rs, 1)
+        (cu, pu, tu), (cv, pv, tv) = real.steps[u.key()], real.steps[v.key()]
+
+        def context(tu_, tv_):
+            ctx = copy.copy(real)
+            ctx._steps = dict(real.steps)
+            ctx._steps[u.key()] = (cu, pu, tu_)
+            ctx._steps[v.key()] = (cv, pv, tv_)
+            return ctx
+
+        # with one reflection twice, the class word is the identity
+        monkeypatch.setattr(noncrossing, "get_context",
+                            lambda rs_, m_: context(tv, tv))
+        with pytest.raises(RuntimeError, match="do not add up"):
+            face_to_tuple(rs, 1, [u, v])
+        swapped = context(tv, tu)
+        monkeypatch.setattr(noncrossing, "get_context",
+                            lambda rs_, m_: swapped)
+        with pytest.raises(RuntimeError, match="escapes the noncrossing"):
+            face_to_tuple(rs, 1, [u, v])
+        with pytest.raises(RuntimeError):
+            homotopy_compare(rs, 1, pos_cx=pos, poset=L)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            assert run(["ncp", "--phi", "A2", "--m", "1"]) == 1
+        assert "escapes the noncrossing interval" in err.getvalue()
 
     def test_table_matches_the_face_map(self, complexes, positive_complexes):
         rs, _, _ = complexes("A2", 2)
@@ -303,7 +370,9 @@ class TestHomotopyCompare:
         # order complex, and the fiber as a complex of its own
         rs, _, _ = complexes("A2", 2)
         pos = positive_complexes("A2", 2)
-        L = build_Lm(nc_interval(rs), 2)
+        interval = nc_interval(rs)
+        L = build_Lm(interval, 2)
+        leq = componentwise_leq(interval)
         positions = face_tuple_table(rs, 2, pos, L)
         table = face_tuple_dict(rs, 2, pos, L)
         rng = random.Random(3)
@@ -311,7 +380,7 @@ class TestHomotopyCompare:
         for _ in range(6):
             seeds = rng.sample(nontrivial, 2)
             ideal = [i for i in nontrivial
-                     if any(L.elements[i].leq(L.elements[s]) for s in seeds)]
+                     if any(leq(L.elements[i], L.elements[s]) for s in seeds)]
             bits = L.down[seeds[0]] | L.down[seeds[1]]
             fib = _fiber_homology(pos, positions, bits)
             assert fib.groups() == \
@@ -323,7 +392,7 @@ class TestHomotopyCompare:
         rs = build_root_system("A2")
         L = build_Lm(nc_interval(rs), 2)
         real = noncrossing.face_to_tuple
-        atoms = [t for t in L.elements if t.rank == 1]
+        atoms = [t for t, r in zip(L.elements, L.ranks) if r == 1]
 
         def moved(rs_, m_, sigma):
             t = real(rs_, m_, sigma)

@@ -87,6 +87,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_root_system("E6", 7)
 
+    @pytest.mark.parametrize("a,b", [
+        (("A2",), ("A", 2)), ((" A2 ",), ("A2",)),
+        (("I2(5)",), ("I2", None, 5)), (("I2", 5), ("I2(5)",)),
+        (("E", 6), ("E6",)), (("G2",), ("G", 2)),
+        (("A1xA2",), (" A1 x A2",))],
+        ids=["A-2", "padded", "I2-order", "I2-rank", "E-6", "G-2", "product"])
+    def test_every_form_of_a_label_gives_one_system(self, a, b):
+        assert build_root_system(*a) is build_root_system(*b)
+
+    @pytest.mark.parametrize("args", [
+        ("Z9",), ("A",), ("A", 0), ("D", 2), ("E6", 7), ("E9",), ("I2(1)",),
+        ("I2", None, 1), ("A1xZ2",), ("",)],
+        ids=["Z9", "A", "A0", "D2", "E6-7", "E9", "I2(1)", "I2-order-1",
+             "A1xZ2", "empty"])
+    def test_bad_labels_still_raise(self, args):
+        with pytest.raises(ValueError):
+            build_root_system(*args)
+
     def test_closure_under_simple_reflections(self):
         for label in ("A3", "B3", "G2", "H3"):
             rs = build_root_system(label)

@@ -144,6 +144,25 @@ class TestConstructShelling:
             order_p = construct_shelling(pos)
             assert verify_shelling(pos, order_p.facets).ok
 
+    @pytest.mark.parametrize("label,m", ACCEPTANCE_MATRIX)
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_ridge_counts_pick_the_orders_of_the_scan(
+            self, label, m, positive, complexes, positive_complexes):
+        cx = positive_complexes(label, m) if positive else \
+            complexes(label, m)[1]
+        assert topology._vd_order(cx.facets, cx, {}) == \
+            vd_order_by_scan(cx.facets, cx, {})
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sets(st.sampled_from(list(itertools.combinations(range(6), 3))),
+                   min_size=2))
+    def test_ridge_counts_pick_the_orders_of_the_scan_on_any_triangles(
+            self, facets):
+        # no vertex ranking: every vertex is tried, impure deletions included
+        cx = SimplicialComplex(list("abcdef"), facets)
+        assert topology._vd_order(cx.facets, cx, {}) == \
+            vd_order_by_scan(cx.facets, cx, {})
+
     def test_join_of_shellable_is_shellable(self):
         rs = build_root_system("A1xA1")
         cx, _ = build_complex(rs, 1)
@@ -170,6 +189,56 @@ class TestConstructShelling:
             h = f_to_h(cx.f_vector())
             assert all(x >= 0 for x in h)
             assert sum(h) == len(cx.facets)
+
+
+def vd_order_by_scan(facets, cx, memo):
+    """``topology._vd_order`` deciding deletion purity by a pairwise scan.
+
+    Each star facet minus v must lie in some facet avoiding v.
+    """
+    facets = tuple(sorted(tuple(sorted(f)) for f in facets))
+    if facets in memo:
+        return memo[facets]
+    if len(facets) <= 1:
+        memo[facets] = list(facets)
+        return memo[facets]
+    sizes = {len(f) for f in facets}
+    if len(sizes) != 1:
+        memo[facets] = None
+        return None
+    size = sizes.pop()
+    verts = sorted({v for f in facets for v in f})
+    apexes = [v for v in verts if all(v in f for f in facets)]
+    if apexes:
+        core = tuple(tuple(x for x in f if x not in apexes) for f in facets)
+        if size == len(apexes):
+            memo[facets] = list(facets)
+            return memo[facets]
+        sub = vd_order_by_scan(core, cx, memo)
+        out = None if sub is None else \
+            [tuple(sorted(f + tuple(apexes))) for f in sub]
+        memo[facets] = out
+        return out
+    result = None
+    for v in topology._shedding_candidates(verts, cx):
+        vfree = [f for f in facets if v not in f]
+        star = [f for f in facets if v in f]
+        if not vfree or not star:
+            continue
+        free_sets = [set(f) for f in vfree]
+        if not all(any(set(f) - {v} <= g for g in free_sets) for f in star):
+            continue
+        link_order = vd_order_by_scan(
+            tuple(tuple(x for x in f if x != v) for f in star), cx, memo)
+        if link_order is None:
+            continue
+        del_order = vd_order_by_scan(tuple(vfree), cx, memo)
+        if del_order is None:
+            continue
+        result = del_order + [tuple(sorted(f + (v,))) for f in link_order]
+        break
+    memo[facets] = result
+    return result
 
 
 class TestHomology:
