@@ -119,8 +119,6 @@ def test_the_bitset_route_never_calls_absolute_leq(monkeypatch, complexes,
                                                    positive_complexes):
     cases = [(complexes(label, m)[0], m, positive_complexes(label, m))
              for label, m in [("A2", 2), ("B3", 2), ("A3", 3)]]
-    # each interval's top is the product of the simple reflections
-    intervals = [nc_interval(rs) for rs, _, _ in cases]
     calls = []
 
     def counted(name, real):
@@ -129,9 +127,13 @@ def test_the_bitset_route_never_calls_absolute_leq(monkeypatch, complexes,
             return real(*args)
         return wrapper
 
+    leq = counted("absolute_leq", coxeter.absolute_leq)
+    for module in (coxeter, noncrossing):
+        monkeypatch.setattr(module, "absolute_leq", leq, raising=False)
+    # each interval's top is the product of the simple reflections, so
+    # products are counted only once the intervals are built
+    intervals = [nc_interval(rs) for rs, _, _ in cases]
     element = coxeter.GroupElement
-    monkeypatch.setattr(coxeter, "absolute_leq",
-                        counted("absolute_leq", coxeter.absolute_leq))
     monkeypatch.setattr(element, "__mul__",
                         counted("__mul__", element.__mul__))
     monkeypatch.setattr(element, "inverse",
