@@ -320,13 +320,27 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     pos_facets = sum(len(f) == rs.rank for f in pos.facets)
     add("facet-count-positive", pos_facets == fuss_catalan(rs, m, positive=True),
         facets=pos_facets)
-    # shelling
+    # shelling, and two checks read off its restriction faces R_k: the
+    # facets with R_k the whole facet count the spheres, and
+    # #{k : |R_k| = i} is the h-vector
+    spheres = {"full": fuss_catalan(rs, m - 1), "positive": want}
     for name, complex_ in (("full", cx), ("positive", pos)):
+        # construct_shelling returns a verified order or raises
         try:
-            ok = construct_shelling(complex_).ok
+            order = construct_shelling(complex_)
         except ShellingFailure:
-            ok = False
-        add("shelling-%s" % name, ok, facets=len(complex_.facets))
+            order = None
+        add("shelling-%s" % name, order is not None, facets=len(complex_.facets))
+        if order is None:
+            continue
+        whole = sum(len(r) == len(f)
+                    for f, r in zip(order.facets, order.restrictions))
+        add("shelling-spheres-%s" % name, whole == spheres[name],
+            spheres=whole, expected=spheres[name])
+        _, h = f_h_vectors(complex_)
+        sizes = [len(r) for r in order.restrictions]
+        got = [sizes.count(i) for i in range(len(h))]
+        add("shelling-h-vector-%s" % name, got == list(h), h_vector=got)
     # wedge counts
     add("wedge-positive", verify_wedge(pos, want, sphere_dim), expected=want)
     chi = pos.euler_characteristic_reduced()

@@ -63,9 +63,10 @@ def nc_interval(rs: RootSystem) -> Poset:
 
     Its covers are u < ut for reflections t with ut in the interval and one
     longer than u (Brady and Watt, 2002).  ut is looked up by its simple-root
-    images u(t(alpha_j)): n lookups, no product.
+    images u(t(alpha_j)): n lookups, no product.  gamma is the one the
+    m = 1 context holds, since the interval is L_1.
     """
-    elements = sorted(absolute_interval(rs),
+    elements = sorted(absolute_interval(rs, get_context(rs, 1).gamma),
                       key=lambda w: (w.length, w.perm))
     ranks = [w.length for w in elements]
     where = _by_images(elements)

@@ -19,8 +19,12 @@ miss W, and a face link in it is the relative complex of the faces that
 contain the face and miss W.  When the complex carries a vertex symmetry
 (R_m on a generalized cluster complex), the audit first checks that it
 maps the facet list onto itself, then decides one removal per orbit of
-the group it generates, since Delta|W and Delta|g(W) are isomorphic.  The
-shelling route uses no symmetry.
+the group it generates, since Delta|W and Delta|g(W) are isomorphic, and
+keys each link verdict by the orbit of the face with the removed part of
+its star.  An audit that stops at a given number of failures first scans
+the removals with the dimension and purity bitset tests alone, and runs
+the full search only if those find too few.  The shelling route uses no
+symmetry and no face table.
 """
 from __future__ import annotations
 
@@ -268,8 +272,9 @@ class _FaceTable:
     bitmasks, ``columns[k]`` their boundary columns {position in
     faces[k-1]: +-1} and ``cofaces[k]`` their cofaces' positions in
     faces[k+1].  The audit data, with its memo of link verdicts, is built
-    on the first ``cm_failure`` call and lives as long as the table, that
-    is, as long as its complex: every audit of the complex shares it.
+    by ``_audit_table`` on the first audit of the complex and lives as
+    long as the table, that is, as long as its complex: every audit of the
+    complex shares it.
     """
 
     def __init__(self, facets: Sequence[tuple]):
@@ -371,19 +376,14 @@ class _FaceTable:
         return HomologyProfile(tuple(betti[start:]), tuple(torsion[start:]),
                                chi, first_degree=start - 1)
 
-    def cm_failure(self, removed: int = 0) -> Optional[str]:
-        """Why the restriction missing ``removed`` fails the audit, or None.
+    def purity_failure(self, removed: int) -> Optional[str]:
+        """Why the restriction missing ``removed`` is not pure of full
+        dimension, or None.
 
         'dimension-drop' when no top facet misses the removal, 'impure' when
-        a face missing it lies in no such top facet, 'not-CM' when a face
-        link (the empty face included) has reduced homology below its top
-        dimension.  In a pure restriction the link of a face s is made of
-        the faces that contain s, lie in a top facet and miss the removal,
-        so its verdict depends only on s and the removed vertices of its
-        star, and is memoized on that pair.
+        a face missing it lies in no such top facet.  Both are bitset tests
+        on the audit data.
         """
-        if self._audit is None:
-            self._audit = _AuditData(self)
         audit = self._audit
         kept = audit.all_tops
         rest = removed
@@ -396,15 +396,30 @@ class _FaceTable:
         cover = audit.cover
         if any(not cover.get(g & ~removed, 0) & kept for g in self.facet_masks):
             return "impure"
-        if self.dim <= 0:
-            return None  # links of dimension <= 0 have nothing below the top
-        verdicts = audit.verdicts
-        for s, (smask, lmask, size, ups) in enumerate(audit.links):
-            if smask & removed:
-                continue
-            key = (s, removed & lmask)
+        return None
+
+    def cm_failure(self, removed: int = 0) -> Optional[str]:
+        """Why the restriction missing ``removed`` fails the audit, or None.
+
+        The reason is ``purity_failure``'s, or 'not-CM' when a face link
+        (the empty face included) has reduced homology below its top
+        dimension.  In a pure restriction the link of a face s is made of
+        the faces that contain s, lie in a top facet and miss the removal,
+        so its verdict depends only on s and the removed vertices of its
+        star.  It is memoized on the least image of that pair under the
+        audit data's powers, and reduced on the orbit's base face.  The
+        audit data must have been built, by ``_audit_table``.
+        """
+        reason = self.purity_failure(removed)
+        if reason is not None or self.dim <= 0:
+            # links of dimension <= 0 have nothing below the top
+            return reason
+        audit = self._audit
+        verdicts, stars = audit.verdicts, audit.stars
+        for key in audit.link_keys(removed):
             ok = verdicts.get(key)
             if ok is None:
+                size, ups = stars[key[0]]
                 ok = verdicts[key] = self._acyclic(size, ups, key[1])
             if not ok:
                 return "not-CM"
@@ -417,12 +432,17 @@ class _FaceTable:
 class _AuditData:
     """The part of a face table only a Cohen-Macaulay audit reads.
 
-    ``links`` holds (mask of s, mask of its star minus s, |s|, ups) for
-    each face s with 1 .. dim - 1 vertices in a top facet, ``ups[j]``
-    listing the faces with |s| + j vertices that contain s and lie in one.
+    ``powers`` are the powers of an automorphism of the complex, the
+    identity first.  They split the faces s with 1 .. dim - 1 vertices in a
+    top facet (the link faces) into orbits, and ``stars[o]`` holds (|s|,
+    ups) for the first face s met in orbit o, its base: ``ups[j]`` lists
+    the faces with |s| + j vertices that contain s and lie in a top facet.
+    ``links`` holds (mask of s, mask of its star minus s, o, maps) for each
+    link face s, ``maps`` being the bit images of the powers that map s
+    onto its base.
     """
 
-    def __init__(self, table: _FaceTable):
+    def __init__(self, table: _FaceTable, powers: list):
         top = table.dim + 1
         self.all_tops = (1 << len(table.faces[top])) - 1
         self.avoiding: dict = {}   # vertex -> top facets missing it
@@ -437,21 +457,63 @@ class _AuditData:
                 if not sub:
                     break
                 sub = (sub - 1) & fmask
-        self.links = []
         masks, cofaces = table.masks, table.cofaces
-        for size in range(1, table.dim):
-            for s, smask in enumerate(masks[size]):
-                if smask not in self.cover:
-                    continue
-                ups = [[s]]
-                for k in range(size, top):
-                    ups.append(sorted({d for c in ups[-1] for d in cofaces[k][c]
-                                       if masks[k + 1][d] in self.cover}))
-                lmask = 0
-                for c in ups[-1]:
-                    lmask |= masks[top][c]
-                self.links.append((smask, lmask & ~smask, size, ups))
+        images = [[1 << v for v in q] for q in powers]
+        order = len(powers)
+        faces = [(size, s, smask) for size in range(1, table.dim)
+                 for s, smask in enumerate(masks[size]) if smask in self.cover]
+        where = {smask: i for i, (_, _, smask) in enumerate(faces)}
+        self.links: list = [None] * len(faces)
+        self.stars: list = []
+        for i, (size, s, smask) in enumerate(faces):
+            if self.links[i] is not None:
+                continue
+            ups = [[s]]
+            for k in range(size, top):
+                ups.append(sorted({d for c in ups[-1] for d in cofaces[k][c]
+                                   if masks[k + 1][d] in self.cover}))
+            lmask = 0
+            for c in ups[-1]:
+                lmask |= masks[top][c]
+            star, own = _vertices(lmask & ~smask), _vertices(smask)
+            orbit = [sum(bits[v] for v in own) for bits in images]
+            fixed = [h for h, image in enumerate(orbit) if image == smask]
+            # the h-th power maps s onto orbit[h], and power g maps that
+            # back onto s iff g + h fixes s
+            for h, image in enumerate(orbit):
+                j = where[image]
+                if self.links[j] is None:
+                    self.links[j] = (image, sum(images[h][v] for v in star),
+                                     len(self.stars),
+                                     [images[(g - h) % order] for g in fixed])
+            self.stars.append((size, ups))
         self.verdicts: dict = {}
+
+    def link_keys(self, removed: int) -> Iterator[tuple]:
+        """The memo key of each link face missing ``removed``.
+
+        A key is the face's orbit and the least image, under the powers
+        mapping the face onto the orbit's base, of the removed part of its
+        star: the link of s in Delta|W is isomorphic to the link of g(s) in
+        Delta|g(W), so faces with one key have links of one verdict.
+        """
+        gone = _vertices(removed)
+        for smask, lmask, orbit, maps in self.links:
+            if smask & removed:
+                continue
+            part = [v for v in gone if lmask >> v & 1]
+            yield orbit, (min(sum(bits[v] for v in part) for bits in maps)
+                          if part else 0)
+
+
+def _vertices(mask: int) -> list:
+    """The positions of the set bits of ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _table_of(cx: SimplicialComplex) -> _FaceTable:
@@ -459,6 +521,18 @@ def _table_of(cx: SimplicialComplex) -> _FaceTable:
     if cx.face_table is None:
         cx.face_table = _FaceTable(cx.facets)
     return cx.face_table
+
+
+def _audit_table(cx: SimplicialComplex) -> _FaceTable:
+    """The face table of cx with its audit data, built on first use.
+
+    The audit data is keyed by the powers of ``cx.symmetry``, so building
+    it checks that the symmetry is an automorphism of cx.
+    """
+    table = _table_of(cx)
+    if table._audit is None:
+        table._audit = _AuditData(table, _symmetry_powers(cx))
+    return table
 
 
 def homology(cx: SimplicialComplex) -> HomologyProfile:
@@ -511,9 +585,11 @@ def is_cohen_macaulay(cx: SimplicialComplex) -> bool:
 
     The complex must be pure, and every face link (the empty face included)
     must have vanishing reduced integral homology below its own top
-    dimension.
+    dimension.  Link verdicts are shared along the orbits of
+    ``cx.symmetry``, so a symmetry that is not an automorphism of cx
+    raises RuntimeError.
     """
-    return _table_of(cx).cm_failure() is None
+    return _audit_table(cx).cm_failure() is None
 
 
 @dataclass
@@ -593,12 +669,12 @@ def _decider(cx: SimplicialComplex, cm_check: str):
 
     The Reisner route reads every removal off the face table of cx, which
     every audit of cx shares with its link verdicts: a verdict is keyed by
-    a face and the removed vertices of its star, whatever k.  The shelling
-    route, kept apart as an independent check, builds each induced complex
-    and shells it.
+    the orbit of a face and the removed vertices of its star, whatever k.
+    The shelling route, kept apart as an independent check, builds each
+    induced complex and shells it.
     """
     if cm_check == "reisner":
-        return _table_of(cx).cm_failure
+        return _audit_table(cx).cm_failure
     dim = cx.dimension()
 
     def decide(removed: int) -> Optional[str]:
@@ -631,8 +707,9 @@ def _audit_chunk(payload) -> list:
 
     Module-level so worker pools can pickle it.
     """
-    vertices, facets, keys, cm_check = payload
-    decide = _decider(SimplicialComplex(vertices, facets), cm_check)
+    vertices, facets, symmetry, keys, cm_check = payload
+    decide = _decider(SimplicialComplex(vertices, facets, symmetry=symmetry),
+                      cm_check)
     return [decide(key) for key in keys]
 
 
@@ -652,13 +729,21 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     itself, and raises RuntimeError if not.  An automorphism g gives
     Delta|W and Delta|g(W) isomorphic, and every failure reason is an
     isomorphism invariant, so each removal is keyed by its least image
-    mask under the powers of g and each key is decided once.  The
-    shelling route uses no symmetry: every removal is its own key.
+    mask under the powers of g and each key is decided once; so is each
+    link, by the least image of the face and the removed part of its star.
+    The shelling route uses no symmetry: every removal is its own key.
     Sample mode draws only sizes that fit in the vertex set.
     ``examined`` counts every removal, and failures name each removal's
     own vertices.  Distinct keys may be split over a process pool of at
     most os.cpu_count() workers, one table each; results are merged in
     subset order either way, and only then cut at ``max_failures``.
+
+    Structural failures first: when ``max_failures`` is set, the Reisner
+    route first scans the removals in subset order with the dimension and
+    purity bitset tests alone.  If that finds ``max_failures`` failures,
+    they are the report, and ``examined`` counts the removals up to the
+    last of them; otherwise the full search runs as above.  Either way
+    every reported removal fails.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -684,6 +769,17 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         subsets = sorted(pool)
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
+    if max_failures is not None and cm_check == "reisner":
+        table = _audit_table(cx)
+        for removed in subsets:
+            report.examined += 1
+            reason = table.purity_failure(sum(1 << v for v in removed))
+            if reason is not None:
+                report.failures.append(
+                    KCMFailure(tuple(cx.vertices[i] for i in removed), reason))
+                if len(report.failures) >= max_failures:
+                    return report
+        report.examined, report.failures = 0, []
     powers = _symmetry_powers(cx) if cm_check == "reisner" \
         else [tuple(range(n))]
     keys = _orbit_keys(powers, subsets)
@@ -692,7 +788,8 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         keys = list(keys)
         distinct = list(dict.fromkeys(keys))
         step = max(1, -(-len(distinct) // workers))
-        chunks = [(cx.vertices, cx.facets, distinct[i:i + step], cm_check)
+        chunks = [(cx.vertices, cx.facets, cx.symmetry, distinct[i:i + step],
+                   cm_check)
                   for i in range(0, len(distinct), step)]
         with multiprocessing.Pool(workers) as p:
             decide = dict(zip(distinct, [r for part in

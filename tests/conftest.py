@@ -7,6 +7,9 @@ from clustercomplexes.roots import build_root_system
 
 ACCEPTANCE_MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
                      for m in (1, 2, 3)]
+# a six-vertex triangulation of the real projective plane
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
+       (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
 
 
 @pytest.fixture(scope="session")

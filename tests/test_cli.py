@@ -41,9 +41,9 @@ def test_verify_all_builds_the_audit_data_once(phi, m, monkeypatch, capsys):
     real = topology._AuditData.__init__
     real_table = topology._FaceTable.__init__
 
-    def recording(self, table):
+    def recording(self, table, powers):
         built.append(table)
-        real(self, table)
+        real(self, table, powers)
 
     def recording_table(self, facets):
         tables.append(tuple(facets))
@@ -72,6 +72,49 @@ def test_shelling_counts_the_facets(phi, m, capsys):
     # at m = 0 the positive part is {()}: one empty facet
     assert checks["shelling-positive"]["detail"]["facets"] == \
         (fuss_catalan(rs, m, positive=True) if m else 1)
+
+
+@pytest.mark.parametrize("m", range(3))
+@pytest.mark.parametrize("phi", ["A1", "A2", "B2", "G2", "A1xA1", "A1xA2",
+                                 "I2(5)", "A3", "B3"])
+def test_verify_all_reads_spheres_and_h_vector_off_the_shelling(phi, m, capsys):
+    assert run(["verify-all", "--phi", phi, "--m", str(m),
+                "--format", "json"]) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    rs = clustercomplexes.build_root_system(phi)
+    full = checks["shelling-spheres-full"]
+    positive = checks["shelling-spheres-positive"]
+    assert full["ok"] and positive["ok"]
+    # Delta^0 is a simplex, and its positive part {()} one (-1)-sphere
+    assert full["detail"]["spheres"] == (fuss_catalan(rs, m - 1) if m else 0)
+    assert positive["detail"]["spheres"] == \
+        (fuss_catalan(rs, m - 1, positive=True) if m else 1)
+    assert checks["wedge-positive"]["detail"]["expected"] == \
+        positive["detail"]["spheres"]
+    for name in ("full", "positive"):
+        h = checks["shelling-h-vector-%s" % name]
+        assert h["ok"] and sum(h["detail"]["h_vector"]) == \
+            checks["shelling-%s" % name]["detail"]["facets"]
+
+
+def test_verify_all_fails_on_wrong_restriction_faces(monkeypatch, capsys):
+    real = cli.construct_shelling
+
+    def emptied(cx):
+        order = real(cx)
+        order.restrictions = tuple(() for _ in order.restrictions)
+        return order
+
+    monkeypatch.setattr(cli, "construct_shelling", emptied)
+    # A2 m=2: five spheres, and two in the positive part
+    assert run(["verify-all", "--phi", "A2", "--m", "2",
+                "--format", "json"]) == 1
+    checks = {c["id"]: c["ok"]
+              for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["shelling-full"] and checks["shelling-positive"]
+    assert not any(checks["shelling-%s-%s" % (kind, name)]
+                   for kind in ("spheres", "h-vector")
+                   for name in ("full", "positive"))
 
 
 @pytest.mark.parametrize("m", range(3))

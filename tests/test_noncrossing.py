@@ -46,6 +46,24 @@ class TestInterval:
         assert gamma == bipartite_coxeter(rs)
         assert all(w != gamma * gamma for w in interval.elements)
 
+    def test_gamma_comes_from_the_context(self, monkeypatch):
+        # the top is read off the system's m = 1 context: a second interval
+        # of a system makes no group product
+        rs = build_root_system("B3")
+        first = nc_interval(rs)
+        assert first.elements[-1] == get_context(rs, 1).gamma
+        calls = []
+        element = coxeter.GroupElement
+        real = element.__mul__
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(element, "__mul__", counted)
+        assert nc_interval(rs).elements == first.elements
+        assert calls == []
+
     @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4"])
     def test_bitset_order_is_the_absolute_order(self, label):
         interval = nc_interval(build_root_system(label))
@@ -130,8 +148,9 @@ def test_the_bitset_route_never_calls_absolute_leq(monkeypatch, complexes,
     leq = counted("absolute_leq", coxeter.absolute_leq)
     for module in (coxeter, noncrossing):
         monkeypatch.setattr(module, "absolute_leq", leq, raising=False)
-    # each interval's top is the product of the simple reflections, so
-    # products are counted only once the intervals are built
+    # each interval's top is gamma, the product of the simple reflections
+    # that a system's m = 1 context makes once, so products are counted
+    # only once the intervals are built
     intervals = [nc_interval(rs) for rs, _, _ in cases]
     element = coxeter.GroupElement
     monkeypatch.setattr(element, "__mul__",

@@ -25,6 +25,7 @@ from clustercomplexes.topology import (codim1_incidence, construct_shelling,
                                        homology, integer_rank_torsion,
                                        is_cohen_macaulay, kcm_audit,
                                        verify_shelling)
+from conftest import RP2
 from exact_oracles import minor_gcd
 
 SMALL_SYSTEMS = ["A1", "A2", "B2", "G2", "I2(5)"]
@@ -282,11 +283,6 @@ def small_complexes(draw):
     return SimplicialComplex([str(v) for v in range(n)], faces)
 
 
-# a six-vertex triangulation of the real projective plane
-RP2 = [(0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
-       (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
-
-
 class TestFaceTable:
 
     @settings(derandomize=True, max_examples=120, deadline=None)
@@ -317,26 +313,44 @@ class TestFaceTable:
     @pytest.mark.parametrize("label,m", [("B3", 2), ("D4", 1)])
     def test_link_verdicts_match_link_complexes(self, label, m):
         # every face link of every pure restriction after removing at most
-        # two vertices, against the homology of the link's own complex
+        # two vertices: the face's own reduction against the homology of
+        # the link's own complex, and the verdict kept under the face's
+        # canonical key (its R_m orbit) against the face's own reduction
         cx, _ = build_complex(build_root_system(label), m)
-        table = topology._FaceTable(cx.facets)
+        table = topology._audit_table(cx)
+        audit = table._audit
         tops = [set(f) for f in cx.facets]
+        top = cx.dimension() + 1
+        own = {}
+        for smask, *_ in audit.links:
+            face = {v for v in range(len(cx.vertices)) if smask >> v & 1}
+            own[smask] = (len(face), [
+                [i for i, f in enumerate(table.faces[size])
+                 if face <= set(f) and any(set(f) <= t for t in tops)]
+                for size in range(len(face), top + 1)])
         checked = 0
         for size in range(3):
             for removed in itertools.combinations(range(len(cx.vertices)), size):
                 mask = sum(1 << v for v in removed)
                 if table.cm_failure(mask) not in (None, "not-CM"):
                     continue
-                for smask, _, k, ups in table._audit.links:
-                    if smask & mask:
-                        continue
+                missing = [smask for smask, *_ in audit.links
+                           if not smask & mask]
+                keys = list(audit.link_keys(mask))
+                assert len(keys) == len(missing)
+                for smask, key in zip(missing, keys):
                     face = {v for v in range(len(cx.vertices)) if smask >> v & 1}
                     link = [tuple(sorted(f - face)) for f in tops
                             if face <= f and not f & set(removed)]
                     prof = homology(SimplicialComplex(cx.vertices, link))
                     # acyclic below the top dimension of the link
-                    want = set(prof.groups()) <= {cx.dimension() - k}
+                    want = set(prof.groups()) <= {cx.dimension() - len(face)}
+                    k, ups = own[smask]
                     assert table._acyclic(k, ups, mask) == want, (removed, face)
+                    kept = audit.verdicts.get(key)
+                    if kept is None:  # past the restriction's first bad link
+                        kept = table._acyclic(*audit.stars[key[0]], key[1])
+                    assert kept == want, (removed, face, key)
                     checked += 1
         assert checked > 1000
 
@@ -368,6 +382,18 @@ class TestFaceTable:
         rep = kcm_audit(cx, k)
         assert (rep.examined, [f.to_dict() for f in rep.failures]) == \
             reference_audit(cx, k)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(small_complexes(), st.sampled_from([3, 2, 1]),
+           st.integers(1, 4))
+    def test_capped_audit_reports_structural_failures_first(self, cx, k, cap):
+        # the first `cap` dimension or purity failures when there are that
+        # many, else the first `cap` failures of any kind, in subset order
+        rep = kcm_audit(cx, k, max_failures=cap)
+        _, failures = reference_audit(cx, k)
+        structural = [f for f in failures if f["reason"] != "not-CM"]
+        want = structural[:cap] if len(structural) >= cap else failures[:cap]
+        assert [f.to_dict() for f in rep.failures] == want
 
 
 def assert_sparse_matches_dense(mat):

@@ -14,7 +14,7 @@ from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
                                        fuss_narayana_positive, homology,
                                        is_cohen_macaulay, kcm_audit,
                                        verify_shelling, verify_wedge)
-from conftest import ACCEPTANCE_MATRIX
+from conftest import ACCEPTANCE_MATRIX, RP2
 from exact_oracles import shelling_by_definition
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
@@ -395,18 +395,56 @@ class TestKCM:
             [f.to_dict() for f in parallel.failures]
         assert serial.examined == parallel.examined
 
-    def test_worker_pool_honours_max_failures(self, complexes, pool_sizes):
-        _, cx, _ = complexes("A2", 2)
-        serial = kcm_audit(cx, 4, max_failures=2)
+    def test_worker_pool_honours_max_failures(self, pool_sizes):
+        # RP2 and RP2 minus a vertex (a Moebius band) are pure and not CM:
+        # the bitset first pass finds no failure, so the full search runs,
+        # in the pool when there is one
+        cx = SimplicialComplex([str(v) for v in range(6)], RP2)
+        serial = kcm_audit(cx, 2, max_failures=2)
         assert pool_sizes == []
-        parallel = kcm_audit(cx, 4, max_failures=2, workers=2)
+        parallel = kcm_audit(cx, 2, max_failures=2, workers=2)
         assert pool_sizes == [2]
-        assert len(serial.failures) == 2
+        assert [f.to_dict() for f in serial.failures] == [
+            {"removed": [], "reason": "not-CM"},
+            {"removed": ["0"], "reason": "not-CM"}]
+        assert serial.examined == 2
         assert parallel.to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize("label,m", MATRIX)
+    def test_witness_is_the_first_failing_removal(self, label, m, complexes):
+        # every witness on the matrix is structural, so the first pass finds
+        # the first removal that fails in subset order
+        _, cx, _ = complexes(label, m)
+        report = kcm_audit(cx, m + 2, sizes=[m + 1], max_failures=1)
+        decide = topology._audit_table(cx).cm_failure
+        removals = itertools.combinations(range(len(cx.vertices)), m + 1)
+        examined, (removed, reason) = next(
+            (i, (r, why)) for i, r in enumerate(removals, 1)
+            if (why := decide(sum(1 << v for v in r))) is not None)
+        assert [f.to_dict() for f in report.failures] == [
+            {"removed": [cx.vertices[v] for v in removed], "reason": reason}]
+        assert report.examined == examined
+
+    def test_structural_failures_come_first(self):
+        # two triangles at a vertex: the complex itself is not CM (the link
+        # of the shared vertex is two edges), each removal of an outer
+        # vertex leaves it impure
+        cx = SimplicialComplex(list("abcde"), [(0, 1, 2), (2, 3, 4)])
+        everything = kcm_audit(cx, 2)
+        assert everything.failures[0].to_dict() == \
+            {"removed": [], "reason": "not-CM"}
+        first = kcm_audit(cx, 2, max_failures=1)
+        assert [f.to_dict() for f in first.failures] == [
+            {"removed": ["a"], "reason": "impure"}]
+        assert first.examined == 2
+        # too few structural failures: the full search, in subset order
+        capped = kcm_audit(cx, 2, max_failures=len(everything.failures))
+        assert capped.to_dict() == everything.to_dict()
 
     def test_audit_reduces_each_link_once(self, monkeypatch):
         # every removal of a passing audit reaches every link of a face it
-        # misses; each (face, removed part of its star) is reduced once.  A
+        # misses; each canonical key (the R_m orbit of the face and of the
+        # removed part of its star) is reduced once, on the orbit's base.  A
         # complex keeps its link verdicts, so this one is built afresh
         decided, reduced = [], []
         real_cm = topology._FaceTable.cm_failure
@@ -426,11 +464,16 @@ class TestKCM:
         cx, _ = build_complex(build_root_system("B3"), 2)
         assert kcm_audit(cx, 3).passed
         (table,) = {t for t, _ in decided}
-        keys = {(id(ups), removed & lmask) for _, removed in decided
-                for smask, lmask, _, ups in table._audit.links
-                if not smask & removed}
-        assert len(reduced) == len(set(reduced)) == len(keys)
-        assert set(reduced) == keys
+        audit = table._audit
+        keys = {key for _, removed in decided
+                for key in audit.link_keys(removed)}
+        assert len(reduced) == len(set(reduced)) == len(keys) == 115
+        assert set(reduced) == {(id(audit.stars[orbit][1]), part)
+                                for orbit, part in keys}
+        # one key per face and removed part of its star would be 197
+        assert len({(smask, removed & lmask) for _, removed in decided
+                    for smask, lmask, _, _ in audit.links
+                    if not smask & removed}) == 197
 
     def test_reisner_criterion_basics(self):
         assert is_cohen_macaulay(pentagon())
@@ -495,7 +538,9 @@ class TestOrbitAudit:
         for audit in AUDITS:
             orbit, plain = orbit_and_plain(cx, 2, audit, workers=2)
             assert orbit == plain
-        assert pool_sizes == [2] * len(AUDITS)
+        # the witness is structural, so the first pass finds it before any
+        # pool is started
+        assert pool_sizes == [2, 2]
 
     def test_each_orbit_is_decided_once(self, complexes, monkeypatch):
         # B3 m=2: R_m has order 7, and the 232 removals of the exhaustive
@@ -523,6 +568,8 @@ class TestOrbitAudit:
                                     symmetry=[1, 0, 2, 3, 4])
         with pytest.raises(RuntimeError, match="not an automorphism"):
             kcm_audit(swapped, 2)
+        with pytest.raises(RuntimeError, match="not an automorphism"):
+            is_cohen_macaulay(swapped)
         # the shelling route uses no symmetry
         assert kcm_audit(swapped, 2, cm_check="shelling").passed
 
