@@ -8,11 +8,13 @@ set is a face exactly when its ordered reflection product w has length
 equal to the set's size and sits below the bipartite Coxeter element in
 absolute order; the face test decides it with one reflection length, that
 of w^-1 gamma (see ``is_face``).  It builds no group element: the context
-keeps one step per vertex (its place in the word and its reflection), and
-the test applies the sorted steps to the n simple-root images of gamma.
-The builder enumerates facets as maximal cliques of the pairwise-face
-graph and re-validates every clique against the word criterion, so the
-flag property is checked rather than assumed.
+keeps one step per vertex position (its place in the word and its
+reflection), and the test applies the sorted steps to the n simple-root
+images of gamma.  The builder applies each vertex's step to gamma's images
+once, so a pair costs one more step; it enumerates facets as maximal
+cliques of the pair graph on bitmasks and re-validates every clique against
+the word criterion, so the flag property is checked rather than assumed.
+A product's graph is the join of its components' graphs.
 """
 from __future__ import annotations
 
@@ -49,6 +51,8 @@ class ComplexContext:
                                   for i in rs.simple_positions)
         self._order = None
         self._steps = None
+        self._position = None
+        self._vertex_steps = (None, None)
 
     @property
     def order(self):
@@ -80,6 +84,22 @@ class ComplexContext:
                                   rs.reflection(v.root).perm)
             self._steps = table
         return self._steps
+
+    @property
+    def position(self) -> dict:
+        """Vertex key -> its position in ``colored_vertices`` order."""
+        if self._position is None:
+            self._position = {v.key(): i for i, v in
+                              enumerate(colored_vertices(self.system, self.m))}
+        return self._position
+
+    @property
+    def vertex_steps(self) -> list:
+        """The steps by vertex position, read again if ``steps`` changes."""
+        if self._vertex_steps[0] is not self.steps:
+            self._vertex_steps = (self.steps,
+                                  [self.steps[key] for key in self.position])
+        return self._vertex_steps[1]
 
 
 def get_context(rs: RootSystem, m: int) -> ComplexContext:
@@ -189,20 +209,25 @@ def _component_of(rs: RootSystem, root: Root) -> RootSystem:
 # -- the word criterion -----------------------------------------------------------
 
 
-def _word(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> list:
-    """The reflection permutations of sigma's word, in multiplication order.
+def _positions(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> list:
+    """The vertex positions of sigma's colored roots.
 
     Raises ValueError on a colored root outside the context's vertex set.
     """
-    table = ctx.steps
-    steps = []
+    position = ctx.position
+    out = []
     for v in sigma:
-        step = table.get(v.key())
-        if step is None:
+        p = position.get(v.key())
+        if p is None:
             raise _not_a_vertex(ctx, v)
-        steps.append(step)
-    steps.sort()
-    return [t for _, _, t in steps]
+        out.append(p)
+    return out
+
+
+def _word(ctx: ComplexContext, positions: Iterable[int]) -> list:
+    """The reflection permutations of the positions' word, in product order."""
+    steps = ctx.vertex_steps
+    return [t for _, _, t in sorted([steps[p] for p in positions])]
 
 
 def _not_a_vertex(ctx: ComplexContext, v: ColoredRoot) -> ValueError:
@@ -231,6 +256,11 @@ def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:
         # every part is tested, so a bad vertex in any of them raises
         return all([is_face(get_context(comp, ctx.m), part)
                     for comp, part in groups.values()])
+    return _is_face_at(ctx, _positions(ctx, sigma))
+
+
+def _is_face_at(ctx: ComplexContext, positions: Sequence[int]) -> bool:
+    """``is_face`` on distinct vertex positions of an irreducible system."""
     # One length decides l(w) = |sigma| and w <= gamma: w is a product of
     # |sigma| reflections, so l(w) <= |sigma|, and l(gamma) <= l(w) +
     # l(w^-1 gamma).  So l(w^-1 gamma) = l(gamma) - |sigma| forces
@@ -238,29 +268,45 @@ def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:
     # l(gamma); the converse is immediate.  With w = t_1 .. t_k,
     # w^-1 gamma = t_k .. t_1 gamma, so t_1 is applied first.
     images = ctx.gamma_images
-    for t in _word(ctx, sigma):
-        images = tuple(t[i] for i in images)
-    return rs.image_length(images) == ctx.gamma.length - len(sigma)
+    for t in _word(ctx, positions):
+        images = tuple(map(t.__getitem__, images))
+    return ctx.system.image_length(images) == \
+        ctx.gamma.length - len(positions)
 
 
 # -- the complex builder -----------------------------------------------------------
 
 
-def _max_cliques(adjacency: dict) -> list:
-    """Bron-Kerbosch with pivoting; deterministic output order."""
+def _max_cliques(adjacency: Sequence[int]) -> list:
+    """Bron-Kerbosch with pivoting on the neighbour bitmasks of 0 .. n - 1.
+
+    The pivot has the most neighbours left to pick, the lowest such vertex
+    on a tie.  Deterministic output order.
+    """
     cliques = []
 
-    def expand(r: list, p: set, x: set):
+    def expand(r: tuple, p: int, x: int):
         if not p and not x:
             cliques.append(tuple(sorted(r)))
             return
-        pivot = max(p | x, key=lambda v: (len(adjacency[v] & p), -v))
-        for v in sorted(p - adjacency[pivot]):
-            expand(r + [v], p & adjacency[v], x & adjacency[v])
-            p.remove(v)
-            x.add(v)
+        most, rest = -1, p | x
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            count = (adjacency[v] & p).bit_count()
+            if count > most:
+                pivot, most = v, count
+            rest ^= low
+        todo = p & ~adjacency[pivot]
+        while todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            expand(r + (v,), p & adjacency[v], x & adjacency[v])
+            p ^= low
+            x |= low
+            todo ^= low
 
-    expand([], set(adjacency), set())
+    expand((), (1 << len(adjacency)) - 1, 0)
     return sorted(cliques)
 
 
@@ -279,66 +325,84 @@ def _build_complex(ctx: ComplexContext) -> tuple:
         cx = SimplicialComplex([], [()], objects=[])
         return cx, {}
     if not rs.is_irreducible:
-        parts = [_build_complex(get_context(c, m))[0] for c in rs.components]
-        # join at the index level, then label in the parent system's basis
+        parts = [_build_complex(get_context(c, m)) for c in rs.components]
+        # join at the index level, then label in the parent system's basis;
+        # each vertex of a part lies in a facet of it, so it is adjacent to
+        # every vertex of the other parts
         objects = []
         facet_lists = []
         symmetry = []
-        for p in parts:
+        adjacency = {}
+        every = set(range(sum(len(p.objects) for p, _ in parts)))
+        for p, near in parts:
             off = len(objects)
             objects.extend(p.objects)
             fl = p.facets or ((),)
             facet_lists.append([tuple(v + off for v in f) for f in fl])
             if p.symmetry is not None:
                 symmetry.extend(v + off for v in p.symmetry)
+            others = every.difference(range(off, len(objects)))
+            adjacency.update((i + off, frozenset(others.union(
+                j + off for j in s))) for i, s in near.items())
         facets = [tuple(sorted(sum(fs, ())))
                   for fs in itertools.product(*facet_lists)]
         labels = [canonical_label(rs, v) for v in objects]
         cx = SimplicialComplex(labels, facets, objects=objects,
-                               meta=_shelling_meta(ctx, objects),
+                               meta=_shelling_meta(ctx, objects, labels),
                                symmetry=symmetry if m >= 1 else None)
-        return cx, _pair_graph(ctx, objects)
+        return cx, adjacency
 
     vertices = colored_vertices(rs, m)
-    adjacency = _pair_graph(ctx, vertices)
+    adjacency = _pair_graph(ctx)
     cliques = _max_cliques(adjacency) if vertices else []
     for clique in cliques:
-        if not is_face(ctx, [vertices[i] for i in clique]):
+        if not _is_face_at(ctx, clique):
             raise RuntimeError(
                 "flagness violated: maximal clique %r fails the word criterion"
                 % (clique,))
     labels = [canonical_label(rs, v) for v in vertices]
     cx = SimplicialComplex(labels, cliques, objects=vertices,
-                           meta=_shelling_meta(ctx, vertices),
-                           symmetry=_rotation(rs, m, vertices))
-    return cx, adjacency
+                           meta=_shelling_meta(ctx, vertices, labels),
+                           symmetry=_rotation(ctx, vertices))
+    return cx, {i: frozenset(j for j in range(len(vertices)) if near >> j & 1)
+                for i, near in enumerate(adjacency)}
 
 
-def _rotation(rs: RootSystem, m: int, vertices: Sequence[ColoredRoot]):
+def _rotation(ctx: ComplexContext, vertices: Sequence[ColoredRoot]):
     """R_m as a permutation of the vertex positions, or None at m = 0.
 
     R_m preserves compatibility (Fomin and Reading), so the permutation is
     an automorphism of the complex.  At m = 0 the vertex set is -Pi, which
     R_m does not preserve.
     """
-    if m < 1:
+    if ctx.m < 1:
         return None
-    position = {v.key(): i for i, v in enumerate(vertices)}
-    return [position[rm_map(rs, m, v).key()] for v in vertices]
+    return [ctx.position[rm_map(ctx.system, ctx.m, v).key()] for v in vertices]
 
 
-def _pair_graph(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> dict:
-    n = len(vertices)
-    adjacency = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_face(ctx, [vertices[i], vertices[j]]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    return {i: frozenset(a) for i, a in adjacency.items()}
+def _pair_graph(ctx: ComplexContext) -> list:
+    """The neighbour bitmask of each vertex position, irreducible systems.
+
+    A pair's word applies the earlier of its steps first, so its images are
+    the later reflection applied to the earlier vertex's prefix: gamma's
+    images after that vertex's own reflection.
+    """
+    steps, image_length = ctx.vertex_steps, ctx.system.image_length
+    target = ctx.gamma.length - 2
+    adjacency = [0] * len(steps)
+    prefixes = []
+    for b in sorted(range(len(steps)), key=steps.__getitem__):
+        t = steps[b][2].__getitem__
+        for a, prefix in prefixes:
+            if image_length(tuple(map(t, prefix))) == target:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+        prefixes.append((b, tuple(map(t, ctx.gamma_images))))
+    return adjacency
 
 
-def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> dict:
+def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot],
+                   labels: Sequence[str]) -> dict:
     """Vertex ranking hints consumed by the shelling constructor.
 
     Keys are vertex labels, which stay stable under link/delete/induce.
@@ -346,8 +410,7 @@ def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot]) -> dict
     rs = ctx.system
     rank = {}
     negatives = []
-    for v in vertices:
-        label = canonical_label(rs, v)
+    for v, label in zip(vertices, labels):
         if _is_negative_simple(rs, v):
             negatives.append(label)
             rank[label] = (0, 0)
@@ -385,12 +448,11 @@ def typeA_polygon_oracle(n: int, m: int) -> SimplicialComplex:
             if (j - i) % m == 1 % m:
                 diagonals.append((i, j))
     labels = ["d(%d,%d)" % d for d in diagonals]
-    adjacency = {i: set() for i in range(len(diagonals))}
+    adjacency = [0] * len(diagonals)
     for a, b in itertools.combinations(range(len(diagonals)), 2):
         if not _diagonals_cross(diagonals[a], diagonals[b]):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    adjacency = {i: frozenset(s) for i, s in adjacency.items()}
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
     facets = _max_cliques(adjacency) if diagonals else []
     return SimplicialComplex(labels, facets, objects=diagonals)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .colored import (ColoredRoot, _max_cliques, _word, build_complex,
-                      get_context, is_face, positive_part)
+from .colored import (ColoredRoot, _max_cliques, _positions, _word,
+                      build_complex, get_context, is_face, positive_part)
 from .coxeter import absolute_interval
 from .roots import RootSystem
 from .simplicial import SimplicialComplex
@@ -158,7 +158,8 @@ def face_to_tuple(rs: RootSystem, m: int,
     for color in range(m, 0, -1):
         images = rs.simple_positions
         # w = t_1 .. t_k acts by t_k first
-        for t in reversed(_word(ctx, [v for v in sigma if v.color == color])):
+        for t in reversed(_word(ctx, _positions(
+                ctx, [v for v in sigma if v.color == color]))):
             images = tuple(t[i] for i in images)
         words.append(images)
     if sum(rs.image_length(w) for w in words) != len(sigma):
@@ -173,13 +174,13 @@ def order_complex(p: Poset, keep: Iterable[int]) -> SimplicialComplex:
     keep = sorted(keep)
     slot = {x: a for a, x in enumerate(keep)}
     kept = sum(1 << x for x in keep)
-    adjacency = {a: set() for a in range(len(keep))}
+    adjacency = [0] * len(keep)
     for b, y in enumerate(keep):
         below = p.down[y] & kept ^ 1 << y  # y lies in its own down-set
         while below:
             a = slot[below.bit_length() - 1]
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
             below ^= 1 << keep[a]
     facets = _max_cliques(adjacency) if keep else []
     return SimplicialComplex([str(i) for i in keep], facets,

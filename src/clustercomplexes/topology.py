@@ -382,7 +382,9 @@ class _FaceTable:
 
         'dimension-drop' when no top facet misses the removal, 'impure' when
         a face missing it lies in no such top facet.  Both are bitset tests
-        on the audit data.
+        on the audit data.  Only the top facets meeting the removal and the
+        facets below the top dimension are tested: a top facet that misses
+        the removal is a kept top facet holding itself.
         """
         audit = self._audit
         kept = audit.all_tops
@@ -393,8 +395,14 @@ class _FaceTable:
             rest ^= low
         if not kept:
             return "dimension-drop"
-        cover = audit.cover
-        if any(not cover.get(g & ~removed, 0) & kept for g in self.facet_masks):
+        cover, tops = audit.cover, self.masks[self.dim + 1]
+        rest = audit.all_tops & ~kept
+        while rest:
+            low = rest & -rest
+            if not cover.get(tops[low.bit_length() - 1] & ~removed, 0) & kept:
+                return "impure"
+            rest ^= low
+        if any(not cover.get(g & ~removed, 0) & kept for g in audit.lower):
             return "impure"
         return None
 
@@ -447,6 +455,8 @@ class _AuditData:
         self.all_tops = (1 << len(table.faces[top])) - 1
         self.avoiding: dict = {}   # vertex -> top facets missing it
         self.cover: dict = {}      # face mask -> top facets containing it
+        # the facets below the top dimension
+        self.lower = [g for g in table.facet_masks if g.bit_count() < top]
         for j, (f, fmask) in enumerate(zip(table.faces[top], table.masks[top])):
             bit = 1 << j
             for v in f:

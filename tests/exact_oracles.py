@@ -5,21 +5,24 @@ ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
 the whole group by closure, type-A one-line notation, reflection length
 and the face test by full permutation products, the two-length face test,
 a root system rebuilt from its JSON report, and the shelling condition
-checked on every pair of facets.  The noncrossing side is redone with
-group elements: the componentwise absolute order on L_m and the
-face-to-tuple map by permutation products; and its comparison is redone
-on explicit complexes: a skeleton and an order complex per k, and each
-fiber relabelled as a complex of its own.  The rest are
-constructions only the tests read: reflection matrices, the bipartition of
-the simple roots, the subcomplex below an element, and vertex links,
-deletions and labelled facets.
+checked on every pair of facets.  The builder's pieces are redone the
+slow way: the pair graph by ``is_face`` on every pair, maximal cliques by
+Bron-Kerbosch on Python sets, and purity by testing every facet.  The
+noncrossing side is redone with group elements: the componentwise
+absolute order on L_m and the face-to-tuple map by permutation products;
+and its comparison is redone on explicit complexes: a skeleton and an
+order complex per k, and each fiber relabelled as a complex of its own.
+The rest are constructions only the tests read: reflection matrices, the
+bipartition of the simple roots, the subcomplex below an element, and
+vertex links, deletions and labelled facets.
 """
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from clustercomplexes.colored import (_component_of, _word, build_complex,
-                                      get_context, positive_part)
+from clustercomplexes.colored import (_component_of, _positions, _word,
+                                      build_complex, colored_vertices,
+                                      get_context, is_face, positive_part)
 from clustercomplexes.coxeter import GroupElement, absolute_leq
 from clustercomplexes.exact import ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
 from clustercomplexes.noncrossing import face_to_tuple, order_complex
@@ -175,7 +178,7 @@ def word_of_face(ctx, sigma) -> GroupElement:
     """Ordered reflection product of a colored-root set, by permutations."""
     rs = ctx.system
     out = rs.identity_element()
-    for t in _word(ctx, sigma):
+    for t in _word(ctx, _positions(ctx, sigma)):
         out = out * GroupElement(rs, t)
     return out
 
@@ -209,6 +212,64 @@ def two_length_is_face(ctx, sigma) -> bool:
                    for comp, part in groups.values())
     w = word_of_face(ctx, sigma)
     return w.length == len(sigma) and absolute_leq(w, ctx.gamma)
+
+
+def max_cliques_by_sets(adjacency: dict) -> list:
+    """Bron-Kerbosch with pivoting on Python sets, sorted output.
+
+    ``adjacency`` maps each vertex to the set of its neighbours.  The pivot
+    has the most neighbours left to pick, the lowest such vertex on a tie.
+    """
+    cliques = []
+
+    def expand(r: list, p: set, x: set):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda v: (len(adjacency[v] & p), -v))
+        for v in sorted(p - adjacency[pivot]):
+            expand(r + [v], p & adjacency[v], x & adjacency[v])
+            p.remove(v)
+            x.add(v)
+
+    expand([], set(adjacency), set())
+    return sorted(cliques)
+
+
+def complex_by_all_pairs(rs, m: int) -> tuple:
+    """(vertices, facets, adjacency) of the complex, pair by pair.
+
+    The vertices are each component's colored vertices in turn; every pair
+    goes to ``is_face``, the facets are the maximal cliques of the pair
+    graph by ``max_cliques_by_sets``, and each must pass ``is_face``.
+    """
+    ctx = get_context(rs, m)
+    vertices = [v for comp in rs.components for v in colored_vertices(comp, m)]
+    adjacency = {i: set() for i in range(len(vertices))}
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        if is_face(ctx, [vertices[i], vertices[j]]):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    facets = max_cliques_by_sets(adjacency) if vertices else [()]
+    for f in facets:
+        if not is_face(ctx, [vertices[i] for i in f]):
+            raise RuntimeError("maximal clique %r is no face" % (f,))
+    return vertices, facets, adjacency
+
+
+def purity_failure_by_all_facets(table, removed: int):
+    """``_FaceTable.purity_failure`` testing every facet for impurity."""
+    audit = table._audit
+    kept = audit.all_tops
+    for v in range(removed.bit_length()):
+        if removed >> v & 1:
+            kept &= audit.avoiding.get(v, audit.all_tops)
+    if not kept:
+        return "dimension-drop"
+    if any(not audit.cover.get(g & ~removed, 0) & kept
+           for g in table.facet_masks):
+        return "impure"
+    return None
 
 
 def facets_as_label_sets(cx) -> set:

@@ -1,14 +1,18 @@
 import gc
 import itertools
 import weakref
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clustercomplexes.colored import (ColoredRoot, build_complex,
-                                      canonical_label, colored_vertices,
-                                      deformed_coxeter, fr_compatible,
-                                      get_context, is_face, positive_part,
-                                      rm_map, tau, typeA_polygon_oracle)
+from clustercomplexes.colored import (ColoredRoot, _max_cliques, _pair_graph,
+                                      build_complex, canonical_label,
+                                      colored_vertices, deformed_coxeter,
+                                      fr_compatible, get_context, is_face,
+                                      positive_part, rm_map, tau,
+                                      typeA_polygon_oracle)
 from clustercomplexes.coxeter import (GroupElement, absolute_interval,
                                       bipartite_coxeter)
 from clustercomplexes.exact import Matrix, Scalar
@@ -16,10 +20,10 @@ from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_h_vectors
 from clustercomplexes.topology import fuss_catalan
 from conftest import ACCEPTANCE_MATRIX
-from exact_oracles import (delete, facets_as_label_sets, labeled_facets,
-                           link, permutation_is_face, skeleton,
-                           subcomplex_below, two_length_is_face,
-                           word_of_face)
+from exact_oracles import (complex_by_all_pairs, delete, facets_as_label_sets,
+                           labeled_facets, link, max_cliques_by_sets,
+                           permutation_is_face, skeleton, subcomplex_below,
+                           two_length_is_face, word_of_face)
 
 A2_FACETS_M1 = {
     frozenset(f) for f in [
@@ -349,6 +353,79 @@ class TestBuildComplex:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             build_complex(build_root_system("A2"), -1)
+
+
+BUILDER_LABELS = ["A2", "A3", "B2", "B3", "G2", "A1", "A1xA1", "A1xA2",
+                  "A1xB2", "A2xA2", "A1xA1xA1"] + \
+    ["I2(%d)" % k for k in range(2, 13)]
+
+
+class TestBuilderReference:
+
+    @pytest.mark.parametrize("label, m", [(label, m)
+                                          for label in BUILDER_LABELS
+                                          for m in range(4)])
+    def test_equals_the_all_pairs_builder(self, label, m):
+        rs = build_root_system(label)
+        cx, adjacency = build_complex(rs, m)
+        vertices, facets, pairs = complex_by_all_pairs(rs, m)
+        assert [v.key() for v in cx.objects] == [v.key() for v in vertices]
+        assert list(cx.facets) == facets
+        assert adjacency == {i: frozenset(near) for i, near in pairs.items()}
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bitset_cliques_equal_a_brute_force_list(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        near = [0] * n
+        for (a, b), edge in zip(pairs, edges):
+            if edge:
+                near[a] |= 1 << b
+                near[b] |= 1 << a
+        # a clique lies in the closed neighbourhood of each of its
+        # vertices, and a maximal one in that of no other vertex
+        closed = [near[v] | 1 << v for v in range(n)]
+        brute = [tuple(v for v in range(n) if s >> v & 1)
+                 for s in range(1 << n)
+                 if all(closed[v] & s == s for v in range(n) if s >> v & 1)
+                 and not any(near[v] & s == s for v in range(n)
+                             if not s >> v & 1)]
+        assert _max_cliques(near) == sorted(brute)
+        assert _max_cliques(near) == max_cliques_by_sets(
+            {v: {u for u in range(n) if near[v] >> u & 1} for v in range(n)})
+
+    def test_a_poisoned_length_trips_the_flag_recheck(self, monkeypatch):
+        # a facet's word is gamma, so its images are the identity's; at
+        # rank 3 no pair's images are, so only the re-check reads the entry
+        rs = build_root_system("A3")
+        monkeypatch.setitem(rs._lengths, tuple(rs.simple_positions), 1)
+        with pytest.raises(RuntimeError, match="flagness violated"):
+            build_complex(rs, 1)
+
+    def test_one_length_per_pair_and_no_product(self, monkeypatch):
+        rs = build_root_system("D4")
+        ctx = get_context(rs, 2)
+        ctx.vertex_steps, ctx.gamma.length  # the context exists
+        real = rs.image_length
+        lookups, products = [], []
+
+        def counting(images):
+            lookups.append(images)
+            return real(images)
+
+        monkeypatch.setattr(rs, "image_length", counting)
+        monkeypatch.setattr(GroupElement, "__mul__",
+                            lambda *args: products.append(args))
+        n = len(colored_vertices(rs, 2))
+        _pair_graph(ctx)
+        assert len(lookups) == comb(n, 2) == 378
+        cx, _ = build_complex(rs, 2)
+        # the pairs again, and the flag re-check of each facet
+        assert len(lookups) == 2 * comb(n, 2) + len(cx.facets)
+        assert products == []
 
 
 class TestSubcomplexes:

@@ -15,7 +15,8 @@ from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
                                        is_cohen_macaulay, kcm_audit,
                                        verify_shelling, verify_wedge)
 from conftest import ACCEPTANCE_MATRIX, RP2
-from exact_oracles import shelling_by_definition
+from exact_oracles import (purity_failure_by_all_facets,
+                           shelling_by_definition)
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
           for m in (1, 2, 3)]
@@ -61,6 +62,30 @@ class TestPurity:
     def test_empty_complex(self):
         cx = SimplicialComplex([], [])
         assert cx.dimension() == -1 and cx.is_pure()
+
+    @pytest.mark.parametrize("label, m", ACCEPTANCE_MATRIX)
+    def test_audit_scan_equals_the_all_facet_scan(self, label, m, complexes):
+        # every removal of at most two vertices
+        _, cx, _ = complexes(label, m)
+        table = topology._audit_table(cx)
+        n = len(cx.vertices)
+        for k in (0, 1, 2):
+            for removal in itertools.combinations(range(n), k):
+                mask = sum(1 << v for v in removal)
+                assert table.purity_failure(mask) == \
+                    purity_failure_by_all_facets(table, mask), removal
+
+    def test_audit_scan_on_an_impure_complex(self):
+        # a triangle with a pendant edge and an isolated vertex, every removal
+        cx = SimplicialComplex(list("abcdef"),
+                               [(0, 1, 2), (1, 2, 3), (3, 4), (5,)])
+        table = topology._audit_table(cx)
+        seen = set()
+        for mask in range(1 << len(cx.vertices)):
+            reason = table.purity_failure(mask)
+            assert reason == purity_failure_by_all_facets(table, mask), mask
+            seen.add(reason)
+        assert seen == {None, "impure", "dimension-drop"}
 
 
 class TestVerifyShelling:
