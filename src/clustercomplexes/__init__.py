@@ -3,8 +3,8 @@
 Modules
 -------
 exact        rational / Q(sqrt5) scalars, matrices, Smith normal form
-roots        root systems: construction, products; parabolics, supports
-             and numerology are RootSystem methods
+roots        root systems: construction, products; supports and numerology
+             are RootSystem methods
 coxeter      group elements, reflection length (two routes), absolute order,
              root sequences, type-A permutation oracles
 simplicial   facet-list complexes and induced subcomplexes; f/h-vectors

@@ -88,8 +88,12 @@ def _load_system(cfg: RunConfig):
 def _emit(cfg: RunConfig, report: dict) -> None:
     text = _render(cfg, report)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GuardError("cannot write the report to %s: %s"
+                             % (cfg.out, exc.strerror or exc)) from None
         print("wrote %s" % cfg.out)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -232,6 +236,7 @@ def cmd_kcm(cfg: RunConfig) -> int:
     if k < 1:
         raise GuardError("k must be at least 1, got %d" % k)
     rs, cx, _ = _load_complex(cfg)
+    _check_homology_cap(cx)
     rep = kcm_audit(cx, k, mode=cfg.mode, seed=cfg.seed, workers=cfg.workers)
     report = _base_report(cfg)
     report["audit"] = rep.to_dict()

@@ -14,7 +14,13 @@ images of gamma.  The builder applies each vertex's step to gamma's images
 once, so a pair costs one more step; it enumerates facets as maximal
 cliques of the pair graph on bitmasks and re-validates every clique against
 the word criterion, so the flag property is checked rather than assumed.
-A product's graph is the join of its components' graphs.
+
+Only the builder treats a product apart: it joins the components' facets
+and pair graphs (Fomin and Reading).  All else acts on the product itself,
+whose vertices and total order list each component's in turn: the word
+criterion and Carter's lemma hold in any finite reflection group, and R_m
+acts on each component as its own, so the face test, compatibility, R_m
+and the shelling hints need no split into components.
 """
 from __future__ import annotations
 
@@ -52,7 +58,6 @@ class ComplexContext:
         self._order = None
         self._steps = None
         self._position = None
-        self._vertex_steps = (None, None)
 
     @property
     def order(self):
@@ -61,8 +66,8 @@ class ComplexContext:
         return self._order
 
     @property
-    def steps(self) -> dict:
-        """Vertex key -> (word class, -position, reflection permutation).
+    def steps(self) -> list:
+        """Per vertex position: (word class, -position, reflection permutation).
 
         The word of a face multiplies the negative simples of the plus
         block first (class 0), then the color classes from m down to 1,
@@ -73,15 +78,15 @@ class ComplexContext:
         if self._steps is None:
             rs, m = self.system, self.m
             position = self.order.position
-            table = {}
+            table = []
             for v in colored_vertices(rs, m):
                 if rs.is_positive(v.root):
                     cls = m + 1 - v.color
                 else:
                     cls = 0 if rs.simple_index(rs.negate(v.root)) < rs.split_s \
                         else m + 1
-                table[v.key()] = (cls, -position(v.root),
-                                  rs.reflection(v.root).perm)
+                table.append((cls, -position(v.root),
+                              rs.reflection(v.root).perm))
             self._steps = table
         return self._steps
 
@@ -93,14 +98,6 @@ class ComplexContext:
                               enumerate(colored_vertices(self.system, self.m))}
         return self._position
 
-    @property
-    def vertex_steps(self) -> list:
-        """The steps by vertex position, read again if ``steps`` changes."""
-        if self._vertex_steps[0] is not self.steps:
-            self._vertex_steps = (self.steps,
-                                  [self.steps[key] for key in self.position])
-        return self._vertex_steps[1]
-
 
 def get_context(rs: RootSystem, m: int) -> ComplexContext:
     """The context of (rs, m), kept on the system and freed with it."""
@@ -111,10 +108,12 @@ def get_context(rs: RootSystem, m: int) -> ComplexContext:
 
 
 def colored_vertices(rs: RootSystem, m: int) -> list:
-    """The vertex set: m copies of each positive root plus -Pi."""
-    out = [ColoredRoot(rs.negate(a), 1) for a in rs.simple_roots]
-    for color in range(1, m + 1):
-        out.extend(ColoredRoot(r, color) for r in rs.positive_roots)
+    """The vertex set: per component in turn, -Pi and m copies of Phi+."""
+    out = []
+    for comp in rs.components:
+        out.extend(ColoredRoot(comp.negate(a), 1) for a in comp.simple_roots)
+        for color in range(1, m + 1):
+            out.extend(ColoredRoot(r, color) for r in comp.positive_roots)
     return out
 
 
@@ -167,12 +166,6 @@ def fr_compatible(rs: RootSystem, m: int, a: ColoredRoot, b: ColoredRoot) -> boo
     """Compatibility via joint color rotation plus the support rule."""
     if a == b:
         raise ValueError("compatibility is a relation on distinct pairs")
-    if not rs.is_irreducible:
-        comp_a = _component_of(rs, a.root)
-        comp_b = _component_of(rs, b.root)
-        if comp_a is not comp_b:
-            return True
-        return fr_compatible(comp_a, m, a, b)
     guard = m * len(rs.positive_roots) + rs.rank + 1
     for _ in range(guard):
         if _is_negative_simple(rs, a):
@@ -191,21 +184,6 @@ def _support_rule(rs: RootSystem, neg: ColoredRoot, other: ColoredRoot) -> bool:
     return alpha_index not in rs.support(other.root)
 
 
-def _component_of(rs: RootSystem, root: Root) -> RootSystem:
-    """The component of a positive or negative simple root of rs.
-
-    Raises KeyError for a root of another system and ValueError for any
-    other negative root.
-    """
-    if rs.is_positive(root):
-        idx = min(rs.support(root))
-    else:
-        idx = rs.simple_index(rs.negate(root))
-        if idx is None:
-            raise ValueError("%r is not the negative of a simple root" % (root,))
-    return rs.component_of_simple(idx)
-
-
 # -- the word criterion -----------------------------------------------------------
 
 
@@ -219,48 +197,28 @@ def _positions(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> list:
     for v in sigma:
         p = position.get(v.key())
         if p is None:
-            raise _not_a_vertex(ctx, v)
+            raise ValueError("%r is not a vertex of the complex of %s at "
+                             "m = %d" % (v, ctx.system.label, ctx.m))
         out.append(p)
     return out
 
 
 def _word(ctx: ComplexContext, positions: Iterable[int]) -> list:
     """The reflection permutations of the positions' word, in product order."""
-    steps = ctx.vertex_steps
+    steps = ctx.steps
     return [t for _, _, t in sorted([steps[p] for p in positions])]
 
 
-def _not_a_vertex(ctx: ComplexContext, v: ColoredRoot) -> ValueError:
-    return ValueError("%r is not a vertex of the complex of %s at m = %d"
-                      % (v, ctx.system.label, ctx.m))
-
-
 def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:
-    """Word criterion: the product has additive length and sits below gamma.
-
-    A component's roots carry the parent's coordinates, and roots compare
-    by key, so the roots of a reducible system serve its components as is.
-    """
+    """Word criterion: the product has additive length and sits below gamma."""
     sigma = list(sigma)
     if len({v.key() for v in sigma}) != len(sigma):
         raise ValueError("faces may not repeat a colored root")
-    rs = ctx.system
-    if not rs.is_irreducible:
-        groups = {}
-        for v in sigma:
-            try:
-                comp = _component_of(rs, v.root)
-            except (KeyError, ValueError):
-                raise _not_a_vertex(ctx, v) from None
-            groups.setdefault(id(comp), (comp, []))[1].append(v)
-        # every part is tested, so a bad vertex in any of them raises
-        return all([is_face(get_context(comp, ctx.m), part)
-                    for comp, part in groups.values()])
     return _is_face_at(ctx, _positions(ctx, sigma))
 
 
 def _is_face_at(ctx: ComplexContext, positions: Sequence[int]) -> bool:
-    """``is_face`` on distinct vertex positions of an irreducible system."""
+    """``is_face`` on distinct vertex positions."""
     # One length decides l(w) = |sigma| and w <= gamma: w is a product of
     # |sigma| reflections, so l(w) <= |sigma|, and l(gamma) <= l(w) +
     # l(w^-1 gamma).  So l(w^-1 gamma) = l(gamma) - |sigma| forces
@@ -316,78 +274,68 @@ def build_complex(rs: RootSystem, m: int) -> tuple:
     The graph is the adjacency of the vertex positions: i -> the frozenset
     of the positions j != i that form a face with i.
     """
-    return _build_complex(get_context(rs, m))
-
-
-def _build_complex(ctx: ComplexContext) -> tuple:
-    rs, m = ctx.system, ctx.m
-    if rs.rank == 0:
-        cx = SimplicialComplex([], [()], objects=[])
-        return cx, {}
-    if not rs.is_irreducible:
-        parts = [_build_complex(get_context(c, m)) for c in rs.components]
-        # join at the index level, then label in the parent system's basis;
-        # each vertex of a part lies in a facet of it, so it is adjacent to
-        # every vertex of the other parts
-        objects = []
-        facet_lists = []
-        symmetry = []
-        adjacency = {}
-        every = set(range(sum(len(p.objects) for p, _ in parts)))
-        for p, near in parts:
-            off = len(objects)
-            objects.extend(p.objects)
-            fl = p.facets or ((),)
-            facet_lists.append([tuple(v + off for v in f) for f in fl])
-            if p.symmetry is not None:
-                symmetry.extend(v + off for v in p.symmetry)
-            others = every.difference(range(off, len(objects)))
-            adjacency.update((i + off, frozenset(others.union(
-                j + off for j in s))) for i, s in near.items())
-        facets = [tuple(sorted(sum(fs, ())))
-                  for fs in itertools.product(*facet_lists)]
-        labels = [canonical_label(rs, v) for v in objects]
-        cx = SimplicialComplex(labels, facets, objects=objects,
-                               meta=_shelling_meta(ctx, objects, labels),
-                               symmetry=symmetry if m >= 1 else None)
-        return cx, adjacency
-
+    ctx = get_context(rs, m)
     vertices = colored_vertices(rs, m)
-    adjacency = _pair_graph(ctx)
-    cliques = _max_cliques(adjacency) if vertices else []
-    for clique in cliques:
-        if not _is_face_at(ctx, clique):
-            raise RuntimeError(
-                "flagness violated: maximal clique %r fails the word criterion"
-                % (clique,))
+    facets, adjacency = _facets_and_graph(ctx)
     labels = [canonical_label(rs, v) for v in vertices]
-    cx = SimplicialComplex(labels, cliques, objects=vertices,
+    cx = SimplicialComplex(labels, facets, objects=vertices,
                            meta=_shelling_meta(ctx, vertices, labels),
                            symmetry=_rotation(ctx, vertices))
     return cx, {i: frozenset(j for j in range(len(vertices)) if near >> j & 1)
                 for i, near in enumerate(adjacency)}
 
 
+def _facets_and_graph(ctx: ComplexContext) -> tuple:
+    """The facets and the neighbour bitmask of each vertex position.
+
+    An irreducible system's facets are the maximal cliques of its pair
+    graph, each re-checked against the word criterion.  A product's are the
+    join of its components' ({()} at rank 0, which has none): each vertex
+    of a part lies in a facet of it, so it neighbours every other part.
+    """
+    rs = ctx.system
+    if not rs.is_irreducible:
+        facets, adjacency = [()], []
+        for comp in rs.components:
+            part_facets, part_adjacency = _facets_and_graph(
+                get_context(comp, ctx.m))
+            off = len(adjacency)
+            part = ((1 << len(part_adjacency)) - 1) << off
+            shifted = [tuple(v + off for v in f) for f in part_facets]
+            facets = [f + g for f in facets for g in shifted]
+            adjacency = [near | part for near in adjacency] + \
+                [near << off | (1 << off) - 1 for near in part_adjacency]
+        return facets, adjacency
+    adjacency = _pair_graph(ctx)
+    cliques = _max_cliques(adjacency)
+    for clique in cliques:
+        if not _is_face_at(ctx, clique):
+            raise RuntimeError(
+                "flagness violated: maximal clique %r fails the word criterion"
+                % (clique,))
+    return cliques, adjacency
+
+
 def _rotation(ctx: ComplexContext, vertices: Sequence[ColoredRoot]):
-    """R_m as a permutation of the vertex positions, or None at m = 0.
+    """R_m as a permutation of the vertex positions, or None.
 
     R_m preserves compatibility (Fomin and Reading), so the permutation is
     an automorphism of the complex.  At m = 0 the vertex set is -Pi, which
-    R_m does not preserve.
+    R_m does not preserve, and at rank 0 there is no vertex to act on.
     """
-    if ctx.m < 1:
+    if ctx.m < 1 or not vertices:
         return None
     return [ctx.position[rm_map(ctx.system, ctx.m, v).key()] for v in vertices]
 
 
 def _pair_graph(ctx: ComplexContext) -> list:
-    """The neighbour bitmask of each vertex position, irreducible systems.
+    """The neighbour bitmask of each vertex position.
 
     A pair's word applies the earlier of its steps first, so its images are
     the later reflection applied to the earlier vertex's prefix: gamma's
     images after that vertex's own reflection.
     """
-    steps, image_length = ctx.vertex_steps, ctx.system.image_length
+    steps, image_length = ctx.steps, ctx.system.image_length
     target = ctx.gamma.length - 2
     adjacency = [0] * len(steps)
     prefixes = []
@@ -407,7 +355,7 @@ def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot],
 
     Keys are vertex labels, which stay stable under link/delete/induce.
     """
-    rs = ctx.system
+    rs, position = ctx.system, ctx.order.position
     rank = {}
     negatives = []
     for v, label in zip(vertices, labels):
@@ -415,9 +363,7 @@ def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot],
             negatives.append(label)
             rank[label] = (0, 0)
         else:
-            owner = rs if rs.is_irreducible else _component_of(rs, v.root)
-            pos = get_context(owner, ctx.m).order.position(v.root)
-            rank[label] = (v.color, pos)
+            rank[label] = (v.color, position(v.root))
     return {"vertex_rank": rank, "negative_labels": tuple(negatives)}
 
 

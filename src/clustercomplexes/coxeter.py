@@ -19,6 +19,9 @@ u <= w, since l(u) <= k and l(w) <= l(u) + l(u^-1 w); the face test of
 Neither builds u^-1 w: each applies reflections to the n simple-root
 images of w, n lookups per reflection, and looks the length up by the
 images it reaches.
+
+The total order on Phi+ and -Pi is read off the root sequence of the
+bipartite Coxeter element; a product's lists each component's in turn.
 """
 from __future__ import annotations
 
@@ -183,10 +186,13 @@ class TotalOrder:
 
 
 def total_order(rs: RootSystem) -> TotalOrder:
-    rho = rho_sequence(rs)
-    n, s, npos = rs.rank, rs.split_s, rho.N
-    window = [rho[-i] for i in range(n - s - 1, -1, -1)]
-    window += [rho[i] for i in range(1, npos + s + 1)]
+    """Each component's rho window -Pi_minus, Phi+, -Pi_plus in turn."""
+    window = []
+    for comp in rs.components:
+        rho = rho_sequence(comp)
+        n, s, npos = comp.rank, comp.split_s, rho.N
+        window += [rho[-i] for i in range(n - s - 1, -1, -1)]
+        window += [rho[i] for i in range(1, npos + s + 1)]
     return TotalOrder(rs, window)
 
 

@@ -3,7 +3,10 @@
 Supported irreducible types: A, B, C, D (crystallographic series), E6, E7,
 E8, F4, G2 (exceptional crystallographic), H3, H4 (icosahedral, over
 Q(sqrt5)) and the dihedral family I2(m).  Direct products are written with
-an ``x`` separator, e.g. ``A1xA1``.
+an ``x`` separator, e.g. ``A1xA1``.  A product lists its irreducible factors
+in ``components``, each a system of its own on the product's coordinates,
+so a factor's roots are the product's; an irreducible system is its own
+one component, and a rank-0 system has none.
 
 Coordinates follow the standard realizations per type.  Simple roots are
 stored with the two orthogonal blocks of the bipartition first/last: the
@@ -119,12 +122,6 @@ class RootSystem:
             if a == root:
                 return i
         return None
-
-    def component_of_simple(self, i: int):
-        for comp, idxs in zip(self.components, self.component_simple_indices):
-            if i in idxs:
-                return comp
-        raise ValueError("no component for simple index %d" % i)
 
     def reflection(self, root: Root):
         """The reflection in ``root``; a root and its negative share it."""
@@ -251,19 +248,12 @@ class CoordinateRootSystem(RootSystem):
             groups = _diagram_components(self.simple_roots)
             if len(groups) == 1:
                 self._components = [self]
-                self.component_simple_indices = [tuple(range(self.rank))]
             else:
-                comps = []
-                for g in groups:
-                    coords = [self.simple_roots[i].coords for i in g]
-                    comps.append(CoordinateRootSystem(
-                        coords, label=classify_simples([self.simple_roots[i] for i in g])))
-                self._components = comps
-                self.component_simple_indices = [tuple(g) for g in groups]
+                self._components = [CoordinateRootSystem(
+                    [self.simple_roots[i].coords for i in g],
+                    label=classify_simples([self.simple_roots[i] for i in g]))
+                    for g in groups]
         return self._components
-
-    def orthogonal(self, r1: Root, r2: Root) -> bool:
-        return dot(r1.coords, r2.coords).sign() == 0
 
     def expansion(self, root: Root) -> tuple:
         """Coefficients of root over the stored simple-root basis."""
@@ -356,20 +346,6 @@ class CoordinateRootSystem(RootSystem):
             self._numerology = Numerology(tuple(exps), h, npos)
         return self._numerology
 
-    def parabolic(self, removed: Root) -> "CoordinateRootSystem":
-        """Standard parabolic subsystem obtained by deleting one simple root."""
-        idx = self.simple_index(removed)
-        if idx is None:
-            raise ValueError("parabolic subsystem: %r is not a simple root" % (removed,))
-        kept = [r for i, r in enumerate(self.simple_roots) if i != idx]
-        return self.subsystem(kept)
-
-    def subsystem(self, kept_simples: Sequence[Root]) -> "CoordinateRootSystem":
-        sub = CoordinateRootSystem([r.coords for r in kept_simples],
-                                   label="sub")
-        sub.label = classify(sub)
-        return sub
-
     def to_dict(self) -> dict:
         return {
             "type": self.label,
@@ -409,7 +385,6 @@ class DihedralRootSystem(RootSystem):
         self._index = {r.key: i for i, r in enumerate(self.roots)}
         self._neg = {i: (i + m) % (2 * m) for i in range(2 * m)}
         self.components = [self]
-        self.component_simple_indices = [(0, 1)]
         self._reflections = None
         self._lengths = {}
         self.contexts = {}
@@ -438,10 +413,6 @@ class DihedralRootSystem(RootSystem):
             return (ZERO, -ONE)
         return None
 
-    def orthogonal(self, r1: Root, r2: Root) -> bool:
-        m = self.order
-        return (2 * (r1.angle - r2.angle)) % (2 * m) == m
-
     def _build_reflections(self) -> list:
         from .coxeter import GroupElement
         m, m2 = self.order, 2 * self.order
@@ -465,13 +436,6 @@ class DihedralRootSystem(RootSystem):
 
     def numerology(self) -> Numerology:
         return Numerology((1, self.order - 1), self.order, self.order)
-
-    def parabolic(self, removed: Root) -> CoordinateRootSystem:
-        if self.simple_index(removed) is None:
-            raise ValueError("parabolic subsystem: %r is not a simple root" % (removed,))
-        # The rank-1 subsystem is returned as a plain A1; the dihedral
-        # model keeps no coordinates to share with it.
-        return build_root_system("A", 1)
 
     def to_dict(self) -> dict:
         return {
@@ -818,7 +782,7 @@ def product_system(factors: Sequence[RootSystem]) -> CoordinateRootSystem:
     return CoordinateRootSystem(coords, label="x".join(f.label for f in factors))
 
 
-# -- diagram classification (labels for parabolics) ------------------------------
+# -- diagram classification (labels for components) -----------------------------
 
 
 def _bond(a: Root, b: Root) -> int:
@@ -895,15 +859,3 @@ def _arms(bonds: dict, n: int) -> list:
         arms.append(length)
     return arms
 
-
-def classify(rs: RootSystem) -> str:
-    if isinstance(rs, DihedralRootSystem):
-        return rs.label
-    if rs.rank == 0:
-        return "0"
-    parts = []
-    for comp, idxs in zip(rs.components, rs.component_simple_indices):
-        if comp is rs:
-            return classify_simples(rs.simple_roots)
-        parts.append(classify_simples([rs.simple_roots[i] for i in idxs]))
-    return "x".join(sorted(parts))

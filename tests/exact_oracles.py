@@ -12,21 +12,25 @@ noncrossing side is redone with group elements: the componentwise
 absolute order on L_m and the face-to-tuple map by permutation products;
 and its comparison is redone on explicit complexes: a skeleton and an
 order complex per k, and each fiber relabelled as a complex of its own.
-The rest are constructions only the tests read: reflection matrices, the
-bipartition of the simple roots, the subcomplex below an element, and
-vertex links, deletions and labelled facets.
+Products are split into components the slow way too: the face tests and
+compatibility per component, the library acting on the product itself.
+The rest are constructions only the tests read: subsystems, parabolics,
+type classification, orthogonality, reflection matrices, the bipartition
+of the simple roots, the subcomplex below an element, and vertex links,
+deletions and labelled facets.
 """
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from clustercomplexes.colored import (_component_of, _positions, _word,
-                                      build_complex, colored_vertices,
+from clustercomplexes.colored import (_positions, _word, build_complex,
+                                      colored_vertices, fr_compatible,
                                       get_context, is_face, positive_part)
 from clustercomplexes.coxeter import GroupElement, absolute_leq
 from clustercomplexes.exact import ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
 from clustercomplexes.noncrossing import face_to_tuple, order_complex
-from clustercomplexes.roots import CoordinateRootSystem, DihedralRootSystem
+from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
+                                    build_root_system, classify_simples)
 from clustercomplexes.simplicial import SimplicialComplex
 from clustercomplexes.topology import ShellingOrder, homology
 
@@ -190,7 +194,7 @@ def permutation_is_face(ctx, sigma) -> bool:
     if not rs.is_irreducible:
         groups = {}
         for v in sigma:
-            comp = _component_of(rs, v.root)
+            comp = component_of(rs, v.root)
             groups.setdefault(id(comp), (comp, []))[1].append(v)
         return all(permutation_is_face(get_context(comp, ctx.m), part)
                    for comp, part in groups.values())
@@ -206,12 +210,39 @@ def two_length_is_face(ctx, sigma) -> bool:
     if not rs.is_irreducible:
         groups = {}
         for v in sigma:
-            comp = _component_of(rs, v.root)
+            comp = component_of(rs, v.root)
             groups.setdefault(id(comp), (comp, []))[1].append(v)
         return all(two_length_is_face(get_context(comp, ctx.m), part)
                    for comp, part in groups.values())
     w = word_of_face(ctx, sigma)
     return w.length == len(sigma) and absolute_leq(w, ctx.gamma)
+
+
+def component_of(rs, root):
+    """The component of a positive or negative simple root of rs.
+
+    Raises KeyError for a root of another system and ValueError for any
+    other negative root.
+    """
+    if rs.is_positive(root):
+        simple = rs.simple_roots[min(rs.support(root))]
+    else:
+        simple = rs.negate(root)
+        if rs.simple_index(simple) is None:
+            raise ValueError("%r is not the negative of a simple root" % (root,))
+    return next(c for c in rs.components if simple in c.simple_roots)
+
+
+def componentwise_fr_compatible(rs, m: int, a, b) -> bool:
+    """Compatibility split by components.
+
+    Always True across two components, and the component's own verdict
+    inside one.
+    """
+    comp = component_of(rs, a.root)
+    if comp is not component_of(rs, b.root):
+        return True
+    return fr_compatible(comp, m, a, b)
 
 
 def max_cliques_by_sets(adjacency: dict) -> list:
@@ -281,6 +312,48 @@ def root_system_from_dict(data: dict) -> CoordinateRootSystem:
     coords = [[Scalar(Fraction(q[0], q[1]), Fraction(q[2], q[3])) for q in r]
               for r in data["simple_roots"]]
     return CoordinateRootSystem(coords, label=data["type"])
+
+
+# -- subsystems -----------------------------------------------------------------------
+
+
+def subsystem(simples) -> CoordinateRootSystem:
+    """The coordinate system on the given simple roots, labelled by type."""
+    sub = CoordinateRootSystem([r.coords for r in simples], label="sub")
+    sub.label = classify(sub)
+    return sub
+
+
+def parabolic(rs, removed):
+    """The standard parabolic subsystem missing one simple root.
+
+    I2(m)'s is returned as a plain A1: the dihedral model keeps no
+    coordinates to share with it.
+    """
+    idx = rs.simple_index(removed)
+    if idx is None:
+        raise ValueError("parabolic subsystem: %r is not a simple root"
+                         % (removed,))
+    if isinstance(rs, DihedralRootSystem):
+        return build_root_system("A", 1)
+    return subsystem([r for i, r in enumerate(rs.simple_roots) if i != idx])
+
+
+def classify(rs) -> str:
+    """The type of rs read off its simple roots, factors sorted by name."""
+    if isinstance(rs, DihedralRootSystem):
+        return rs.label
+    if rs.rank == 0:
+        return "0"
+    return "x".join(sorted(classify_simples(c.simple_roots)
+                           for c in rs.components))
+
+
+def orthogonal(rs, r1, r2) -> bool:
+    """Whether two roots of rs are orthogonal."""
+    if isinstance(rs, DihedralRootSystem):
+        return (2 * (r1.angle - r2.angle)) % (2 * rs.order) == rs.order
+    return dot(r1.coords, r2.coords).sign() == 0
 
 
 # -- matrices -------------------------------------------------------------------------

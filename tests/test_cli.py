@@ -257,9 +257,20 @@ def test_verify_all_at_m0_passes(capsys):
 def test_homology_cap_guards_every_command_that_takes_homology(monkeypatch,
                                                                 capsys):
     monkeypatch.setattr(cli, "HOMOLOGY_FACE_CAP", 10)
-    for command in ("homology", "verify-all", "ncp"):
+    for command in ("homology", "verify-all", "ncp", "kcm"):
         assert run([command, "--phi", "A2", "--m", "1"]) == 2
         assert "exceeds the homology cap 10" in capsys.readouterr().err
+
+
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "cx.json"):
+        assert run(["build", "--phi", "A2", "--m", "1",
+                    "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report to %s: "
+                              % target)
+        assert err.count("\n") == 1
 
 
 def test_library_self_check_failure_exits_1(monkeypatch, capsys):

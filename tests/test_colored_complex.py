@@ -20,9 +20,11 @@ from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_h_vectors
 from clustercomplexes.topology import fuss_catalan
 from conftest import ACCEPTANCE_MATRIX
-from exact_oracles import (complex_by_all_pairs, delete, facets_as_label_sets,
-                           labeled_facets, link, max_cliques_by_sets,
-                           permutation_is_face, skeleton, subcomplex_below,
+from exact_oracles import (complex_by_all_pairs, component_of,
+                           componentwise_fr_compatible, delete,
+                           facets_as_label_sets, labeled_facets, link,
+                           max_cliques_by_sets, parabolic, permutation_is_face,
+                           skeleton, subcomplex_below, subsystem,
                            two_length_is_face, word_of_face)
 
 A2_FACETS_M1 = {
@@ -345,7 +347,7 @@ class TestBuildComplex:
         assert cx.f_vector() == tuple(conv)
 
     def test_rank_zero(self):
-        rs = build_root_system("A2").subsystem([])
+        rs = subsystem([])
         cx, _ = build_complex(rs, 2)
         assert cx.dimension() == -1
         assert cx.facets == ((),)
@@ -358,6 +360,8 @@ class TestBuildComplex:
 BUILDER_LABELS = ["A2", "A3", "B2", "B3", "G2", "A1", "A1xA1", "A1xA2",
                   "A1xB2", "A2xA2", "A1xA1xA1"] + \
     ["I2(%d)" % k for k in range(2, 13)]
+PRODUCT_CASES = [(label, m) for label in BUILDER_LABELS if "x" in label
+                 for m in range(4)]
 
 
 class TestBuilderReference:
@@ -397,6 +401,27 @@ class TestBuilderReference:
         assert _max_cliques(near) == max_cliques_by_sets(
             {v: {u for u in range(n) if near[v] >> u & 1} for v in range(n)})
 
+    @pytest.mark.parametrize("label, m", PRODUCT_CASES)
+    def test_product_compatibility_equals_the_componentwise_route(self, label,
+                                                                  m):
+        rs = build_root_system(label)
+        pairs = list(itertools.combinations(colored_vertices(rs, m), 2))
+        verdicts = [fr_compatible(rs, m, a, b) for a, b in pairs]
+        assert verdicts == [componentwise_fr_compatible(rs, m, a, b)
+                            for a, b in pairs]
+
+    @pytest.mark.parametrize("label, m", PRODUCT_CASES)
+    def test_product_face_test_equals_the_componentwise_routes(self, label, m):
+        # is_face acts on the product; the two oracles split it
+        rs = build_root_system(label)
+        cx, _ = build_complex(rs, m)
+        ctx = get_context(rs, m)
+        sets = [list(pair) for pair in itertools.combinations(cx.objects, 2)]
+        sets += [[cx.objects[i] for i in f] for f in cx.facets]
+        verdicts = [is_face(ctx, sigma) for sigma in sets]
+        assert verdicts == [permutation_is_face(ctx, sigma) for sigma in sets]
+        assert verdicts == [two_length_is_face(ctx, sigma) for sigma in sets]
+
     def test_a_poisoned_length_trips_the_flag_recheck(self, monkeypatch):
         # a facet's word is gamma, so its images are the identity's; at
         # rank 3 no pair's images are, so only the re-check reads the entry
@@ -408,7 +433,7 @@ class TestBuilderReference:
     def test_one_length_per_pair_and_no_product(self, monkeypatch):
         rs = build_root_system("D4")
         ctx = get_context(rs, 2)
-        ctx.vertex_steps, ctx.gamma.length  # the context exists
+        ctx.steps, ctx.gamma.length  # the context exists
         real = rs.image_length
         lookups, products = [], []
 
@@ -502,7 +527,7 @@ class TestRestrictions:
     def test_link_matches_parabolic_complex(self, complexes):
         rs, cx, _ = complexes("A2", 2)
         lk = link(cx, cx.index_of("-s1"))
-        par = rs.parabolic(rs.simple_roots[0])
+        par = parabolic(rs, rs.simple_roots[0])
         sub, _ = build_complex(par, 2)
         key = lambda c, f: frozenset((c.objects[i].root.key, c.objects[i].color)
                                      for i in f)
@@ -545,20 +570,22 @@ class TestSymmetry:
             [rm_map(rs, 2, v).key() for v in cx.objects]
 
     def test_products_join_the_component_rotations(self):
-        rs = build_root_system("A1xA2")
-        cx, _ = build_complex(rs, 2)
-        for v, j in zip(cx.objects, cx.symmetry):
-            comp = rs.component_of_simple(
-                min(rs.support(v.root)) if rs.is_positive(v.root)
-                else rs.simple_index(rs.negate(v.root)))
-            assert cx.objects[j].key() == rm_map(comp, 2, v).key()
+        # the symmetry is the product's own R_m, which acts on each
+        # component as the component's R_m
+        for label in ("A1xA2", "A1xB2", "A1xA1xA1"):
+            rs = build_root_system(label)
+            cx, _ = build_complex(rs, 2)
+            images = [rm_map(rs, 2, v).key() for v in cx.objects]
+            assert [cx.objects[j].key() for j in cx.symmetry] == images
+            assert images == [rm_map(component_of(rs, v.root), 2, v).key()
+                              for v in cx.objects]
 
     def test_no_symmetry_at_m0_or_rank_0(self):
         # at m = 0, R_m sends -Pi outside the vertex set
         for label in ("A1", "B3", "A1xA2"):
             assert build_complex(build_root_system(label), 0)[0].symmetry \
                 is None
-        rank0 = build_root_system("A2").subsystem([])
+        rank0 = subsystem([])
         assert build_complex(rank0, 2)[0].symmetry is None
 
     def test_non_permutations_are_rejected(self):
@@ -631,7 +658,7 @@ class TestDihedralComplexes:
 
 def test_context_is_freed_with_its_system():
     rs = build_root_system("A3")
-    sub = rs.subsystem(rs.simple_roots[:2])
+    sub = subsystem(rs.simple_roots[:2])
     build_complex(sub, 1)
     assert get_context(sub, 1) is get_context(sub, 1)
     ref = weakref.ref(sub)

@@ -227,6 +227,17 @@ class TestRhoSequence:
         with pytest.raises(ValueError):
             rho_sequence(rs)
 
+    @pytest.mark.parametrize("label", ["A1xA1", "A1xA2", "A1xB2", "A2xA2",
+                                       "A1xA1xA1", "B2xG2"])
+    def test_a_product_lists_each_components_window_in_turn(self, label):
+        rs = build_root_system(label)
+        order = [r.key for r in total_order(rs)]
+        assert order == [r.key for comp in rs.components
+                         for r in total_order(comp)]
+        assert sorted(order) == sorted(
+            [r.key for r in rs.positive_roots] +
+            [rs.negate(a).key for a in rs.simple_roots])
+
 
 class TestTypeAOracles:
 

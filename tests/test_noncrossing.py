@@ -256,13 +256,14 @@ class TestFaceToTuple:
         pos = positive_part(build_complex(rs, 1)[0])
         u, v = (pos.objects[i] for i in pos.facets[0])
         real = get_context(rs, 1)
-        (cu, pu, tu), (cv, pv, tv) = real.steps[u.key()], real.steps[v.key()]
+        iu, iv = real.position[u.key()], real.position[v.key()]
+        (cu, pu, tu), (cv, pv, tv) = real.steps[iu], real.steps[iv]
 
         def context(tu_, tv_):
             ctx = copy.copy(real)
-            ctx._steps = dict(real.steps)
-            ctx._steps[u.key()] = (cu, pu, tu_)
-            ctx._steps[v.key()] = (cv, pv, tv_)
+            ctx._steps = list(real.steps)
+            ctx._steps[iu] = (cu, pu, tu_)
+            ctx._steps[iv] = (cv, pv, tv_)
             return ctx
 
         # with one reflection twice, the class word is the identity

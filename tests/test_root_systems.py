@@ -9,8 +9,9 @@ from clustercomplexes.cli import run
 from clustercomplexes.coxeter import bipartite_coxeter
 from clustercomplexes.exact import ZERO, Scalar, dot
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
-                                    Root, build_root_system, classify)
-from exact_oracles import bipartition, enumerate_group, root_system_from_dict
+                                    Root, build_root_system)
+from exact_oracles import (bipartition, classify, enumerate_group, orthogonal,
+                           parabolic, root_system_from_dict)
 
 EXPECTED = {
     # label -> (positive root count, coxeter number, exponents)
@@ -161,7 +162,7 @@ class TestBipartition:
             for block in (plus, minus):
                 for i, a in enumerate(block):
                     for b in block[i + 1:]:
-                        assert rs.orthogonal(a, b)
+                        assert orthogonal(rs, a, b)
 
     def test_reducible_rejected(self):
         rs = build_root_system("A1xA1")
@@ -175,15 +176,15 @@ class TestParabolic:
         rs = build_root_system("A3")
         middle = next(r for r in rs.simple_roots
                       if sum(1 for s in rs.simple_roots
-                             if s != r and not rs.orthogonal(r, s)) == 2)
-        sub = rs.parabolic(middle)
+                             if s != r and not orthogonal(rs, r, s)) == 2)
+        sub = parabolic(rs, middle)
         assert classify(sub) == "A1xA1"
         assert len(sub.positive_roots) == 2
         assert not sub.is_irreducible
 
     def test_a2_drop_first(self):
         rs = build_root_system("A2")
-        sub = rs.parabolic(rs.simple_roots[0])
+        sub = parabolic(rs, rs.simple_roots[0])
         assert classify(sub) == "A1"
         assert len(sub.positive_roots) == 1
 
@@ -193,20 +194,20 @@ class TestParabolic:
         target = next(r for r in rs.simple_roots
                       if all(x.sign() == 0 or abs(x) == 1 for x in r.coords)
                       and r.coords[2].sign() == 0 and r.coords[0].sign() != 0)
-        sub = rs.parabolic(target)
+        sub = parabolic(rs, target)
         assert len(sub.positive_roots) == 4
         assert classify(sub) == "B2"
 
     def test_non_simple_rejected(self):
         rs = build_root_system("A2")
         with pytest.raises(ValueError):
-            rs.parabolic(rs.positive_roots[-1])
+            parabolic(rs, rs.positive_roots[-1])
 
     def test_root_count_matches_support_filter(self):
-        for label in ("A3", "B3", "G2"):
+        for label in ("A3", "B3", "G2", "I2(5)"):
             rs = build_root_system(label)
             for i, removed in enumerate(rs.simple_roots):
-                sub = rs.parabolic(removed)
+                sub = parabolic(rs, removed)
                 kept = set(range(rs.rank)) - {i}
                 direct = [r for r in rs.positive_roots
                           if rs.support(r) <= kept]
@@ -302,6 +303,12 @@ class TestDihedralModel:
         assert rs.numerology().exponents == (1, 1)
         with pytest.raises(ValueError):
             build_root_system("I2", dihedral_order=1)
+
+    def test_orthogonality_by_angle(self):
+        rs = build_root_system("I2(4)")
+        right, diagonal = rs.positive_roots[2], rs.positive_roots[1]
+        assert orthogonal(rs, rs.positive_roots[0], right)
+        assert not orthogonal(rs, rs.positive_roots[0], diagonal)
 
     def test_products_with_dihedral_factors_rejected(self):
         with pytest.raises(ValueError, match="dihedral"):
