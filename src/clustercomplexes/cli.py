@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -83,6 +85,27 @@ def _load_system(cfg: RunConfig):
             "refusing facet enumeration: %d vertices exceeds the cap %d "
             "(raise --cap-vertices to override)" % (predicted, cfg.cap_vertices))
     return rs
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an ``--out`` the report cannot be written to.
+
+    Neither creates nor truncates the file; a write that fails later is
+    still reported by ``_emit``.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise GuardError("cannot write the report to %s: %s"
+                     % (path, os.strerror(code)))
 
 
 def _emit(cfg: RunConfig, report: dict) -> None:
@@ -456,6 +479,8 @@ def run(argv=None) -> int:
                     fmt=args.fmt, cap_vertices=args.cap_vertices,
                     command=args.command)
     try:
+        if cfg.out:
+            _check_out(cfg.out)
         return COMMANDS[args.command](cfg)
     except GuardError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -22,6 +22,8 @@ images it reaches.
 
 The total order on Phi+ and -Pi is read off the root sequence of the
 bipartite Coxeter element; a product's lists each component's in turn.
+An irreducible system keeps its root sequence (``rs.rho``) once built, so
+a product's order reuses the sequences its components' contexts built.
 """
 from __future__ import annotations
 
@@ -140,8 +142,15 @@ class RhoSequence:
 
 
 def rho_sequence(rs: RootSystem) -> RhoSequence:
+    """The rho sequence of an irreducible system, kept on it at first use."""
     if not rs.is_irreducible:
         raise ValueError("the rho sequence requires an irreducible system")
+    if rs.rho is None:
+        rs.rho = _rho_sequence(rs)
+    return rs.rho
+
+
+def _rho_sequence(rs: RootSystem) -> RhoSequence:
     n, s = rs.rank, rs.split_s
     npos = len(rs.positive_roots)
     seq = {}

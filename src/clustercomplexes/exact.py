@@ -11,10 +11,18 @@ an int pair (p, q) standing for p + q*sqrt5; no ``Fraction`` is built
 during the elimination.  Reflection length (see ``roots``) calls it on its
 own integer rows, and ``Matrix.rank`` clears denominators row by row and
 calls the same elimination.
+
+``common_denominator`` and ``int_pairs`` turn Scalars into such int
+pairs.  ``Matrix.rank`` calls them per row; ``roots`` calls them once per
+system, on the simple coordinates, and builds its Gram matrix, positive
+closure and diagram on the pairs with no Scalar arithmetic: products by
+``pair_dot``, order by the exact sign test ``pair_is_negative``
+(``pair_compare``, ``pair_ranks``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -84,19 +92,9 @@ class Scalar:
     # -- comparisons (exact, via the real embedding sqrt(5) > 0) -------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: compare a^2 with 5 b^2
-        if a * a > 5 * b * b:
-            return 1 if a > 0 else -1
-        if a * a < 5 * b * b:
-            return 1 if b > 0 else -1
-        return 0  # unreachable: a^2 = 5 b^2 has no rational solution
+        if not self:
+            return 0
+        return -1 if pair_is_negative(self.a, self.b) else 1
 
     def __eq__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -125,14 +123,6 @@ class Scalar:
         return self.a != 0 or self.b != 0
 
     # -- views ---------------------------------------------------------------
-
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
-
-    def as_int(self) -> int:
-        if not self.is_integer():
-            raise ValueError("scalar %r is not an integer" % (self,))
-        return int(self.a)
 
     def __float__(self):
         # Reporting/diagnostics only; engine code never converts to float.
@@ -218,6 +208,45 @@ def int_pairs(xs: Iterable[Scalar], den: int) -> list:
     """
     return [(x.a.numerator * (den // x.a.denominator),
              x.b.numerator * (den // x.b.denominator)) for x in xs]
+
+
+def pair_dot(u: Sequence[tuple], v: Sequence[tuple]) -> tuple:
+    """The sum of u_k v_k over int pairs (p, q) = p + q*sqrt5, as a pair."""
+    a = b = 0
+    for (p, q), (s, t) in zip(u, v):
+        a += p * s + 5 * q * t
+        b += p * t + q * s
+    return a, b
+
+
+def pair_is_negative(p, q) -> bool:
+    """Whether p + q*sqrt5 < 0, for ints or rationals p and q.
+
+    By the sign of p^2 - 5 q^2 when the signs of p and q do not decide;
+    it is never 0, as sqrt5 is irrational.
+    """
+    if q == 0:
+        return p < 0
+    if p == 0 or (p < 0) == (q < 0):
+        return q < 0
+    return (p * p > 5 * q * q) == (p < 0)
+
+
+def pair_compare(u: tuple, v: tuple) -> int:
+    """The sign of u - v, for int pairs (p, q) standing for p + q*sqrt5.
+
+    A common scale, such as (p + q*sqrt5)/2 for both, moves no sign.
+    """
+    p, q = u[0] - v[0], u[1] - v[1]
+    if p == 0 and q == 0:
+        return 0
+    return -1 if pair_is_negative(p, q) else 1
+
+
+def pair_ranks(values: Iterable[tuple]) -> dict:
+    """Each distinct int pair in ``values`` -> its place in increasing order."""
+    return {v: i for i, v in
+            enumerate(sorted(set(values), key=cmp_to_key(pair_compare)))}
 
 
 def pair_rank(m: list) -> int:

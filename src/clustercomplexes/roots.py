@@ -23,6 +23,20 @@ A coordinate root's ``key`` is the flat tuple of the ints (numerator,
 denominator) of each coordinate's a and b, so two keys are equal exactly
 when the coordinates are, and every lookup by root hashes machine ints.
 
+Set-up runs on ints.  The simple coordinates, scaled by their common
+denominator D, are int pairs (p, q) = p + q*sqrt5, and the Gram matrix
+D^2 (alpha_i, alpha_j) is formed from them once.  Every Cartan entry and
+every expansion coefficient of a finite root system lies in Z[phi],
+phi = (1 + sqrt5)/2, so the positive closure keeps them as int pairs
+(p, q) standing for (p + q*sqrt5)/2, with p and q of one parity; a Cartan
+entry outside Z[phi] raises ``ValueError``.  The closure self-checks that
+every root's norm, read from the Gram matrix, is a simple root's norm
+(``RuntimeError`` otherwise).  A root's coordinates are built once, from
+its expansion, so its key is the same as from any other route.  Positive
+roots are sorted by height, then expansion, on int ranks of the
+coefficients' exact order.  The Coxeter diagram, its components and their
+types are read off the same Gram matrix.
+
 Group elements are permutations of ``roots`` (see ``coxeter``).  The
 positive closure records s_i(beta) for every positive beta, and set-up turns
 those images into the simple reflections as permutations, each checked to
@@ -34,20 +48,22 @@ The simple roots span, so an element is fixed by its images
 w(alpha_1), .., w(alpha_n): the tuple of their indices in ``roots``, read
 at ``simple_positions``.  Reflection length is memoized per such tuple.
 Coordinate systems read it by Carter's lemma off integer rows: on the
-first length, each root's simple-root expansion is scaled by the common
-denominator of all of them into int pairs (p, q) = p + q*sqrt5, and the
-rank of w - I goes to the fraction-free elimination ``exact.pair_rank``.
-I2(m) tells a rotation from a reflection by its two images.
+first length, each root's expansion pairs are scaled by the common
+denominator of all of them (1 or 2) into int pairs (p, q) = p + q*sqrt5,
+and the rank of w - I goes to the fraction-free elimination
+``exact.pair_rank``.  I2(m) tells a rotation from a reflection by its two
+images.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import (GOLDEN, ONE, ZERO, Scalar, coerce_scalar,
-                    common_denominator, dot, int_pairs, pair_rank)
+                    common_denominator, int_pairs, pair_compare, pair_dot,
+                    pair_is_negative, pair_rank, pair_ranks)
 
 _HALF = Fraction(1, 2)
 
@@ -103,6 +119,7 @@ class RootSystem:
     split_s: int
     simple_positions: tuple  # index in ``roots`` of each simple root
     contexts: dict  # m -> colored.ComplexContext, filled by get_context
+    rho: object  # coxeter.RhoSequence of an irreducible system, on first use
 
     def index_of(self, root: Root) -> int:
         return self._index[root.key]
@@ -169,38 +186,38 @@ class CoordinateRootSystem(RootSystem):
         self.label = label
         self.rank = len(simples)
         self.ambient = len(simples[0].coords) if simples else 0
-
-        positives, expansions, images = _positive_closure(simples)
+        basis = _basis(simples)
+        positives, expansions, images = _positive_closure(basis)
         # 2-color the Coxeter diagram; trees are always 2-colorable
-        order, split = _bipartite_order(simples)
+        order, split = _bipartite_order(basis.gram)
         self.split_s = split
         self.simple_roots = [simples[i] for i in order]
-        reorder = {old: new for new, old in enumerate(order)}
-        self._expansion = {}
-        for root, coeffs in zip(positives, expansions):
-            permuted = [ZERO] * self.rank
-            for old, c in enumerate(coeffs):
-                permuted[reorder[old]] = c
-            self._expansion[root.key] = tuple(permuted)
+        self._gram = [[basis.gram[i][j] for j in order] for i in order]
+        found = {root.key: exp for root, exp in zip(positives, expansions)}
+        stored = {key: tuple(exp[old] for old in order)
+                  for key, exp in found.items()}
 
-        def sort_key(r):
-            exp = self._expansion[r.key]
-            height = ZERO
-            for c in exp:
-                height = height + c
-            return (height, exp)
-
-        self.positive_roots = sorted(positives, key=sort_key)
-        negatives = [Root(coords=tuple(-x for x in r.coords))
-                     for r in self.positive_roots]
+        # height, then expansion, each read as int ranks of the exact order
+        heights = {key: (sum(p for p, _ in exp), sum(q for _, q in exp))
+                   for key, exp in stored.items()}
+        rank = pair_ranks([*heights.values(),
+                       *(c for exp in stored.values() for c in exp)])
+        self.positive_roots = sorted(positives, key=lambda r: (
+            rank[heights[r.key]], tuple(rank[c] for c in stored[r.key])))
+        negatives = _roots_at(basis, [tuple((-p, -q) for p, q in found[r.key])
+                                      for r in self.positive_roots])
         self.roots = self.positive_roots + negatives
         self._index = {r.key: i for i, r in enumerate(self.roots)}
         npos = len(self.positive_roots)
         self._neg = {i: (i + npos if i < npos else i - npos)
                      for i in range(len(self.roots))}
-        for root in negatives:
-            pos_exp = self._expansion[self.negate(root).key]
-            self._expansion[root.key] = tuple(-c for c in pos_exp)
+        # expansions as int pairs (p, q) = (p + q*sqrt5)/2, indexed like roots
+        self._pairs = [stored[r.key] for r in self.positive_roots]
+        self._pairs += [tuple((-p, -q) for p, q in exp) for exp in self._pairs]
+        halved = {c: Scalar(Fraction(c[0], 2), Fraction(c[1], 2))
+                  for c in {c for exp in self._pairs for c in exp}}
+        self._expansion = {r.key: tuple(halved[c] for c in exp)
+                           for r, exp in zip(self.roots, self._pairs)}
 
         self.simple_positions = tuple(self._index[a.key]
                                       for a in self.simple_roots)
@@ -210,6 +227,7 @@ class CoordinateRootSystem(RootSystem):
         self._lengths = {}
         self._int_expansions = None
         self.contexts = {}
+        self.rho = None
         self._numerology = None
 
     def _simple_reflections(self, order: Sequence[int], images: dict) -> list:
@@ -245,13 +263,14 @@ class CoordinateRootSystem(RootSystem):
     @property
     def components(self) -> list:
         if self._components is None:
-            groups = _diagram_components(self.simple_roots)
+            groups = _diagram_components(self._gram)
             if len(groups) == 1:
                 self._components = [self]
             else:
                 self._components = [CoordinateRootSystem(
                     [self.simple_roots[i].coords for i in g],
-                    label=classify_simples([self.simple_roots[i] for i in g]))
+                    label=classify_simples(
+                        [[self._gram[i][j] for j in g] for i in g]))
                     for g in groups]
         return self._components
 
@@ -316,14 +335,15 @@ class CoordinateRootSystem(RootSystem):
         return pair_rank(rows)
 
     def _scaled_expansions(self) -> tuple:
-        """Every root's expansion times D, as int pairs, and D.
+        """Every root's expansion times D, as int pairs p + q*sqrt5, and D.
 
-        The rows are indexed like ``roots``; D is the lcm of the
-        denominators of every coefficient's a and b.
+        The rows are indexed like ``roots``; D, the lcm of the denominators
+        of every coefficient's a and b, is 2 when a pair (p, q) standing for
+        (p + q*sqrt5)/2 has p odd (q has its parity), else 1.
         """
-        exps = [self._expansion[r.key] for r in self.roots]
-        den = common_denominator(c for exp in exps for c in exp)
-        return [int_pairs(exp, den) for exp in exps], den
+        if any(p % 2 for exp in self._pairs for p, _ in exp):
+            return [list(exp) for exp in self._pairs], 2
+        return [[(p // 2, q // 2) for p, q in exp] for exp in self._pairs], 1
 
     # -- derived numbers -------------------------------------------------------
 
@@ -388,6 +408,7 @@ class DihedralRootSystem(RootSystem):
         self._reflections = None
         self._lengths = {}
         self.contexts = {}
+        self.rho = None
 
     def support(self, beta: Root) -> frozenset:
         if not self.is_positive(beta):
@@ -454,52 +475,127 @@ class DihedralRootSystem(RootSystem):
 # -- closure / diagram helpers -------------------------------------------------
 
 
-def _positive_closure(simples: Sequence[Root]) -> tuple:
+class _Basis(NamedTuple):
+    """The simple roots ``simples`` on ints, scaled by their common
+    denominator ``den``, in a space of ``ambient`` coordinates.
+
+    ``columns[k]`` lists coordinate k of den * alpha_i for every i, and
+    ``gram[i][j]`` is den^2 (alpha_i, alpha_j), each an int pair
+    (p, q) = p + q*sqrt5.
+    """
+    simples: list
+    den: int
+    columns: list
+    gram: list
+
+
+def _basis(simples: Sequence[Root]) -> _Basis:
+    den = common_denominator(x for r in simples for x in r.coords)
+    dense = [int_pairs(r.coords, den) for r in simples]
+    gram = [[None] * len(dense) for _ in dense]
+    for i, u in enumerate(dense):
+        for j in range(i, len(dense)):
+            gram[i][j] = gram[j][i] = pair_dot(u, dense[j])
+    return _Basis(list(simples), den, list(zip(*dense)), gram)
+
+
+def _cartan(gram: list) -> list:
+    """Per simple root i, (j, p, q) for each nonzero <alpha_j, alpha_i^vee>.
+
+    The entry 2 (alpha_j, alpha_i) / (alpha_i, alpha_i) is the int pair
+    (p, q) = (p + q*sqrt5)/2: 4 (x + y*sqrt5)(a - b*sqrt5), with
+    (alpha_j, alpha_i) = x + y*sqrt5 and (alpha_i, alpha_i) = a + b*sqrt5,
+    divided exactly by the norm a^2 - 5 b^2.  ``ValueError`` when the entry
+    is not in Z[phi]: a remainder, or p and q of different parity.
+    """
+    columns = []
+    for i in range(len(gram)):
+        a, b = gram[i][i]
+        norm = a * a - 5 * b * b
+        column = []
+        for j, row in enumerate(gram):
+            x, y = row[i]
+            if x == 0 and y == 0:
+                continue
+            p, r = divmod(4 * (x * a - 5 * y * b), norm)
+            q, t = divmod(4 * (y * a - x * b), norm)
+            if r or t or (p - q) % 2:
+                raise ValueError(
+                    "Cartan entry <alpha_%d, alpha_%d^vee> is not in Z[phi]: "
+                    "the simple roots span no finite root system"
+                    % (j + 1, i + 1))
+            column.append((j, p, q))
+        columns.append(column)
+    return columns
+
+
+def _roots_at(basis: _Basis, exps: Sequence[tuple]) -> list:
+    """The Root with each expansion pair tuple in ``exps``, in turn."""
+    den = 2 * basis.den
+    scalars = {}
+    out = []
+    for exp in exps:
+        coords = []
+        for pair in (pair_dot(exp, column) for column in basis.columns):
+            x = scalars.get(pair)
+            if x is None:
+                x = scalars[pair] = Scalar(Fraction(pair[0], den),
+                                           Fraction(pair[1], den))
+            coords.append(x)
+        out.append(Root(coords=coords))
+    return out
+
+
+def _positive_closure(basis: _Basis) -> tuple:
     """All positive roots, their simple-root expansions and reflection images.
 
-    By reflection closure.  The images map each positive root's key to the
-    keys of s_1(beta) .. s_n(beta), None where the image is negative.
+    By reflection closure on expansions, each coefficient an int pair
+    (p, q) = (p + q*sqrt5)/2, in one first-in first-out queue.  The
+    expansions are listed like the roots; the images map each positive
+    root's key to the keys of s_1(beta) .. s_n(beta), None where the image
+    is negative.  ``RuntimeError`` when a new root's norm, read from the
+    Gram matrix, is no simple root's norm.
     """
-    n = len(simples)
-    norms = [dot(r.coords, r.coords) for r in simples]
-    cartan = [[Scalar(2) * dot(a.coords, b.coords) / norms[j]
-               for j, b in enumerate(simples)] for a in simples]
-    seen = {}
-    images = {}
-    frontier = []
-    for i, r in enumerate(simples):
-        exp = tuple(ONE if j == i else ZERO for j in range(n))
-        seen[r.key] = (r, exp)
-        frontier.append((r, exp))
-    while frontier:
-        new = []
-        for root, exp in frontier:
-            image = images[root.key] = [None] * n
-            for i in range(n):
-                # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
-                c = ZERO
-                for j, e in enumerate(exp):
-                    if e.sign() != 0:
-                        c = c + e * cartan[j][i]
-                new_exp = tuple(e - c if j == i else e for j, e in enumerate(exp))
-                if all(x.sign() >= 0 for x in new_exp):
-                    coords = tuple(x - c * y for x, y in
-                                   zip(root.coords, simples[i].coords))
-                    nr = Root(coords=coords)
-                    image[i] = nr.key
-                    if nr.key not in seen:
-                        seen[nr.key] = (nr, new_exp)
-                        new.append((nr, new_exp))
-        frontier = new
-    roots = [v[0] for v in seen.values()]
-    exps = [v[1] for v in seen.values()]
-    return roots, exps, images
+    gram = basis.gram
+    n = len(gram)
+    columns = _cartan(gram)
+    norms = {(4 * row[i][0], 4 * row[i][1]) for i, row in enumerate(gram)}
+    queue = [tuple((2, 0) if j == i else (0, 0) for j in range(n))
+             for i in range(n)]
+    images = dict.fromkeys(queue)
+    for exp in queue:  # the queue grows while it is read
+        image = images[exp] = [None] * n
+        for i, column in enumerate(columns):
+            # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i; each product
+            # below is four times a coefficient, so the sum halves exactly
+            s = t = 0
+            for j, x, y in column:
+                p, q = exp[j]
+                s += p * x + 5 * q * y
+                t += p * y + q * x
+            p, q = exp[i]
+            p, q = p - s // 2, q - t // 2
+            if pair_is_negative(p, q):  # the only coefficient that moved
+                continue
+            new = image[i] = exp[:i] + ((p, q),) + exp[i + 1:]
+            if new not in images:
+                # 4 den^2 (beta, beta): each pair is twice its coefficient
+                if pair_dot(new, [pair_dot(new, row) for row in gram]) \
+                        not in norms:
+                    raise RuntimeError(
+                        "closure root with expansion pairs %r has no simple "
+                        "root's norm" % (new,))
+                images[new] = None
+                queue.append(new)
+    roots = basis.simples + _roots_at(basis, queue[n:])
+    keys = {exp: r.key for exp, r in zip(queue, roots)}
+    return roots, queue, {keys[exp]: [None if e is None else keys[e]
+                                      for e in images[exp]] for exp in queue}
 
 
-def _diagram_components(simples: Sequence[Root]) -> list:
-    n = len(simples)
-    adj = [[j for j in range(n) if j != i
-            and dot(simples[i].coords, simples[j].coords).sign() != 0]
+def _diagram_components(gram: list) -> list:
+    n = len(gram)
+    adj = [[j for j in range(n) if j != i and gram[i][j] != (0, 0)]
            for i in range(n)]
     seen = [False] * n
     groups = []
@@ -519,11 +615,11 @@ def _diagram_components(simples: Sequence[Root]) -> list:
     return groups
 
 
-def _bipartite_order(simples: Sequence[Root]) -> tuple:
+def _bipartite_order(gram: list) -> tuple:
     """Order simple indices as (plus block, minus block); returns (order, s)."""
-    n = len(simples)
+    n = len(gram)
     color = {}
-    for group in _diagram_components(simples):
+    for group in _diagram_components(gram):
         color[group[0]] = 0
         stack = [group[0]]
         while stack:
@@ -531,7 +627,7 @@ def _bipartite_order(simples: Sequence[Root]) -> tuple:
             for w in group:
                 if w == v or w in color:
                     continue
-                if dot(simples[v].coords, simples[w].coords).sign() != 0:
+                if gram[v][w] != (0, 0):
                     color[w] = 1 - color[v]
                     stack.append(w)
     plus = [i for i in range(n) if color[i] == 0]
@@ -539,7 +635,7 @@ def _bipartite_order(simples: Sequence[Root]) -> tuple:
     for block in (plus, minus):
         for a in block:
             for b in block:
-                if a < b and dot(simples[a].coords, simples[b].coords).sign() != 0:
+                if a < b and gram[a][b] != (0, 0):
                     raise ValueError("Coxeter diagram is not bipartite as colored")
     return plus + minus, len(plus)
 
@@ -551,13 +647,11 @@ def _exponents_from_heights(rs: CoordinateRootSystem) -> tuple:
     integer height (sum of simple-root coefficients).
     """
     heights = []
-    for r in rs.positive_roots:
-        h = ZERO
-        for c in rs.expansion(r):
-            h = h + c
-        if not h.is_integer():
+    for exp in rs._pairs[:len(rs.positive_roots)]:
+        p, q = sum(c[0] for c in exp), sum(c[1] for c in exp)
+        if q or p % 2:
             raise ValueError("non-integer root height in type %s" % rs.label)
-        heights.append(h.as_int())
+        heights.append(p // 2)
     top = max(heights)
     dist = [sum(1 for h in heights if h == k) for k in range(1, top + 1)]
     if any(dist[i] < dist[i + 1] for i in range(len(dist) - 1)):
@@ -621,53 +715,58 @@ def _simples_H3() -> list:
 
 
 def _h4_root_set() -> list:
+    """The 120 roots of H4, sorted, each coordinate doubled into an int pair.
+
+    The pair (p, q) stands for p + q*sqrt5, so (p, q) is the coordinate
+    (p + q*sqrt5)/2; the sort is the exact lexicographic order.
+    """
     import itertools as it
-    phi = GOLDEN
-    inv = GOLDEN - 1
     roots = set()
     for i in range(4):
-        for s in (Scalar(2), Scalar(-2)):
-            v = [ZERO] * 4
-            v[i] = s
+        for s in (4, -4):
+            v = [(0, 0)] * 4
+            v[i] = (s, 0)
             roots.add(tuple(v))
     for signs in range(16):
-        roots.add(tuple(ONE if signs >> i & 1 else -ONE for i in range(4)))
-    base = (phi, ONE, inv)
+        roots.add(tuple((2, 0) if signs >> i & 1 else (-2, 0) for i in range(4)))
+    base = ((1, 1), (2, 0), (-1, 1))  # twice phi, 1 and 1/phi
     for perm in it.permutations(range(4)):
         parity = sum(1 for i in range(4) for j in range(i + 1, 4)
                      if perm[i] > perm[j]) % 2
         if parity:
             continue
         for signs in range(8):
-            v = [ZERO] * 4
+            v = [(0, 0)] * 4
             for pos, src in enumerate(perm):
                 if src == 3:
                     continue
-                x = base[src]
-                v[pos] = -x if signs >> src & 1 else x
+                p, q = base[src]
+                v[pos] = (-p, -q) if signs >> src & 1 else (p, q)
             roots.add(tuple(v))
     if len(roots) != 120:
         raise RuntimeError("H4 root set has %d elements" % len(roots))
-    return sorted(roots)
+    rank = pair_ranks(x for v in roots for x in v)
+    return sorted(roots, key=lambda v: tuple(rank[x] for x in v))
 
 
 def _simples_H4() -> list:
     """Search the H4 root set for a simple system with diagram 5-3-3."""
-    phi = GOLDEN
     roots = _h4_root_set()
-    want_12 = Scalar(-2) * phi
-    want_edge = Scalar(-2)
+    # pair_dot of doubled coordinates is 4 (u, v)
+    want_12 = (-4, -4)  # 4 (-2 phi)
+    want_edge = (-8, 0)  # 4 (-2)
     a1 = roots[0]
     for a2 in roots:
-        if dot(a1, a2) != want_12:
+        if pair_dot(a1, a2) != want_12:
             continue
         for a3 in roots:
-            if dot(a2, a3) != want_edge or dot(a1, a3).sign() != 0:
+            if pair_dot(a2, a3) != want_edge or pair_dot(a1, a3) != (0, 0):
                 continue
             for a4 in roots:
-                if (dot(a3, a4) == want_edge and dot(a1, a4).sign() == 0
-                        and dot(a2, a4).sign() == 0):
-                    return [list(a1), list(a2), list(a3), list(a4)]
+                if (pair_dot(a3, a4) == want_edge
+                        and pair_dot(a1, a4) == pair_dot(a2, a4) == (0, 0)):
+                    return [[Scalar(Fraction(p, 2), Fraction(q, 2))
+                             for p, q in v] for v in (a1, a2, a3, a4)]
     raise RuntimeError("no H4 simple system found")  # pragma: no cover
 
 
@@ -785,21 +884,29 @@ def product_system(factors: Sequence[RootSystem]) -> CoordinateRootSystem:
 # -- diagram classification (labels for components) -----------------------------
 
 
-def _bond(a: Root, b: Root) -> int:
-    """Coxeter bond m(a, b) read off from the angle between two roots."""
-    num = dot(a.coords, b.coords)
-    c2 = (num * num) / (dot(a.coords, a.coords) * dot(b.coords, b.coords))
-    table = {Scalar(0): 2, Scalar(Fraction(1, 4)): 3, Scalar(Fraction(1, 2)): 4,
-             Scalar(Fraction(3, 4)): 6,
-             (GOLDEN * GOLDEN) / 4: 5}
-    for val, m in table.items():
-        if c2 == val:
+# 8 cos^2 of the angle between two simple roots, as an int pair
+# p + q*sqrt5, for each Coxeter bond m: cos^2 = 0, 1/4, 1/2, 3/4, phi^2/4
+_BOND_COS2 = ((2, (0, 0)), (3, (2, 0)), (4, (4, 0)), (6, (6, 0)),
+              (5, (3, 1)))
+
+
+def _bond(gram: list, i: int, j: int) -> int:
+    """Coxeter bond m(alpha_i, alpha_j) read off the Gram matrix.
+
+    cos^2 = g_ij^2 / (g_ii g_jj), so the bond is the m whose 8 cos^2 = c
+    has 8 g_ij^2 = c g_ii g_jj.
+    """
+    p, q = pair_dot([gram[i][j]], [gram[i][j]])
+    norms = pair_dot([gram[i][i]], [gram[j][j]])
+    for m, c in _BOND_COS2:
+        if (8 * p, 8 * q) == pair_dot([c], [norms]):
             return m
     raise ValueError("unrecognized bond angle")
 
 
-def classify_simples(simples: Sequence[Root]) -> str:
-    n = len(simples)
+def classify_simples(gram: list) -> str:
+    """The type of a simple system, from its Gram matrix (int pairs)."""
+    n = len(gram)
     if n == 0:
         return "0"
     if n == 1:
@@ -808,13 +915,12 @@ def classify_simples(simples: Sequence[Root]) -> str:
     degree = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            m = _bond(simples[i], simples[j])
+            m = _bond(gram, i, j)
             if m > 2:
                 bonds[(i, j)] = m
                 degree[i] += 1
                 degree[j] += 1
     marks = sorted(bonds.values())
-    norms = [dot(r.coords, r.coords) for r in simples]
     if n == 2:
         m = marks[0]
         return {3: "A2", 4: "B2", 6: "G2"}.get(m, "I2(%d)" % m)
@@ -828,7 +934,8 @@ def classify_simples(simples: Sequence[Root]) -> str:
             # the degree-1 end of the 4-bond is short in B, long in C
             end = i if degree[i] == 1 else j
             other = j if end == i else i
-            return ("B%d" if norms[end] < norms[other] else "C%d") % n
+            short = pair_compare(gram[end][end], gram[other][other]) < 0
+            return ("B%d" if short else "C%d") % n
         if marks == [3] * (n - 2) + [5]:
             return "H%d" % n
         return "W(path)%d" % n

@@ -14,6 +14,10 @@ and its comparison is redone on explicit complexes: a skeleton and an
 order complex per k, and each fiber relabelled as a complex of its own.
 Products are split into components the slow way too: the face tests and
 compatibility per component, the library acting on the product itself.
+The root-system set-up is redone on ``Scalar`` coordinates: the positive
+closure, the Coxeter diagram, its bipartite order and classification, the
+sort of the positive roots and the H4 simple-system search, each by dot
+products over Q(sqrt5).
 The rest are constructions only the tests read: subsystems, parabolics,
 type classification, orthogonality, reflection matrices, the bipartition
 of the simple roots, the subcomplex below an element, and vertex links,
@@ -27,10 +31,11 @@ from clustercomplexes.colored import (_positions, _word, build_complex,
                                       colored_vertices, fr_compatible,
                                       get_context, is_face, positive_part)
 from clustercomplexes.coxeter import GroupElement, absolute_leq
-from clustercomplexes.exact import ONE, ZERO, Matrix, Scalar, coerce_scalar, dot
+from clustercomplexes.exact import (GOLDEN, ONE, ZERO, Matrix, Scalar,
+                                    coerce_scalar, dot)
 from clustercomplexes.noncrossing import face_to_tuple, order_complex
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
-                                    build_root_system, classify_simples)
+                                    Root, _arms, build_root_system)
 from clustercomplexes.simplicial import SimplicialComplex
 from clustercomplexes.topology import ShellingOrder, homology
 
@@ -345,7 +350,7 @@ def classify(rs) -> str:
         return rs.label
     if rs.rank == 0:
         return "0"
-    return "x".join(sorted(classify_simples(c.simple_roots)
+    return "x".join(sorted(scalar_classify_simples(c.simple_roots)
                            for c in rs.components))
 
 
@@ -354,6 +359,243 @@ def orthogonal(rs, r1, r2) -> bool:
     if isinstance(rs, DihedralRootSystem):
         return (2 * (r1.angle - r2.angle)) % (2 * rs.order) == rs.order
     return dot(r1.coords, r2.coords).sign() == 0
+
+
+# -- the root-system set-up on Scalars ---------------------------------------------
+
+
+def scalar_positive_closure(simples) -> tuple:
+    """All positive roots, their simple-root expansions and reflection images.
+
+    By reflection closure.  The images map each positive root's key to the
+    keys of s_1(beta) .. s_n(beta), None where the image is negative.
+    """
+    n = len(simples)
+    norms = [dot(r.coords, r.coords) for r in simples]
+    cartan = [[Scalar(2) * dot(a.coords, b.coords) / norms[j]
+               for j, b in enumerate(simples)] for a in simples]
+    seen = {}
+    images = {}
+    frontier = []
+    for i, r in enumerate(simples):
+        exp = tuple(ONE if j == i else ZERO for j in range(n))
+        seen[r.key] = (r, exp)
+        frontier.append((r, exp))
+    while frontier:
+        new = []
+        for root, exp in frontier:
+            image = images[root.key] = [None] * n
+            for i in range(n):
+                # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
+                c = ZERO
+                for j, e in enumerate(exp):
+                    if e.sign() != 0:
+                        c = c + e * cartan[j][i]
+                new_exp = tuple(e - c if j == i else e for j, e in enumerate(exp))
+                if all(x.sign() >= 0 for x in new_exp):
+                    coords = tuple(x - c * y for x, y in
+                                   zip(root.coords, simples[i].coords))
+                    nr = Root(coords=coords)
+                    image[i] = nr.key
+                    if nr.key not in seen:
+                        seen[nr.key] = (nr, new_exp)
+                        new.append((nr, new_exp))
+        frontier = new
+    roots = [v[0] for v in seen.values()]
+    exps = [v[1] for v in seen.values()]
+    return roots, exps, images
+
+
+def scalar_diagram_components(simples) -> list:
+    n = len(simples)
+    adj = [[j for j in range(n) if j != i
+            and dot(simples[i].coords, simples[j].coords).sign() != 0]
+           for i in range(n)]
+    seen = [False] * n
+    groups = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        groups.append(sorted(comp))
+    return groups
+
+
+def scalar_bipartite_order(simples) -> tuple:
+    """Order simple indices as (plus block, minus block); returns (order, s)."""
+    n = len(simples)
+    color = {}
+    for group in scalar_diagram_components(simples):
+        color[group[0]] = 0
+        stack = [group[0]]
+        while stack:
+            v = stack.pop()
+            for w in group:
+                if w == v or w in color:
+                    continue
+                if dot(simples[v].coords, simples[w].coords).sign() != 0:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+    plus = [i for i in range(n) if color[i] == 0]
+    minus = [i for i in range(n) if color[i] == 1]
+    for block in (plus, minus):
+        for a in block:
+            for b in block:
+                if a < b and dot(simples[a].coords, simples[b].coords).sign() != 0:
+                    raise ValueError("Coxeter diagram is not bipartite as colored")
+    return plus + minus, len(plus)
+
+
+def scalar_bond(a, b) -> int:
+    """Coxeter bond m(a, b) read off from the angle between two roots."""
+    num = dot(a.coords, b.coords)
+    c2 = (num * num) / (dot(a.coords, a.coords) * dot(b.coords, b.coords))
+    table = {Scalar(0): 2, Scalar(Fraction(1, 4)): 3, Scalar(Fraction(1, 2)): 4,
+             Scalar(Fraction(3, 4)): 6,
+             (GOLDEN * GOLDEN) / 4: 5}
+    for val, m in table.items():
+        if c2 == val:
+            return m
+    raise ValueError("unrecognized bond angle")
+
+
+def scalar_classify_simples(simples) -> str:
+    n = len(simples)
+    if n == 0:
+        return "0"
+    if n == 1:
+        return "A1"
+    bonds = {}
+    degree = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = scalar_bond(simples[i], simples[j])
+            if m > 2:
+                bonds[(i, j)] = m
+                degree[i] += 1
+                degree[j] += 1
+    marks = sorted(bonds.values())
+    norms = [dot(r.coords, r.coords) for r in simples]
+    if n == 2:
+        m = marks[0]
+        return {3: "A2", 4: "B2", 6: "G2"}.get(m, "I2(%d)" % m)
+    if max(degree) <= 2:  # path
+        if marks == [3] * (n - 1):
+            return "A%d" % n
+        if marks == [3] * (n - 2) + [4]:
+            i, j = next(k for k, v in bonds.items() if v == 4)
+            if degree[i] == 2 and degree[j] == 2:
+                return "F%d" % n
+            # the degree-1 end of the 4-bond is short in B, long in C
+            end = i if degree[i] == 1 else j
+            other = j if end == i else i
+            return ("B%d" if norms[end] < norms[other] else "C%d") % n
+        if marks == [3] * (n - 2) + [5]:
+            return "H%d" % n
+        return "W(path)%d" % n
+    if marks == [3] * (n - 1):
+        arm_lengths = sorted(_arms(bonds, n))
+        if arm_lengths[:2] == [1, 1]:
+            return "D%d" % n
+        if arm_lengths[0] == 1 and arm_lengths[1] == 2:
+            return "E%d" % n
+    return "W?%d" % n
+
+
+def scalar_h4_simples() -> list:
+    """Search the H4 root set for a simple system with diagram 5-3-3."""
+    phi = GOLDEN
+    inv = GOLDEN - 1
+    roots = set()
+    for i in range(4):
+        for s in (Scalar(2), Scalar(-2)):
+            v = [ZERO] * 4
+            v[i] = s
+            roots.add(tuple(v))
+    for signs in range(16):
+        roots.add(tuple(ONE if signs >> i & 1 else -ONE for i in range(4)))
+    base = (phi, ONE, inv)
+    for perm in itertools.permutations(range(4)):
+        parity = sum(1 for i in range(4) for j in range(i + 1, 4)
+                     if perm[i] > perm[j]) % 2
+        if parity:
+            continue
+        for signs in range(8):
+            v = [ZERO] * 4
+            for pos, src in enumerate(perm):
+                if src == 3:
+                    continue
+                x = base[src]
+                v[pos] = -x if signs >> src & 1 else x
+            roots.add(tuple(v))
+    roots = sorted(roots)
+    want_12 = Scalar(-2) * phi
+    want_edge = Scalar(-2)
+    a1 = roots[0]
+    for a2 in roots:
+        if dot(a1, a2) != want_12:
+            continue
+        for a3 in roots:
+            if dot(a2, a3) != want_edge or dot(a1, a3).sign() != 0:
+                continue
+            for a4 in roots:
+                if (dot(a3, a4) == want_edge and dot(a1, a4).sign() == 0
+                        and dot(a2, a4).sign() == 0):
+                    return [list(a1), list(a2), list(a3), list(a4)]
+    raise RuntimeError("no H4 simple system found")
+
+
+def scalar_root_system(simple_coords) -> dict:
+    """The set-up of a coordinate system, redone on Scalars.
+
+    Returns the keys of ``roots`` in order, each root's expansion over the
+    stored simple roots, ``split_s``, ``simple_positions``, the simple
+    reflections as permutations, and the type of each diagram component.
+    """
+    simples = [Root(coords=c) for c in simple_coords]
+    positives, expansions, images = scalar_positive_closure(simples)
+    order, split = scalar_bipartite_order(simples)
+    stored = [simples[i] for i in order]
+    expansion = {}
+    for root, coeffs in zip(positives, expansions):
+        expansion[root.key] = tuple(coeffs[old] for old in order)
+
+    def sort_key(r):
+        exp = expansion[r.key]
+        height = ZERO
+        for c in exp:
+            height = height + c
+        return (height, exp)
+
+    positive = sorted(positives, key=sort_key)
+    negatives = [Root(coords=tuple(-x for x in r.coords)) for r in positive]
+    keys = [r.key for r in positive + negatives]
+    index = {key: i for i, key in enumerate(keys)}
+    npos = len(positive)
+    for r, neg in zip(positive, negatives):
+        expansion[neg.key] = tuple(-c for c in expansion[r.key])
+    perms = []
+    for old in order:
+        perm = [0] * len(keys)
+        for p, r in enumerate(positive):
+            image = images[r.key][old]
+            q = index[simples[old].key] + npos if image is None else index[image]
+            perm[p], perm[(p + npos) % (2 * npos)] = q, (q + npos) % (2 * npos)
+        perms.append(tuple(perm))
+    groups = scalar_diagram_components(stored)
+    return {"roots": keys, "expansions": expansion, "split_s": split,
+            "simple_positions": tuple(index[a.key] for a in stored),
+            "simple_perms": perms,
+            "components": [scalar_classify_simples([stored[i] for i in g])
+                           for g in groups]}
 
 
 # -- matrices -------------------------------------------------------------------------

@@ -273,6 +273,37 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                      capsys):
+    def never(rs, m):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(cli, "build_complex", never)
+    for target in (tmp_path, tmp_path / "missing" / "cx.json"):
+        for command in ("build", "verify-all", "kcm"):
+            assert run([command, "--phi", "B4", "--m", "2",
+                        "--out", str(target)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: cannot write the report to %s: " % target)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_writable_out_is_left_alone_until_the_report_is_ready(
+        tmp_path, monkeypatch, capsys):
+    def failing(rs, m):
+        raise RuntimeError("flagness violated")
+
+    monkeypatch.setattr(cli, "build_complex", failing)
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report\n")
+    for target in (kept, fresh):
+        assert run(["build", "--phi", "A2", "--m", "1",
+                    "--out", str(target)]) == 1
+        assert capsys.readouterr().err == "error: flagness violated\n"
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
 def test_library_self_check_failure_exits_1(monkeypatch, capsys):
     def failing(rs, m):
         raise RuntimeError("flagness violated: maximal clique (0, 1) fails "

@@ -2,12 +2,15 @@ import itertools
 
 import pytest
 
-from clustercomplexes.coxeter import (absolute_interval, absolute_leq,
-                                      bipartite_coxeter, cycles_of,
+from clustercomplexes.coxeter import (GroupElement, absolute_interval,
+                                      absolute_leq, bipartite_coxeter,
+                                      cycles_of,
                                       rho_sequence, total_order,
                                       typeA_absolute_leq,
                                       typeA_reflection_length, word_length_bfs)
-from clustercomplexes.roots import CoordinateRootSystem, build_root_system
+from clustercomplexes.colored import get_context
+from clustercomplexes.roots import (CoordinateRootSystem, build_root_system,
+                                    product_system)
 from exact_oracles import (enumerate_group, one_line_permutation,
                            permutation_length)
 
@@ -226,6 +229,27 @@ class TestRhoSequence:
         rs = build_root_system("A1xA1")
         with pytest.raises(ValueError):
             rho_sequence(rs)
+
+    def test_a_product_reuses_its_components_sequences(self, monkeypatch):
+        products = []
+        real = GroupElement.__mul__
+
+        def counting(u, w):
+            products.append((u, w))
+            return real(u, w)
+
+        monkeypatch.setattr(GroupElement, "__mul__", counting)
+        factors = [build_root_system("A1"), build_root_system("A2")]
+        cold = product_system(factors)
+        total_order(cold)
+        assert len(products) == 8  # A1's 2 and A2's 6 prefix products
+        rs = product_system(factors)
+        for comp in rs.components:
+            get_context(comp, 2).steps  # the join builds each step table
+        del products[:]
+        order = total_order(rs)
+        assert products == []
+        assert [r.key for r in order] == [r.key for r in total_order(cold)]
 
     @pytest.mark.parametrize("label", ["A1xA1", "A1xA2", "A1xB2", "A2xA2",
                                        "A1xA1xA1", "B2xG2"])

@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clustercomplexes import roots
+from clustercomplexes import exact, roots
 from clustercomplexes.cli import run
 from clustercomplexes.coxeter import bipartite_coxeter
 from clustercomplexes.exact import ZERO, Scalar, dot
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
                                     Root, build_root_system)
 from exact_oracles import (bipartition, classify, enumerate_group, orthogonal,
-                           parabolic, root_system_from_dict)
+                           parabolic, root_system_from_dict, scalar_h4_simples,
+                           scalar_root_system)
 
 EXPECTED = {
     # label -> (positive root count, coxeter number, exponents)
@@ -410,3 +411,104 @@ class TestSimpleReflectionsFromTheClosure:
         monkeypatch.setattr(roots, "_build_cache", {})
         assert run(["build", "--phi", "A2", "--m", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: simple reflection")
+
+
+SWEEP = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(2, 9)]
+         + ["C%d" % n for n in range(2, 7)] + ["D%d" % n for n in range(3, 9)]
+         + ["E6", "E7", "E8", "F4", "G2", "H3", "H4", "A1xA2", "B2xG2",
+            "A2xA2", "A1xA1xA1", "H3xA1"])
+
+
+def conventional_coords(label):
+    """The simple coordinates a label is built from, before any reordering.
+
+    A product gets its factors' in orthogonal coordinate blocks.
+    """
+    factors = []
+    for part in label.split("x"):
+        family, rank, _ = roots.parse_label(part)
+        factors.append(roots._FIXED[family][0]() if family in roots._FIXED
+                       else getattr(roots, "_simples_" + family)(rank))
+    total = sum(len(f[0]) for f in factors)
+    out, offset = [], 0
+    for f in factors:
+        for row in f:
+            out.append([0] * offset + list(row)
+                       + [0] * (total - offset - len(row)))
+        offset += len(f[0])
+    return out
+
+
+class TestIntegerSetUp:
+    """The int-pair set-up against the Scalar reference in the oracles."""
+
+    @pytest.mark.parametrize("label", SWEEP)
+    def test_matches_the_scalar_reference(self, label):
+        coords = conventional_coords(label)
+        rs = CoordinateRootSystem(coords, label=label)
+        ref = scalar_root_system(coords)
+        assert [r.key for r in rs.roots] == ref["roots"]
+        assert all(rs.expansion(r) == ref["expansions"][r.key]
+                   for r in rs.roots)
+        assert rs.split_s == ref["split_s"]
+        assert rs.simple_positions == ref["simple_positions"]
+        assert [rs.reflection(a).perm for a in rs.simple_roots] == \
+            ref["simple_perms"]
+        assert [roots.classify_simples(c._gram) for c in rs.components] == \
+            ref["components"]
+        if "x" in label:
+            assert [c.label for c in rs.components] == ref["components"]
+
+    def test_h4_simple_system_matches_the_scalar_search(self):
+        assert roots._simples_H4() == scalar_h4_simples()
+
+    def test_a_cartan_entry_outside_z_phi_raises(self):
+        # (a1, a2) = 3 and (a1, a1) = 9: <a2, a1^vee> = 2/3
+        with pytest.raises(ValueError, match=r"not in Z\[phi\]"):
+            CoordinateRootSystem([[3, 0], [1, 1]])
+        # 2 (a1, a2) / (a1, a1) = 2 sqrt5 / 4 = sqrt5 / 2, not in Z[phi]
+        with pytest.raises(ValueError, match=r"not in Z\[phi\]"):
+            CoordinateRootSystem([[2, 0], [Scalar(0, 1) / 2, 1]])
+
+    def test_a_corrupted_norm_raises(self, monkeypatch):
+        # A2's Gram matrix with a B2 Cartan column: a1 + 2 a2 has norm 6
+        real = roots._cartan
+
+        def corrupted(gram):
+            columns = real(gram)
+            columns[1] = [(j, 2 * p, 2 * q) if j == 0 else (j, p, q)
+                          for j, p, q in columns[1]]
+            return columns
+
+        monkeypatch.setattr(roots, "_cartan", corrupted)
+        with pytest.raises(RuntimeError, match="norm"):
+            CoordinateRootSystem(roots._simples_A(2), label="A2")
+
+    def test_set_up_does_no_scalar_arithmetic(self, monkeypatch):
+        coords = {label: conventional_coords(label)
+                  for label in ("F4", "E8", "H4")}
+        calls = []
+
+        def counting(name, real):
+            def shim(*args):
+                calls.append(name)
+                return real(*args)
+            return shim
+
+        monkeypatch.setattr(exact, "dot", counting("dot", exact.dot))
+        # a name bound in roots by a later import would be read from here
+        monkeypatch.setattr(roots, "dot", counting("dot", exact.dot),
+                            raising=False)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Scalar, name,
+                                counting(name, getattr(Scalar, name)))
+        for label, simple in coords.items():
+            rs = CoordinateRootSystem(simple, label=label)
+            rs.components, rs.numerology()
+        roots._simples_H4()
+        product = roots.product_system([build_root_system("B3"),
+                                        build_root_system("H3")])
+        [c.label for c in product.components]
+        assert calls == []
+        assert Scalar(1) + Scalar(1) == 2 and calls == ["__add__"]
