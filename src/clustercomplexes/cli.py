@@ -24,7 +24,7 @@ from . import __version__
 from .colored import (build_complex, fr_compatible, positive_part,
                       typeA_polygon_oracle)
 from .noncrossing import build_Lm, homotopy_compare, moebius, nc_interval
-from .roots import build_root_system, parse_label
+from .roots import build_root_system
 from .simplicial import f_h_vectors
 from .topology import (codim1_incidence, construct_shelling, fuss_catalan,
                        fuss_narayana_positive, homology, kcm_audit,
@@ -55,14 +55,6 @@ class GuardError(ValueError):
     """A usage error or a refused request: exit 2."""
 
 
-def _guarded(fn, *args):
-    """Call a label parser, reporting its ValueError as a usage error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise GuardError(str(exc)) from None
-
-
 MAX_RANK = 6
 MAX_COLORS = 4
 HOMOLOGY_FACE_CAP = 200_000
@@ -71,7 +63,10 @@ HOMOLOGY_FACE_CAP = 200_000
 def _load_system(cfg: RunConfig):
     if cfg.m < 0:
         raise GuardError("the color count m must be nonnegative, got %d" % cfg.m)
-    rs = _guarded(build_root_system, cfg.phi)
+    try:
+        rs = build_root_system(cfg.phi)
+    except ValueError as exc:  # a bad label
+        raise GuardError(str(exc)) from None
     if rs.rank > MAX_RANK:
         raise GuardError("rank %d exceeds the desk-scale limit %d; full "
                          "enumeration at that size is out of reach"
@@ -401,13 +396,13 @@ def cmd_verify_all(cfg: RunConfig) -> int:
 
 
 def cmd_polygon(cfg: RunConfig) -> int:
-    fam, rank, _ = _guarded(parse_label, cfg.phi)
-    if fam != "A":
-        raise GuardError("the polygon oracle models type A only")
     if cfg.m < 1:
         raise GuardError("the polygon oracle needs m >= 1")
-    rs, cx, _ = _load_complex(cfg)
-    poly = typeA_polygon_oracle(rank + 1, cfg.m)
+    rs = _load_system(cfg)
+    if not (rs.is_irreducible and rs.label.startswith("A")):
+        raise GuardError("the polygon oracle models type A only")
+    cx, _ = build_complex(rs, cfg.m)
+    poly = typeA_polygon_oracle(rs.rank + 1, cfg.m)
     ok = poly.f_vector() == cx.f_vector()
     report = _base_report(cfg)
     report["polygon_f"] = list(poly.f_vector())
@@ -449,8 +444,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--phi", required=True,
                        help="root system label, e.g. A2, B3, I2(7), A1xA1")
-        p.add_argument("--rank", type=int, default=None,
-                       help="rank, when not part of the label")
         p.add_argument("--m", type=int, default=1, help="number of colors")
         p.add_argument("--k", type=int, default=None,
                        help="connectivity parameter for kcm")
@@ -473,8 +466,7 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    phi = args.phi if args.rank is None else "%s%d" % (args.phi, args.rank)
-    cfg = RunConfig(phi=phi, m=args.m, k=args.k, mode=args.mode,
+    cfg = RunConfig(phi=args.phi, m=args.m, k=args.k, mode=args.mode,
                     seed=args.seed, workers=args.workers, out=args.out,
                     fmt=args.fmt, cap_vertices=args.cap_vertices,
                     command=args.command)

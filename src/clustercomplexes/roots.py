@@ -3,10 +3,11 @@
 Supported irreducible types: A, B, C, D (crystallographic series), E6, E7,
 E8, F4, G2 (exceptional crystallographic), H3, H4 (icosahedral, over
 Q(sqrt5)) and the dihedral family I2(m).  Direct products are written with
-an ``x`` separator, e.g. ``A1xA1``.  A product lists its irreducible factors
-in ``components``, each a system of its own on the product's coordinates,
-so a factor's roots are the product's; an irreducible system is its own
-one component, and a rank-0 system has none.
+an ``x`` separator, e.g. ``A1xA1``.  A label names a system once: a
+product lists its irreducible factors in ``components``, each a system of
+its own on the product's coordinates, named by its factor in the product's
+label, so a factor's roots are the product's; an irreducible system is its
+own one component, and a rank-0 system has none.
 
 Coordinates follow the standard realizations per type.  Simple roots are
 stored with the two orthogonal blocks of the bipartition first/last: the
@@ -34,8 +35,8 @@ every root's norm, read from the Gram matrix, is a simple root's norm
 (``RuntimeError`` otherwise).  A root's coordinates are built once, from
 its expansion, so its key is the same as from any other route.  Positive
 roots are sorted by height, then expansion, on int ranks of the
-coefficients' exact order.  The Coxeter diagram, its components and their
-types are read off the same Gram matrix.
+coefficients' exact order.  The Coxeter diagram and its components are
+read off the same Gram matrix.
 
 Group elements are permutations of ``roots`` (see ``coxeter``).  The
 positive closure records s_i(beta) for every positive beta, and set-up turns
@@ -62,8 +63,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import (GOLDEN, ONE, ZERO, Scalar, coerce_scalar,
-                    common_denominator, int_pairs, pair_compare, pair_dot,
-                    pair_is_negative, pair_rank, pair_ranks)
+                    common_denominator, int_pairs, pair_dot, pair_is_negative,
+                    pair_rank, pair_ranks)
 
 _HALF = Fraction(1, 2)
 
@@ -267,11 +268,18 @@ class CoordinateRootSystem(RootSystem):
             if len(groups) == 1:
                 self._components = [self]
             else:
+                # each factor's first simple root is in the plus block, so
+                # the groups come out in the order of the label's factors
+                names = self.label.split("x") if groups else []
+                if [parse_label(name)[1] for name in names] != \
+                        [len(g) for g in groups]:
+                    raise ValueError(
+                        "label %r does not name one factor per diagram "
+                        "component, of ranks %s" % (
+                            self.label, [len(g) for g in groups]))
                 self._components = [CoordinateRootSystem(
-                    [self.simple_roots[i].coords for i in g],
-                    label=classify_simples(
-                        [[self._gram[i][j] for j in g] for i in g]))
-                    for g in groups]
+                    [self.simple_roots[i].coords for i in g], label=name)
+                    for name, g in zip(names, groups)]
         return self._components
 
     def expansion(self, root: Root) -> tuple:
@@ -776,27 +784,24 @@ _EXPECTED_POSITIVE_COUNT = {
 
 _SUPPORTED = "A(n>=1) B(n>=2) C(n>=2) D(n>=3) E6 E7 E8 F4 G2 H3 H4 I2(m>=2), products with 'x'"
 
-_FIXED = {"E6": (lambda: _simples_E8()[:6], 6),
-          "E7": (lambda: _simples_E8()[:7], 7),
-          "E8": (_simples_E8, 8),
-          "F4": (_simples_F4, 4),
-          "G2": (_simples_G2, 2),
-          "H3": (_simples_H3, 3),
-          "H4": (_simples_H4, 4)}
+_FIXED = {"E6": lambda: _simples_E8()[:6],
+          "E7": lambda: _simples_E8()[:7],
+          "E8": _simples_E8,
+          "F4": _simples_F4,
+          "G2": _simples_G2,
+          "H3": _simples_H3,
+          "H4": _simples_H4}
 
 _build_cache: dict = {}
 
 
-def build_root_system(label: str, rank: int | None = None,
-                      dihedral_order: int | None = None) -> RootSystem:
-    """Build a root system by type label, e.g. ('A', 2), 'B3' or 'I2(7)'.
+def build_root_system(label: str) -> RootSystem:
+    """Build a root system by its label, e.g. 'B3', 'I2(7)' or 'A1xA2'.
 
-    Systems are cached by the parsed (family, rank, dihedral order) of each
-    factor, so every form of a label gives the same system.
+    Systems are cached by the factor keys ``parse_label`` reads off the
+    label, so ' A1 x A2' and 'A1xA2' give the same system.
     """
-    parts = label.split("x")
-    key = tuple(_factor_key(*parse_label(p)) for p in parts) if len(parts) > 1 \
-        else (_factor_key(label, rank, dihedral_order),)
+    key = tuple(parse_label(part) for part in label.split("x"))
     if key not in _build_cache:
         factors = [_build_factor(*f) for f in key]
         _build_cache[key] = product_system(factors) if len(key) > 1 \
@@ -804,20 +809,9 @@ def build_root_system(label: str, rank: int | None = None,
     return _build_cache[key]
 
 
-def _factor_key(label, rank, dihedral_order) -> tuple:
-    """The (family, rank, dihedral order) that one factor's label names."""
-    if rank is None or dihedral_order is not None:
-        label, rank, parsed_m = parse_label(label)
-        dihedral_order = dihedral_order if dihedral_order is not None else parsed_m
-    if label == "I2":
-        return ("I2", 2, dihedral_order if dihedral_order is not None else rank)
-    name = "%s%s" % (label, rank)  # ('E', 6) names E6
-    return (name if name in _FIXED else label, rank, None)
-
-
-def _build_factor(label, rank, dihedral_order) -> RootSystem:
-    if label == "I2":
-        if dihedral_order < 2:
+def _build_factor(family, rank, dihedral_order) -> RootSystem:
+    if family == "I2":
+        if dihedral_order is None or dihedral_order < 2:
             raise ValueError("I2 requires a dihedral order m >= 2; supported: %s"
                              % _SUPPORTED)
         return DihedralRootSystem(dihedral_order)
@@ -825,42 +819,44 @@ def _build_factor(label, rank, dihedral_order) -> RootSystem:
                 "B": (_simples_B, lambda n: n >= 2),
                 "C": (_simples_C, lambda n: n >= 2),
                 "D": (_simples_D, lambda n: n >= 3)}
-    if label in builders:
-        fn, ok = builders[label]
+    if family in builders:
+        fn, ok = builders[family]
         if rank is None or not ok(rank):
             raise ValueError("unsupported rank %r for type %s; supported: %s"
-                             % (rank, label, _SUPPORTED))
-        return CoordinateRootSystem(fn(rank), label="%s%d" % (label, rank))
-    if label in _FIXED:
-        fn, want_rank = _FIXED[label]
-        if rank not in (None, want_rank):
-            raise ValueError("type %s has rank %d, got %r" % (label, want_rank, rank))
-        rs = CoordinateRootSystem(fn(), label=label)
-        expected = _EXPECTED_POSITIVE_COUNT[label]
+                             % (rank, family, _SUPPORTED))
+        return CoordinateRootSystem(fn(rank), label="%s%d" % (family, rank))
+    if family in _FIXED:
+        rs = CoordinateRootSystem(_FIXED[family](), label=family)
+        expected = _EXPECTED_POSITIVE_COUNT[family]
         if len(rs.positive_roots) != expected:
             raise RuntimeError(
                 "closure produced %d positive roots for %s, expected %d" % (
-                    len(rs.positive_roots), label, expected))
+                    len(rs.positive_roots), family, expected))
         return rs
     raise ValueError("unsupported root system %r; supported: %s"
-                     % (label if rank is None else (label, rank), _SUPPORTED))
+                     % (family, _SUPPORTED))
 
 
 _LABEL_RE = re.compile(r"^(I2|[A-H])\s*\(?\s*(\d*)\s*\)?$")
 
 
 def parse_label(text: str) -> tuple:
-    """Parse 'A2', 'I2(7)' or 'E8' into (family, rank, dihedral_order)."""
+    """The factor key (family, rank, dihedral order) of one factor's label.
+
+    'A2' gives ('A', 2, None), 'E8' gives ('E8', 8, None) and 'I2(7)'
+    gives ('I2', 2, 7); a missing number reads as None.
+    """
     m = _LABEL_RE.match(text.strip())
     if not m:
         raise ValueError("cannot parse root-system label %r; supported: %s"
                          % (text, _SUPPORTED))
     fam, num = m.group(1), m.group(2)
+    number = int(num) if num else None
     if fam == "I2":
-        return ("I2", 2, int(num) if num else None)
-    if fam in ("E", "F", "G", "H") and num:
-        return (fam + num, int(num[-1]) if fam != "E" else int(num), None)
-    return (fam, int(num) if num else None, None)
+        return ("I2", 2, number)
+    if fam in "EFGH" and num:
+        return (fam + num, number, None)
+    return (fam, number, None)
 
 
 def product_system(factors: Sequence[RootSystem]) -> CoordinateRootSystem:
@@ -879,90 +875,4 @@ def product_system(factors: Sequence[RootSystem]) -> CoordinateRootSystem:
             coords.append(row)
         offset += f.ambient
     return CoordinateRootSystem(coords, label="x".join(f.label for f in factors))
-
-
-# -- diagram classification (labels for components) -----------------------------
-
-
-# 8 cos^2 of the angle between two simple roots, as an int pair
-# p + q*sqrt5, for each Coxeter bond m: cos^2 = 0, 1/4, 1/2, 3/4, phi^2/4
-_BOND_COS2 = ((2, (0, 0)), (3, (2, 0)), (4, (4, 0)), (6, (6, 0)),
-              (5, (3, 1)))
-
-
-def _bond(gram: list, i: int, j: int) -> int:
-    """Coxeter bond m(alpha_i, alpha_j) read off the Gram matrix.
-
-    cos^2 = g_ij^2 / (g_ii g_jj), so the bond is the m whose 8 cos^2 = c
-    has 8 g_ij^2 = c g_ii g_jj.
-    """
-    p, q = pair_dot([gram[i][j]], [gram[i][j]])
-    norms = pair_dot([gram[i][i]], [gram[j][j]])
-    for m, c in _BOND_COS2:
-        if (8 * p, 8 * q) == pair_dot([c], [norms]):
-            return m
-    raise ValueError("unrecognized bond angle")
-
-
-def classify_simples(gram: list) -> str:
-    """The type of a simple system, from its Gram matrix (int pairs)."""
-    n = len(gram)
-    if n == 0:
-        return "0"
-    if n == 1:
-        return "A1"
-    bonds = {}
-    degree = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = _bond(gram, i, j)
-            if m > 2:
-                bonds[(i, j)] = m
-                degree[i] += 1
-                degree[j] += 1
-    marks = sorted(bonds.values())
-    if n == 2:
-        m = marks[0]
-        return {3: "A2", 4: "B2", 6: "G2"}.get(m, "I2(%d)" % m)
-    if max(degree) <= 2:  # path
-        if marks == [3] * (n - 1):
-            return "A%d" % n
-        if marks == [3] * (n - 2) + [4]:
-            i, j = next(k for k, v in bonds.items() if v == 4)
-            if degree[i] == 2 and degree[j] == 2:
-                return "F%d" % n
-            # the degree-1 end of the 4-bond is short in B, long in C
-            end = i if degree[i] == 1 else j
-            other = j if end == i else i
-            short = pair_compare(gram[end][end], gram[other][other]) < 0
-            return ("B%d" if short else "C%d") % n
-        if marks == [3] * (n - 2) + [5]:
-            return "H%d" % n
-        return "W(path)%d" % n
-    if marks == [3] * (n - 1):
-        arm_lengths = sorted(_arms(bonds, n))
-        if arm_lengths[:2] == [1, 1]:
-            return "D%d" % n
-        if arm_lengths[0] == 1 and arm_lengths[1] == 2:
-            return "E%d" % n
-    return "W?%d" % n
-
-
-def _arms(bonds: dict, n: int) -> list:
-    adj = {i: set() for i in range(n)}
-    for (i, j) in bonds:
-        adj[i].add(j)
-        adj[j].add(i)
-    center = next(v for v in adj if len(adj[v]) == 3)
-    arms = []
-    for start in adj[center]:
-        length, prev, cur = 1, center, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
 

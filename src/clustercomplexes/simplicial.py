@@ -85,12 +85,6 @@ class SimplicialComplex:
             chi += count if (k - 1) % 2 == 0 else -count
         return chi
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.vertices.index(label)
-        except ValueError:
-            raise ValueError("unknown vertex %r" % (label,)) from None
-
     # -- constructions -------------------------------------------------------
 
     def induce(self, subset: Iterable[int]) -> "SimplicialComplex":

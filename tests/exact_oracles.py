@@ -35,7 +35,7 @@ from clustercomplexes.exact import (GOLDEN, ONE, ZERO, Matrix, Scalar,
                                     coerce_scalar, dot)
 from clustercomplexes.noncrossing import face_to_tuple, order_complex
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
-                                    Root, _arms, build_root_system)
+                                    Root, build_root_system)
 from clustercomplexes.simplicial import SimplicialComplex
 from clustercomplexes.topology import ShellingOrder, homology
 
@@ -323,10 +323,14 @@ def root_system_from_dict(data: dict) -> CoordinateRootSystem:
 
 
 def subsystem(simples) -> CoordinateRootSystem:
-    """The coordinate system on the given simple roots, labelled by type."""
-    sub = CoordinateRootSystem([r.coords for r in simples], label="sub")
-    sub.label = classify(sub)
-    return sub
+    """The coordinate system on the given simple roots, labelled by type.
+
+    The label names the diagram's components in the order of their first
+    simple roots, the order the system lists its components in.
+    """
+    return CoordinateRootSystem([r.coords for r in simples], label="x".join(
+        scalar_classify_simples([simples[i] for i in g])
+        for g in scalar_diagram_components(simples)))
 
 
 def parabolic(rs, removed):
@@ -340,7 +344,7 @@ def parabolic(rs, removed):
         raise ValueError("parabolic subsystem: %r is not a simple root"
                          % (removed,))
     if isinstance(rs, DihedralRootSystem):
-        return build_root_system("A", 1)
+        return build_root_system("A1")
     return subsystem([r for i, r in enumerate(rs.simple_roots) if i != idx])
 
 
@@ -508,6 +512,26 @@ def scalar_classify_simples(simples) -> str:
         if arm_lengths[0] == 1 and arm_lengths[1] == 2:
             return "E%d" % n
     return "W?%d" % n
+
+
+def _arms(bonds: dict, n: int) -> list:
+    """The arm lengths of a tree diagram, read from its branch vertex."""
+    adj = {i: set() for i in range(n)}
+    for (i, j) in bonds:
+        adj[i].add(j)
+        adj[j].add(i)
+    center = next(v for v in adj if len(adj[v]) == 3)
+    arms = []
+    for start in adj[center]:
+        length, prev, cur = 1, center, start
+        while True:
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    return arms
 
 
 def scalar_h4_simples() -> list:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -208,8 +210,24 @@ def test_polygon_guards_m0(capsys):
         assert "the polygon oracle needs m >= 1" in capsys.readouterr().err
 
 
-def test_separate_rank_flag():
-    assert run(["incidence", "--phi", "A", "--rank", "2", "--m", "1"]) == 0
+def test_the_label_alone_names_the_system(capsys):
+    assert run(["incidence", "--phi", "I2", "--m", "1"]) == 2
+    assert "dihedral order" in capsys.readouterr().err
+    assert run(["build", "--phi", "E9", "--m", "1"]) == 2
+    assert "unsupported root system 'E9'" in capsys.readouterr().err
+    assert run(["incidence", "--phi", "A", "--rank", "2", "--m", "1"]) == 2
+    assert "--rank" in capsys.readouterr().err
+
+
+def test_readme_names_every_common_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Common flags:(.*?)\.\s", readme, re.S).group(1)
+    named = set(re.findall(r"`(--[a-z-]+)", sentence))
+    commands = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, parser in commands.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options - {"-h", "--help"} == named, name
 
 
 def test_table_format_prints_checks(capsys):

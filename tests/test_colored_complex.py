@@ -517,7 +517,7 @@ class TestRestrictions:
 
     def test_link_of_negative_simple(self, complexes):
         rs, cx, _ = complexes("A2", 2)
-        lk = link(cx, cx.index_of("-s1"))
+        lk = link(cx, cx.vertices.index("-s1"))
         assert set(lk.vertices) == {"-s2", "[0,1]:1", "[0,1]:2"}
         assert all(len(f) == 1 for f in lk.facets)
         # combinatorially the rank-one complex with two colors
@@ -526,7 +526,7 @@ class TestRestrictions:
 
     def test_link_matches_parabolic_complex(self, complexes):
         rs, cx, _ = complexes("A2", 2)
-        lk = link(cx, cx.index_of("-s1"))
+        lk = link(cx, cx.vertices.index("-s1"))
         par = parabolic(rs, rs.simple_roots[0])
         sub, _ = build_complex(par, 2)
         key = lambda c, f: frozenset((c.objects[i].root.key, c.objects[i].color)
@@ -536,7 +536,7 @@ class TestRestrictions:
 
     def test_delete_equals_induce_complement(self, complexes):
         _, cx, _ = complexes("A2", 2)
-        deleted = delete(cx, cx.index_of("[1,1]:1"))
+        deleted = delete(cx, cx.vertices.index("[1,1]:1"))
         complement = [i for i, v in enumerate(cx.vertices) if v != "[1,1]:1"]
         induced = cx.induce(complement)
         assert deleted.facets == induced.facets
@@ -550,13 +550,13 @@ class TestRestrictions:
     def test_unknown_vertex(self, complexes):
         _, cx, _ = complexes("A2", 1)
         with pytest.raises(ValueError):
-            link(cx, cx.index_of("[9,9]:1"))
+            link(cx, len(cx.vertices))
 
     def test_restrictions_drop_the_symmetry(self, complexes):
         # a subcomplex is in general not invariant under R_m
         _, cx, _ = complexes("A2", 2)
         assert cx.symmetry is not None
-        v = cx.index_of("-s1")
+        v = cx.vertices.index("-s1")
         for sub in (cx.induce(range(5)), link(cx, v), delete(cx, v),
                     skeleton(cx, 0), positive_part(cx)):
             assert sub.symmetry is None
