@@ -10,14 +10,12 @@ other exception is a fault of the program and propagates.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -31,18 +29,24 @@ from .topology import (codim1_incidence, construct_shelling, fuss_catalan,
                        verify_wedge, ShellingFailure)
 
 
-@dataclass
 class RunConfig:
-    phi: str
-    m: int = 1
-    k: Optional[int] = None
-    mode: str = "exhaustive"
-    seed: int = 0
-    workers: int = 1
-    out: Optional[str] = None
-    fmt: str = "table"
-    cap_vertices: int = 200
-    command: str = ""
+    __slots__ = ("phi", "m", "k", "mode", "seed", "workers", "out", "fmt",
+                 "cap_vertices", "command")
+
+    def __init__(self, phi: str, m: int = 1, k: Optional[int] = None,
+                 mode: str = "exhaustive", seed: int = 0, workers: int = 1,
+                 out: Optional[str] = None, fmt: str = "table",
+                 cap_vertices: int = 200, command: str = ""):
+        self.phi = phi
+        self.m = m
+        self.k = k
+        self.mode = mode
+        self.seed = seed
+        self.workers = workers
+        self.out = out
+        self.fmt = fmt
+        self.cap_vertices = cap_vertices
+        self.command = command
 
     def to_dict(self) -> dict:
         return {"phi": self.phi, "m": self.m, "k": self.k, "mode": self.mode,
@@ -126,6 +130,7 @@ def _render(cfg: RunConfig, report: dict) -> str:
 
 
 def _render_csv(report: dict) -> str:
+    import csv  # only a csv report needs it
     buf = io.StringIO()
     writer = csv.writer(buf)
     rows = report.get("rows")
@@ -439,25 +444,29 @@ def _parser() -> argparse.ArgumentParser:
         description="Build generalized cluster complexes of finite root "
                     "systems and verify their structural properties.")
     top.add_argument("--version", action="version", version=__version__)
+    # the common options, declared once and shared by every subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--phi", required=True,
+                        help="root system label, e.g. A2, B3, I2(7), A1xA1")
+    common.add_argument("--m", type=int, default=1, help="number of colors")
+    common.add_argument("--k", type=int, default=None,
+                        help="connectivity parameter for kcm")
+    common.add_argument("--mode", default="exhaustive",
+                        choices=["exhaustive", "sample"])
+    common.add_argument("--exhaustive", dest="mode", action="store_const",
+                        const="exhaustive",
+                        help="shorthand for --mode exhaustive")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--workers", type=_positive_int, default=1,
+                        help="audit processes; more than the CPUs are not "
+                             "started")
+    common.add_argument("--out", default=None)
+    common.add_argument("--format", dest="fmt", default="table",
+                        choices=["table", "json", "csv"])
+    common.add_argument("--cap-vertices", type=int, default=200)
     sub = top.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--phi", required=True,
-                       help="root system label, e.g. A2, B3, I2(7), A1xA1")
-        p.add_argument("--m", type=int, default=1, help="number of colors")
-        p.add_argument("--k", type=int, default=None,
-                       help="connectivity parameter for kcm")
-        p.add_argument("--mode", default="exhaustive",
-                       choices=["exhaustive", "sample"])
-        p.add_argument("--exhaustive", dest="mode", action="store_const",
-                       const="exhaustive", help="shorthand for --mode exhaustive")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="audit processes; more than the CPUs are not started")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", default="table",
-                       choices=["table", "json", "csv"])
-        p.add_argument("--cap-vertices", type=int, default=200)
+        sub.add_parser(name, parents=[common])
     return top
 
 

@@ -25,7 +25,6 @@ and the shelling hints need no split into components.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coxeter import bipartite_coxeter, total_order
@@ -33,12 +32,25 @@ from .roots import Root, RootSystem
 from .simplicial import SimplicialComplex
 
 
-@dataclass(frozen=True)
 class ColoredRoot:
     """A positive root with a color, or a negative simple root (color 1)."""
 
-    root: Root
-    color: int
+    __slots__ = ("root", "color")
+
+    def __init__(self, root: Root, color: int):
+        self.root = root
+        self.color = color
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.root == other.root and self.color == other.color
+
+    def __hash__(self):
+        return hash((self.root, self.color))
+
+    def __repr__(self):
+        return "ColoredRoot(root=%r, color=%r)" % (self.root, self.color)
 
     def key(self):
         return (self.root.key, self.color)

@@ -28,7 +28,6 @@ a product's order reuses the sequences its components' contexts built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .roots import Root, RootSystem
@@ -128,14 +127,16 @@ def bipartite_coxeter(rs: RootSystem) -> GroupElement:
     return g
 
 
-@dataclass
 class RhoSequence:
     """The root sequence rho_i attached to the bipartite Coxeter element."""
 
-    system: RootSystem
-    entries: dict  # window index -> Root, for -(n-s-1) .. N+s
-    N: int
-    s: int
+    __slots__ = ("system", "entries", "N", "s")
+
+    def __init__(self, system: RootSystem, entries: dict, N: int, s: int):
+        self.system = system
+        self.entries = entries  # window index -> Root, for -(n-s-1) .. N+s
+        self.N = N
+        self.s = s
 
     def __getitem__(self, i: int) -> Root:
         return self.entries[i]

@@ -17,7 +17,6 @@ lies in it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .colored import (ColoredRoot, _max_cliques, _positions, _word,
@@ -236,14 +235,19 @@ def fiber_complex(positions: list, ideal: int) -> list:
             for row in positions]
 
 
-@dataclass
 class HomotopyCompareReport:
     """Entry k - 1 of each homology list belongs to k = 1 .. n."""
 
-    skeleton_homology: list
-    poset_homology: list
-    fibers_checked: int
-    fiber_failures: list  # the L_m elements whose fibers have homology
+    __slots__ = ("skeleton_homology", "poset_homology", "fibers_checked",
+                 "fiber_failures")
+
+    def __init__(self, skeleton_homology: list, poset_homology: list,
+                 fibers_checked: int, fiber_failures: list):
+        self.skeleton_homology = skeleton_homology
+        self.poset_homology = poset_homology
+        self.fibers_checked = fibers_checked
+        # the L_m elements whose fibers have homology
+        self.fiber_failures = fiber_failures
 
     def agrees(self, k: int) -> bool:
         """Whether the two complexes at k have the same homology groups."""

@@ -58,9 +58,8 @@ images.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import (GOLDEN, ONE, ZERO, Scalar, coerce_scalar,
                     common_denominator, int_pairs, pair_dot, pair_is_negative,
@@ -74,11 +73,27 @@ _HALF = Fraction(1, 2)
 _ICOSAHEDRAL_EXPONENTS = {"H3": (1, 5, 9), "H4": (1, 11, 19, 29)}
 
 
-@dataclass(frozen=True)
 class Numerology:
-    exponents: tuple
-    coxeter_number: int
-    positive_root_count: int
+    """The exponents, Coxeter number h and positive root count N of a system."""
+
+    __slots__ = ("exponents", "coxeter_number", "positive_root_count")
+
+    def __init__(self, exponents: tuple, coxeter_number: int,
+                 positive_root_count: int):
+        self.exponents = exponents
+        self.coxeter_number = coxeter_number
+        self.positive_root_count = positive_root_count
+
+    def _fields(self) -> tuple:
+        return (self.exponents, self.coxeter_number, self.positive_root_count)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class Root:
@@ -187,7 +202,7 @@ class CoordinateRootSystem(RootSystem):
         self.label = label
         self.rank = len(simples)
         self.ambient = len(simples[0].coords) if simples else 0
-        basis = _basis(simples)
+        basis = _Basis(simples)
         positives, expansions, images = _positive_closure(basis)
         # 2-color the Coxeter diagram; trees are always 2-colorable
         order, split = _bipartite_order(basis.gram)
@@ -483,28 +498,26 @@ class DihedralRootSystem(RootSystem):
 # -- closure / diagram helpers -------------------------------------------------
 
 
-class _Basis(NamedTuple):
+class _Basis:
     """The simple roots ``simples`` on ints, scaled by their common
-    denominator ``den``, in a space of ``ambient`` coordinates.
+    denominator ``den``.
 
     ``columns[k]`` lists coordinate k of den * alpha_i for every i, and
     ``gram[i][j]`` is den^2 (alpha_i, alpha_j), each an int pair
     (p, q) = p + q*sqrt5.
     """
-    simples: list
-    den: int
-    columns: list
-    gram: list
 
+    __slots__ = ("simples", "den", "columns", "gram")
 
-def _basis(simples: Sequence[Root]) -> _Basis:
-    den = common_denominator(x for r in simples for x in r.coords)
-    dense = [int_pairs(r.coords, den) for r in simples]
-    gram = [[None] * len(dense) for _ in dense]
-    for i, u in enumerate(dense):
-        for j in range(i, len(dense)):
-            gram[i][j] = gram[j][i] = pair_dot(u, dense[j])
-    return _Basis(list(simples), den, list(zip(*dense)), gram)
+    def __init__(self, simples: Sequence[Root]):
+        self.simples = list(simples)
+        self.den = common_denominator(x for r in simples for x in r.coords)
+        dense = [int_pairs(r.coords, self.den) for r in simples]
+        self.columns = list(zip(*dense))
+        self.gram = [[None] * len(dense) for _ in dense]
+        for i, u in enumerate(dense):
+            for j in range(i, len(dense)):
+                self.gram[i][j] = self.gram[j][i] = pair_dot(u, dense[j])
 
 
 def _cartan(gram: list) -> list:
@@ -538,19 +551,28 @@ def _cartan(gram: list) -> list:
 
 
 def _roots_at(basis: _Basis, exps: Sequence[tuple]) -> list:
-    """The Root with each expansion pair tuple in ``exps``, in turn."""
+    """The Root with each expansion pair tuple in ``exps``, in turn.
+
+    Each coordinate's int pair is memoized with its Scalar and the four
+    ints it adds to the key, so a Root is put together from the memo.
+    """
     den = 2 * basis.den
-    scalars = {}
+    memo = {}
     out = []
     for exp in exps:
-        coords = []
-        for pair in (pair_dot(exp, column) for column in basis.columns):
-            x = scalars.get(pair)
-            if x is None:
-                x = scalars[pair] = Scalar(Fraction(pair[0], den),
-                                           Fraction(pair[1], den))
-            coords.append(x)
-        out.append(Root(coords=coords))
+        coords, key = [], []
+        for column in basis.columns:
+            pair = pair_dot(exp, column)
+            entry = memo.get(pair)
+            if entry is None:
+                a, b = Fraction(pair[0], den), Fraction(pair[1], den)
+                entry = memo[pair] = (Scalar(a, b), (
+                    a.numerator, a.denominator, b.numerator, b.denominator))
+            coords.append(entry[0])
+            key += entry[1]
+        root = Root.__new__(Root)
+        root.coords, root.angle, root.key = tuple(coords), None, tuple(key)
+        out.append(root)
     return out
 
 
@@ -837,7 +859,9 @@ def _build_factor(family, rank, dihedral_order) -> RootSystem:
                      % (family, _SUPPORTED))
 
 
-_LABEL_RE = re.compile(r"^(I2|[A-H])\s*\(?\s*(\d*)\s*\)?$")
+# I2 takes its order in balanced parentheses, or none; other families no
+# parentheses at all.  Digits are ASCII: int() would read any others too.
+_LABEL_RE = re.compile(r"(I2)(?:\s*\(\s*([0-9]*)\s*\))?|([A-H])\s*([0-9]*)")
 
 
 def parse_label(text: str) -> tuple:
@@ -846,11 +870,11 @@ def parse_label(text: str) -> tuple:
     'A2' gives ('A', 2, None), 'E8' gives ('E8', 8, None) and 'I2(7)'
     gives ('I2', 2, 7); a missing number reads as None.
     """
-    m = _LABEL_RE.match(text.strip())
+    m = _LABEL_RE.fullmatch(text.strip())
     if not m:
         raise ValueError("cannot parse root-system label %r; supported: %s"
                          % (text, _SUPPORTED))
-    fam, num = m.group(1), m.group(2)
+    fam, num = m.group(1) or m.group(3), m.group(2) or m.group(4)
     number = int(num) if num else None
     if fam == "I2":
         return ("I2", 2, number)

@@ -32,7 +32,6 @@ import collections
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -44,13 +43,22 @@ from .simplicial import SimplicialComplex
 # -- shellings ----------------------------------------------------------------------
 
 
-@dataclass
 class ShellingOrder:
     """A facet order with its restriction faces, or its failing step."""
 
-    facets: tuple
-    restrictions: tuple = ()
-    failure: Optional[tuple] = None  # (k, i) indices violating the condition
+    __slots__ = ("facets", "restrictions", "failure")
+
+    def __init__(self, facets: tuple, restrictions: tuple = (),
+                 failure: Optional[tuple] = None):
+        self.facets = facets
+        self.restrictions = restrictions
+        self.failure = failure  # (k, i) indices violating the condition
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.facets, self.restrictions, self.failure) == \
+            (other.facets, other.restrictions, other.failure)
 
     @property
     def ok(self) -> bool:
@@ -180,7 +188,6 @@ def _shedding_candidates(verts: list, cx: SimplicialComplex) -> list:
 # -- homology ------------------------------------------------------------------------
 
 
-@dataclass
 class HomologyProfile:
     """Reduced integral homology: Betti numbers and torsion per degree.
 
@@ -189,10 +196,21 @@ class HomologyProfile:
     homology is Z in degree -1.
     """
 
-    betti: tuple
-    torsion: tuple    # tuple of tuples of invariant factors > 1
-    euler_reduced: int
-    first_degree: int = 0
+    __slots__ = ("betti", "torsion", "euler_reduced", "first_degree")
+
+    def __init__(self, betti: tuple, torsion: tuple, euler_reduced: int,
+                 first_degree: int = 0):
+        self.betti = betti
+        self.torsion = torsion  # tuple of tuples of invariant factors > 1
+        self.euler_reduced = euler_reduced
+        self.first_degree = first_degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.betti, self.torsion, self.euler_reduced, self.first_degree)
+        return mine == (other.betti, other.torsion, other.euler_reduced,
+                        other.first_degree)
 
     def is_trivial(self) -> bool:
         return not self.groups()
@@ -602,23 +620,28 @@ def is_cohen_macaulay(cx: SimplicialComplex) -> bool:
     return _audit_table(cx).cm_failure() is None
 
 
-@dataclass
 class KCMFailure:
-    removed: tuple
-    reason: str  # 'dimension-drop' | 'impure' | 'not-CM'
+    __slots__ = ("removed", "reason")
+
+    def __init__(self, removed: tuple, reason: str):
+        self.removed = removed
+        self.reason = reason  # 'dimension-drop' | 'impure' | 'not-CM'
 
     def to_dict(self):
         return {"removed": list(self.removed), "reason": self.reason}
 
 
-@dataclass
 class KCMReport:
-    k: int
-    mode: str
-    cm_check: str
-    examined: int = 0
-    seed: Optional[int] = None
-    failures: list = field(default_factory=list)
+    __slots__ = ("k", "mode", "cm_check", "examined", "seed", "failures")
+
+    def __init__(self, k: int, mode: str, cm_check: str, examined: int = 0,
+                 seed: Optional[int] = None, failures: Optional[list] = None):
+        self.k = k
+        self.mode = mode
+        self.cm_check = cm_check
+        self.examined = examined
+        self.seed = seed
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

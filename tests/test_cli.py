@@ -230,6 +230,52 @@ def test_readme_names_every_common_flag():
         assert options - {"-h", "--help"} == named, name
 
 
+HELP_USAGE = {
+    "kcm": """\
+usage: clustercx kcm [-h] --phi PHI [--m M] [--k K]
+                     [--mode {exhaustive,sample}] [--exhaustive] [--seed SEED]
+                     [--workers WORKERS] [--out OUT]
+                     [--format {table,json,csv}] [--cap-vertices CAP_VERTICES]
+""",
+    "verify-all": """\
+usage: clustercx verify-all [-h] --phi PHI [--m M] [--k K]
+                            [--mode {exhaustive,sample}] [--exhaustive]
+                            [--seed SEED] [--workers WORKERS] [--out OUT]
+                            [--format {table,json,csv}]
+                            [--cap-vertices CAP_VERTICES]
+"""}
+HELP_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --phi PHI             root system label, e.g. A2, B3, I2(7), A1xA1
+  --m M                 number of colors
+  --k K                 connectivity parameter for kcm
+  --mode {exhaustive,sample}
+  --exhaustive          shorthand for --mode exhaustive
+  --seed SEED
+  --workers WORKERS     audit processes; more than the CPUs are not started
+  --out OUT
+  --format {table,json,csv}
+  --cap-vertices CAP_VERTICES
+"""
+
+
+@pytest.mark.parametrize("command", sorted(HELP_USAGE))
+def test_subcommand_help_is_unchanged(command, monkeypatch, capsys):
+    # the options are declared once, on a parent parser; each subcommand's
+    # help reads as it did when every subparser declared its own
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out == HELP_USAGE[command] + HELP_OPTIONS
+
+
+@pytest.mark.parametrize("label", ["I25", "A(2", "A2)", "E(8)"])
+def test_a_malformed_label_exits_2(label, capsys):
+    assert run(["build", "--phi", label, "--m", "1"]) == 2
+    assert "cannot parse root-system label %r" % label in \
+        capsys.readouterr().err
+
+
 def test_table_format_prints_checks(capsys):
     assert run(["incidence", "--phi", "A2", "--m", "1"]) == 0
     captured = capsys.readouterr().out

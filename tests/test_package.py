@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import clustercomplexes
@@ -125,3 +128,38 @@ def test_every_library_definition_is_read():
                             and node.name.endswith("__"))
                    and node.name not in read]
     assert unread == []
+
+
+def test_import_loads_no_class_factory_and_no_csv():
+    # set-up generates no methods: no dataclass machinery (which pulls in
+    # inspect) and no csv until a csv report is rendered
+    src = Path(clustercomplexes.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "before = set(sys.modules)\n"
+         "import clustercomplexes, clustercomplexes.cli\n"
+         "print(sorted({'dataclasses', 'inspect', 'csv'}\n"
+         "             & set(sys.modules) - before))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
+
+
+def test_library_declares_records_as_plain_classes():
+    root = Path(clustercomplexes.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [a.name for a in node.names]
+            elif isinstance(node, ast.ClassDef):
+                names = [_name(base) for base in node.bases]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name in ("dataclasses", "NamedTuple")]
+    assert found == []

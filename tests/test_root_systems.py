@@ -108,9 +108,10 @@ class TestConstruction:
             rs.components
 
     @pytest.mark.parametrize("label", [
-        "Z9", "A", "A0", "D2", "E66", "E9", "I2(1)", "I2", "A1xZ2", ""],
+        "Z9", "A", "A0", "D2", "E66", "E9", "I2(1)", "I2", "A1xZ2", "",
+        "I25", "A(2", "A2)", "E(8)", "A\u0663"],
         ids=["Z9", "A", "A0", "D2", "E66", "E9", "I2(1)", "I2", "A1xZ2",
-             "empty"])
+             "empty", "I25", "A(2", "A2)", "E(8)", "A-arabic-3"])
     def test_bad_labels_still_raise(self, label):
         with pytest.raises(ValueError):
             build_root_system(label)
@@ -456,7 +457,10 @@ class TestIntegerSetUp:
         coords = conventional_coords(label)
         rs = CoordinateRootSystem(coords, label=label)
         ref = scalar_root_system(coords)
+        # roots put together from the int-pair memo carry the keys of the
+        # Scalar route and the keys their own coordinates give
         assert [r.key for r in rs.roots] == ref["roots"]
+        assert all(Root(coords=r.coords).key == r.key for r in rs.roots)
         assert all(rs.expansion(r) == ref["expansions"][r.key]
                    for r in rs.roots)
         assert rs.split_s == ref["split_s"]
