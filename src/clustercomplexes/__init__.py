@@ -5,8 +5,8 @@ Modules
 exact        rational / Q(sqrt5) scalars, matrices, Smith normal form
 roots        root systems: construction, products; supports and numerology
              are RootSystem methods
-coxeter      group elements, reflection length (two routes), absolute order,
-             root sequences, type-A permutation oracles
+coxeter      group elements, reflection length, absolute order, root
+             sequences
 simplicial   facet-list complexes and induced subcomplexes; f/h-vectors
 colored      colored roots, compatibility, the complexes, positive parts,
              the polygon model
@@ -21,15 +21,14 @@ __version__ = "0.1.0"
 from .roots import (RootSystem, Root, Numerology,  # noqa: F401
                     build_root_system)
 from .coxeter import (GroupElement, absolute_leq, bipartite_coxeter,  # noqa: F401
-                      rho_sequence, total_order, word_length_bfs)
+                      rho_sequence, total_order)
 from .colored import (ColoredRoot, build_complex, fr_compatible,  # noqa: F401
                       is_face, positive_part, rm_map, tau, deformed_coxeter,
                       typeA_polygon_oracle)
 from .simplicial import SimplicialComplex, f_h_vectors  # noqa: F401
 from .topology import (HomologyProfile, KCMReport, ShellingOrder,  # noqa: F401
-                       codim1_incidence, construct_shelling,
-                       fuss_narayana_positive, homology, kcm_audit,
-                       verify_shelling, verify_wedge)
+                       codim1_incidence, construct_shelling, homology,
+                       kcm_audit, verify_shelling, verify_wedge)
 from .noncrossing import (Poset, build_Lm, face_to_tuple,  # noqa: F401
                           homotopy_compare, moebius, nc_interval,
                           order_complex)

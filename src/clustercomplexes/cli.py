@@ -25,8 +25,7 @@ from .noncrossing import build_Lm, homotopy_compare, moebius, nc_interval
 from .roots import build_root_system
 from .simplicial import f_h_vectors
 from .topology import (codim1_incidence, construct_shelling, fuss_catalan,
-                       fuss_narayana_positive, homology, kcm_audit,
-                       verify_wedge, ShellingFailure)
+                       homology, kcm_audit, verify_wedge, ShellingFailure)
 
 
 class RunConfig:
@@ -177,7 +176,7 @@ def _positive_wedge(rs, m: int) -> tuple:
     """
     if m == 0:
         return 1, -1
-    return fuss_narayana_positive(rs, m - 1), rs.rank - 1
+    return fuss_catalan(rs, m - 1, positive=True), rs.rank - 1
 
 
 def _load_complex(cfg: RunConfig):

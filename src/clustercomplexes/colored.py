@@ -363,20 +363,17 @@ def _pair_graph(ctx: ComplexContext) -> list:
 
 def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot],
                    labels: Sequence[str]) -> dict:
-    """Vertex ranking hints consumed by the shelling constructor.
+    """The vertex ranking the shelling constructor tries shedding vertices in.
 
     Keys are vertex labels, which stay stable under link/delete/induce.
+    Negative simples rank (0, 0), before every positive root's (color,
+    position), as colors start at 1.
     """
     rs, position = ctx.system, ctx.order.position
-    rank = {}
-    negatives = []
-    for v, label in zip(vertices, labels):
-        if _is_negative_simple(rs, v):
-            negatives.append(label)
-            rank[label] = (0, 0)
-        else:
-            rank[label] = (v.color, position(v.root))
-    return {"vertex_rank": rank, "negative_labels": tuple(negatives)}
+    rank = {label: (0, 0) if _is_negative_simple(rs, v)
+            else (v.color, position(v.root))
+            for v, label in zip(vertices, labels)}
+    return {"vertex_rank": rank}
 
 
 def positive_part(cx: SimplicialComplex) -> SimplicialComplex:

@@ -8,9 +8,9 @@ fix w: coordinate systems apply Carter's lemma,
 l_T(w) = codim Fix(w) = rank(w - I), with w - I read in the simple-root
 basis from the root expansions of the images; I2(m) reads the length off
 its two images (0 for the identity, 1 for a reflection, 2 for a
-rotation).  ``word_length_bfs`` and the type-A permutation oracles
-``typeA_reflection_length`` and ``typeA_absolute_leq`` are independent
-routes at desk scale.
+rotation).  The independent routes at desk scale, a breadth-first search
+over reflection words and the type-A permutation oracles, are in the
+tests' ``exact_oracles``.
 
 u <= w in absolute order when l(u) + l(u^-1 w) = l(w).  When u is a product
 of k reflections, l(u^-1 w) = l(w) - k alone decides both l(u) = k and
@@ -27,7 +27,6 @@ a product's order reuses the sequences its components' contexts built.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 from .roots import Root, RootSystem
@@ -57,9 +56,6 @@ class GroupElement:
     def apply(self, root: Root) -> Root:
         return self.system.roots[self.perm[self.system.index_of(root)]]
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.perm))
-
     @property
     def length(self) -> int:
         """Reflection length, from the system's per-permutation memo."""
@@ -76,37 +72,6 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(len=%s, perm=%s)" % (self.length, self.perm)
-
-
-def word_length_bfs(w: GroupElement, cap: int = 60) -> int:
-    """Reflection length by breadth-first search over reflection words.
-
-    The independent route to ``GroupElement.length``; it refuses systems
-    with more than ``cap`` reflections.
-    """
-    rs = w.system
-    if len(rs.positive_roots) > cap:
-        raise ValueError("word_length_bfs refused: %d reflections exceeds "
-                         "the desk-scale cap %d" % (len(rs.positive_roots), cap))
-    if w.is_identity():
-        return 0
-    gens = [rs.reflection(r) for r in rs.positive_roots]
-    seen = {rs.identity_element().perm}
-    frontier = [rs.identity_element()]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for t in gens:
-                v = u * t
-                if v.perm == w.perm:
-                    return depth
-                if v.perm not in seen:
-                    seen.add(v.perm)
-                    nxt.append(v)
-        frontier = nxt
-    raise RuntimeError("element not generated by the reflections")
 
 
 def absolute_leq(u: GroupElement, w: GroupElement) -> bool:
@@ -243,76 +208,3 @@ def absolute_interval(rs: RootSystem, top: Optional[GroupElement] = None) -> lis
         out.extend(GroupElement(rs, v) for v, _ in nxt)
         frontier = nxt
     return out
-
-
-# -- type A oracles ----------------------------------------------------------------
-
-
-def cycles_of(perm: Sequence[int]) -> list:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        out.append(tuple(cyc))
-    return out
-
-
-def typeA_reflection_length(perm: Sequence[int]) -> int:
-    """n minus the number of cycles (fixed points count as cycles)."""
-    return len(perm) - len(cycles_of(perm))
-
-
-def typeA_absolute_leq(u: Sequence[int], w: Sequence[int]) -> bool:
-    """Absolute order on permutations, from the cycle geometry.
-
-    Every nontrivial cycle of u must sit inside a single cycle of w as an
-    orientation-preserving cyclic subsequence, and the u-cycles inside one
-    w-cycle must be pairwise noncrossing in its cyclic order.
-    """
-    if len(u) != len(w):
-        raise ValueError("permutations act on different sets")
-    wcycles = cycles_of(w)
-    where = {}
-    for ci, cyc in enumerate(wcycles):
-        for pos, x in enumerate(cyc):
-            where[x] = (ci, pos)
-    blocks: dict = {}
-    for cyc in cycles_of(u):
-        if len(cyc) == 1:
-            continue
-        owners = {where[x][0] for x in cyc}
-        if len(owners) != 1:
-            return False
-        ci = owners.pop()
-        positions = [where[x][1] for x in cyc]
-        # rotate so the smallest w-position comes first; the rest must ascend
-        k = positions.index(min(positions))
-        rotated = positions[k:] + positions[:k]
-        if any(rotated[i] >= rotated[i + 1] for i in range(len(rotated) - 1)):
-            return False
-        blocks.setdefault(ci, []).append(sorted(positions))
-    for ci, blist in blocks.items():
-        size = len(wcycles[ci])
-        for b1, b2 in itertools.combinations(blist, 2):
-            if _blocks_cross(b1, b2, size):
-                return False
-    return True
-
-
-def _blocks_cross(b1: list, b2: list, size: int) -> bool:
-    """Whether two position blocks interleave in the cyclic order 0..size-1."""
-    if len(b1) < 2 or len(b2) < 2:
-        return False
-    # b2 avoids b1 iff it fits inside a single cyclic gap of b1
-    for i, start in enumerate(b1):
-        gap = (b1[(i + 1) % len(b1)] - start) % size
-        if all(0 < (x - start) % size < gap for x in b2):
-            return False
-    return True

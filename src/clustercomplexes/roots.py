@@ -9,12 +9,13 @@ its own on the product's coordinates, named by its factor in the product's
 label, so a factor's roots are the product's; an irreducible system is its
 own one component, and a rank-0 system has none.
 
-Coordinates follow the standard realizations per type.  Simple roots are
-stored with the two orthogonal blocks of the bipartition first/last: the
-first ``split_s`` simple roots are pairwise orthogonal, and so are the
-remaining ones.  The two-coloring of the Coxeter diagram is normalized by
-placing the first simple root of the conventional ordering in the first
-block.
+Coordinates follow the standard realizations per type; H4's simple roots
+are a stated table, which the tests find again by searching its 120 roots.
+Simple roots are stored with the two orthogonal blocks of the bipartition
+first/last: the first ``split_s`` simple roots are pairwise orthogonal, and
+so are the remaining ones.  One walk of the Coxeter diagram gives its
+components and its two-coloring, normalized by placing the first simple
+root of each component's conventional ordering in the first block.
 
 I2(m) is modeled combinatorially: its 2m roots are unit vectors at angles
 k*pi/m represented by their integer angle index, so no cyclotomic
@@ -42,8 +43,10 @@ Group elements are permutations of ``roots`` (see ``coxeter``).  The
 positive closure records s_i(beta) for every positive beta, and set-up turns
 those images into the simple reflections as permutations, each checked to
 be an involution that sends alpha_i to -alpha_i and the other positive roots
-to positive roots.  Every other reflection is a conjugate of a simple one,
-built on first use.
+to positive roots.  I2(m) states its two simple reflections instead,
+j -> 2k + m - j (mod 2m) for the simple root k.  In both backends every
+other reflection is a conjugate of a simple one, built by one closure on
+first use.
 
 The simple roots span, so an element is fixed by its images
 w(alpha_1), .., w(alpha_n): the tuple of their indices in ``roots``, read
@@ -178,7 +181,38 @@ class RootSystem:
         return out
 
     def _build_reflections(self) -> list:
-        raise NotImplementedError
+        """Every reflection, indexed like ``roots``.
+
+        The simple reflections are each backend's ``_simple_perms``.  The
+        others are conjugates s_{s_i(beta)} = s_i s_beta s_i, found
+        breadth-first from the simple roots, whose W-orbit is the whole root
+        system.
+        """
+        from .coxeter import GroupElement
+        index, neg = self._index, self._neg
+        simple = self._simple_perms
+        perms = [None] * len(self.roots)
+        frontier = []
+        for a, perm in zip(self.simple_roots, simple):
+            i = index[a.key]
+            perms[i] = perms[neg[i]] = perm
+            frontier.append(i)
+        while frontier:
+            nxt = []
+            for b in frontier:
+                sb = perms[b]
+                for si in simple:
+                    c = si[b]
+                    if perms[c] is None:
+                        perms[c] = perms[neg[c]] = tuple(si[sb[k]] for k in si)
+                        nxt.append(c)
+            frontier = nxt
+        if None in perms:
+            raise RuntimeError("reflection closure missed a root of %s" % self.label)
+        out = [None] * len(self.roots)
+        for i in range(len(self.positive_roots)):
+            out[i] = out[neg[i]] = GroupElement(self, perms[i])
+        return out
 
     def _reflection_length(self, images: tuple) -> int:
         raise NotImplementedError
@@ -204,11 +238,13 @@ class CoordinateRootSystem(RootSystem):
         self.ambient = len(simples[0].coords) if simples else 0
         basis = _Basis(simples)
         positives, expansions, images = _positive_closure(basis)
-        # 2-color the Coxeter diagram; trees are always 2-colorable
-        order, split = _bipartite_order(basis.gram)
-        self.split_s = split
+        # 2-color the Coxeter diagram, a forest; the plus block comes first
+        groups, color = _diagram(basis.gram)
+        order = sorted(range(self.rank), key=color.__getitem__)
+        self.split_s = color.count(0)
         self.simple_roots = [simples[i] for i in order]
-        self._gram = [[basis.gram[i][j] for j in order] for i in order]
+        stored_at = {old: new for new, old in enumerate(order)}
+        self._groups = [sorted(stored_at[i] for i in g) for g in groups]
         found = {root.key: exp for root, exp in zip(positives, expansions)}
         stored = {key: tuple(exp[old] for old in order)
                   for key, exp in found.items()}
@@ -279,7 +315,7 @@ class CoordinateRootSystem(RootSystem):
     @property
     def components(self) -> list:
         if self._components is None:
-            groups = _diagram_components(self._gram)
+            groups = self._groups
             if len(groups) == 1:
                 self._components = [self]
             else:
@@ -307,39 +343,6 @@ class CoordinateRootSystem(RootSystem):
             raise ValueError("support is defined for positive roots only")
         return frozenset(i for i, c in enumerate(self.expansion(beta))
                          if c.sign() != 0)
-
-    def _build_reflections(self) -> list:
-        """Every reflection, indexed like ``roots``.
-
-        The simple reflections come from the positive closure.  The others
-        are conjugates s_{s_i(beta)} = s_i s_beta s_i, found breadth-first
-        from the simple roots, whose W-orbit is the whole root system.
-        """
-        from .coxeter import GroupElement
-        index, neg = self._index, self._neg
-        simple = self._simple_perms
-        perms = [None] * len(self.roots)
-        frontier = []
-        for a, perm in zip(self.simple_roots, simple):
-            i = index[a.key]
-            perms[i] = perms[neg[i]] = perm
-            frontier.append(i)
-        while frontier:
-            nxt = []
-            for b in frontier:
-                sb = perms[b]
-                for si in simple:
-                    c = si[b]
-                    if perms[c] is None:
-                        perms[c] = perms[neg[c]] = tuple(si[sb[k]] for k in si)
-                        nxt.append(c)
-            frontier = nxt
-        if None in perms:
-            raise RuntimeError("reflection closure missed a root of %s" % self.label)
-        out = [None] * len(self.roots)
-        for i in range(len(self.positive_roots)):
-            out[i] = out[neg[i]] = GroupElement(self, perms[i])
-        return out
 
     def _reflection_length(self, images: tuple) -> int:
         # Carter's lemma: l_T(w) = codim Fix(w) = rank(w - I) on the root
@@ -428,6 +431,9 @@ class DihedralRootSystem(RootSystem):
         self._index = {r.key: i for i, r in enumerate(self.roots)}
         self._neg = {i: (i + m) % (2 * m) for i in range(2 * m)}
         self.components = [self]
+        # the reflection in the line orthogonal to the root at angle k*pi/m
+        self._simple_perms = [tuple((2 * k + m - j) % (2 * m)
+                                    for j in range(2 * m)) for k in (0, m - 1)]
         self._reflections = None
         self._lengths = {}
         self.contexts = {}
@@ -456,16 +462,6 @@ class DihedralRootSystem(RootSystem):
         if k == 2 * m - 1:
             return (ZERO, -ONE)
         return None
-
-    def _build_reflections(self) -> list:
-        from .coxeter import GroupElement
-        m, m2 = self.order, 2 * self.order
-        out = []
-        for k in range(m):
-            # the reflection in the line orthogonal to the root at angle k*pi/m
-            shift = (2 * k + m) % m2
-            out.append(GroupElement(self, tuple((shift - j) % m2 for j in range(m2))))
-        return out + out
 
     def _reflection_length(self, images: tuple) -> int:
         # Every element is k -> shift + k (a rotation, the identity when
@@ -623,51 +619,34 @@ def _positive_closure(basis: _Basis) -> tuple:
                                       for e in images[exp]] for exp in queue}
 
 
-def _diagram_components(gram: list) -> list:
+def _diagram(gram: list) -> tuple:
+    """The components of the Coxeter diagram and a 2-coloring of its nodes.
+
+    The components are sorted index lists, in the order of their least
+    index, which gets color 0.  ``ValueError`` when two neighbours get one
+    color.
+    """
     n = len(gram)
-    adj = [[j for j in range(n) if j != i and gram[i][j] != (0, 0)]
-           for i in range(n)]
-    seen = [False] * n
+    color = [None] * n
     groups = []
     for start in range(n):
-        if seen[start]:
+        if color[start] is not None:
             continue
-        stack, comp = [start], []
-        seen[start] = True
+        color[start] = 0
+        stack, group = [start], []
         while stack:
             v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        groups.append(sorted(comp))
-    return groups
-
-
-def _bipartite_order(gram: list) -> tuple:
-    """Order simple indices as (plus block, minus block); returns (order, s)."""
-    n = len(gram)
-    color = {}
-    for group in _diagram_components(gram):
-        color[group[0]] = 0
-        stack = [group[0]]
-        while stack:
-            v = stack.pop()
-            for w in group:
-                if w == v or w in color:
+            group.append(v)
+            for w in range(n):
+                if w == v or gram[v][w] == (0, 0):
                     continue
-                if gram[v][w] != (0, 0):
+                if color[w] is None:
                     color[w] = 1 - color[v]
                     stack.append(w)
-    plus = [i for i in range(n) if color[i] == 0]
-    minus = [i for i in range(n) if color[i] == 1]
-    for block in (plus, minus):
-        for a in block:
-            for b in block:
-                if a < b and gram[a][b] != (0, 0):
+                elif color[w] == color[v]:
                     raise ValueError("Coxeter diagram is not bipartite as colored")
-    return plus + minus, len(plus)
+        groups.append(sorted(group))
+    return groups, color
 
 
 def _exponents_from_heights(rs: CoordinateRootSystem) -> tuple:
@@ -693,30 +672,20 @@ def _exponents_from_heights(rs: CoordinateRootSystem) -> tuple:
 # -- type tables ----------------------------------------------------------------
 
 
-def _simples_A(n: int) -> list:
-    return [[1 if j == i else (-1 if j == i + 1 else 0) for j in range(n + 1)]
-            for i in range(n)]
+def _simples_classical(family: str, n: int) -> list:
+    """The simple roots of A_n in n + 1 coordinates, or of B_n, C_n, D_n in n.
 
-
-def _simples_B(n: int) -> list:
-    out = [[1 if j == i else (-1 if j == i + 1 else 0) for j in range(n)]
-           for i in range(n - 1)]
-    out.append([1 if j == n - 1 else 0 for j in range(n)])
-    return out
-
-
-def _simples_C(n: int) -> list:
-    out = [[1 if j == i else (-1 if j == i + 1 else 0) for j in range(n)]
-           for i in range(n - 1)]
-    out.append([2 if j == n - 1 else 0 for j in range(n)])
-    return out
-
-
-def _simples_D(n: int) -> list:
-    out = [[1 if j == i else (-1 if j == i + 1 else 0) for j in range(n)]
-           for i in range(n - 1)]
-    out.append([1 if j in (n - 2, n - 1) else 0 for j in range(n)])
-    return out
+    A_n is the chain e_i - e_{i+1}; the others are A_{n-1}'s chain, then
+    e_n, 2 e_n or e_{n-1} + e_n.
+    """
+    if family == "A":
+        return [[1 if j == i else (-1 if j == i + 1 else 0)
+                 for j in range(n + 1)] for i in range(n)]
+    last = [0] * n
+    last[-1] = 2 if family == "C" else 1
+    if family == "D":
+        last[-2] = 1
+    return _simples_classical("A", n - 1) + [last]
 
 
 def _simples_E8() -> list:
@@ -744,60 +713,17 @@ def _simples_H3() -> list:
     return [[Scalar(2), ZERO, ZERO], [-phi, -inv, -ONE], [ZERO, ZERO, Scalar(2)]]
 
 
-def _h4_root_set() -> list:
-    """The 120 roots of H4, sorted, each coordinate doubled into an int pair.
-
-    The pair (p, q) stands for p + q*sqrt5, so (p, q) is the coordinate
-    (p + q*sqrt5)/2; the sort is the exact lexicographic order.
-    """
-    import itertools as it
-    roots = set()
-    for i in range(4):
-        for s in (4, -4):
-            v = [(0, 0)] * 4
-            v[i] = (s, 0)
-            roots.add(tuple(v))
-    for signs in range(16):
-        roots.add(tuple((2, 0) if signs >> i & 1 else (-2, 0) for i in range(4)))
-    base = ((1, 1), (2, 0), (-1, 1))  # twice phi, 1 and 1/phi
-    for perm in it.permutations(range(4)):
-        parity = sum(1 for i in range(4) for j in range(i + 1, 4)
-                     if perm[i] > perm[j]) % 2
-        if parity:
-            continue
-        for signs in range(8):
-            v = [(0, 0)] * 4
-            for pos, src in enumerate(perm):
-                if src == 3:
-                    continue
-                p, q = base[src]
-                v[pos] = (-p, -q) if signs >> src & 1 else (p, q)
-            roots.add(tuple(v))
-    if len(roots) != 120:
-        raise RuntimeError("H4 root set has %d elements" % len(roots))
-    rank = pair_ranks(x for v in roots for x in v)
-    return sorted(roots, key=lambda v: tuple(rank[x] for x in v))
-
-
 def _simples_H4() -> list:
-    """Search the H4 root set for a simple system with diagram 5-3-3."""
-    roots = _h4_root_set()
-    # pair_dot of doubled coordinates is 4 (u, v)
-    want_12 = (-4, -4)  # 4 (-2 phi)
-    want_edge = (-8, 0)  # 4 (-2)
-    a1 = roots[0]
-    for a2 in roots:
-        if pair_dot(a1, a2) != want_12:
-            continue
-        for a3 in roots:
-            if pair_dot(a2, a3) != want_edge or pair_dot(a1, a3) != (0, 0):
-                continue
-            for a4 in roots:
-                if (pair_dot(a3, a4) == want_edge
-                        and pair_dot(a1, a4) == pair_dot(a2, a4) == (0, 0)):
-                    return [[Scalar(Fraction(p, 2), Fraction(q, 2))
-                             for p, q in v] for v in (a1, a2, a3, a4)]
-    raise RuntimeError("no H4 simple system found")  # pragma: no cover
+    """A simple system of H4, diagram 5-3-3, each coordinate (p + q*sqrt5)/2.
+
+    The tests find the same four roots by searching the 120 roots of H4.
+    """
+    rows = (((-4, 0), (0, 0), (0, 0), (0, 0)),
+            ((1, 1), (-2, 0), (1, -1), (0, 0)),
+            ((0, 0), (2, 0), (1, 1), (1, -1)),
+            ((0, 0), (-1, 1), (-2, 0), (1, 1)))
+    return [[Scalar(Fraction(p, 2), Fraction(q, 2)) for p, q in row]
+            for row in rows]
 
 
 _EXPECTED_POSITIVE_COUNT = {
@@ -805,6 +731,8 @@ _EXPECTED_POSITIVE_COUNT = {
 }
 
 _SUPPORTED = "A(n>=1) B(n>=2) C(n>=2) D(n>=3) E6 E7 E8 F4 G2 H3 H4 I2(m>=2), products with 'x'"
+
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 _FIXED = {"E6": lambda: _simples_E8()[:6],
           "E7": lambda: _simples_E8()[:7],
@@ -837,16 +765,12 @@ def _build_factor(family, rank, dihedral_order) -> RootSystem:
             raise ValueError("I2 requires a dihedral order m >= 2; supported: %s"
                              % _SUPPORTED)
         return DihedralRootSystem(dihedral_order)
-    builders = {"A": (_simples_A, lambda n: n >= 1),
-                "B": (_simples_B, lambda n: n >= 2),
-                "C": (_simples_C, lambda n: n >= 2),
-                "D": (_simples_D, lambda n: n >= 3)}
-    if family in builders:
-        fn, ok = builders[family]
-        if rank is None or not ok(rank):
+    if family in _LEAST_RANK:
+        if rank is None or rank < _LEAST_RANK[family]:
             raise ValueError("unsupported rank %r for type %s; supported: %s"
                              % (rank, family, _SUPPORTED))
-        return CoordinateRootSystem(fn(rank), label="%s%d" % (family, rank))
+        return CoordinateRootSystem(_simples_classical(family, rank),
+                                    label="%s%d" % (family, rank))
     if family in _FIXED:
         rs = CoordinateRootSystem(_FIXED[family](), label=family)
         expected = _EXPECTED_POSITIVE_COUNT[family]

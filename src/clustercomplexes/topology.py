@@ -169,20 +169,11 @@ def _vd_order(facets: tuple, cx: SimplicialComplex, memo: dict) -> Optional[list
 
 
 def _shedding_candidates(verts: list, cx: SimplicialComplex) -> list:
+    """The vertices in the order of the complex's ``vertex_rank``, if any."""
     rank = cx.meta.get("vertex_rank")
     if not rank:
         return verts
-    negative = set(cx.meta.get("negative_labels", ()))
-    out = [v for v in verts if cx.vertices[v] in negative]
-    positives = [v for v in verts if cx.vertices[v] not in negative]
-    if positives:
-        ranked = sorted(positives, key=lambda v: rank[cx.vertices[v]])
-        lo, hi = ranked[0], ranked[-1]
-        out.extend([lo] if lo == hi else [lo, hi])
-    # fall back to everything else if the canonical picks dead-end
-    picked = set(out)
-    out.extend(v for v in verts if v not in picked)
-    return out
+    return sorted(verts, key=lambda v: rank[cx.vertices[v]])
 
 
 # -- homology ------------------------------------------------------------------------
@@ -576,24 +567,14 @@ def verify_wedge(cx: SimplicialComplex, expected_count: int, dim: int) -> bool:
 # -- sphere counts -------------------------------------------------------------------
 
 
-def fuss_narayana_positive(rs: RootSystem, t: int) -> int:
-    """The product formula counting spheres of the positive part.
-
-    Evaluates prod_i (e_i + t*h - 1)/(e_i + 1); multiplicative over
-    irreducible components and 1 for the empty system.
-    """
-    out = Fraction(1)
-    for comp in rs.components:
-        num = comp.numerology()
-        for e in num.exponents:
-            out *= Fraction(e + t * num.coxeter_number - 1, e + 1)
-    if t >= 0 and out.denominator != 1:
-        raise RuntimeError("sphere count %s is not an integer" % out)
-    return int(out) if out.denominator == 1 else out
-
-
 def fuss_catalan(rs: RootSystem, m: int, positive: bool = False) -> int:
-    """Facet count of the (positive) generalized cluster complex."""
+    """Facet count of the (positive) generalized cluster complex.
+
+    Evaluates prod_i (e_i + m*h + 1)/(e_i + 1), or with - 1 for the positive
+    part; multiplicative over irreducible components and 1 for the empty
+    system.  The positive count at m - 1 is the number of spheres the
+    positive part of the m-complex is a wedge of.
+    """
     out = Fraction(1)
     for comp in rs.components:
         num = comp.numerology()

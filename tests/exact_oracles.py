@@ -3,7 +3,9 @@
 Each is an independent, slower route to something the library computes:
 ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
 the whole group by closure, type-A one-line notation, reflection length
-and the face test by full permutation products, the two-length face test,
+and the face test by full permutation products, reflection length by a
+breadth-first search over reflection words, type-A reflection length and
+absolute order read off cycles, the two-length face test,
 a root system rebuilt from its JSON report, and the shelling condition
 checked on every pair of facets.  The builder's pieces are redone the
 slow way: the pair graph by ``is_face`` on every pair, maximal cliques by
@@ -26,6 +28,7 @@ deletions and labelled facets.
 import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from clustercomplexes.colored import (_positions, _word, build_complex,
                                       colored_vertices, fr_compatible,
@@ -181,6 +184,112 @@ def permutation_length(w) -> int:
         image = rs.expansion(w.apply(a))
         rows.append([c - 1 if k == j else c for k, c in enumerate(image)])
     return fraction_rank(Matrix(rows))
+
+
+def is_identity(w) -> bool:
+    """Whether the group element w fixes every root."""
+    return all(i == j for i, j in enumerate(w.perm))
+
+
+def word_length_bfs(w: GroupElement, cap: int = 60) -> int:
+    """Reflection length by breadth-first search over reflection words.
+
+    The independent route to ``GroupElement.length``; it refuses systems
+    with more than ``cap`` reflections.
+    """
+    rs = w.system
+    if len(rs.positive_roots) > cap:
+        raise ValueError("word_length_bfs refused: %d reflections exceeds "
+                         "the desk-scale cap %d" % (len(rs.positive_roots), cap))
+    if is_identity(w):
+        return 0
+    gens = [rs.reflection(r) for r in rs.positive_roots]
+    seen = {rs.identity_element().perm}
+    frontier = [rs.identity_element()]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for t in gens:
+                v = u * t
+                if v.perm == w.perm:
+                    return depth
+                if v.perm not in seen:
+                    seen.add(v.perm)
+                    nxt.append(v)
+        frontier = nxt
+    raise RuntimeError("element not generated by the reflections")
+
+
+def cycles_of(perm: Sequence[int]) -> list:
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = perm[j]
+        out.append(tuple(cyc))
+    return out
+
+
+def typeA_reflection_length(perm: Sequence[int]) -> int:
+    """n minus the number of cycles (fixed points count as cycles)."""
+    return len(perm) - len(cycles_of(perm))
+
+
+def typeA_absolute_leq(u: Sequence[int], w: Sequence[int]) -> bool:
+    """Absolute order on permutations, from the cycle geometry.
+
+    Every nontrivial cycle of u must sit inside a single cycle of w as an
+    orientation-preserving cyclic subsequence, and the u-cycles inside one
+    w-cycle must be pairwise noncrossing in its cyclic order.
+    """
+    if len(u) != len(w):
+        raise ValueError("permutations act on different sets")
+    wcycles = cycles_of(w)
+    where = {}
+    for ci, cyc in enumerate(wcycles):
+        for pos, x in enumerate(cyc):
+            where[x] = (ci, pos)
+    blocks: dict = {}
+    for cyc in cycles_of(u):
+        if len(cyc) == 1:
+            continue
+        owners = {where[x][0] for x in cyc}
+        if len(owners) != 1:
+            return False
+        ci = owners.pop()
+        positions = [where[x][1] for x in cyc]
+        # rotate so the smallest w-position comes first; the rest must ascend
+        k = positions.index(min(positions))
+        rotated = positions[k:] + positions[:k]
+        if any(rotated[i] >= rotated[i + 1] for i in range(len(rotated) - 1)):
+            return False
+        blocks.setdefault(ci, []).append(sorted(positions))
+    for ci, blist in blocks.items():
+        size = len(wcycles[ci])
+        for b1, b2 in itertools.combinations(blist, 2):
+            if _blocks_cross(b1, b2, size):
+                return False
+    return True
+
+
+def _blocks_cross(b1: list, b2: list, size: int) -> bool:
+    """Whether two position blocks interleave in the cyclic order 0..size-1."""
+    if len(b1) < 2 or len(b2) < 2:
+        return False
+    # b2 avoids b1 iff it fits inside a single cyclic gap of b1
+    for i, start in enumerate(b1):
+        gap = (b1[(i + 1) % len(b1)] - start) % size
+        if all(0 < (x - start) % size < gap for x in b2):
+            return False
+    return True
 
 
 def word_of_face(ctx, sigma) -> GroupElement:

@@ -13,18 +13,16 @@ from pathlib import Path
 from clustercomplexes.colored import (build_complex, fr_compatible,
                                       get_context, is_face, positive_part,
                                       typeA_polygon_oracle)
-from clustercomplexes.coxeter import (absolute_leq, rho_sequence,
-                                      total_order, typeA_absolute_leq,
-                                      typeA_reflection_length)
+from clustercomplexes.coxeter import absolute_leq, rho_sequence, total_order
 from clustercomplexes.noncrossing import (build_Lm, homotopy_compare, moebius,
                                           nc_interval)
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.topology import (codim1_incidence, construct_shelling,
-                                       fuss_catalan, fuss_narayana_positive,
-                                       homology, kcm_audit, verify_shelling,
-                                       verify_wedge)
+                                       fuss_catalan, homology, kcm_audit,
+                                       verify_shelling, verify_wedge)
 from exact_oracles import (enumerate_group, facets_as_label_sets,
-                           one_line_permutation)
+                           one_line_permutation, typeA_absolute_leq,
+                           typeA_reflection_length)
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
           for m in (1, 2, 3)]
@@ -127,7 +125,7 @@ def test_criterion_06_wedge_counts(complexes, positive_complexes):
     for label, m in MATRIX:
         rs, _, _ = complexes(label, m)
         pos = positive_complexes(label, m)
-        want = fuss_narayana_positive(rs, m - 1)
+        want = fuss_catalan(rs, m - 1, positive=True)
         sign = 1 if (rs.rank - 1) % 2 == 0 else -1
         ok = ok and pos.euler_characteristic_reduced() == sign * want
     report("6 wedge and sphere counts", ok, t0, 60)
@@ -234,7 +232,7 @@ def test_criterion_13_frontier_homology():
         rs = build_root_system(label)
         cx, _ = build_complex(rs, m)
         ok = ok and (full, positive) == (fuss_catalan(rs, m - 1),
-                                         fuss_narayana_positive(rs, m - 1))
+                                         fuss_catalan(rs, m - 1, positive=True))
         ok = ok and homology(cx).concentrated(rs.rank - 1, full)
         ok = ok and homology(positive_part(cx)).concentrated(rs.rank - 1,
                                                              positive)

@@ -21,10 +21,9 @@ from clustercomplexes.exact import smith_normal_form
 from clustercomplexes.roots import build_root_system, product_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (codim1_incidence, construct_shelling,
-                                       fuss_catalan, fuss_narayana_positive,
-                                       homology, integer_rank_torsion,
-                                       is_cohen_macaulay, kcm_audit,
-                                       verify_shelling)
+                                       fuss_catalan, homology,
+                                       integer_rank_torsion, is_cohen_macaulay,
+                                       kcm_audit, verify_shelling)
 from conftest import RP2
 from exact_oracles import minor_gcd
 
@@ -143,7 +142,7 @@ class TestCountingFormulas:
     def test_sphere_counts_are_integers(self, label):
         rs = build_root_system(label)
         for t in range(0, 4):
-            assert isinstance(fuss_narayana_positive(rs, t), int)
+            assert isinstance(fuss_catalan(rs, t, positive=True), int)
 
 
 class TestSmithNormalForm:

@@ -325,6 +325,15 @@ class TestDihedralModel:
         with pytest.raises(ValueError, match="dihedral"):
             build_root_system("A1xI2(5)")
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_reflections_by_conjugation_match_the_angle_formula(self, m):
+        # the reflection in the line orthogonal to the root at angle k*pi/m
+        # sends the root at angle j*pi/m to the one at (2k + m - j)*pi/m
+        rs = DihedralRootSystem(m)
+        for k, root in enumerate(rs.roots):
+            assert rs.reflection(root).perm == tuple(
+                (2 * k + m - j) % (2 * m) for j in range(2 * m))
+
 
 class TestClassification:
 
@@ -391,7 +400,7 @@ class TestSimpleReflectionsFromTheClosure:
                                          "not an involution"])
     def test_a_corrupt_closure_raises(self, monkeypatch, corrupt):
         # A2: s_1 sends a1 to -a1, a2 to a1 + a2 and a1 + a2 to a2
-        a1, a2 = (Root(coords=c) for c in roots._simples_A(2))
+        a1, a2 = (Root(coords=c) for c in roots._simples_classical("A", 2))
         top = Root(coords=[x + y for x, y in zip(a1.coords, a2.coords)])
         real = roots._positive_closure
 
@@ -407,7 +416,7 @@ class TestSimpleReflectionsFromTheClosure:
 
         monkeypatch.setattr(roots, "_positive_closure", corrupted)
         with pytest.raises(RuntimeError, match="simple reflection"):
-            CoordinateRootSystem(roots._simples_A(2), label="A2")
+            CoordinateRootSystem(roots._simples_classical("A", 2), label="A2")
 
     def test_a_corrupt_closure_exits_1(self, monkeypatch, capsys):
         real = roots._positive_closure
@@ -438,7 +447,7 @@ def conventional_coords(label):
     for part in label.split("x"):
         family, rank, _ = roots.parse_label(part)
         factors.append(roots._FIXED[family]() if family in roots._FIXED
-                       else getattr(roots, "_simples_" + family)(rank))
+                       else roots._simples_classical(family, rank))
     total = sum(len(f[0]) for f in factors)
     out, offset = [], 0
     for f in factors:
@@ -493,7 +502,7 @@ class TestIntegerSetUp:
 
         monkeypatch.setattr(roots, "_cartan", corrupted)
         with pytest.raises(RuntimeError, match="norm"):
-            CoordinateRootSystem(roots._simples_A(2), label="A2")
+            CoordinateRootSystem(roots._simples_classical("A", 2), label="A2")
 
     def test_set_up_does_no_scalar_arithmetic(self, monkeypatch):
         coords = {label: conventional_coords(label)

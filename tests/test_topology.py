@@ -11,8 +11,7 @@ from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
                                        construct_shelling, fuss_catalan,
-                                       fuss_narayana_positive, homology,
-                                       is_cohen_macaulay, kcm_audit,
+                                       homology, is_cohen_macaulay, kcm_audit,
                                        verify_shelling, verify_wedge)
 from conftest import ACCEPTANCE_MATRIX, RP2
 from exact_oracles import (purity_failure_by_all_facets,
@@ -121,7 +120,7 @@ class TestVerifyShelling:
         assert tuple(hist.get(i, 0) for i in range(len(h))) == h
         # the facets whose restriction is the whole facet count the spheres
         spheres = sum(r == f for r, f in zip(order.restrictions, order.facets))
-        assert spheres == (fuss_narayana_positive(rs, m - 1) if positive
+        assert spheres == (fuss_catalan(rs, m - 1, positive=True) if positive
                            else fuss_catalan(rs, m - 1))
 
     @pytest.mark.parametrize("label, m, positive", ORDER_CASES)
@@ -311,14 +310,14 @@ class TestHomology:
 class TestSphereCounts:
 
     def test_formula_values(self):
-        assert fuss_narayana_positive(build_root_system("A2"), 1) == 2
-        assert fuss_narayana_positive(build_root_system("A2"), 0) == 0
-        assert fuss_narayana_positive(build_root_system("A3"), 1) == 5
+        assert fuss_catalan(build_root_system("A2"), 1, positive=True) == 2
+        assert fuss_catalan(build_root_system("A2"), 0, positive=True) == 0
+        assert fuss_catalan(build_root_system("A3"), 1, positive=True) == 5
 
     def test_multiplicative_over_components(self):
         rs = build_root_system("A1xA1")
-        assert fuss_narayana_positive(rs, 2) == \
-            fuss_narayana_positive(build_root_system("A1"), 2) ** 2
+        assert fuss_catalan(rs, 2, positive=True) == \
+            fuss_catalan(build_root_system("A1"), 2, positive=True) ** 2
 
     def test_wedge_verification(self, complexes, positive_complexes):
         assert verify_wedge(positive_complexes("A2", 2), 2, 1)
@@ -331,7 +330,7 @@ class TestSphereCounts:
             rs = build_root_system(label)
             pos = positive_complexes(label, m)
             chi = pos.euler_characteristic_reduced()
-            want = fuss_narayana_positive(rs, m - 1)
+            want = fuss_catalan(rs, m - 1, positive=True)
             assert chi == (-1) ** (rs.rank - 1) * want
 
     def test_positive_parts_are_sphere_wedges(self, positive_complexes):
@@ -341,7 +340,7 @@ class TestSphereCounts:
         for label, m in cases:
             rs = build_root_system(label)
             pos = positive_complexes(label, m)
-            want = fuss_narayana_positive(rs, m - 1)
+            want = fuss_catalan(rs, m - 1, positive=True)
             assert verify_wedge(pos, want, rs.rank - 1), (label, m)
 
     def test_inclusion_exclusion_identity(self):
@@ -369,7 +368,7 @@ class TestSphereCounts:
         for size in range(rs.rank + 1):
             for keep in itertools.combinations(range(rs.rank), size):
                 sub = subsystem([rs.simple_roots[i] for i in keep])
-                total += fuss_narayana_positive(sub, 1)
+                total += fuss_catalan(sub, 1, positive=True)
         assert abs(cx.euler_characteristic_reduced()) == total == 5
 
 
