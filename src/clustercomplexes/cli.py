@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands build complexes and run the verification suites, emitting
-deterministic reports (pretty table, JSON, or CSV).  Exit codes: 0 when
-all requested checks pass, 1 when a structural check or a library
-self-check fails, 2 for usage errors.  Bad input (label, rank, m, k; the
-parser checks the mode) and the desk-scale guards raise ``GuardError``; any
-other exception is a fault of the program and propagates.
+Subcommands build complexes and run the verification suites.  Each
+returns its report body, with a list of ``checks`` when it has any;
+``run`` adds the envelope (the parsed options but ``--out`` as
+``config``, and the version), emits the report deterministically (pretty
+table, JSON, or CSV) and derives the exit code: 0 when every check
+passes, 1 when a structural check or a library self-check fails, 2 for
+usage errors.  Bad input (label, rank, m, k; the parser checks the mode)
+and the desk-scale guards raise ``GuardError``; any other exception is a
+fault of the program and propagates.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ import io
 import json
 import os
 import sys
-from typing import Optional
 
 from . import __version__
 from .colored import (build_complex, fr_compatible, positive_part,
@@ -25,33 +27,7 @@ from .noncrossing import build_Lm, homotopy_compare, moebius, nc_interval
 from .roots import build_root_system
 from .simplicial import f_h_vectors
 from .topology import (codim1_incidence, construct_shelling, fuss_catalan,
-                       homology, kcm_audit, verify_wedge, ShellingFailure)
-
-
-class RunConfig:
-    __slots__ = ("phi", "m", "k", "mode", "seed", "workers", "out", "fmt",
-                 "cap_vertices", "command")
-
-    def __init__(self, phi: str, m: int = 1, k: Optional[int] = None,
-                 mode: str = "exhaustive", seed: int = 0, workers: int = 1,
-                 out: Optional[str] = None, fmt: str = "table",
-                 cap_vertices: int = 200, command: str = ""):
-        self.phi = phi
-        self.m = m
-        self.k = k
-        self.mode = mode
-        self.seed = seed
-        self.workers = workers
-        self.out = out
-        self.fmt = fmt
-        self.cap_vertices = cap_vertices
-        self.command = command
-
-    def to_dict(self) -> dict:
-        return {"phi": self.phi, "m": self.m, "k": self.k, "mode": self.mode,
-                "seed": self.seed, "workers": self.workers,
-                "format": self.fmt, "cap_vertices": self.cap_vertices,
-                "command": self.command}
+                       homology, kcm_audit, ShellingFailure)
 
 
 class GuardError(ValueError):
@@ -63,25 +39,27 @@ MAX_COLORS = 4
 HOMOLOGY_FACE_CAP = 200_000
 
 
-def _load_system(cfg: RunConfig):
-    if cfg.m < 0:
-        raise GuardError("the color count m must be nonnegative, got %d" % cfg.m)
+def _load_system(args: argparse.Namespace):
+    if args.m < 0:
+        raise GuardError("the color count m must be nonnegative, got %d"
+                         % args.m)
     try:
-        rs = build_root_system(cfg.phi)
+        rs = build_root_system(args.phi)
     except ValueError as exc:  # a bad label
         raise GuardError(str(exc)) from None
     if rs.rank > MAX_RANK:
         raise GuardError("rank %d exceeds the desk-scale limit %d; full "
                          "enumeration at that size is out of reach"
                          % (rs.rank, MAX_RANK))
-    if cfg.m > MAX_COLORS:
+    if args.m > MAX_COLORS:
         raise GuardError("m = %d exceeds the desk-scale limit %d"
-                         % (cfg.m, MAX_COLORS))
-    predicted = cfg.m * len(rs.positive_roots) + rs.rank
-    if predicted > cfg.cap_vertices:
+                         % (args.m, MAX_COLORS))
+    predicted = args.m * len(rs.positive_roots) + rs.rank
+    if predicted > args.cap_vertices:
         raise GuardError(
             "refusing facet enumeration: %d vertices exceeds the cap %d "
-            "(raise --cap-vertices to override)" % (predicted, cfg.cap_vertices))
+            "(raise --cap-vertices to override)"
+            % (predicted, args.cap_vertices))
     return rs
 
 
@@ -106,24 +84,24 @@ def _check_out(path: str) -> None:
                      % (path, os.strerror(code)))
 
 
-def _emit(cfg: RunConfig, report: dict) -> None:
-    text = _render(cfg, report)
-    if cfg.out:
+def _emit(args: argparse.Namespace, report: dict) -> None:
+    text = _render(args.format, report)
+    if args.out:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             raise GuardError("cannot write the report to %s: %s"
-                             % (cfg.out, exc.strerror or exc)) from None
-        print("wrote %s" % cfg.out)
+                             % (args.out, exc.strerror or exc)) from None
+        print("wrote %s" % args.out)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _render(cfg: RunConfig, report: dict) -> str:
-    if cfg.fmt == "json":
+def _render(fmt: str, report: dict) -> str:
+    if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         return _render_csv(report)
     return _render_table(report)
 
@@ -165,8 +143,8 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _base_report(cfg: RunConfig) -> dict:
-    return {"config": cfg.to_dict(), "version": __version__}
+def _check(check_id: str, ok, **detail) -> dict:
+    return {"id": check_id, "ok": bool(ok), "detail": detail}
 
 
 def _positive_wedge(rs, m: int) -> tuple:
@@ -179,9 +157,9 @@ def _positive_wedge(rs, m: int) -> tuple:
     return fuss_catalan(rs, m - 1, positive=True), rs.rank - 1
 
 
-def _load_complex(cfg: RunConfig):
-    rs = _load_system(cfg)
-    cx, adjacency = build_complex(rs, cfg.m)
+def _load_complex(args: argparse.Namespace):
+    rs = _load_system(args)
+    cx, adjacency = build_complex(rs, args.m)
     return rs, cx, adjacency
 
 
@@ -196,49 +174,34 @@ def _check_homology_cap(cx) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    rs, cx, _ = _load_complex(cfg)
-    report = _base_report(cfg)
-    report.update({"phi": rs.label, "m": cfg.m, "rank": rs.rank})
-    report.update(cx.to_dict())
-    _emit(cfg, report)
-    return 0
+def cmd_build(args: argparse.Namespace) -> dict:
+    rs, cx, _ = _load_complex(args)
+    return {"phi": rs.label, "m": args.m, "rank": rs.rank, **cx.to_dict()}
 
 
-def cmd_fvector(cfg: RunConfig) -> int:
-    rs, cx, _ = _load_complex(cfg)
-    pos = positive_part(cx)
+def cmd_fvector(args: argparse.Namespace) -> dict:
+    rs, cx, _ = _load_complex(args)
     f, h = f_h_vectors(cx)
-    fp, hp = f_h_vectors(pos)
-    report = _base_report(cfg)
-    report["columns"] = ["complex", "f_vector", "h_vector"]
-    report["rows"] = [
-        ["full", list(f), list(h) if h else None],
-        ["positive", list(fp), list(hp) if hp else None],
-    ]
-    _emit(cfg, report)
-    return 0
+    fp, hp = f_h_vectors(positive_part(cx))
+    return {"columns": ["complex", "f_vector", "h_vector"],
+            "rows": [["full", list(f), list(h) if h else None],
+                     ["positive", list(fp), list(hp) if hp else None]]}
 
 
-def cmd_homology(cfg: RunConfig) -> int:
-    rs, cx, _ = _load_complex(cfg)
+def cmd_homology(args: argparse.Namespace) -> dict:
+    rs, cx, _ = _load_complex(args)
     _check_homology_cap(cx)
     pos = positive_part(cx)
-    report = _base_report(cfg)
-    report["full"] = homology(cx).to_dict()
-    prof = homology(pos)
-    report["positive"] = prof.to_dict()
-    want, sphere_dim = _positive_wedge(rs, cfg.m)
-    ok = prof.concentrated(sphere_dim, want)
-    report["checks"] = [{"id": "wedge-positive", "ok": ok,
-                         "detail": {"expected_spheres": want}}]
-    _emit(cfg, report)
-    return 0 if ok else 1
+    full, prof = homology(cx), homology(pos)
+    want, sphere_dim = _positive_wedge(rs, args.m)
+    return {"full": full.to_dict(), "positive": prof.to_dict(),
+            "checks": [_check("wedge-positive",
+                              prof.concentrated(sphere_dim, want),
+                              expected_spheres=want)]}
 
 
-def cmd_shelling(cfg: RunConfig) -> int:
-    rs, cx, _ = _load_complex(cfg)
-    report = _base_report(cfg)
+def cmd_shelling(args: argparse.Namespace) -> dict:
+    rs, cx, _ = _load_complex(args)
     checks = []
     for name, complex_ in (("full", cx), ("positive", positive_part(cx))):
         # construct_shelling returns a verified order or raises
@@ -247,85 +210,73 @@ def cmd_shelling(cfg: RunConfig) -> int:
             ok, detail = True, {"facets": len(order.facets)}
         except ShellingFailure as exc:
             ok, detail = False, {"error": str(exc)}
-        checks.append({"id": "shelling-%s" % name, "ok": ok, "detail": detail})
-    report["checks"] = checks
-    _emit(cfg, report)
-    return 0 if all(c["ok"] for c in checks) else 1
+        checks.append(_check("shelling-%s" % name, ok, **detail))
+    return {"checks": checks}
 
 
-def cmd_kcm(cfg: RunConfig) -> int:
-    k = cfg.k if cfg.k is not None else cfg.m + 1
+def cmd_kcm(args: argparse.Namespace) -> dict:
+    k = args.k if args.k is not None else args.m + 1
     if k < 1:
         raise GuardError("k must be at least 1, got %d" % k)
-    rs, cx, _ = _load_complex(cfg)
+    rs, cx, _ = _load_complex(args)
     _check_homology_cap(cx)
-    rep = kcm_audit(cx, k, mode=cfg.mode, seed=cfg.seed, workers=cfg.workers)
-    report = _base_report(cfg)
-    report["audit"] = rep.to_dict()
-    report["checks"] = [{"id": "kcm-k%d" % k, "ok": rep.passed,
-                         "detail": {"failures": len(rep.failures)}}]
-    _emit(cfg, report)
-    return 0 if rep.passed else 1
+    rep = kcm_audit(cx, k, mode=args.mode, seed=args.seed,
+                    workers=args.workers)
+    return {"audit": rep.to_dict(),
+            "checks": [_check("kcm-k%d" % k, rep.passed,
+                              failures=len(rep.failures))]}
 
 
-def cmd_incidence(cfg: RunConfig) -> int:
-    rs, cx, _ = _load_complex(cfg)
+def cmd_incidence(args: argparse.Namespace) -> dict:
+    rs, cx, _ = _load_complex(args)
     hist = codim1_incidence(cx)
-    ok = set(hist) == {cfg.m + 1}
-    report = _base_report(cfg)
-    report["histogram"] = {str(k): v for k, v in sorted(hist.items())}
-    report["checks"] = [{"id": "codim1-incidence", "ok": ok,
-                         "detail": {"expected": cfg.m + 1}}]
-    _emit(cfg, report)
-    return 0 if ok else 1
+    return {"histogram": {str(k): v for k, v in sorted(hist.items())},
+            "checks": [_check("codim1-incidence", set(hist) == {args.m + 1},
+                              expected=args.m + 1)]}
 
 
-def cmd_ncp(cfg: RunConfig) -> int:
-    if cfg.m < 1:
+def cmd_ncp(args: argparse.Namespace) -> dict:
+    if args.m < 1:
         raise GuardError("ncp needs m >= 1: the multichain poset is built "
                          "from m-tuples")
-    rs = _load_system(cfg)
+    rs = _load_system(args)
     if not rs.is_irreducible:
         raise GuardError("ncp needs an irreducible system: the face-to-tuple "
                          "map follows the Coxeter element's root sequence")
-    cx, _ = build_complex(rs, cfg.m)
+    cx, _ = build_complex(rs, args.m)
     _check_homology_cap(cx)
     pos = positive_part(cx)
-    report = _base_report(cfg)
     checks = []
     interval = nc_interval(rs)
-    report["interval_size"] = len(interval)
-    if cfg.m == 1:
+    report = {"interval_size": len(interval), "checks": checks}
+    if args.m == 1:
         # from e, at position 0, to gamma, at the last
         mu = moebius(interval, 0, len(interval) - 1)
-        cx1_pos_facets = len(pos.facets)
-        ok = mu == (-1) ** rs.rank * cx1_pos_facets
         report["moebius"] = mu
-        checks.append({"id": "ncp-moebius", "ok": ok,
-                       "detail": {"positive_facets": cx1_pos_facets}})
-    L = build_Lm(interval, cfg.m)
+        checks.append(_check("ncp-moebius",
+                             mu == (-1) ** rs.rank * len(pos.facets),
+                             positive_facets=len(pos.facets)))
+    L = build_Lm(interval, args.m)
     report["poset_size"] = len(L)
-    rep = homotopy_compare(rs, cfg.m, pos_cx=pos, poset=L)
+    rep = homotopy_compare(rs, args.m, pos_cx=pos, poset=L)
     # the fibers belong to the whole map; they are reported with k = n
     n = rs.rank
-    checks += [{"id": "ncp-homotopy-k%d" % k,
-                "ok": rep.agrees(k) and (k < n or not rep.fiber_failures),
-                "detail": {"fibers": rep.fibers_checked if k == n else 0}}
-               for k in range(1, n + 1)]
-    report["checks"] = checks
-    _emit(cfg, report)
-    return 0 if all(c["ok"] for c in checks) else 1
+    checks.extend(_check("ncp-homotopy-k%d" % k,
+                         rep.agrees(k) and (k < n or not rep.fiber_failures),
+                         fibers=rep.fibers_checked if k == n else 0)
+                  for k in range(1, n + 1))
+    return report
 
 
-def cmd_verify_all(cfg: RunConfig) -> int:
-    rs, cx, adjacency = _load_complex(cfg)
+def cmd_verify_all(args: argparse.Namespace) -> dict:
+    rs, cx, adjacency = _load_complex(args)
     _check_homology_cap(cx)
     pos = positive_part(cx)
-    m = cfg.m
+    m = args.m
     checks = []
 
     def add(check_id, ok, **detail):
-        checks.append({"id": check_id, "ok": bool(ok), "detail": detail})
+        checks.append(_check(check_id, ok, **detail))
 
     # structural checks
     add("purity", cx.is_pure() and cx.dimension() == rs.rank - 1,
@@ -369,7 +320,8 @@ def cmd_verify_all(cfg: RunConfig) -> int:
         got = [sizes.count(i) for i in range(len(h))]
         add("shelling-h-vector-%s" % name, got == list(h), h_vector=got)
     # wedge counts
-    add("wedge-positive", verify_wedge(pos, want, sphere_dim), expected=want)
+    add("wedge-positive", homology(pos).concentrated(sphere_dim, want),
+        expected=want)
     chi = pos.euler_characteristic_reduced()
     add("euler-identity", chi == (-1 if sphere_dim % 2 else 1) * want, chi=chi)
     # connectivity audits (witness search kept cheap)
@@ -378,7 +330,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     n_v = len(cx.vertices)
     total = sum(comb(n_v, s) for s in range(0, m + 1))
     mode = "exhaustive" if total <= exhaustive_cap else "sample"
-    rep = kcm_audit(cx, m + 1, mode=mode, seed=cfg.seed, workers=cfg.workers)
+    rep = kcm_audit(cx, m + 1, mode=mode, seed=args.seed, workers=args.workers)
     add("kcm", rep.passed, k=m + 1, mode=mode, examined=rep.examined)
     witness = kcm_audit(cx, m + 2, sizes=[m + 1], max_failures=1)
     add("kcm-witness", not witness.passed,
@@ -393,27 +345,21 @@ def cmd_verify_all(cfg: RunConfig) -> int:
     if 1 <= m <= 3 and rs.rank <= 3 and rs.is_irreducible:
         rep = homotopy_compare(rs, m, pos_cx=pos)
         add("ncp-homotopy", rep.ok, fibers=rep.fibers_checked)
-    report = _base_report(cfg)
-    report["checks"] = checks
-    _emit(cfg, report)
-    return 0 if all(c["ok"] for c in checks) else 1
+    return {"checks": checks}
 
 
-def cmd_polygon(cfg: RunConfig) -> int:
-    if cfg.m < 1:
+def cmd_polygon(args: argparse.Namespace) -> dict:
+    if args.m < 1:
         raise GuardError("the polygon oracle needs m >= 1")
-    rs = _load_system(cfg)
+    rs = _load_system(args)
     if not (rs.is_irreducible and rs.label.startswith("A")):
         raise GuardError("the polygon oracle models type A only")
-    cx, _ = build_complex(rs, cfg.m)
-    poly = typeA_polygon_oracle(rs.rank + 1, cfg.m)
-    ok = poly.f_vector() == cx.f_vector()
-    report = _base_report(cfg)
-    report["polygon_f"] = list(poly.f_vector())
-    report["complex_f"] = list(cx.f_vector())
-    report["checks"] = [{"id": "polygon-oracle", "ok": ok, "detail": {}}]
-    _emit(cfg, report)
-    return 0 if ok else 1
+    cx, _ = build_complex(rs, args.m)
+    poly = typeA_polygon_oracle(rs.rank + 1, args.m)
+    return {"polygon_f": list(poly.f_vector()),
+            "complex_f": list(cx.f_vector()),
+            "checks": [_check("polygon-oracle",
+                              poly.f_vector() == cx.f_vector())]}
 
 
 COMMANDS = {
@@ -460,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="audit processes; more than the CPUs are not "
                              "started")
     common.add_argument("--out", default=None)
-    common.add_argument("--format", dest="fmt", default="table",
+    common.add_argument("--format", default="table",
                         choices=["table", "json", "csv"])
     common.add_argument("--cap-vertices", type=int, default=200)
     sub = top.add_subparsers(dest="command", required=True)
@@ -474,14 +420,14 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    cfg = RunConfig(phi=args.phi, m=args.m, k=args.k, mode=args.mode,
-                    seed=args.seed, workers=args.workers, out=args.out,
-                    fmt=args.fmt, cap_vertices=args.cap_vertices,
-                    command=args.command)
     try:
-        if cfg.out:
-            _check_out(cfg.out)
-        return COMMANDS[args.command](cfg)
+        if args.out:
+            _check_out(args.out)
+        report = COMMANDS[args.command](args)
+        report["config"] = {key: value for key, value in vars(args).items()
+                            if key != "out"}
+        report["version"] = __version__
+        _emit(args, report)
     except GuardError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -491,6 +437,7 @@ def run(argv=None) -> int:
         # a self-check failed: flagness, Euler count, rho sequence, ...
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    return 0 if all(c["ok"] for c in report.get("checks", ())) else 1
 
 
 def main() -> None:

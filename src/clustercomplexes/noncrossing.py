@@ -32,16 +32,17 @@ class Poset:
 
     Bit i of ``down[j]`` is set iff element i lies below element j.  It is
     built in one pass from ``lower_covers``, whose j-th entry lists the
-    positions that element j covers; each must precede j.  ``index`` maps
-    each element to its position.
+    positions that element j covers; each must precede j.  ``covers`` keeps
+    those lists, and ``index`` maps each element to its position.
     """
 
     def __init__(self, elements: Sequence, ranks: Sequence[int],
                  lower_covers: Iterable[Iterable[int]]):
         self.elements = list(elements)
         self.ranks = list(ranks)
+        self.covers = [list(below) for below in lower_covers]
         self.down: list = []
-        for j, below in enumerate(lower_covers):
+        for j, below in enumerate(self.covers):
             bits = 1 << j
             for i in below:
                 if i >= j:
@@ -119,13 +120,11 @@ def build_Lm(interval: Poset, m: int) -> Poset:
     extend((), elements[0].perm, 0)
     tuples.sort(key=lambda t: (sum(ranks[i] for i in t), t))
     position = {t: p for p, t in enumerate(tuples)}
-    covers = [[i for i in range(j) if interval.leq(i, j)
-               and ranks[i] == ranks[j] - 1] for j in range(len(interval))]
     return Poset(
         [tuple(images[i] for i in t) for t in tuples],
         [sum(ranks[i] for i in t) for t in tuples],
         [[position[t[:c] + (i,) + t[c + 1:]]
-          for c in range(m) for i in covers[t[c]]] for t in tuples])
+          for c in range(m) for i in interval.covers[t[c]]] for t in tuples])
 
 
 def moebius(p: Poset, x: int, y: int) -> int:

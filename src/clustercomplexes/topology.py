@@ -559,11 +559,6 @@ def homology(cx: SimplicialComplex) -> HomologyProfile:
     return _table_of(cx).profile()
 
 
-def verify_wedge(cx: SimplicialComplex, expected_count: int, dim: int) -> bool:
-    """Homology matches a wedge of `expected_count` spheres of dimension dim."""
-    return homology(cx).concentrated(dim, expected_count)
-
-
 # -- sphere counts -------------------------------------------------------------------
 
 

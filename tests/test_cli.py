@@ -260,13 +260,37 @@ options:
 """
 
 
-@pytest.mark.parametrize("command", sorted(HELP_USAGE))
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_subcommand_help_is_unchanged(command, monkeypatch, capsys):
     # the options are declared once, on a parent parser; each subcommand's
     # help reads as it did when every subparser declared its own
     monkeypatch.setenv("COLUMNS", "80")
     assert run([command, "--help"]) == 0
-    assert capsys.readouterr().out == HELP_USAGE[command] + HELP_OPTIONS
+    out = capsys.readouterr().out
+    assert out.startswith("usage: clustercx %s [-h] --phi PHI" % command)
+    assert out.endswith(HELP_OPTIONS)
+    if command in HELP_USAGE:
+        assert out == HELP_USAGE[command] + HELP_OPTIONS
+
+
+ENVELOPE_CONFIG = {"phi", "m", "k", "mode", "seed", "workers", "format",
+                   "cap_vertices", "command"}
+
+
+@pytest.mark.parametrize("argv", [[command, "--m", "1"]
+                                  for command in cli.COMMANDS]
+                         + [["kcm", "--m", "2", "--k", "4"]], ids=" ".join)
+def test_run_adds_the_envelope_and_derives_the_exit_code(argv, capsys):
+    # a command returns its report body; run adds the parsed options but
+    # --out, and the version, and exits 0 iff every check passes
+    code = run(argv + ["--phi", "A2", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["version"] == clustercomplexes.__version__
+    assert set(report["config"]) == ENVELOPE_CONFIG
+    assert report["config"]["command"] == argv[0]
+    assert code == (0 if all(c["ok"] for c in report.get("checks", ())) else 1)
+    # A2 m=2 is 3-CM but not 4-CM
+    assert code == (1 if "--k" in argv else 0)
 
 
 @pytest.mark.parametrize("label", ["I25", "A(2", "A2)", "E(8)"])

@@ -8,6 +8,7 @@ form references.
 """
 import itertools
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -26,6 +27,7 @@ from clustercomplexes.topology import (codim1_incidence, construct_shelling,
                                        kcm_audit, verify_shelling)
 from conftest import RP2
 from exact_oracles import minor_gcd
+from test_root_systems import EXPECTED
 
 SMALL_SYSTEMS = ["A1", "A2", "B2", "G2", "I2(5)"]
 
@@ -140,9 +142,16 @@ class TestCountingFormulas:
 
     @pytest.mark.parametrize("label", SMALL_SYSTEMS + ["A3", "B3", "H3"])
     def test_sphere_counts_are_integers(self, label):
+        # prod (e + t*h - 1)/(e + 1) from the stated exponents and Coxeter
+        # number, not from the system's own numerology
+        _, h, exponents = EXPECTED[label]
         rs = build_root_system(label)
         for t in range(0, 4):
-            assert isinstance(fuss_catalan(rs, t, positive=True), int)
+            count = Fraction(1)
+            for e in exponents:
+                count *= Fraction(e + t * h - 1, e + 1)
+            assert count.denominator == 1, (label, t)
+            assert count == fuss_catalan(rs, t, positive=True), (label, t)
 
 
 class TestSmithNormalForm:

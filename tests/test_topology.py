@@ -12,7 +12,7 @@ from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
                                        construct_shelling, fuss_catalan,
                                        homology, is_cohen_macaulay, kcm_audit,
-                                       verify_shelling, verify_wedge)
+                                       verify_shelling)
 from conftest import ACCEPTANCE_MATRIX, RP2
 from exact_oracles import (purity_failure_by_all_facets,
                            shelling_by_definition, subsystem)
@@ -320,10 +320,10 @@ class TestSphereCounts:
             fuss_catalan(build_root_system("A1"), 2, positive=True) ** 2
 
     def test_wedge_verification(self, complexes, positive_complexes):
-        assert verify_wedge(positive_complexes("A2", 2), 2, 1)
-        assert verify_wedge(complexes("A2", 2)[1], 5, 1)
+        assert homology(positive_complexes("A2", 2)).concentrated(1, 2)
+        assert homology(complexes("A2", 2)[1]).concentrated(1, 5)
         simplex = SimplicialComplex(list("ab"), [(0, 1)])
-        assert verify_wedge(simplex, 0, 4)
+        assert homology(simplex).concentrated(4, 0)
 
     def test_euler_identity_across_matrix(self, positive_complexes):
         for label, m in MATRIX:
@@ -341,7 +341,7 @@ class TestSphereCounts:
             rs = build_root_system(label)
             pos = positive_complexes(label, m)
             want = fuss_catalan(rs, m - 1, positive=True)
-            assert verify_wedge(pos, want, rs.rank - 1), (label, m)
+            assert homology(pos).concentrated(rs.rank - 1, want), (label, m)
 
     def test_inclusion_exclusion_identity(self):
         # the alternating sum over parabolic subsets ties the full complex
