@@ -4,10 +4,10 @@ Shelling orders are constructed by recursive vertex decomposition and
 checked in one pass by their restriction faces, so a returned order is a
 checked certificate.  Homology is integral and read off a face table that
 indexes every face once, with its vertex bitmask, boundary and cofaces,
-kept on its complex with the link memo of its Cohen-Macaulay audits for
-every later homology or audit of that complex.  A profile is taken of any
-subcomplex given as the table's cells by size, less a vertex set:
-``noncrossing`` reads skeleta, restrictions and fibers this way.
+kept on its complex with the complex's one audit object, and so with its
+link memo, for every later homology or audit of that complex.  A profile
+is taken of any subcomplex given as the table's cells by size, less a
+vertex set: ``noncrossing`` reads skeleta, restrictions and fibers this way.
 A chain complex is a set of the table's cells with the boundary restricted
 to them; it is coreduced first, which keeps the integral homology and
 creates no fill-in, and only what is left is eliminated on unit pivots,
@@ -23,8 +23,7 @@ the group it generates, since Delta|W and Delta|g(W) are isomorphic, and
 keys each link verdict by the orbit of the face with the removed part of
 its star.  An audit that stops at a given number of failures first scans
 the removals with the dimension and purity bitset tests alone, and runs
-the full search only if those find too few.  The shelling route uses no
-symmetry and no face table.
+the full search, in the same scan, only if those find too few.
 """
 from __future__ import annotations
 
@@ -275,20 +274,21 @@ def integer_rank_torsion(columns: list) -> tuple:
 
 
 class _FaceTable:
-    """Every face of a complex, indexed once, for homology and CM audits.
+    """Every face of a complex, indexed once, for homology.
 
     ``faces[k]`` lists the faces with k vertices, ``masks[k]`` their vertex
     bitmasks, ``columns[k]`` their boundary columns {position in
     faces[k-1]: +-1} and ``cofaces[k]`` their cofaces' positions in
-    faces[k+1].  The audit data, with its memo of link verdicts, is built
-    by ``_audit_table`` on the first audit of the complex and lives as
-    long as the table, that is, as long as its complex: every audit of the
+    faces[k+1].  The table lives as long as its complex, and so does the
+    complex's audit, which ``_audit_of`` keeps on it: every audit of the
     complex shares it.
     """
 
+    audit = None  # the complex's _Audit, once _audit_of has built it
+
     def __init__(self, facets: Sequence[tuple]):
-        self.dim = max((len(f) for f in facets), default=0) - 1
-        index = [{(): 0}] + [{} for _ in range(self.dim + 1)]
+        dim = max((len(f) for f in facets), default=0) - 1
+        index = [{(): 0}] + [{} for _ in range(dim + 1)]
         for f in facets:
             for k in range(1, len(f) + 1):
                 idx = index[k]
@@ -301,14 +301,12 @@ class _FaceTable:
         self.columns = [None] + [
             [{index[k - 1][face[:d] + face[d + 1:]]: -1 if d % 2 else 1
               for d in range(k)} for face in self.faces[k]]
-            for k in range(1, self.dim + 2)]
+            for k in range(1, dim + 2)]
         self.cofaces = [[[] for _ in fs] for fs in self.faces]
-        for k in range(1, self.dim + 2):
+        for k in range(1, dim + 2):
             for i, col in enumerate(self.columns[k]):
                 for f in col:
                     self.cofaces[k - 1][f].append(i)
-        self.facet_masks = [sum(1 << v for v in f) for f in facets]
-        self._audit = None
 
     def _reduce(self, base: int, ups: list, removed: int) -> tuple:
         """Reduced homology of the cells in ``ups`` that miss ``removed``.
@@ -362,11 +360,6 @@ class _FaceTable:
             raise RuntimeError("homology does not match Euler count")
         return betti, torsion[1:], chi
 
-    def _acyclic(self, base: int, ups: list, removed: int) -> bool:
-        """Whether ``_reduce`` finds no homology below the top degree."""
-        betti, torsion, _ = self._reduce(base, ups, removed)
-        return not any(betti[:-1]) and not any(torsion[:-1])
-
     def profile(self, cells: Optional[list] = None,
                 removed: int = 0) -> HomologyProfile:
         """Reduced integral homology of a subcomplex of the table.
@@ -385,101 +378,58 @@ class _FaceTable:
         return HomologyProfile(tuple(betti[start:]), tuple(torsion[start:]),
                                chi, first_degree=start - 1)
 
-    def purity_failure(self, removed: int) -> Optional[str]:
-        """Why the restriction missing ``removed`` is not pure of full
-        dimension, or None.
 
-        'dimension-drop' when no top facet misses the removal, 'impure' when
-        a face missing it lies in no such top facet.  Both are bitset tests
-        on the audit data.  Only the top facets meeting the removal and the
-        facets below the top dimension are tested: a top facet that misses
-        the removal is a kept top facet holding itself.
-        """
-        audit = self._audit
-        kept = audit.all_tops
-        rest = removed
-        while rest:
-            low = rest & -rest
-            kept &= audit.avoiding.get(low.bit_length() - 1, audit.all_tops)
-            rest ^= low
-        if not kept:
-            return "dimension-drop"
-        cover, tops = audit.cover, self.masks[self.dim + 1]
-        rest = audit.all_tops & ~kept
-        while rest:
-            low = rest & -rest
-            if not cover.get(tops[low.bit_length() - 1] & ~removed, 0) & kept:
-                return "impure"
-            rest ^= low
-        if any(not cover.get(g & ~removed, 0) & kept for g in audit.lower):
-            return "impure"
-        return None
+class _Audit:
+    """The Cohen-Macaulay audit of one complex, read off its face table.
 
-    def cm_failure(self, removed: int = 0) -> Optional[str]:
-        """Why the restriction missing ``removed`` fails the audit, or None.
-
-        The reason is ``purity_failure``'s, or 'not-CM' when a face link
-        (the empty face included) has reduced homology below its top
-        dimension.  In a pure restriction the link of a face s is made of
-        the faces that contain s, lie in a top facet and miss the removal,
-        so its verdict depends only on s and the removed vertices of its
-        star.  It is memoized on the least image of that pair under the
-        audit data's powers, and reduced on the orbit's base face.  The
-        audit data must have been built, by ``_audit_table``.
-        """
-        reason = self.purity_failure(removed)
-        if reason is not None or self.dim <= 0:
-            # links of dimension <= 0 have nothing below the top
-            return reason
-        audit = self._audit
-        verdicts, stars = audit.verdicts, audit.stars
-        for key in audit.link_keys(removed):
-            ok = verdicts.get(key)
-            if ok is None:
-                size, ups = stars[key[0]]
-                ok = verdicts[key] = self._acyclic(size, ups, key[1])
-            if not ok:
-                return "not-CM"
-        # the link of the empty face is the restriction itself; a removal
-        # is decided once per audit, so its verdict is not kept
-        return None if self._acyclic(
-            0, [range(len(fs)) for fs in self.faces], removed) else "not-CM"
-
-
-class _AuditData:
-    """The part of a face table only a Cohen-Macaulay audit reads.
-
-    ``powers`` are the powers of an automorphism of the complex, the
-    identity first.  They split the faces s with 1 .. dim - 1 vertices in a
-    top facet (the link faces) into orbits, and ``stars[o]`` holds (|s|,
-    ups) for the first face s met in orbit o, its base: ``ups[j]`` lists
-    the faces with |s| + j vertices that contain s and lie in a top facet.
-    ``links`` holds (mask of s, mask of its star minus s, o, maps) for each
-    link face s, ``maps`` being the bit images of the powers that map s
-    onto its base.
+    ``powers`` are the powers of ``cx.symmetry``, the identity first, or
+    the identity alone; building the audit checks that the symmetry maps
+    the facet list onto itself, that is, is an automorphism of cx.
+    ``cover`` maps each face of a top facet to the top facets containing
+    it, as a bitset, and ``lower`` lists the masks of the facets below the
+    top dimension.  The powers split the faces s with 1 .. dim - 1
+    vertices in a top facet (the link faces) into orbits, and ``stars[o]``
+    holds (|s|, ups) for the first face s met in orbit o, its base:
+    ``ups[j]`` lists the faces with |s| + j vertices that contain s and lie
+    in a top facet.  ``links`` holds (mask of s, mask of its star minus s,
+    o, maps) for each link face s, ``maps`` being the bit images of the
+    powers that map s onto its base.  The link verdicts and each removal's
+    least image are kept for every later audit of the complex.
     """
 
-    def __init__(self, table: _FaceTable, powers: list):
-        top = table.dim + 1
-        self.all_tops = (1 << len(table.faces[top])) - 1
-        self.avoiding: dict = {}   # vertex -> top facets missing it
-        self.cover: dict = {}      # face mask -> top facets containing it
-        # the facets below the top dimension
-        self.lower = [g for g in table.facet_masks if g.bit_count() < top]
-        for j, (f, fmask) in enumerate(zip(table.faces[top], table.masks[top])):
-            bit = 1 << j
-            for v in f:
-                self.avoiding[v] = self.avoiding.get(v, self.all_tops) & ~bit
-            sub = fmask
+    def __init__(self, cx: SimplicialComplex, table: _FaceTable):
+        identity = tuple(range(len(cx.vertices)))
+        powers = [identity]
+        if cx.symmetry is not None:
+            perm, facets = cx.symmetry, set(cx.facets)
+            for f in cx.facets:
+                image = tuple(sorted(perm[v] for v in f))
+                if image not in facets:
+                    raise RuntimeError(
+                        "the vertex symmetry is not an automorphism: it maps "
+                        "facet %r to %r, which is not a facet" % (f, image))
+            q = perm
+            while q != identity:
+                powers.append(q)
+                q = tuple(perm[v] for v in q)
+        self.table = table
+        top = len(table.faces) - 1
+        self.dim = top - 1
+        self.tops = table.masks[top]
+        self.all_tops = (1 << len(self.tops)) - 1
+        self.cover: dict = {}
+        for j, fmask in enumerate(self.tops):
+            bit, sub = 1 << j, fmask
             while True:
                 self.cover[sub] = self.cover.get(sub, 0) | bit
                 if not sub:
                     break
                 sub = (sub - 1) & fmask
+        self.lower = [sum(1 << v for v in g) for g in cx.facets if len(g) < top]
         masks, cofaces = table.masks, table.cofaces
-        images = [[1 << v for v in q] for q in powers]
+        self.images = images = [[1 << v for v in q] for q in powers]
         order = len(powers)
-        faces = [(size, s, smask) for size in range(1, table.dim)
+        faces = [(size, s, smask) for size in range(1, self.dim)
                  for s, smask in enumerate(masks[size]) if smask in self.cover]
         where = {smask: i for i, (_, _, smask) in enumerate(faces)}
         self.links: list = [None] * len(faces)
@@ -506,7 +456,23 @@ class _AuditData:
                                      len(self.stars),
                                      [images[(g - h) % order] for g in fixed])
             self.stars.append((size, ups))
-        self.verdicts: dict = {}
+        self.verdicts: dict = {}  # link key -> acyclic below the top
+        self.least: dict = {}     # removal mask -> least image mask
+
+    def keys(self, subsets: Iterable[tuple]) -> Iterator[int]:
+        """Each removal's least image mask under the powers, in subset order.
+
+        The first removal met in an orbit computes the whole orbit, and
+        every member's own mask is then looked up.
+        """
+        images, least = self.images, self.least
+        for removed in subsets:
+            key = least.get(sum(images[0][v] for v in removed))
+            if key is None:
+                orbit = [sum(bits[v] for v in removed) for bits in images]
+                key = min(orbit)
+                least.update(dict.fromkeys(orbit, key))
+            yield key
 
     def link_keys(self, removed: int) -> Iterator[tuple]:
         """The memo key of each link face missing ``removed``.
@@ -523,6 +489,68 @@ class _AuditData:
             part = [v for v in gone if lmask >> v & 1]
             yield orbit, (min(sum(bits[v] for v in part) for bits in maps)
                           if part else 0)
+
+    def purity_failure(self, removed: int) -> Optional[str]:
+        """Why the restriction missing ``removed`` is not pure of full
+        dimension, or None.
+
+        'dimension-drop' when no top facet misses the removal, 'impure' when
+        a face missing it lies in no such top facet.  Both are bitset tests.
+        Only the top facets meeting the removal and the facets below the
+        top dimension are tested: a top facet that misses the removal is a
+        kept top facet holding itself.
+        """
+        cover = self.cover
+        kept, rest = self.all_tops, removed
+        while rest:
+            low = rest & -rest
+            kept &= ~cover.get(low, 0)
+            rest ^= low
+        if not kept:
+            return "dimension-drop"
+        tops, rest = self.tops, self.all_tops & ~kept
+        while rest:
+            low = rest & -rest
+            if not cover.get(tops[low.bit_length() - 1] & ~removed, 0) & kept:
+                return "impure"
+            rest ^= low
+        if any(not cover.get(g & ~removed, 0) & kept for g in self.lower):
+            return "impure"
+        return None
+
+    def failure(self, removed: int = 0) -> Optional[str]:
+        """Why the restriction missing ``removed`` fails the audit, or None.
+
+        The reason is ``purity_failure``'s, or 'not-CM' when a face link
+        (the empty face included) has reduced homology below its top
+        dimension.  In a pure restriction the link of a face s is made of
+        the faces that contain s, lie in a top facet and miss the removal,
+        so its verdict depends only on s and the removed vertices of its
+        star.  It is memoized on the least image of that pair under the
+        powers, and reduced on the orbit's base face.
+        """
+        reason = self.purity_failure(removed)
+        if reason is not None or self.dim <= 0:
+            # links of dimension <= 0 have nothing below the top
+            return reason
+        verdicts, stars = self.verdicts, self.stars
+        for key in self.link_keys(removed):
+            ok = verdicts.get(key)
+            if ok is None:
+                size, ups = stars[key[0]]
+                ok = verdicts[key] = self._acyclic(size, ups, key[1])
+            if not ok:
+                return "not-CM"
+        # the link of the empty face is the restriction itself; a removal
+        # is decided once per audit, so its verdict is not kept
+        return None if self._acyclic(
+            0, [range(len(fs)) for fs in self.table.faces], removed) \
+            else "not-CM"
+
+    def _acyclic(self, base: int, ups: list, removed: int) -> bool:
+        """Whether the table finds no homology below the top degree."""
+        betti, torsion, _ = self.table._reduce(base, ups, removed)
+        return not any(betti[:-1]) and not any(torsion[:-1])
 
 
 def _vertices(mask: int) -> list:
@@ -542,16 +570,12 @@ def _table_of(cx: SimplicialComplex) -> _FaceTable:
     return cx.face_table
 
 
-def _audit_table(cx: SimplicialComplex) -> _FaceTable:
-    """The face table of cx with its audit data, built on first use.
-
-    The audit data is keyed by the powers of ``cx.symmetry``, so building
-    it checks that the symmetry is an automorphism of cx.
-    """
+def _audit_of(cx: SimplicialComplex) -> _Audit:
+    """The audit of cx, built on first use and kept on its face table."""
     table = _table_of(cx)
-    if table._audit is None:
-        table._audit = _AuditData(table, _symmetry_powers(cx))
-    return table
+    if table.audit is None:
+        table.audit = _Audit(cx, table)
+    return table.audit
 
 
 def homology(cx: SimplicialComplex) -> HomologyProfile:
@@ -593,7 +617,7 @@ def is_cohen_macaulay(cx: SimplicialComplex) -> bool:
     ``cx.symmetry``, so a symmetry that is not an automorphism of cx
     raises RuntimeError.
     """
-    return _audit_table(cx).cm_failure() is None
+    return _audit_of(cx).failure() is None
 
 
 class KCMFailure:
@@ -608,13 +632,12 @@ class KCMFailure:
 
 
 class KCMReport:
-    __slots__ = ("k", "mode", "cm_check", "examined", "seed", "failures")
+    __slots__ = ("k", "mode", "examined", "seed", "failures")
 
-    def __init__(self, k: int, mode: str, cm_check: str, examined: int = 0,
+    def __init__(self, k: int, mode: str, examined: int = 0,
                  seed: Optional[int] = None, failures: Optional[list] = None):
         self.k = k
         self.mode = mode
-        self.cm_check = cm_check
         self.examined = examined
         self.seed = seed
         self.failures = [] if failures is None else failures
@@ -624,147 +647,61 @@ class KCMReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "mode": self.mode, "cm_check": self.cm_check,
-                "examined": self.examined, "seed": self.seed,
-                "passed": self.passed,
+        return {"k": self.k, "mode": self.mode, "examined": self.examined,
+                "seed": self.seed, "passed": self.passed,
                 "failures": [f.to_dict() for f in self.failures]}
 
 
-def _symmetry_powers(cx: SimplicialComplex) -> list:
-    """The powers of ``cx.symmetry``, the identity first.
-
-    The symmetry must map the facet list onto itself, that is, be an
-    automorphism of cx; a complex without one has only the identity.
-    """
-    n = len(cx.vertices)
-    identity = tuple(range(n))
-    perm = cx.symmetry
-    if perm is None:
-        return [identity]
-    facets = set(cx.facets)
-    for f in cx.facets:
-        image = tuple(sorted(perm[v] for v in f))
-        if image not in facets:
-            raise RuntimeError(
-                "the vertex symmetry is not an automorphism: it maps facet "
-                "%r to %r, which is not a facet" % (f, image))
-    powers = [identity]
-    q = perm
-    while q != identity:
-        powers.append(q)
-        q = tuple(perm[v] for v in q)
-    return powers
-
-
-def _orbit_keys(powers: list, subsets: Iterable[tuple]) -> Iterator[int]:
-    """Each removal's least image mask under ``powers``, in subset order.
-
-    The first removal met in an orbit computes the whole orbit, and every
-    member's own mask is then looked up.
-    """
-    images = [[1 << v for v in q] for q in powers]
-    least: dict = {}
-    for removed in subsets:
-        key = least.get(sum(images[0][v] for v in removed))
-        if key is None:
-            orbit = [sum(bits[v] for v in removed) for bits in images]
-            key = min(orbit)
-            least.update(dict.fromkeys(orbit, key))
-        yield key
-
-
-def _decider(cx: SimplicialComplex, cm_check: str):
-    """The failure reason of a vertex removal, given as a mask, or None.
-
-    The Reisner route reads every removal off the face table of cx, which
-    every audit of cx shares with its link verdicts: a verdict is keyed by
-    the orbit of a face and the removed vertices of its star, whatever k.
-    The shelling route, kept apart as an independent check, builds each
-    induced complex and shells it.
-    """
-    if cm_check == "reisner":
-        return _audit_table(cx).cm_failure
-    dim = cx.dimension()
-
-    def decide(removed: int) -> Optional[str]:
-        rest = cx.induce([i for i in range(len(cx.vertices))
-                          if not removed >> i & 1])
-        if rest.dimension() != dim:
-            return "dimension-drop"
-        if not rest.is_pure():
-            return "impure"
-        try:
-            construct_shelling(rest)
-        except ShellingFailure:
-            return "not-CM"
-        return None
-
-    return decide
-
-
-def _memoized(decide, keys: Iterable[int]) -> Iterator[Optional[str]]:
-    """``decide`` of each key, calling it once per distinct key."""
-    verdicts: dict = {}
-    for key in keys:
-        if key not in verdicts:
-            verdicts[key] = decide(key)
-        yield verdicts[key]
-
-
 def _audit_chunk(payload) -> list:
-    """One worker's share of an audit's distinct keys, with its own table.
+    """One worker's share of an audit's distinct keys, with its own audit.
 
     Module-level so worker pools can pickle it.
     """
-    vertices, facets, symmetry, keys, cm_check = payload
-    decide = _decider(SimplicialComplex(vertices, facets, symmetry=symmetry),
-                      cm_check)
-    return [decide(key) for key in keys]
+    vertices, facets, symmetry, keys = payload
+    audit = _audit_of(SimplicialComplex(vertices, facets, symmetry=symmetry))
+    return [audit.failure(key) for key in keys]
 
 
 def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
-              cm_check: str = "reisner", sample_count: int = 200,
-              seed: int = 0, max_failures: Optional[int] = None,
+              sample_count: int = 200, seed: int = 0,
+              max_failures: Optional[int] = None,
               sizes: Optional[Iterable[int]] = None,
               workers: int = 1) -> KCMReport:
     """Audit k-Cohen-Macaulayness by removing vertex subsets of size < k.
 
     Each removal must leave a complex that is pure, of the same dimension,
-    and Cohen-Macaulay (by Reisner link homology, or by an explicit
-    shelling when cm_check='shelling').  Failures are collected as data.
-    The Reisner route decides every removal from the face table of cx,
-    built once per complex, memoizing link verdicts across audits.  It
-    first checks that ``cx.symmetry``, when set, maps the facet list onto
-    itself, and raises RuntimeError if not.  An automorphism g gives
-    Delta|W and Delta|g(W) isomorphic, and every failure reason is an
-    isomorphism invariant, so each removal is keyed by its least image
-    mask under the powers of g and each key is decided once; so is each
-    link, by the least image of the face and the removed part of its star.
-    The shelling route uses no symmetry: every removal is its own key.
-    Sample mode draws only sizes that fit in the vertex set.
-    ``examined`` counts every removal, and failures name each removal's
-    own vertices.  Distinct keys may be split over a process pool of at
-    most os.cpu_count() workers, one table each; results are merged in
-    subset order either way, and only then cut at ``max_failures``.
+    and Cohen-Macaulay by Reisner link homology.  Failures are collected as
+    data.  Every removal is decided by the audit of cx, built once per
+    complex, which memoizes link verdicts across audits.  Building it
+    checks that ``cx.symmetry``, when set, maps the facet list onto itself,
+    and raises RuntimeError if not.  An automorphism g gives Delta|W and
+    Delta|g(W) isomorphic, and every failure reason is an isomorphism
+    invariant, so each removal is keyed by its least image mask under the
+    powers of g and each key is decided once; so is each link, by the
+    least image of the face and the removed part of its star.  Sample mode
+    draws only sizes that fit in the vertex set.  ``examined`` counts every
+    removal, and failures name each removal's own vertices.  Distinct keys
+    may be split over a process pool of at most os.cpu_count() workers, one
+    audit each; results are merged in subset order either way, and only
+    then cut at ``max_failures``.
 
-    Structural failures first: when ``max_failures`` is set, the Reisner
-    route first scans the removals in subset order with the dimension and
-    purity bitset tests alone.  If that finds ``max_failures`` failures,
-    they are the report, and ``examined`` counts the removals up to the
-    last of them; otherwise the full search runs as above.  Either way
-    every reported removal fails.
+    Structural failures first: when ``max_failures`` is set, the same scan
+    first runs with the dimension and purity bitset tests alone.  If that
+    finds ``max_failures`` failures, they are the report, and ``examined``
+    counts the removals up to the last of them; otherwise the full search
+    runs as above.  Either way every reported removal fails.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if cm_check not in ("reisner", "shelling"):
-        raise ValueError("cm_check must be 'reisner' or 'shelling'")
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
+    if max_failures is not None and max_failures < 1:
+        raise ValueError("max_failures must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     workers = min(workers, os.cpu_count() or 1)
     n = len(cx.vertices)
     sizes = list(sizes) if sizes is not None else list(range(0, k))
-    report = KCMReport(k=k, mode=mode, cm_check=cm_check,
-                       seed=seed if mode != "exhaustive" else None)
     if mode == "exhaustive":
         subsets = [c for size in sizes
                    for c in itertools.combinations(range(n), size)]
@@ -778,42 +715,38 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         subsets = sorted(pool)
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
-    if max_failures is not None and cm_check == "reisner":
-        table = _audit_table(cx)
-        for removed in subsets:
+    audit = _audit_of(cx)
+
+    def scan(decide, verdicts: dict) -> KCMReport:
+        # keys are computed lazily, so a capped scan stops at its last failure
+        report = KCMReport(k, mode, seed=seed if mode != "exhaustive" else None)
+        for removed, key in zip(subsets, audit.keys(subsets)):
             report.examined += 1
-            reason = table.purity_failure(sum(1 << v for v in removed))
+            if key not in verdicts:
+                verdicts[key] = decide(key)
+            reason = verdicts[key]
             if reason is not None:
-                report.failures.append(
-                    KCMFailure(tuple(cx.vertices[i] for i in removed), reason))
-                if len(report.failures) >= max_failures:
-                    return report
-        report.examined, report.failures = 0, []
-    powers = _symmetry_powers(cx) if cm_check == "reisner" \
-        else [tuple(range(n))]
-    keys = _orbit_keys(powers, subsets)
+                report.failures.append(KCMFailure(
+                    tuple(cx.vertices[i] for i in removed), reason))
+                if len(report.failures) == max_failures:
+                    break
+        return report
+
+    if max_failures is not None:
+        report = scan(audit.purity_failure, {})
+        if len(report.failures) == max_failures:
+            return report
+    verdicts: dict = {}
     if workers > 1:
         import multiprocessing
-        keys = list(keys)
-        distinct = list(dict.fromkeys(keys))
+        distinct = list(dict.fromkeys(audit.keys(subsets)))
         step = max(1, -(-len(distinct) // workers))
-        chunks = [(cx.vertices, cx.facets, cx.symmetry, distinct[i:i + step],
-                   cm_check)
+        chunks = [(cx.vertices, cx.facets, cx.symmetry, distinct[i:i + step])
                   for i in range(0, len(distinct), step)]
         with multiprocessing.Pool(workers) as p:
-            decide = dict(zip(distinct, [r for part in
-                                         p.map(_audit_chunk, chunks)
-                                         for r in part])).__getitem__
-    else:
-        decide = _decider(cx, cm_check)
-    for removed, reason in zip(subsets, _memoized(decide, keys)):
-        report.examined += 1
-        if reason is not None:
-            report.failures.append(
-                KCMFailure(tuple(cx.vertices[i] for i in removed), reason))
-            if max_failures is not None and len(report.failures) >= max_failures:
-                break
-    return report
+            parts = p.map(_audit_chunk, chunks)
+        verdicts = dict(zip(distinct, itertools.chain.from_iterable(parts)))
+    return scan(audit.failure, verdicts)
 
 
 def codim1_incidence(cx: SimplicialComplex) -> dict:

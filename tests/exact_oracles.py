@@ -9,7 +9,9 @@ absolute order read off cycles, the two-length face test,
 a root system rebuilt from its JSON report, and the shelling condition
 checked on every pair of facets.  The builder's pieces are redone the
 slow way: the pair graph by ``is_face`` on every pair, maximal cliques by
-Bron-Kerbosch on Python sets, and purity by testing every facet.  The
+Bron-Kerbosch on Python sets, and purity by testing every facet against
+the kept top facets.  The k-CM audit is redone with no symmetry and no
+face table, by shelling every induced complex.  The
 noncrossing side is redone with group elements: the componentwise
 absolute order on L_m and the face-to-tuple map by permutation products;
 and its comparison is redone on explicit complexes: a skeleton and an
@@ -40,7 +42,9 @@ from clustercomplexes.noncrossing import face_to_tuple, order_complex
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
                                     Root, build_root_system)
 from clustercomplexes.simplicial import SimplicialComplex
-from clustercomplexes.topology import ShellingOrder, homology
+from clustercomplexes.topology import (KCMFailure, KCMReport, ShellingFailure,
+                                       ShellingOrder, construct_shelling,
+                                       homology)
 
 
 def difference(a: Matrix, b: Matrix) -> Matrix:
@@ -402,18 +406,24 @@ def complex_by_all_pairs(rs, m: int) -> tuple:
     return vertices, facets, adjacency
 
 
-def purity_failure_by_all_facets(table, removed: int):
-    """``_FaceTable.purity_failure`` testing every facet for impurity."""
-    audit = table._audit
-    kept = audit.all_tops
-    for v in range(removed.bit_length()):
-        if removed >> v & 1:
-            kept &= audit.avoiding.get(v, audit.all_tops)
+def purity_failure_by_all_facets(cx, removed: int):
+    """Why the restriction missing ``removed`` is not pure of full
+    dimension, or None, from the facets alone.
+
+    The kept top facets are the facets of the top size that miss the
+    removal: 'dimension-drop' if there are none, 'impure' if some facet
+    minus the removal lies in none of them.
+    """
+    gone = {v for v in range(removed.bit_length()) if removed >> v & 1}
+    top = max((len(f) for f in cx.facets), default=0)
+    kept = {frozenset(f) for f in cx.facets
+            if len(f) == top and not gone.intersection(f)}
     if not kept:
         return "dimension-drop"
-    if any(not audit.cover.get(g & ~removed, 0) & kept
-           for g in table.facet_masks):
-        return "impure"
+    for f in cx.facets:
+        rest = frozenset(f) - gone
+        if rest not in kept and not any(rest <= t for t in kept):
+            return "impure"
     return None
 
 
@@ -852,6 +862,38 @@ def shelling_by_definition(cx, order) -> ShellingOrder:
         rest = tuple(sorted(v for v in fk if frozenset(fk_set - {v}) in codim1))
         restrictions.append(rest)
     return ShellingOrder(tuple(facets), tuple(restrictions))
+
+
+def kcm_by_shelling(cx, k: int) -> KCMReport:
+    """The exhaustive k-CM audit of cx with every removal shelled.
+
+    Each induced complex is checked for dimension and purity and then
+    shelled by ``construct_shelling``; no symmetry and no face table.  A
+    shellable complex is CM, but not conversely, so 'not-CM' here means
+    only that no vertex decomposition was found: the routes must agree on
+    complexes whose CM restrictions are shellable, as those of cluster
+    complexes are.
+    """
+    n, dim = len(cx.vertices), cx.dimension()
+    report = KCMReport(k, "exhaustive")
+    for size in range(k):
+        for removed in itertools.combinations(range(n), size):
+            report.examined += 1
+            rest = cx.induce([i for i in range(n) if i not in removed])
+            if rest.dimension() != dim:
+                reason = "dimension-drop"
+            elif not rest.is_pure():
+                reason = "impure"
+            else:
+                try:
+                    construct_shelling(rest)
+                except ShellingFailure:
+                    reason = "not-CM"
+                else:
+                    continue
+            report.failures.append(
+                KCMFailure(tuple(cx.vertices[i] for i in removed), reason))
+    return report
 
 
 # -- the noncrossing comparison on explicit complexes ---------------------------------

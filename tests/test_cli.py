@@ -40,23 +40,24 @@ def test_verify_all_builds_the_audit_data_once(phi, m, monkeypatch, capsys):
     # and the homotopy comparison read the one table of each complex too
     from clustercomplexes import topology
     built, tables = [], []
-    real = topology._AuditData.__init__
+    real = topology._Audit.__init__
     real_table = topology._FaceTable.__init__
 
-    def recording(self, table, powers):
-        built.append(table)
-        real(self, table, powers)
+    def recording(self, cx, table):
+        built.append(cx)
+        real(self, cx, table)
 
     def recording_table(self, facets):
         tables.append(tuple(facets))
         real_table(self, facets)
 
-    monkeypatch.setattr(topology._AuditData, "__init__", recording)
+    monkeypatch.setattr(topology._Audit, "__init__", recording)
     monkeypatch.setattr(topology._FaceTable, "__init__", recording_table)
     assert run(["verify-all", "--phi", phi, "--m", str(m)]) == 0
     capsys.readouterr()
     assert len(built) == 1
-    assert built[0].dim == clustercomplexes.build_root_system(phi).rank - 1
+    assert built[0].dimension() == \
+        clustercomplexes.build_root_system(phi).rank - 1
     assert len(set(tables)) == len(tables)
 
 

@@ -141,7 +141,8 @@ def test_every_library_definition_is_read():
 
 def test_import_loads_no_class_factory_and_no_csv():
     # set-up generates no methods: no dataclass machinery (which pulls in
-    # inspect) and no csv until a csv report is rendered
+    # inspect), no csv until a csv report is rendered and no
+    # multiprocessing until an audit starts a worker pool
     src = Path(clustercomplexes.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     loaded = subprocess.run(
@@ -149,7 +150,7 @@ def test_import_loads_no_class_factory_and_no_csv():
          "import sys\n"
          "before = set(sys.modules)\n"
          "import clustercomplexes, clustercomplexes.cli\n"
-         "print(sorted({'dataclasses', 'inspect', 'csv'}\n"
+         "print(sorted({'dataclasses', 'inspect', 'csv', 'multiprocessing'}\n"
          "             & set(sys.modules) - before))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"

@@ -325,8 +325,8 @@ class TestFaceTable:
         # the link's own complex, and the verdict kept under the face's
         # canonical key (its R_m orbit) against the face's own reduction
         cx, _ = build_complex(build_root_system(label), m)
-        table = topology._audit_table(cx)
-        audit = table._audit
+        audit = topology._audit_of(cx)
+        table = audit.table
         tops = [set(f) for f in cx.facets]
         top = cx.dimension() + 1
         own = {}
@@ -340,7 +340,7 @@ class TestFaceTable:
         for size in range(3):
             for removed in itertools.combinations(range(len(cx.vertices)), size):
                 mask = sum(1 << v for v in removed)
-                if table.cm_failure(mask) not in (None, "not-CM"):
+                if audit.failure(mask) not in (None, "not-CM"):
                     continue
                 missing = [smask for smask, *_ in audit.links
                            if not smask & mask]
@@ -354,10 +354,10 @@ class TestFaceTable:
                     # acyclic below the top dimension of the link
                     want = set(prof.groups()) <= {cx.dimension() - len(face)}
                     k, ups = own[smask]
-                    assert table._acyclic(k, ups, mask) == want, (removed, face)
+                    assert audit._acyclic(k, ups, mask) == want, (removed, face)
                     kept = audit.verdicts.get(key)
                     if kept is None:  # past the restriction's first bad link
-                        kept = table._acyclic(*audit.stars[key[0]], key[1])
+                        kept = audit._acyclic(*audit.stars[key[0]], key[1])
                     assert kept == want, (removed, face, key)
                     checked += 1
         assert checked > 1000

@@ -14,7 +14,7 @@ from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
                                        homology, is_cohen_macaulay, kcm_audit,
                                        verify_shelling)
 from conftest import ACCEPTANCE_MATRIX, RP2
-from exact_oracles import (purity_failure_by_all_facets,
+from exact_oracles import (kcm_by_shelling, purity_failure_by_all_facets,
                            shelling_by_definition, subsystem)
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
@@ -66,23 +66,23 @@ class TestPurity:
     def test_audit_scan_equals_the_all_facet_scan(self, label, m, complexes):
         # every removal of at most two vertices
         _, cx, _ = complexes(label, m)
-        table = topology._audit_table(cx)
+        audit = topology._audit_of(cx)
         n = len(cx.vertices)
         for k in (0, 1, 2):
             for removal in itertools.combinations(range(n), k):
                 mask = sum(1 << v for v in removal)
-                assert table.purity_failure(mask) == \
-                    purity_failure_by_all_facets(table, mask), removal
+                assert audit.purity_failure(mask) == \
+                    purity_failure_by_all_facets(cx, mask), removal
 
     def test_audit_scan_on_an_impure_complex(self):
         # a triangle with a pendant edge and an isolated vertex, every removal
         cx = SimplicialComplex(list("abcdef"),
                                [(0, 1, 2), (1, 2, 3), (3, 4), (5,)])
-        table = topology._audit_table(cx)
+        audit = topology._audit_of(cx)
         seen = set()
         for mask in range(1 << len(cx.vertices)):
-            reason = table.purity_failure(mask)
-            assert reason == purity_failure_by_all_facets(table, mask), mask
+            reason = audit.purity_failure(mask)
+            assert reason == purity_failure_by_all_facets(cx, mask), mask
             seen.add(reason)
         assert seen == {None, "impure", "dimension-drop"}
 
@@ -398,9 +398,17 @@ class TestKCM:
             report = kcm_audit(pos, m + 1, sizes=[m], max_failures=1)
             assert not report.passed
 
-    def test_shelling_mode_agrees(self, complexes):
-        _, cx, _ = complexes("A2", 2)
-        assert kcm_audit(cx, 3, cm_check="shelling").passed
+    @pytest.mark.parametrize("label,m", [
+        ("A2", 1), ("A2", 2), ("A2", 3), ("B2", 1), ("B2", 2), ("G2", 1),
+        ("A3", 1), ("B3", 1), ("I2(5)", 2), ("A1xA2", 2)])
+    def test_shelling_route_agrees_on_every_removal(self, label, m):
+        # the sharp audits fail on some removals, so the two routes are
+        # held to the same failures, removal by removal and reason by reason
+        cx, _ = build_complex(build_root_system(label), m)
+        for complex_, k in ((cx, m + 2), (positive_part(cx), m + 1)):
+            report = kcm_audit(complex_, k)
+            assert not report.passed
+            assert report.to_dict() == kcm_by_shelling(complex_, k).to_dict()
 
     def test_sampled_mode_reproducible(self, complexes):
         _, cx, _ = complexes("A3", 2)
@@ -440,7 +448,7 @@ class TestKCM:
         # the first removal that fails in subset order
         _, cx, _ = complexes(label, m)
         report = kcm_audit(cx, m + 2, sizes=[m + 1], max_failures=1)
-        decide = topology._audit_table(cx).cm_failure
+        decide = topology._audit_of(cx).failure
         removals = itertools.combinations(range(len(cx.vertices)), m + 1)
         examined, (removed, reason) = next(
             (i, (r, why)) for i, r in enumerate(removals, 1)
@@ -471,24 +479,23 @@ class TestKCM:
         # removed part of its star) is reduced once, on the orbit's base.  A
         # complex keeps its link verdicts, so this one is built afresh
         decided, reduced = [], []
-        real_cm = topology._FaceTable.cm_failure
-        real_acyclic = topology._FaceTable._acyclic
+        real_cm = topology._Audit.failure
+        real_acyclic = topology._Audit._acyclic
 
-        def deciding(table, removed=0):
-            decided.append((table, removed))
-            return real_cm(table, removed)
+        def deciding(audit, removed=0):
+            decided.append((audit, removed))
+            return real_cm(audit, removed)
 
-        def reducing(table, base, ups, removed):
+        def reducing(audit, base, ups, removed):
             if base:  # not the restriction itself
                 reduced.append((id(ups), removed))
-            return real_acyclic(table, base, ups, removed)
+            return real_acyclic(audit, base, ups, removed)
 
-        monkeypatch.setattr(topology._FaceTable, "cm_failure", deciding)
-        monkeypatch.setattr(topology._FaceTable, "_acyclic", reducing)
+        monkeypatch.setattr(topology._Audit, "failure", deciding)
+        monkeypatch.setattr(topology._Audit, "_acyclic", reducing)
         cx, _ = build_complex(build_root_system("B3"), 2)
         assert kcm_audit(cx, 3).passed
-        (table,) = {t for t, _ in decided}
-        audit = table._audit
+        (audit,) = {a for a, _ in decided}
         keys = {key for _, removed in decided
                 for key in audit.link_keys(removed)}
         assert len(reduced) == len(set(reduced)) == len(keys) == 115
@@ -520,8 +527,11 @@ class TestKCM:
             kcm_audit(cx, 2, mode="nope")
         with pytest.raises(ValueError):
             kcm_audit(cx, 2, workers=0)
-        with pytest.raises(ValueError):
-            kcm_audit(cx, 2, cm_check="nope")
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_failures"):
+                kcm_audit(cx, 2, max_failures=cap)
+        with pytest.raises(ValueError, match="sample_count"):
+            kcm_audit(cx, 2, mode="sample", sample_count=0)
 
 
 AUDITS = ("exhaustive", "sample", "witness")
@@ -570,13 +580,13 @@ class TestOrbitAudit:
         # B3 m=2: R_m has order 7, and the 232 removals of the exhaustive
         # 3-CM audit fall into 34 orbits
         calls = []
-        real = topology._FaceTable.cm_failure
+        real = topology._Audit.failure
 
-        def counting(table, removed=0):
+        def counting(audit, removed=0):
             calls.append(removed)
-            return real(table, removed)
+            return real(audit, removed)
 
-        monkeypatch.setattr(topology._FaceTable, "cm_failure", counting)
+        monkeypatch.setattr(topology._Audit, "failure", counting)
         _, cx, _ = complexes("B3", 2)
         report = kcm_audit(cx, 3)
         assert report.passed and report.examined == 232
@@ -595,7 +605,7 @@ class TestOrbitAudit:
         with pytest.raises(RuntimeError, match="not an automorphism"):
             is_cohen_macaulay(swapped)
         # the shelling route uses no symmetry
-        assert kcm_audit(swapped, 2, cm_check="shelling").passed
+        assert kcm_by_shelling(swapped, 2).passed
 
 
 class TestIncidence:
