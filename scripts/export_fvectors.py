@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Export f- and h-vectors of the complexes and their positive parts as CSV."""
+"""Export f- and h-vectors of the complexes and their positive parts as CSV.
+
+Every label goes through the guards of ``clustercx`` at m = --max-m before
+any output is written: a bad label, or a rank, m or vertex count past the
+limits, exits 2 with ``error: <message>`` on stderr.
+"""
 import argparse
 import csv
 import sys
 
+from clustercomplexes.cli import CAP_VERTICES, GuardError, load_system
 from clustercomplexes.colored import build_complex, positive_part
-from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import f_h_vectors
 
 
@@ -16,12 +21,17 @@ def main() -> int:
     ap.add_argument("--max-m", type=int, default=3)
     ap.add_argument("--out", default="-")
     args = ap.parse_args()
+    try:
+        systems = [(label, load_system(label, args.max_m, CAP_VERTICES))
+                   for label in args.types]
+    except GuardError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(out)
     writer.writerow(["type", "m", "part", "f_vector", "h_vector"])
-    for label in args.types:
-        rs = build_root_system(label)
+    for label, rs in systems:
         for m in range(1, args.max_m + 1):
             cx, _ = build_complex(rs, m)
             for part, complex_ in (("full", cx), ("positive", positive_part(cx))):

@@ -36,30 +36,34 @@ class GuardError(ValueError):
 
 MAX_RANK = 6
 MAX_COLORS = 4
+CAP_VERTICES = 200
 HOMOLOGY_FACE_CAP = 200_000
 
 
-def _load_system(args: argparse.Namespace):
-    if args.m < 0:
-        raise GuardError("the color count m must be nonnegative, got %d"
-                         % args.m)
+def load_system(phi: str, m: int, cap_vertices: int):
+    """The system ``phi`` names, if its complex at m is in desk scale.
+
+    Raises ``GuardError`` on a bad label or m, and past the rank, color
+    and vertex limits.
+    """
+    if m < 0:
+        raise GuardError("the color count m must be nonnegative, got %d" % m)
     try:
-        rs = build_root_system(args.phi)
+        rs = build_root_system(phi)
     except ValueError as exc:  # a bad label
         raise GuardError(str(exc)) from None
     if rs.rank > MAX_RANK:
         raise GuardError("rank %d exceeds the desk-scale limit %d; full "
                          "enumeration at that size is out of reach"
                          % (rs.rank, MAX_RANK))
-    if args.m > MAX_COLORS:
+    if m > MAX_COLORS:
         raise GuardError("m = %d exceeds the desk-scale limit %d"
-                         % (args.m, MAX_COLORS))
-    predicted = args.m * len(rs.positive_roots) + rs.rank
-    if predicted > args.cap_vertices:
+                         % (m, MAX_COLORS))
+    predicted = m * len(rs.positive_roots) + rs.rank
+    if predicted > cap_vertices:
         raise GuardError(
             "refusing facet enumeration: %d vertices exceeds the cap %d "
-            "(raise --cap-vertices to override)"
-            % (predicted, args.cap_vertices))
+            "(raise --cap-vertices to override)" % (predicted, cap_vertices))
     return rs
 
 
@@ -158,7 +162,7 @@ def _positive_wedge(rs, m: int) -> tuple:
 
 
 def _load_complex(args: argparse.Namespace):
-    rs = _load_system(args)
+    rs = load_system(args.phi, args.m, args.cap_vertices)
     cx, adjacency = build_complex(rs, args.m)
     return rs, cx, adjacency
 
@@ -239,7 +243,7 @@ def cmd_ncp(args: argparse.Namespace) -> dict:
     if args.m < 1:
         raise GuardError("ncp needs m >= 1: the multichain poset is built "
                          "from m-tuples")
-    rs = _load_system(args)
+    rs = load_system(args.phi, args.m, args.cap_vertices)
     if not rs.is_irreducible:
         raise GuardError("ncp needs an irreducible system: the face-to-tuple "
                          "map follows the Coxeter element's root sequence")
@@ -330,6 +334,8 @@ def cmd_verify_all(args: argparse.Namespace) -> dict:
     n_v = len(cx.vertices)
     total = sum(comb(n_v, s) for s in range(0, m + 1))
     mode = "exhaustive" if total <= exhaustive_cap else "sample"
+    # the config records the k and the mode the audit used, not the flags
+    args.k, args.mode = m + 1, mode
     rep = kcm_audit(cx, m + 1, mode=mode, seed=args.seed, workers=args.workers)
     add("kcm", rep.passed, k=m + 1, mode=mode, examined=rep.examined)
     witness = kcm_audit(cx, m + 2, sizes=[m + 1], max_failures=1)
@@ -351,7 +357,7 @@ def cmd_verify_all(args: argparse.Namespace) -> dict:
 def cmd_polygon(args: argparse.Namespace) -> dict:
     if args.m < 1:
         raise GuardError("the polygon oracle needs m >= 1")
-    rs = _load_system(args)
+    rs = load_system(args.phi, args.m, args.cap_vertices)
     if not (rs.is_irreducible and rs.label.startswith("A")):
         raise GuardError("the polygon oracle models type A only")
     cx, _ = build_complex(rs, args.m)
@@ -408,7 +414,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None)
     common.add_argument("--format", default="table",
                         choices=["table", "json", "csv"])
-    common.add_argument("--cap-vertices", type=int, default=200)
+    common.add_argument("--cap-vertices", type=int, default=CAP_VERTICES)
     sub = top.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])

@@ -10,10 +10,11 @@ absolute order; the face test decides it with one reflection length, that
 of w^-1 gamma (see ``is_face``).  It builds no group element: the context
 keeps one step per vertex position (its place in the word and its
 reflection), and the test applies the sorted steps to the n simple-root
-images of gamma.  The builder applies each vertex's step to gamma's images
-once, so a pair costs one more step; it enumerates facets as maximal
-cliques of the pair graph on bitmasks and re-validates every clique against
-the word criterion, so the flag property is checked rather than assumed.
+images of gamma.  The builder decides every pair from one descent set per
+positive root, that of t gamma (``RootSystem.descents``), with no length
+per pair; it enumerates facets as maximal cliques of the pair graph on
+bitmasks and re-validates every clique against the word criterion, so the
+flag property is checked rather than assumed.
 
 Only the builder treats a product apart: it joins the components' facets
 and pair graphs (Fomin and Reading).  All else acts on the product itself,
@@ -343,21 +344,34 @@ def _rotation(ctx: ComplexContext, vertices: Sequence[ColoredRoot]):
 def _pair_graph(ctx: ComplexContext) -> list:
     """The neighbour bitmask of each vertex position.
 
-    A pair's word applies the earlier of its steps first, so its images are
-    the later reflection applied to the earlier vertex's prefix: gamma's
-    images after that vertex's own reflection.
+    A pair {a, b}, a's step first, is a face when l(t_b t_a gamma) = n - 2.
+    Every reflection lies below gamma, so l(t_a gamma) = n - 1, and the
+    pair is a face exactly when b's root is a descent of t_a gamma: one
+    descent set per positive root serves every pair.
     """
-    steps, image_length = ctx.steps, ctx.system.image_length
-    target = ctx.gamma.length - 2
+    rs, steps = ctx.system, ctx.steps
+    # each position's root, as an index into positive_roots: the negative
+    # roots follow the positive ones in ``roots``, in the same order
+    npos = len(rs.positive_roots)
+    root = [rs.index_of(v.root) % npos for v in colored_vertices(rs, ctx.m)]
+    down = {}  # root -> the descent set of its t gamma
+    for p, r in enumerate(root):
+        if r not in down:
+            images = tuple(map(steps[p][2].__getitem__, ctx.gamma_images))
+            down[r] = rs.descents(images)
+            if rs.image_length(images) != ctx.gamma.length - 1:
+                raise RuntimeError(
+                    "the reflection in %r is not below the Coxeter element "
+                    "of %s" % (rs.positive_roots[r], rs.label))
     adjacency = [0] * len(steps)
-    prefixes = []
+    earlier = []
     for b in sorted(range(len(steps)), key=steps.__getitem__):
-        t = steps[b][2].__getitem__
-        for a, prefix in prefixes:
-            if image_length(tuple(map(t, prefix))) == target:
+        r = root[b]
+        for a in earlier:
+            if down[root[a]] >> r & 1:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-        prefixes.append((b, tuple(map(t, ctx.gamma_images))))
+        earlier.append(b)
     return adjacency
 
 

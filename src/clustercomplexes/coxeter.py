@@ -14,11 +14,13 @@ tests' ``exact_oracles``.
 
 u <= w in absolute order when l(u) + l(u^-1 w) = l(w).  When u is a product
 of k reflections, l(u^-1 w) = l(w) - k alone decides both l(u) = k and
-u <= w, since l(u) <= k and l(w) <= l(u) + l(u^-1 w); the face test of
-``colored`` and ``absolute_interval`` each pay one length per candidate.
-Neither builds u^-1 w: each applies reflections to the n simple-root
-images of w, n lookups per reflection, and looks the length up by the
-images it reaches.
+u <= w, since l(u) <= k and l(w) <= l(u) + l(u^-1 w).  The face test of
+``colored`` pays one length per face; it builds no u^-1 w, but applies
+reflections to the n simple-root images of w, n lookups per reflection,
+and looks the length up by the images it reaches.  ``absolute_interval``
+takes one step of that chain for every reflection at once: the t with
+l(t x) = l(x) - 1 are the descents of x (``RootSystem.descents``), one
+elimination per element it reaches.
 
 The total order on Phi+ and -Pi is read off the root sequence of the
 bipartite Coxeter element; a product's lists each component's in turn.
@@ -177,34 +179,36 @@ def total_order(rs: RootSystem) -> TotalOrder:
 def absolute_interval(rs: RootSystem, top: Optional[GroupElement] = None) -> list:
     """All w below ``top`` in absolute order, by additive-length closure.
 
-    Each frontier element u carries the simple-root images of u^-1 top.  A
-    candidate v = u t is known by its own images u(t(alpha_j)), and
-    v^-1 top = t u^-1 top by t applied to u's carried images; v's
-    permutation is built only once v is accepted.
+    Each frontier element u carries the simple-root images of u^-1 top.
+    v = u t lies one level up exactly when l(t u^-1 top) = l(u^-1 top) - 1,
+    that is when t's root is a descent of u^-1 top: one descent set per
+    frontier element decides every t.  A candidate is known by its own
+    images u(t(alpha_j)); its permutation, and t applied to u's carried
+    images, are built only once it is new.
     """
     if top is None:
         top = bipartite_coxeter(rs)
     simple = rs.simple_positions
     gens = [(t.perm, tuple(t.perm[i] for i in simple))
             for t in (rs.reflection(r) for r in rs.positive_roots)]
-    top_len = top.length
     out = [rs.identity_element()]
     seen = {simple}
     frontier = [(out[0].perm, tuple(top.perm[i] for i in simple))]
-    for level in range(1, top_len + 1):
+    # at level k, v = u*t gives l(v) <= k + 1, and l(top) <= l(v) +
+    # l(v^-1 top) gives l(v) >= k + 1 once l(v^-1 top) = l(top) - k - 1
+    for _ in range(top.length):
         nxt = []
         for u, carried in frontier:
-            for t, t_images in gens:
+            down = rs.descents(carried)
+            while down:
+                low = down & -down
+                t, t_images = gens[low.bit_length() - 1]
+                down ^= low
                 key = tuple(u[i] for i in t_images)
-                if key in seen:
-                    continue
-                rest = tuple(t[i] for i in carried)
-                # v = u*t gives l(v) <= level, and l(top) <= l(v) + l(v^-1 top)
-                # gives l(v) >= level once l(v^-1 top) = l(top) - level
-                if rs.image_length(rest) != top_len - level:
-                    continue
-                seen.add(key)
-                nxt.append((tuple(u[i] for i in t), rest))
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((tuple(u[i] for i in t),
+                                tuple(t[i] for i in carried)))
         out.extend(GroupElement(rs, v) for v, _ in nxt)
         frontier = nxt
     return out

@@ -6,11 +6,12 @@ covers the icosahedral types H3 and H4 (via the golden ratio); every
 crystallographic type stays inside the rationals (b == 0).  No floating
 point enters any computation in this module.
 
-``pair_rank`` eliminates fraction-free over the ring Z[sqrt5], each entry
-an int pair (p, q) standing for p + q*sqrt5; no ``Fraction`` is built
-during the elimination.  Reflection length (see ``roots``) calls it on its
-own integer rows, and ``Matrix.rank`` clears denominators row by row and
-calls the same elimination.
+``pair_eliminate`` eliminates fraction-free over the ring Z[sqrt5], each
+entry an int pair (p, q) standing for p + q*sqrt5; no ``Fraction`` is
+built during the elimination.  It is the one elimination of the package:
+reflection length and descent sets (see ``roots``) read the rank, and a
+left kernel, off it on their own integer rows, and ``Matrix.rank`` clears
+denominators row by row and calls it too.
 
 ``common_denominator`` and ``int_pairs`` turn Scalars into such int
 pairs.  ``Matrix.rank`` calls them per row; ``roots`` calls them once per
@@ -185,12 +186,12 @@ class Matrix:
         return hash(self.entries)
 
     def rank(self) -> int:
-        """Rank, by clearing denominators row by row for ``pair_rank``.
+        """Rank, by clearing denominators row by row for ``pair_eliminate``.
 
         Scaling a row by the lcm of its denominators leaves the rank alone.
         """
-        return pair_rank([int_pairs(row, common_denominator(row))
-                          for row in self.entries])
+        return pair_eliminate([int_pairs(row, common_denominator(row))
+                               for row in self.entries], self.cols)
 
     def __repr__(self):
         return "Matrix(%r)" % (self.entries,)
@@ -249,18 +250,22 @@ def pair_ranks(values: Iterable[tuple]) -> dict:
             enumerate(sorted(set(values), key=cmp_to_key(pair_compare)))}
 
 
-def pair_rank(m: list) -> int:
-    """Rank of a matrix over Z[sqrt5] by fraction-free elimination.
+def pair_eliminate(m: list, cols: int) -> int:
+    """Rank of the first ``cols`` columns of a matrix over Z[sqrt5].
 
     ``m`` is a list of rows of one length, each entry an int pair (p, q)
-    standing for p + q*sqrt5; the rows are consumed.  A pivot (x, y)
-    clears the entry (u, v) of a lower row by
+    standing for p + q*sqrt5; the rows are reduced in place by
+    fraction-free forward elimination on their first ``cols`` columns.  A
+    pivot (x, y) clears the entry (u, v) of a lower row by
     row <- (x + y r) row - (u + v r) pivot_row, with r = sqrt5, and the new
     row is divided by the gcd of its ints.  Z[sqrt5] is a domain and sqrt5
     is irrational, so a pair is zero exactly when both ints are.
+
+    The rows from the rank on end zero in the first ``cols`` columns.  So
+    when each row is followed by the matching row of an identity matrix,
+    their remaining entries span the left kernel of the first block.
     """
     rows = len(m)
-    cols = len(m[0]) if rows else 0
     rank = 0
     for col in range(cols):
         pivot = next((i for i in range(rank, rows) if m[i][col] != (0, 0)), None)

@@ -55,18 +55,23 @@ Coordinate systems read it by Carter's lemma off integer rows: on the
 first length, each root's expansion pairs are scaled by the common
 denominator of all of them (1 or 2) into int pairs (p, q) = p + q*sqrt5,
 and the rank of w - I goes to the fraction-free elimination
-``exact.pair_rank``.  I2(m) tells a rotation from a reflection by its two
-images.
+``exact.pair_eliminate``.  ``descents`` answers l(t w) = l(w) - 1 for every
+reflection t at once: l(t_beta w) < l(w) exactly when beta lies in
+Mov(w) = Im(w - 1) (Brady and Watt), that is when it is orthogonal to the
+left kernel of w - I, which the same elimination carries out beside an
+identity block; it leaves l(w) in the memo.  I2(m) reads both off the two images:
+it tells a rotation from a reflection.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import (GOLDEN, ONE, ZERO, Scalar, coerce_scalar,
                     common_denominator, int_pairs, pair_dot, pair_is_negative,
-                    pair_rank, pair_ranks)
+                    pair_eliminate, pair_ranks)
 
 _HALF = Fraction(1, 2)
 
@@ -217,6 +222,12 @@ class RootSystem:
     def _reflection_length(self, images: tuple) -> int:
         raise NotImplementedError
 
+    def descents(self, images: tuple) -> int:
+        """The bitmask of the i with l(t w) = l(w) - 1, t the reflection in
+        ``positive_roots[i]`` and w(alpha_j) = roots[images[j]]; l(w) lands
+        in the length memo."""
+        raise NotImplementedError
+
     def numerology(self) -> Numerology:
         raise NotImplementedError
 
@@ -278,6 +289,7 @@ class CoordinateRootSystem(RootSystem):
         self._reflections = None
         self._lengths = {}
         self._int_expansions = None
+        self._flat = None  # the positive rows of the table, flattened
         self.contexts = {}
         self.rho = None
         self._numerology = None
@@ -346,19 +358,50 @@ class CoordinateRootSystem(RootSystem):
 
     def _reflection_length(self, images: tuple) -> int:
         # Carter's lemma: l_T(w) = codim Fix(w) = rank(w - I) on the root
-        # span.  Row j below is D (expansion(w(alpha_j)) - e_j), D the common
-        # denominator: D times the j-th column of w - I in the simple-root
-        # basis.  Neither D nor the transpose moves the rank.
+        # span.
+        return pair_eliminate(self._moved_rows(images), len(images))
+
+    def descents(self, images: tuple) -> int:
+        # beta lies in Im(w - I) exactly when y . beta = 0 for every y in
+        # the left kernel of w - I.  Each row of w - I is followed by its
+        # row of an identity block; the rows the elimination leaves zero in
+        # the first block carry that kernel in the second.  With y_j =
+        # p + q*sqrt5 and beta_j = s + t*sqrt5, y . beta = 0 is two int
+        # equations, sum p s + 5 q t = 0 and sum q s + p t = 0, on beta's
+        # coefficients (s_1, t_1, .., s_n, t_n).
+        n = len(images)
+        rows = self._moved_rows(images)
+        for i, row in enumerate(rows):
+            row += [(0, 0)] * n
+            row[n + i] = (1, 0)
+        rank = self._lengths[images] = pair_eliminate(rows, n)
+        rules = [rule for row in rows[rank:] for rule in (
+            [c for p, q in row[n:] for c in (p, 5 * q)],
+            [c for p, q in row[n:] for c in (q, p)])]
+        if self._flat is None:
+            self._flat = [[c for pair in exp for c in pair] for exp in
+                          self._int_expansions[0][:len(self.positive_roots)]]
+        out = 0
+        for i, flat in enumerate(self._flat):
+            for rule in rules:
+                if sum(map(mul, rule, flat)):
+                    break
+            else:
+                out |= 1 << i
+        return out
+
+    def _moved_rows(self, images: tuple) -> list:
+        """The rows of D (w - I) in the simple-root basis, D the common
+        denominator: entry (i, j) is D times the i-th coefficient of
+        w(alpha_j), minus D delta_ij."""
         if self._int_expansions is None:
             self._int_expansions = self._scaled_expansions()
         table, den = self._int_expansions
-        rows = []
-        for j, i in enumerate(images):
-            row = table[i][:]
-            p, q = row[j]
-            row[j] = (p - den, q)
-            rows.append(row)
-        return pair_rank(rows)
+        rows = [list(column) for column in zip(*(table[k] for k in images))]
+        for i, row in enumerate(rows):
+            p, q = row[i]
+            row[i] = (p - den, q)
+        return rows
 
     def _scaled_expansions(self) -> tuple:
         """Every root's expansion times D, as int pairs p + q*sqrt5, and D.
@@ -473,6 +516,16 @@ class DihedralRootSystem(RootSystem):
         if (b - a) % (2 * m) != m - 1:
             return 1
         return 0 if a == 0 else 2
+
+    def descents(self, images: tuple) -> int:
+        # The identity has no descent and a rotation has every reflection
+        # as one; a reflection k -> a - k has its own root, at the angle
+        # (a - m)/2 mod m, as its one descent.
+        m = self.order
+        length = self.image_length(images)
+        if length == 1:
+            return 1 << (images[0] - m) // 2 % m
+        return 0 if length == 0 else (1 << m) - 1
 
     def numerology(self) -> Numerology:
         return Numerology((1, self.order - 1), self.order, self.order)

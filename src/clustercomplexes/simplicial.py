@@ -15,7 +15,9 @@ positive part's.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import comb
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 
@@ -36,15 +38,16 @@ class SimplicialComplex:
                              "indices")
         cleaned = sorted({tuple(sorted(f)) for f in facets})
         if len({len(f) for f in cleaned}) > 1:
-            # drop faces contained in larger ones: only faces holding its
-            # first vertex can contain a face, and () lies in every other one
-            sets = [set(f) for f in cleaned]
+            # drop faces contained in others: bit i of holders[v] is set iff
+            # face i holds v, so the faces holding all of face i's vertices
+            # are the AND of their masks; () lies in every other face
             holders: dict = {}
-            for fs in sets:
-                for v in fs:
-                    holders.setdefault(v, []).append(fs)
-            cleaned = [f for f, fs in zip(cleaned, sets)
-                       if f and not any(fs < g for g in holders[f[0]])]
+            for i, f in enumerate(cleaned):
+                for v in f:
+                    holders[v] = holders.get(v, 0) | 1 << i
+            cleaned = [f for i, f in enumerate(cleaned)
+                       if f and reduce(and_, map(holders.__getitem__, f))
+                       == 1 << i]
         self.facets = tuple(cleaned)
         self.meta = dict(meta or {})
         self._faces = None

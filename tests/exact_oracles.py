@@ -8,10 +8,11 @@ breadth-first search over reflection words, type-A reflection length and
 absolute order read off cycles, the two-length face test,
 a root system rebuilt from its JSON report, and the shelling condition
 checked on every pair of facets.  The builder's pieces are redone the
-slow way: the pair graph by ``is_face`` on every pair, maximal cliques by
-Bron-Kerbosch on Python sets, and purity by testing every facet against
-the kept top facets.  The k-CM audit is redone with no symmetry and no
-face table, by shelling every induced complex.  The
+slow way: the pair graph by ``is_face`` on every pair and by one reflection
+length per pair, maximal cliques by Bron-Kerbosch on Python sets, the
+maximal faces of a face list by set comparison, and purity by testing
+every facet against the kept top facets.  The k-CM audit is redone with
+no symmetry and no face table, by shelling every induced complex.  The
 noncrossing side is redone with group elements: the componentwise
 absolute order on L_m and the face-to-tuple map by permutation products;
 and its comparison is redone on explicit complexes: a skeleton and an
@@ -361,6 +362,36 @@ def componentwise_fr_compatible(rs, m: int, a, b) -> bool:
     if comp is not component_of(rs, b.root):
         return True
     return fr_compatible(comp, m, a, b)
+
+
+def pair_graph_by_lengths(ctx) -> list:
+    """The neighbour bitmask of each vertex position, one length per pair.
+
+    A pair's word applies the earlier of its steps first, so its images are
+    the later reflection applied to the earlier vertex's prefix, gamma's
+    images after that vertex's own reflection; the pair is a face when
+    their reflection length is l(gamma) - 2.
+    """
+    steps, image_length = ctx.steps, ctx.system.image_length
+    target = ctx.gamma.length - 2
+    adjacency = [0] * len(steps)
+    prefixes = []
+    for b in sorted(range(len(steps)), key=steps.__getitem__):
+        t = steps[b][2].__getitem__
+        for a, prefix in prefixes:
+            if image_length(tuple(map(t, prefix))) == target:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+        prefixes.append((b, tuple(map(t, ctx.gamma_images))))
+    return adjacency
+
+
+def maximal_faces_by_sets(faces) -> list:
+    """The sorted distinct faces of ``faces`` that lie in no other one."""
+    cleaned = sorted({tuple(sorted(f)) for f in faces})
+    sets = [set(f) for f in cleaned]
+    return [f for f, fs in zip(cleaned, sets)
+            if not any(fs < g for g in sets)]
 
 
 def max_cliques_by_sets(adjacency: dict) -> list:

@@ -100,6 +100,21 @@ def test_verify_all_reads_spheres_and_h_vector_off_the_shelling(phi, m, capsys):
             checks["shelling-%s" % name]["detail"]["facets"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--exhaustive"], ["--k", "2"],
+                                   ["--mode", "sample", "--k", "9"]])
+def test_verify_all_records_the_audit_it_ran(flags, capsys):
+    # G2 m=4 has 17,902 removals of at most 4 of its 26 vertices, above
+    # the exhaustive cap, so the 5-CM audit samples whatever the flags
+    # say; A2 m=1 has 7 and is audited exhaustively at k = 2
+    for phi, m, mode in (("G2", 4, "sample"), ("A2", 1, "exhaustive")):
+        assert run(["verify-all", "--phi", phi, "--m", str(m),
+                    "--format", "json"] + flags) == 0
+        report = json.loads(capsys.readouterr().out)
+        kcm = next(c for c in report["checks"] if c["id"] == "kcm")
+        assert kcm["detail"]["mode"] == report["config"]["mode"] == mode
+        assert kcm["detail"]["k"] == report["config"]["k"] == m + 1
+
+
 def test_verify_all_fails_on_wrong_restriction_faces(monkeypatch, capsys):
     real = cli.construct_shelling
 
@@ -471,3 +486,26 @@ def test_verification_matrix_keeps_the_exit_codes(argv, code, monkeypatch,
     assert exc.value.code == code
     assert capsys.readouterr().out.endswith(
         "overall: %s\n" % ("PASS" if code == 0 else "FAIL"))
+
+
+@pytest.mark.parametrize("types, code", [(["X9"], 2), (["A2", "E7"], 2),
+                                         (["A1"], 0)])
+def test_export_fvectors_exits_2_on_a_bad_label(types, code, monkeypatch,
+                                                capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "export_fvectors.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--types"] + types +
+                        ["--max-m", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    if code:
+        # the guards run before any row is written
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and \
+            captured.err.count("\n") == 1
+    else:
+        assert captured.out == ("type,m,part,f_vector,h_vector\r\n"
+                                'A1,1,full,"[1, 2]","[1, 1]"\r\n'
+                                'A1,1,positive,"[1, 1]","[1, 0]"\r\n')

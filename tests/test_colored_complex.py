@@ -1,7 +1,6 @@
 import gc
 import itertools
 import weakref
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +22,10 @@ from conftest import ACCEPTANCE_MATRIX
 from exact_oracles import (complex_by_all_pairs, component_of,
                            componentwise_fr_compatible, delete,
                            facets_as_label_sets, is_identity, labeled_facets,
-                           link,
-                           max_cliques_by_sets, parabolic, permutation_is_face,
-                           skeleton, subcomplex_below, subsystem,
-                           two_length_is_face, word_of_face)
+                           link, max_cliques_by_sets, maximal_faces_by_sets,
+                           pair_graph_by_lengths, parabolic,
+                           permutation_is_face, skeleton, subcomplex_below,
+                           subsystem, two_length_is_face, word_of_face)
 
 A2_FACETS_M1 = {
     frozenset(f) for f in [
@@ -363,6 +362,8 @@ BUILDER_LABELS = ["A2", "A3", "B2", "B3", "G2", "A1", "A1xA1", "A1xA2",
     ["I2(%d)" % k for k in range(2, 13)]
 PRODUCT_CASES = [(label, m) for label in BUILDER_LABELS if "x" in label
                  for m in range(4)]
+PAIR_GRAPH_LABELS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                     "C3", "C4", "D4", "D5", "E6", "F4", "G2", "H3", "H4"]
 
 
 class TestBuilderReference:
@@ -371,12 +372,19 @@ class TestBuilderReference:
                                           for label in BUILDER_LABELS
                                           for m in range(4)])
     def test_equals_the_all_pairs_builder(self, label, m):
+        # rank 1, the products and I2(2)-I2(12) are the edge cases
         rs = build_root_system(label)
         cx, adjacency = build_complex(rs, m)
         vertices, facets, pairs = complex_by_all_pairs(rs, m)
         assert [v.key() for v in cx.objects] == [v.key() for v in vertices]
         assert list(cx.facets) == facets
         assert adjacency == {i: frozenset(near) for i, near in pairs.items()}
+        assert [sum(1 << j for j in adjacency[i]) for i in pairs] == \
+            pair_graph_by_lengths(get_context(rs, m))
+        assert len(cx.facets) == fuss_catalan(rs, m)
+        # at m = 0 the positive part is {()}, with no facet of full size
+        assert sum(len(f) == rs.rank for f in positive_part(cx).facets) == \
+            fuss_catalan(rs, m, positive=True)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=st.data())
@@ -431,27 +439,63 @@ class TestBuilderReference:
         with pytest.raises(RuntimeError, match="flagness violated"):
             build_complex(rs, 1)
 
-    def test_one_length_per_pair_and_no_product(self, monkeypatch):
+    def test_one_descent_set_per_root_and_no_product(self, monkeypatch):
         rs = build_root_system("D4")
         ctx = get_context(rs, 2)
         ctx.steps, ctx.gamma.length  # the context exists
-        real = rs.image_length
-        lookups, products = [], []
+        real_length, real_descents = rs.image_length, rs.descents
+        real_rank = rs._reflection_length
+        lookups, descents, ranks, products = [], [], [], []
 
-        def counting(images):
+        def counting_length(images):
             lookups.append(images)
-            return real(images)
+            return real_length(images)
 
-        monkeypatch.setattr(rs, "image_length", counting)
+        def counting_descents(images):
+            descents.append(images)
+            return real_descents(images)
+
+        def counting_rank(images):
+            ranks.append(images)
+            return real_rank(images)
+
+        monkeypatch.setattr(rs, "image_length", counting_length)
+        monkeypatch.setattr(rs, "descents", counting_descents)
+        monkeypatch.setattr(rs, "_reflection_length", counting_rank)
         monkeypatch.setattr(GroupElement, "__mul__",
                             lambda *args: products.append(args))
-        n = len(colored_vertices(rs, 2))
         _pair_graph(ctx)
-        assert len(lookups) == comb(n, 2) == 378
+        assert len(set(descents)) == len(descents) == \
+            len(rs.positive_roots) == 12
+        # the self-check reads each set's length back from the memo
+        # ``descents`` filled: no pair is ranked
+        assert lookups == descents
+        assert ranks == []
         cx, _ = build_complex(rs, 2)
-        # the pairs again, and the flag re-check of each facet
-        assert len(lookups) == 2 * comb(n, 2) + len(cx.facets)
+        # the pair graph again, and the flag re-check of each facet
+        assert len(descents) == 24
+        assert len(lookups) == 24 + len(cx.facets)
         assert products == []
+
+    def test_a_reflection_off_gamma_trips_the_self_check(self, monkeypatch):
+        rs = build_root_system("A3")
+        real = rs.descents
+
+        def poisoned(images):
+            out = real(images)
+            rs._lengths[images] = 3
+            return out
+
+        monkeypatch.setattr(rs, "descents", poisoned)
+        with pytest.raises(RuntimeError, match="not below the Coxeter"):
+            _pair_graph(get_context(rs, 1))
+
+    @pytest.mark.parametrize("label", PAIR_GRAPH_LABELS)
+    def test_pair_graph_equals_one_length_per_pair(self, label):
+        rs = build_root_system(label)
+        for m in range(4):
+            ctx = get_context(rs, m)
+            assert _pair_graph(ctx) == pair_graph_by_lengths(ctx), m
 
 
 class TestSubcomplexes:
@@ -490,6 +534,29 @@ class TestSubcomplexes:
         t = rs.reflection(rs.positive_roots[0])
         small = subcomplex_below(rs, 2, t, cx=cx)
         assert small.f_vector() == (1, 2)  # both colors of one root, no edge
+
+    @pytest.mark.parametrize("label, m", ACCEPTANCE_MATRIX + [
+        ("D4", 2), ("H3", 2), ("A1xA2", 2)])
+    def test_maximal_faces_match_set_comparison(self, label, m, complexes):
+        # the positive part's restricted facets, then again with some of
+        # their faces added, go through the holder-bitset filter
+        _, cx, _ = complexes(label, m)
+        keep = [i for i, lab in enumerate(cx.vertices)
+                if not lab.startswith("-s")]
+        new = {old: i for i, old in enumerate(keep)}
+        restricted = [tuple(new[v] for v in f if v in new) for f in cx.facets]
+        pos = positive_part(cx)
+        assert list(pos.facets) == maximal_faces_by_sets(restricted)
+        faces = restricted + [f[1:] for f in pos.facets] + \
+            [f[::2] for f in restricted] + [()]
+        got = SimplicialComplex(pos.vertices, faces).facets
+        assert list(got) == maximal_faces_by_sets(faces) == list(pos.facets)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=12))
+    def test_maximal_faces_of_random_lists(self, faces):
+        got = SimplicialComplex([str(v) for v in range(8)], faces).facets
+        assert list(got) == maximal_faces_by_sets(faces)
 
     def test_below_matches_word_filter(self, complexes):
         rs, cx, _ = complexes("A2", 2)

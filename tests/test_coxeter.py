@@ -78,6 +78,24 @@ class TestReflectionLength:
             for w in interval:
                 assert rs.image_length(simple_images(w)) == word_length_bfs(w)
 
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "F4", "I2(5)",
+                                       "I2(6)", "I2(7)", "I2(8)"])
+    def test_descents_match_lengths_on_the_interval(self, label):
+        # bit i is set iff l(t_i w) = l(w) - 1, by the permutation route
+        # and by the length memo
+        rs = build_root_system(label)
+        reflections = [rs.reflection(r) for r in rs.positive_roots]
+        for w in absolute_interval(rs):
+            length = permutation_length(w)
+            below = [permutation_length(t * w) == length - 1
+                     for t in reflections]
+            got = rs.descents(simple_images(w))
+            assert [bool(got >> i & 1) for i in range(len(below))] == below
+            assert got >> len(below) == 0
+            assert [rs.image_length(simple_images(t * w)) == length - 1
+                    for t in reflections] == below
+            assert rs.image_length(simple_images(w)) == length
+
     @pytest.mark.parametrize("order", range(2, 13))
     def test_dihedral_image_length_on_the_group(self, order):
         rs = build_root_system("I2(%d)" % order)
@@ -307,7 +325,9 @@ class TestIntervalEnumeration:
         t = rs.reflection(rs.positive_roots[0])
         assert len(absolute_interval(rs, t)) == 2
 
-    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "F4", "B4"])
+    @pytest.mark.parametrize("label", ["A3", "B3", "H3", "D4", "F4", "B4", "A5",
+                                       "H4", "I2(5)", "I2(6)", "I2(7)",
+                                       "I2(8)"])
     def test_interval_matches_brute_force_and_old_order(self, label):
         # the closure tests only l(v^-1 gamma); the old loop also tested
         # l(v) = level, which that test implies
