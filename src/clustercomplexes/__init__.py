@@ -28,7 +28,7 @@ from .colored import (ColoredRoot, build_complex, fr_compatible,  # noqa: F401
 from .simplicial import SimplicialComplex, f_h_vectors  # noqa: F401
 from .topology import (HomologyProfile, KCMReport, ShellingOrder,  # noqa: F401
                        codim1_incidence, construct_shelling, homology,
-                       kcm_audit, verify_shelling)
+                       kcm_audit, sharpness_witness, verify_shelling)
 from .noncrossing import (Poset, build_Lm, face_to_tuple,  # noqa: F401
                           homotopy_compare, moebius, nc_interval,
                           order_complex)

@@ -26,8 +26,8 @@ from .colored import (build_complex, fr_compatible, positive_part,
 from .noncrossing import build_Lm, homotopy_compare, moebius, nc_interval
 from .roots import build_root_system
 from .simplicial import f_h_vectors
-from .topology import (codim1_incidence, construct_shelling, fuss_catalan,
-                       homology, kcm_audit, ShellingFailure)
+from .topology import (ShellingFailure, codim1_incidence, construct_shelling,
+                       fuss_catalan, homology, kcm_audit, sharpness_witness)
 
 
 class GuardError(ValueError):
@@ -328,7 +328,7 @@ def cmd_verify_all(args: argparse.Namespace) -> dict:
         expected=want)
     chi = pos.euler_characteristic_reduced()
     add("euler-identity", chi == (-1 if sphere_dim % 2 else 1) * want, chi=chi)
-    # connectivity audits (witness search kept cheap)
+    # the (m+1)-CM audit, and a ridge's witness that it is best possible
     exhaustive_cap = 5000
     from math import comb
     n_v = len(cx.vertices)
@@ -338,9 +338,9 @@ def cmd_verify_all(args: argparse.Namespace) -> dict:
     args.k, args.mode = m + 1, mode
     rep = kcm_audit(cx, m + 1, mode=mode, seed=args.seed, workers=args.workers)
     add("kcm", rep.passed, k=m + 1, mode=mode, examined=rep.examined)
-    witness = kcm_audit(cx, m + 2, sizes=[m + 1], max_failures=1)
-    add("kcm-witness", not witness.passed,
-        witness=witness.failures[0].to_dict() if witness.failures else None)
+    witness = sharpness_witness(cx)
+    add("kcm-witness", witness is not None and len(witness.removed) <= m + 1,
+        witness=witness.to_dict() if witness else None)
     # the polygon model double-checks type A; it and the multichain poset
     # need m >= 1
     if m >= 1 and rs.is_irreducible and rs.label.startswith("A"):
@@ -404,9 +404,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="connectivity parameter for kcm")
     common.add_argument("--mode", default="exhaustive",
                         choices=["exhaustive", "sample"])
-    common.add_argument("--exhaustive", dest="mode", action="store_const",
-                        const="exhaustive",
-                        help="shorthand for --mode exhaustive")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--workers", type=_positive_int, default=1,
                         help="audit processes; more than the CPUs are not "

@@ -58,7 +58,15 @@ class ColoredRoot:
 
 
 class ComplexContext:
-    """Per-(system, m) data shared by the face tests: order, gamma, steps."""
+    """Per-(system, m) data shared by the face tests: order, gamma, steps.
+
+    ``position`` maps a vertex key to its place in ``colored_vertices``,
+    and ``steps`` holds per place (word class, -position, reflection
+    permutation): a face's word takes the plus block's negative simples
+    (class 0), the colors m down to 1, then the minus block's (class
+    m + 1), each class by the total order, largest first.  So the steps
+    of a face, sorted, are its word's reflections in order.
+    """
 
     def __init__(self, rs: RootSystem, m: int):
         if m < 0:
@@ -68,48 +76,18 @@ class ComplexContext:
         self.gamma = bipartite_coxeter(rs)
         self.gamma_images = tuple(self.gamma.perm[i]
                                   for i in rs.simple_positions)
-        self._order = None
-        self._steps = None
-        self._position = None
-
-    @property
-    def order(self):
-        if self._order is None:
-            self._order = total_order(self.system)
-        return self._order
-
-    @property
-    def steps(self) -> list:
-        """Per vertex position: (word class, -position, reflection permutation).
-
-        The word of a face multiplies the negative simples of the plus
-        block first (class 0), then the color classes from m down to 1,
-        then the minus-block negatives (class m + 1); inside a class the
-        reflections are taken against the total order, largest first.  So
-        the steps of a face, sorted, are its word's reflections in order.
-        """
-        if self._steps is None:
-            rs, m = self.system, self.m
-            position = self.order.position
-            table = []
-            for v in colored_vertices(rs, m):
-                if rs.is_positive(v.root):
-                    cls = m + 1 - v.color
-                else:
-                    cls = 0 if rs.simple_index(rs.negate(v.root)) < rs.split_s \
-                        else m + 1
-                table.append((cls, -position(v.root),
-                              rs.reflection(v.root).perm))
-            self._steps = table
-        return self._steps
-
-    @property
-    def position(self) -> dict:
-        """Vertex key -> its position in ``colored_vertices`` order."""
-        if self._position is None:
-            self._position = {v.key(): i for i, v in
-                              enumerate(colored_vertices(self.system, self.m))}
-        return self._position
+        self.order = total_order(rs)
+        vertices = colored_vertices(rs, m)
+        self.position = {v.key(): i for i, v in enumerate(vertices)}
+        self.steps = []
+        for v in vertices:
+            if rs.is_positive(v.root):
+                cls = m + 1 - v.color
+            else:
+                cls = 0 if rs.simple_index(rs.negate(v.root)) < rs.split_s \
+                    else m + 1
+            self.steps.append((cls, -self.order.position(v.root),
+                               rs.reflection(v.root).perm))
 
 
 def get_context(rs: RootSystem, m: int) -> ComplexContext:

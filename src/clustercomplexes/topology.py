@@ -23,7 +23,8 @@ the group it generates, since Delta|W and Delta|g(W) are isomorphic, and
 keys each link verdict by the orbit of the face with the removed part of
 its star.  An audit that stops at a given number of failures first scans
 the removals with the dimension and purity bitset tests alone, and runs
-the full search, in the same scan, only if those find too few.
+the full search, in the same scan, only if those find too few.  The
+incidence histogram and the sharpness witness are read off ridges.
 """
 from __future__ import annotations
 
@@ -459,20 +460,20 @@ class _Audit:
         self.verdicts: dict = {}  # link key -> acyclic below the top
         self.least: dict = {}     # removal mask -> least image mask
 
-    def keys(self, subsets: Iterable[tuple]) -> Iterator[int]:
-        """Each removal's least image mask under the powers, in subset order.
+    def keys(self, removals: Iterator[tuple]) -> Iterator[tuple]:
+        """Each removal with its least image mask under the powers, in turn.
 
         The first removal met in an orbit computes the whole orbit, and
         every member's own mask is then looked up.
         """
         images, least = self.images, self.least
-        for removed in subsets:
+        for removed in removals:
             key = least.get(sum(images[0][v] for v in removed))
             if key is None:
                 orbit = [sum(bits[v] for v in removed) for bits in images]
                 key = min(orbit)
                 least.update(dict.fromkeys(orbit, key))
-            yield key
+            yield removed, key
 
     def link_keys(self, removed: int) -> Iterator[tuple]:
         """The memo key of each link face missing ``removed``.
@@ -679,17 +680,18 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     invariant, so each removal is keyed by its least image mask under the
     powers of g and each key is decided once; so is each link, by the
     least image of the face and the removed part of its star.  Sample mode
-    draws only sizes that fit in the vertex set.  ``examined`` counts every
-    removal, and failures name each removal's own vertices.  Distinct keys
-    may be split over a process pool of at most os.cpu_count() workers, one
-    audit each; results are merged in subset order either way, and only
-    then cut at ``max_failures``.
+    draws only sizes that fit in the vertex set; no removal list is built.
+    ``examined`` counts every removal, and failures name each removal's
+    own vertices.  Distinct keys may be split over a process pool of at
+    most os.cpu_count() workers, one audit each; results are merged in
+    subset order either way, and only then cut at ``max_failures``.
 
     Structural failures first: when ``max_failures`` is set, the same scan
     first runs with the dimension and purity bitset tests alone.  If that
     finds ``max_failures`` failures, they are the report, and ``examined``
     counts the removals up to the last of them; otherwise the full search
     runs as above.  Either way every reported removal fails.
+    ``sharpness_witness`` reads a witness off a ridge, with no search.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -703,8 +705,9 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     n = len(cx.vertices)
     sizes = list(sizes) if sizes is not None else list(range(0, k))
     if mode == "exhaustive":
-        subsets = [c for size in sizes
-                   for c in itertools.combinations(range(n), size)]
+        def removals() -> Iterator[tuple]:
+            return itertools.chain.from_iterable(
+                itertools.combinations(range(n), size) for size in sizes)
     elif mode == "sample":
         rng = random.Random(seed)
         fits = [size for size in sizes if size <= n]
@@ -712,15 +715,15 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
         for _ in range(sample_count if fits else 0):
             size = rng.choice(fits)
             pool.add(tuple(sorted(rng.sample(range(n), size))))
-        subsets = sorted(pool)
+        removals = sorted(pool).__iter__
     else:
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     audit = _audit_of(cx)
 
     def scan(decide, verdicts: dict) -> KCMReport:
-        # keys are computed lazily, so a capped scan stops at its last failure
+        # made lazily, so a capped scan stops at its last failure
         report = KCMReport(k, mode, seed=seed if mode != "exhaustive" else None)
-        for removed, key in zip(subsets, audit.keys(subsets)):
+        for removed, key in audit.keys(removals()):
             report.examined += 1
             if key not in verdicts:
                 verdicts[key] = decide(key)
@@ -739,7 +742,7 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     verdicts: dict = {}
     if workers > 1:
         import multiprocessing
-        distinct = list(dict.fromkeys(audit.keys(subsets)))
+        distinct = list(dict.fromkeys(key for _, key in audit.keys(removals())))
         step = max(1, -(-len(distinct) // workers))
         chunks = [(cx.vertices, cx.facets, cx.symmetry, distinct[i:i + step])
                   for i in range(0, len(distinct), step)]
@@ -749,16 +752,38 @@ def kcm_audit(cx: SimplicialComplex, k: int, mode: str = "exhaustive",
     return scan(audit.failure, verdicts)
 
 
-def codim1_incidence(cx: SimplicialComplex) -> dict:
-    """Histogram: number of facets containing each codimension-one face."""
+def _ridges(cx: SimplicialComplex) -> dict:
+    """Each ridge's mask -> the mask of the vertices completing it to a facet."""
     if not cx.is_pure():
         raise ValueError("incidence counts require a pure complex")
-    counts: dict = {}
+    ridges = collections.defaultdict(int)
     for f in cx.facets:
-        for drop in range(len(f)):
-            sub = f[:drop] + f[drop + 1:]
-            counts[sub] = counts.get(sub, 0) + 1
-    hist: dict = {}
-    for c in counts.values():
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+        fmask = sum(1 << v for v in f)
+        for v in f:
+            ridges[fmask ^ 1 << v] |= 1 << v
+    return ridges
+
+
+def codim1_incidence(cx: SimplicialComplex) -> dict:
+    """Histogram: number of facets containing each codimension-one face."""
+    return dict(collections.Counter(c.bit_count() for c in _ridges(cx).values()))
+
+
+def sharpness_witness(cx: SimplicialComplex) -> Optional[KCMFailure]:
+    """A removal of the fewest vertices that leaves cx impure or lower.
+
+    Removing the c vertices that complete a ridge to its c facets leaves
+    the ridge in no facet of full dimension, so cx is not (c+1)-CM.  The
+    least such set in subset order, of a ridge in the fewest facets, is
+    confirmed by the audit's purity test.  None when cx has no ridge, as
+    {()}; ValueError when cx is impure.
+    """
+    completions = _ridges(cx).values()
+    if not completions:
+        return None
+    _, removed = min((c.bit_count(), _vertices(c)) for c in completions)
+    reason = _audit_of(cx).purity_failure(sum(1 << v for v in removed))
+    if reason is None:
+        raise RuntimeError("removing the completion %r of a ridge left a pure "
+                           "restriction of full dimension" % (removed,))
+    return KCMFailure(tuple(cx.vertices[v] for v in removed), reason)

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clustercomplexes
 from clustercomplexes import cli
@@ -100,7 +104,7 @@ def test_verify_all_reads_spheres_and_h_vector_off_the_shelling(phi, m, capsys):
             checks["shelling-%s" % name]["detail"]["facets"]
 
 
-@pytest.mark.parametrize("flags", [[], ["--exhaustive"], ["--k", "2"],
+@pytest.mark.parametrize("flags", [[], ["--mode", "exhaustive"], ["--k", "2"],
                                    ["--mode", "sample", "--k", "9"]])
 def test_verify_all_records_the_audit_it_ran(flags, capsys):
     # G2 m=4 has 17,902 removals of at most 4 of its 26 vertices, above
@@ -158,8 +162,8 @@ def test_sampled_kcm_finds_the_exhaustive_witness(capsys):
 
 def test_kcm_failure_exit_code_and_witness(tmp_path, capsys):
     out = tmp_path / "kcm.json"
-    code = run(["kcm", "--phi", "A2", "--m", "2", "--k", "4", "--exhaustive",
-                "--format", "json", "--out", str(out)])
+    code = run(["kcm", "--phi", "A2", "--m", "2", "--k", "4", "--mode",
+                "exhaustive", "--format", "json", "--out", str(out)])
     assert code == 1
     data = json.loads(out.read_text())
     failures = data["audit"]["failures"]
@@ -249,14 +253,14 @@ def test_readme_names_every_common_flag():
 HELP_USAGE = {
     "kcm": """\
 usage: clustercx kcm [-h] --phi PHI [--m M] [--k K]
-                     [--mode {exhaustive,sample}] [--exhaustive] [--seed SEED]
+                     [--mode {exhaustive,sample}] [--seed SEED]
                      [--workers WORKERS] [--out OUT]
                      [--format {table,json,csv}] [--cap-vertices CAP_VERTICES]
 """,
     "verify-all": """\
 usage: clustercx verify-all [-h] --phi PHI [--m M] [--k K]
-                            [--mode {exhaustive,sample}] [--exhaustive]
-                            [--seed SEED] [--workers WORKERS] [--out OUT]
+                            [--mode {exhaustive,sample}] [--seed SEED]
+                            [--workers WORKERS] [--out OUT]
                             [--format {table,json,csv}]
                             [--cap-vertices CAP_VERTICES]
 """}
@@ -267,7 +271,6 @@ options:
   --m M                 number of colors
   --k K                 connectivity parameter for kcm
   --mode {exhaustive,sample}
-  --exhaustive          shorthand for --mode exhaustive
   --seed SEED
   --workers WORKERS     audit processes; more than the CPUs are not started
   --out OUT
@@ -509,3 +512,35 @@ def test_export_fvectors_exits_2_on_a_bad_label(types, code, monkeypatch,
         assert captured.out == ("type,m,part,f_vector,h_vector\r\n"
                                 'A1,1,full,"[1, 2]","[1, 1]"\r\n'
                                 'A1,1,positive,"[1, 1]","[1, 0]"\r\n')
+
+
+# the supported edges: rank 1, products and the dihedral types, at m = 0, 1
+EDGE_LABELS = ["A1", "A1xA1", "A1xA2", "A1xB2", "B2xA1", "A1xA1xA1"] + \
+    ["I2(%d)" % p for p in range(2, 13)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(cli.COMMANDS)), st.sampled_from(EDGE_LABELS),
+       st.sampled_from([0, 1]))
+@example("verify-all", "A1", 0)
+@example("verify-all", "A1", 1)
+@example("verify-all", "A1xA1", 0)
+@example("verify-all", "A1xB2", 1)
+@example("verify-all", "I2(12)", 1)
+def test_every_command_passes_or_exits_2_on_the_edges(command, label, m):
+    # a correct report with every check passing, or a clean usage exit;
+    # any other exception propagates with its traceback and fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, "--phi", label, "--m", str(m),
+                    "--format", "json"])
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and not out.getvalue()
+        return
+    assert code == 0 and not err.getvalue()
+    report = json.loads(out.getvalue())
+    assert all(c["ok"] for c in report.get("checks", ())), report["checks"]
+    if command == "verify-all":
+        (witness,) = [c["detail"]["witness"] for c in report["checks"]
+                      if c["id"] == "kcm-witness"]
+        assert len(witness["removed"]) == m + 1

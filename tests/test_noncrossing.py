@@ -260,9 +260,9 @@ class TestFaceToTuple:
 
         def context(tu_, tv_):
             ctx = copy.copy(real)
-            ctx._steps = list(real.steps)
-            ctx._steps[iu] = (cu, pu, tu_)
-            ctx._steps[iv] = (cv, pv, tv_)
+            ctx.steps = list(real.steps)
+            ctx.steps[iu] = (cu, pu, tu_)
+            ctx.steps[iv] = (cv, pv, tv_)
             return ctx
 
         # with one reflection twice, the class word is the identity

@@ -1,18 +1,19 @@
 import collections
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercomplexes import topology
+from clustercomplexes import cli, topology
 from clustercomplexes.colored import build_complex, positive_part
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
                                        construct_shelling, fuss_catalan,
                                        homology, is_cohen_macaulay, kcm_audit,
-                                       verify_shelling)
+                                       sharpness_witness, verify_shelling)
 from conftest import ACCEPTANCE_MATRIX, RP2
 from exact_oracles import (kcm_by_shelling, purity_failure_by_all_facets,
                            shelling_by_definition, subsystem)
@@ -418,6 +419,11 @@ class TestKCM:
             [f.to_dict() for f in b.failures]
         assert a.examined == b.examined
         assert a.seed == 11
+        # the drawn removals are scanned in subset order
+        index = {lab: v for v, lab in enumerate(cx.vertices)}
+        drawn = [tuple(index[lab] for lab in f.removed) for f in kcm_audit(
+            cx, 8, mode="sample", sample_count=40, seed=11).failures]
+        assert len(drawn) > 1 and drawn == sorted(drawn)
 
     def test_worker_pool_matches_serial(self, complexes):
         _, cx, _ = complexes("A2", 2)
@@ -632,3 +638,55 @@ class TestIncidence:
         cx = SimplicialComplex(list("abc"), [(0, 1), (2,)])
         with pytest.raises(ValueError):
             codim1_incidence(cx)
+
+
+# the acceptance matrix with rank 1, a dihedral type and two products, and
+# the positive parts at m >= 1
+WITNESS_CASES = [(label, m, positive)
+                 for label in ("A2", "A3", "B2", "B3", "G2", "A1", "I2(5)",
+                               "A1xA2", "A1xB2")
+                 for m in range(4) for positive in (False, True)
+                 if m or not positive]
+
+
+class TestSharpnessWitness:
+
+    @pytest.mark.parametrize("label, m, positive", WITNESS_CASES)
+    def test_the_witness_is_the_first_failure_of_the_capped_scan(
+            self, label, m, positive, complexes, positive_complexes):
+        # a ridge of the complex lies in m+1 facets, a boundary ridge of
+        # the positive part in m
+        cx = positive_complexes(label, m) if positive else complexes(label, m)[1]
+        size = m if positive else m + 1
+        witness = sharpness_witness(cx)
+        scan = kcm_audit(cx, size + 1, sizes=[size], max_failures=1)
+        assert witness.to_dict() == scan.failures[0].to_dict()
+        index = {lab: v for v, lab in enumerate(cx.vertices)}
+        mask = sum(1 << index[lab] for lab in witness.removed)
+        assert witness.reason == purity_failure_by_all_facets(cx, mask)
+
+    def test_no_ridge_no_witness(self):
+        assert sharpness_witness(SimplicialComplex([], [()])) is None
+
+    def test_impure_rejected(self):
+        cx = SimplicialComplex(list("abc"), [(0, 1), (2,)])
+        with pytest.raises(ValueError, match="pure complex"):
+            sharpness_witness(cx)
+
+    @pytest.mark.parametrize("label, m", [("A1", 0), ("A1xB2", 1), ("B2", 2)])
+    def test_verify_all_runs_no_capped_scan(self, label, m, monkeypatch,
+                                           capsys):
+        calls = []
+        real = cli.kcm_audit
+
+        def recording(cx, k, **kwargs):
+            calls.append((k, kwargs.get("max_failures")))
+            return real(cx, k, **kwargs)
+
+        monkeypatch.setattr(cli, "kcm_audit", recording)
+        assert cli.run(["verify-all", "--phi", label, "--m", str(m),
+                        "--format", "json"]) == 0
+        assert calls == [(m + 1, None)]
+        (check,) = [c for c in json.loads(capsys.readouterr().out)["checks"]
+                    if c["id"] == "kcm-witness"]
+        assert check["ok"] and len(check["detail"]["witness"]["removed"]) == m + 1
