@@ -244,9 +244,6 @@ def cmd_ncp(args: argparse.Namespace) -> dict:
         raise GuardError("ncp needs m >= 1: the multichain poset is built "
                          "from m-tuples")
     rs = load_system(args.phi, args.m, args.cap_vertices)
-    if not rs.is_irreducible:
-        raise GuardError("ncp needs an irreducible system: the face-to-tuple "
-                         "map follows the Coxeter element's root sequence")
     cx, _ = build_complex(rs, args.m)
     _check_homology_cap(cx)
     pos = positive_part(cx)

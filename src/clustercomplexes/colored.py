@@ -16,12 +16,13 @@ per pair; it enumerates facets as maximal cliques of the pair graph on
 bitmasks and re-validates every clique against the word criterion, so the
 flag property is checked rather than assumed.
 
-Only the builder treats a product apart: it joins the components' facets
-and pair graphs (Fomin and Reading).  All else acts on the product itself,
-whose vertices and total order list each component's in turn: the word
-criterion and Carter's lemma hold in any finite reflection group, and R_m
-acts on each component as its own, so the face test, compatibility, R_m
-and the shelling hints need no split into components.
+A product takes the same path as every other system, on the product
+itself, whose vertices and total order list each component's in turn: the
+word criterion and Carter's lemma hold in any finite reflection group, and
+R_m acts on each component as its own, so the builder, the face test,
+compatibility, R_m and the shelling hints need no split into components.
+Its complex comes out as the join of its components' (Fomin and Reading),
+which the tests check rather than the builder assume.
 """
 from __future__ import annotations
 
@@ -58,14 +59,16 @@ class ColoredRoot:
 
 
 class ComplexContext:
-    """Per-(system, m) data shared by the face tests: order, gamma, steps.
+    """Per-(system, m) data shared by the face tests: vertices, gamma, steps.
 
-    ``position`` maps a vertex key to its place in ``colored_vertices``,
-    and ``steps`` holds per place (word class, -position, reflection
-    permutation): a face's word takes the plus block's negative simples
-    (class 0), the colors m down to 1, then the minus block's (class
-    m + 1), each class by the total order, largest first.  So the steps
-    of a face, sorted, are its word's reflections in order.
+    ``vertices`` is ``colored_vertices(rs, m)``, ``order`` maps a root key
+    to its place in the total order, ``position`` maps a vertex key to its
+    place in ``vertices``, and ``steps`` holds per place (word class,
+    -position, reflection permutation): a face's word takes the plus
+    block's negative simples (class 0), the colors m down to 1, then the
+    minus block's (class m + 1), each class by the total order, largest
+    first.  So the steps of a face, sorted, are its word's reflections in
+    order.
     """
 
     def __init__(self, rs: RootSystem, m: int):
@@ -76,17 +79,17 @@ class ComplexContext:
         self.gamma = bipartite_coxeter(rs)
         self.gamma_images = tuple(self.gamma.perm[i]
                                   for i in rs.simple_positions)
-        self.order = total_order(rs)
-        vertices = colored_vertices(rs, m)
-        self.position = {v.key(): i for i, v in enumerate(vertices)}
+        self.order = {r.key: i for i, r in enumerate(total_order(rs))}
+        self.vertices = colored_vertices(rs, m)
+        self.position = {v.key(): i for i, v in enumerate(self.vertices)}
         self.steps = []
-        for v in vertices:
+        for v in self.vertices:
             if rs.is_positive(v.root):
                 cls = m + 1 - v.color
             else:
                 cls = 0 if rs.simple_index(rs.negate(v.root)) < rs.split_s \
                     else m + 1
-            self.steps.append((cls, -self.order.position(v.root),
+            self.steps.append((cls, -self.order[v.root.key],
                                rs.reflection(v.root).perm))
 
 
@@ -262,61 +265,39 @@ def _max_cliques(adjacency: Sequence[int]) -> list:
 def build_complex(rs: RootSystem, m: int) -> tuple:
     """The generalized cluster complex and its compatibility graph.
 
-    The graph is the adjacency of the vertex positions: i -> the frozenset
-    of the positions j != i that form a face with i.
+    The facets are the maximal cliques of the pair graph, each re-checked
+    against the word criterion.  The graph is the adjacency of the vertex
+    positions: i -> the frozenset of the positions j != i that form a face
+    with i.
     """
     ctx = get_context(rs, m)
-    vertices = colored_vertices(rs, m)
-    facets, adjacency = _facets_and_graph(ctx)
+    vertices = ctx.vertices
+    adjacency = _pair_graph(ctx)
+    facets = _max_cliques(adjacency)
+    for facet in facets:
+        if not _is_face_at(ctx, facet):
+            raise RuntimeError(
+                "flagness violated: maximal clique %r fails the word criterion"
+                % (facet,))
     labels = [canonical_label(rs, v) for v in vertices]
     cx = SimplicialComplex(labels, facets, objects=vertices,
-                           meta=_shelling_meta(ctx, vertices, labels),
-                           symmetry=_rotation(ctx, vertices))
+                           meta=_shelling_meta(ctx, labels),
+                           symmetry=_rotation(ctx))
     return cx, {i: frozenset(j for j in range(len(vertices)) if near >> j & 1)
                 for i, near in enumerate(adjacency)}
 
 
-def _facets_and_graph(ctx: ComplexContext) -> tuple:
-    """The facets and the neighbour bitmask of each vertex position.
-
-    An irreducible system's facets are the maximal cliques of its pair
-    graph, each re-checked against the word criterion.  A product's are the
-    join of its components' ({()} at rank 0, which has none): each vertex
-    of a part lies in a facet of it, so it neighbours every other part.
-    """
-    rs = ctx.system
-    if not rs.is_irreducible:
-        facets, adjacency = [()], []
-        for comp in rs.components:
-            part_facets, part_adjacency = _facets_and_graph(
-                get_context(comp, ctx.m))
-            off = len(adjacency)
-            part = ((1 << len(part_adjacency)) - 1) << off
-            shifted = [tuple(v + off for v in f) for f in part_facets]
-            facets = [f + g for f in facets for g in shifted]
-            adjacency = [near | part for near in adjacency] + \
-                [near << off | (1 << off) - 1 for near in part_adjacency]
-        return facets, adjacency
-    adjacency = _pair_graph(ctx)
-    cliques = _max_cliques(adjacency)
-    for clique in cliques:
-        if not _is_face_at(ctx, clique):
-            raise RuntimeError(
-                "flagness violated: maximal clique %r fails the word criterion"
-                % (clique,))
-    return cliques, adjacency
-
-
-def _rotation(ctx: ComplexContext, vertices: Sequence[ColoredRoot]):
+def _rotation(ctx: ComplexContext):
     """R_m as a permutation of the vertex positions, or None.
 
     R_m preserves compatibility (Fomin and Reading), so the permutation is
     an automorphism of the complex.  At m = 0 the vertex set is -Pi, which
     R_m does not preserve, and at rank 0 there is no vertex to act on.
     """
-    if ctx.m < 1 or not vertices:
+    if ctx.m < 1 or not ctx.vertices:
         return None
-    return [ctx.position[rm_map(ctx.system, ctx.m, v).key()] for v in vertices]
+    return [ctx.position[rm_map(ctx.system, ctx.m, v).key()]
+            for v in ctx.vertices]
 
 
 def _pair_graph(ctx: ComplexContext) -> list:
@@ -331,7 +312,7 @@ def _pair_graph(ctx: ComplexContext) -> list:
     # each position's root, as an index into positive_roots: the negative
     # roots follow the positive ones in ``roots``, in the same order
     npos = len(rs.positive_roots)
-    root = [rs.index_of(v.root) % npos for v in colored_vertices(rs, ctx.m)]
+    root = [rs.index_of(v.root) % npos for v in ctx.vertices]
     down = {}  # root -> the descent set of its t gamma
     for p, r in enumerate(root):
         if r not in down:
@@ -353,18 +334,17 @@ def _pair_graph(ctx: ComplexContext) -> list:
     return adjacency
 
 
-def _shelling_meta(ctx: ComplexContext, vertices: Sequence[ColoredRoot],
-                   labels: Sequence[str]) -> dict:
+def _shelling_meta(ctx: ComplexContext, labels: Sequence[str]) -> dict:
     """The vertex ranking the shelling constructor tries shedding vertices in.
 
     Keys are vertex labels, which stay stable under link/delete/induce.
     Negative simples rank (0, 0), before every positive root's (color,
     position), as colors start at 1.
     """
-    rs, position = ctx.system, ctx.order.position
+    rs, order = ctx.system, ctx.order
     rank = {label: (0, 0) if _is_negative_simple(rs, v)
-            else (v.color, position(v.root))
-            for v, label in zip(vertices, labels)}
+            else (v.color, order[v.root.key])
+            for v, label in zip(ctx.vertices, labels)}
     return {"vertex_rank": rank}
 
 

@@ -22,14 +22,15 @@ takes one step of that chain for every reflection at once: the t with
 l(t x) = l(x) - 1 are the descents of x (``RootSystem.descents``), one
 elimination per element it reaches.
 
-The total order on Phi+ and -Pi is read off the root sequence of the
-bipartite Coxeter element; a product's lists each component's in turn.
-An irreducible system keeps its root sequence (``rs.rho``) once built, so
-a product's order reuses the sequences its components' contexts built.
+The total order on Phi+ and -Pi, a list of roots, is read off the root
+sequence of the bipartite Coxeter element; a product's lists each
+component's in turn.  An irreducible system keeps its root sequence, a
+dict from window index to root, on ``rs.rho`` once built, so building a
+product's order again reuses its components' sequences.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .roots import Root, RootSystem
 
@@ -94,23 +95,9 @@ def bipartite_coxeter(rs: RootSystem) -> GroupElement:
     return g
 
 
-class RhoSequence:
-    """The root sequence rho_i attached to the bipartite Coxeter element."""
-
-    __slots__ = ("system", "entries", "N", "s")
-
-    def __init__(self, system: RootSystem, entries: dict, N: int, s: int):
-        self.system = system
-        self.entries = entries  # window index -> Root, for -(n-s-1) .. N+s
-        self.N = N
-        self.s = s
-
-    def __getitem__(self, i: int) -> Root:
-        return self.entries[i]
-
-
-def rho_sequence(rs: RootSystem) -> RhoSequence:
-    """The rho sequence of an irreducible system, kept on it at first use."""
+def rho_sequence(rs: RootSystem) -> dict:
+    """The rho sequence of an irreducible system, window index -> Root for
+    -(n-s-1) .. N+s, kept on it at first use."""
     if not rs.is_irreducible:
         raise ValueError("the rho sequence requires an irreducible system")
     if rs.rho is None:
@@ -118,7 +105,7 @@ def rho_sequence(rs: RootSystem) -> RhoSequence:
     return rs.rho
 
 
-def _rho_sequence(rs: RootSystem) -> RhoSequence:
+def _rho_sequence(rs: RootSystem) -> dict:
     n, s = rs.rank, rs.split_s
     npos = len(rs.positive_roots)
     seq = {}
@@ -141,36 +128,18 @@ def _rho_sequence(rs: RootSystem) -> RhoSequence:
     neg_minus = {rs.negate(r).key for r in rs.simple_roots[s:]}
     if {entries[-i].key for i in range(0, n - s)} != neg_minus:
         raise RuntimeError("rho sequence: trailing window is not -Pi_minus")
-    return RhoSequence(rs, entries, npos, s)
+    return entries
 
 
-class TotalOrder:
-    """The total order on Phi+ united with the negative simple roots."""
-
-    def __init__(self, rs: RootSystem, ordered: Sequence[Root]):
-        self.system = rs
-        self.ordered = list(ordered)
-        self._pos = {r.key: i for i, r in enumerate(self.ordered)}
-
-    def position(self, root: Root) -> int:
-        return self._pos[root.key]
-
-    def __len__(self):
-        return len(self.ordered)
-
-    def __iter__(self):
-        return iter(self.ordered)
-
-
-def total_order(rs: RootSystem) -> TotalOrder:
+def total_order(rs: RootSystem) -> list:
     """Each component's rho window -Pi_minus, Phi+, -Pi_plus in turn."""
     window = []
     for comp in rs.components:
         rho = rho_sequence(comp)
-        n, s, npos = comp.rank, comp.split_s, rho.N
+        n, s, npos = comp.rank, comp.split_s, len(comp.positive_roots)
         window += [rho[-i] for i in range(n - s - 1, -1, -1)]
         window += [rho[i] for i in range(1, npos + s + 1)]
-    return TotalOrder(rs, window)
+    return window
 
 
 # -- enumeration -----------------------------------------------------------------

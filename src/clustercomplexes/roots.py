@@ -143,7 +143,7 @@ class RootSystem:
     split_s: int
     simple_positions: tuple  # index in ``roots`` of each simple root
     contexts: dict  # m -> colored.ComplexContext, filled by get_context
-    rho: object  # coxeter.RhoSequence of an irreducible system, on first use
+    rho: dict  # window index -> Root of an irreducible system, on first use
 
     def index_of(self, root: Root) -> int:
         return self._index[root.key]
@@ -230,13 +230,6 @@ class RootSystem:
 
     def numerology(self) -> Numerology:
         raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-
-def _scalar_to_json(x: Scalar) -> list:
-    return [x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator]
 
 
 class CoordinateRootSystem(RootSystem):
@@ -435,17 +428,6 @@ class CoordinateRootSystem(RootSystem):
             self._numerology = Numerology(tuple(exps), h, npos)
         return self._numerology
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.label,
-            "rank": self.rank,
-            "simple_roots": [[_scalar_to_json(x) for x in r.coords]
-                             for r in self.simple_roots],
-            "positive_roots": [[_scalar_to_json(x) for x in r.coords]
-                               for r in self.positive_roots],
-            "split_s": self.split_s,
-        }
-
     def __repr__(self):
         return "RootSystem(%s, rank=%d, N=%d)" % (
             self.label, self.rank, len(self.positive_roots))
@@ -529,16 +511,6 @@ class DihedralRootSystem(RootSystem):
 
     def numerology(self) -> Numerology:
         return Numerology((1, self.order - 1), self.order, self.order)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "I2",
-            "rank": 2,
-            "dihedral_order": self.order,
-            "simple_roots": [[r.angle] for r in self.simple_roots],
-            "positive_roots": [[r.angle] for r in self.positive_roots],
-            "split_s": 1,
-        }
 
     def __repr__(self):
         return "RootSystem(%s)" % self.label

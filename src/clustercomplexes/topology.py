@@ -394,8 +394,8 @@ class _Audit:
     ``ups[j]`` lists the faces with |s| + j vertices that contain s and lie
     in a top facet.  ``links`` holds (mask of s, mask of its star minus s,
     o, maps) for each link face s, ``maps`` being the bit images of the
-    powers that map s onto its base.  The link verdicts and each removal's
-    least image are kept for every later audit of the complex.
+    powers that map s onto its base.  The link verdicts are kept for every
+    later audit of the complex.
     """
 
     def __init__(self, cx: SimplicialComplex, table: _FaceTable):
@@ -458,22 +458,13 @@ class _Audit:
                                      [images[(g - h) % order] for g in fixed])
             self.stars.append((size, ups))
         self.verdicts: dict = {}  # link key -> acyclic below the top
-        self.least: dict = {}     # removal mask -> least image mask
 
     def keys(self, removals: Iterator[tuple]) -> Iterator[tuple]:
-        """Each removal with its least image mask under the powers, in turn.
-
-        The first removal met in an orbit computes the whole orbit, and
-        every member's own mask is then looked up.
-        """
-        images, least = self.images, self.least
+        """Each removal with its least image mask under the powers, in turn."""
+        columns = list(zip(*self.images))  # vertex -> its bit under each power
         for removed in removals:
-            key = least.get(sum(images[0][v] for v in removed))
-            if key is None:
-                orbit = [sum(bits[v] for v in removed) for bits in images]
-                key = min(orbit)
-                least.update(dict.fromkeys(orbit, key))
-            yield removed, key
+            yield removed, min(map(sum, zip(*[columns[v] for v in removed])),
+                               default=0)
 
     def link_keys(self, removed: int) -> Iterator[tuple]:
         """The memo key of each link face missing ``removed``.

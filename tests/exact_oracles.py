@@ -5,12 +5,11 @@ ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
 the whole group by closure, type-A one-line notation, reflection length
 and the face test by full permutation products, reflection length by a
 breadth-first search over reflection words, type-A reflection length and
-absolute order read off cycles, the two-length face test,
-a root system rebuilt from its JSON report, and the shelling condition
-checked on every pair of facets.  The builder's pieces are redone the
-slow way: the pair graph by ``is_face`` on every pair and by one reflection
-length per pair, maximal cliques by Bron-Kerbosch on Python sets, the
-maximal faces of a face list by set comparison, and purity by testing
+absolute order read off cycles, the two-length face test, and the
+shelling condition checked on every pair of facets.  The builder's pieces
+are redone the slow way: the pair graph by ``is_face`` on every pair and by
+one reflection length per pair, maximal cliques by Bron-Kerbosch on Python
+sets, the maximal faces of a face list by set comparison, and purity by testing
 every facet against the kept top facets.  The k-CM audit is redone with
 no symmetry and no face table, by shelling every induced complex.  The
 noncrossing side is redone with group elements: the componentwise
@@ -18,7 +17,8 @@ absolute order on L_m and the face-to-tuple map by permutation products;
 and its comparison is redone on explicit complexes: a skeleton and an
 order complex per k, and each fiber relabelled as a complex of its own.
 Products are split into components the slow way too: the face tests and
-compatibility per component, the library acting on the product itself.
+compatibility per component, and the complex as the join of the
+components', the library acting on the product itself.
 The root-system set-up is redone on ``Scalar`` coordinates: the positive
 closure, the Coxeter diagram, its bipartite order and classification, the
 sort of the positive roots and the H4 simple-system search, each by dot
@@ -458,15 +458,29 @@ def purity_failure_by_all_facets(cx, removed: int):
     return None
 
 
+def join_of_components(rs, m) -> tuple:
+    """A product's vertices, facets and neighbour bitmasks as the join of
+    its components' complexes ({()} at rank 0, which has none).
+
+    Each vertex of a part lies in a facet of it, so it neighbours every
+    vertex of every other part.
+    """
+    objects, facets, adjacency = [], [()], []
+    for comp in rs.components:
+        cx, graph = build_complex(comp, m)
+        off = len(adjacency)
+        part = ((1 << len(graph)) - 1) << off
+        shifted = [tuple(v + off for v in f) for f in cx.facets]
+        objects += cx.objects
+        facets = [f + g for f in facets for g in shifted]
+        adjacency = [near | part for near in adjacency] + \
+            [sum(1 << (j + off) for j in graph[i]) | (1 << off) - 1
+             for i in range(len(graph))]
+    return objects, facets, adjacency
+
+
 def facets_as_label_sets(cx) -> set:
     return {frozenset(f) for f in labeled_facets(cx)}
-
-
-def root_system_from_dict(data: dict) -> CoordinateRootSystem:
-    """Rebuild a coordinate system from the simple roots of its report."""
-    coords = [[Scalar(Fraction(q[0], q[1]), Fraction(q[2], q[3])) for q in r]
-              for r in data["simple_roots"]]
-    return CoordinateRootSystem(coords, label=data["type"])
 
 
 # -- subsystems -----------------------------------------------------------------------

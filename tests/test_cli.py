@@ -220,8 +220,20 @@ def test_ncp_command():
 def test_ncp_guards_m0_and_reducible_systems(capsys):
     assert run(["ncp", "--phi", "A2", "--m", "0"]) == 2
     assert "ncp needs m >= 1" in capsys.readouterr().err
-    assert run(["ncp", "--phi", "A1xA2", "--m", "1"]) == 2
-    assert "ncp needs an irreducible system" in capsys.readouterr().err
+    assert run(["ncp", "--phi", "A1xA2", "--m", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("phi", ["A1xA1", "A1xA2", "A1xB2", "B2xG2"])
+def test_ncp_on_products(phi, m, capsys):
+    assert run(["ncp", "--phi", phi, "--m", str(m), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] and all(c["ok"] for c in report["checks"])
+    size = 1
+    for comp in clustercomplexes.build_root_system(phi).components:
+        size *= fuss_catalan(comp, m)
+    assert report["poset_size"] == size
 
 
 def test_polygon_guards_m0(capsys):

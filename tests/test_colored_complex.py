@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustercomplexes import colored
 from clustercomplexes.colored import (ColoredRoot, _max_cliques, _pair_graph,
                                       build_complex, canonical_label,
                                       colored_vertices, deformed_coxeter,
@@ -21,8 +22,9 @@ from clustercomplexes.topology import fuss_catalan
 from conftest import ACCEPTANCE_MATRIX
 from exact_oracles import (complex_by_all_pairs, component_of,
                            componentwise_fr_compatible, delete,
-                           facets_as_label_sets, is_identity, labeled_facets,
-                           link, max_cliques_by_sets, maximal_faces_by_sets,
+                           facets_as_label_sets, is_identity,
+                           join_of_components, labeled_facets, link,
+                           max_cliques_by_sets, maximal_faces_by_sets,
                            pair_graph_by_lengths, parabolic,
                            permutation_is_face, skeleton, subcomplex_below,
                            subsystem, two_length_is_face, word_of_face)
@@ -271,6 +273,13 @@ class TestWordCriterion:
             assert made == []
 
 
+BUILDER_LABELS = ["A2", "A3", "B2", "B3", "G2", "A1", "A1xA1", "A1xA2",
+                  "A1xB2", "A2xA2", "A1xA1xA1"] + \
+    ["I2(%d)" % k for k in range(2, 13)]
+PRODUCT_CASES = [(label, m) for label in BUILDER_LABELS if "x" in label
+                 for m in range(4)]
+
+
 class TestBuildComplex:
 
     def test_a2_m1_exact_facets(self, complexes):
@@ -335,16 +344,55 @@ class TestBuildComplex:
             rj = index[rm_map(rs, 2, cx.objects[j]).key()]
             assert (j in adjacency[i]) == (rj in adjacency[ri])
 
-    def test_join_for_products(self):
-        rs = build_root_system("A1xA2")
-        cx, _ = build_complex(rs, 2)
-        f1 = build_complex(build_root_system("A1"), 2)[0].f_vector()
-        f2 = build_complex(build_root_system("A2"), 2)[0].f_vector()
-        conv = [0] * (len(f1) + len(f2) - 1)
-        for i, a in enumerate(f1):
-            for j, b in enumerate(f2):
-                conv[i + j] += a * b
+    @pytest.mark.parametrize("label, m", PRODUCT_CASES)
+    def test_join_for_products(self, label, m):
+        # the builder takes a product's facets from its own pair graph; they
+        # are the join of its components' (Fomin and Reading)
+        rs = build_root_system(label)
+        cx, adjacency = build_complex(rs, m)
+        objects, facets, near = join_of_components(rs, m)
+        assert [v.key() for v in cx.objects] == [v.key() for v in objects]
+        assert list(cx.facets) == facets
+        assert adjacency == {i: frozenset(j for j in range(len(near))
+                                          if bits >> j & 1)
+                             for i, bits in enumerate(near)}
+        conv = [1]
+        for comp in rs.components:
+            part = build_complex(comp, m)[0].f_vector()
+            conv = [sum(conv[i] * part[k - i] for i in range(len(conv))
+                        if 0 <= k - i < len(part))
+                    for k in range(len(conv) + len(part) - 1)]
         assert cx.f_vector() == tuple(conv)
+
+    def test_product_facets_are_rechecked(self, monkeypatch):
+        # a word criterion that splits A1xA2 must trip the flag re-check
+        rs = build_root_system("A1xA2")
+        first = len(colored_vertices(rs.components[0], 1))
+        real = colored._is_face_at
+
+        def split(ctx, positions):
+            if ctx.system is rs and positions and \
+                    min(positions) < first <= max(positions):
+                return False
+            return real(ctx, positions)
+
+        monkeypatch.setattr(colored, "_is_face_at", split)
+        with pytest.raises(RuntimeError, match="flagness violated"):
+            build_complex(rs, 1)
+
+    def test_build_reads_the_contexts_vertices(self, monkeypatch):
+        rs = build_root_system("A1xB2")
+        get_context(rs, 2)
+        calls = []
+        real = colored.colored_vertices
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(colored, "colored_vertices", counting)
+        build_complex(rs, 2)
+        assert calls == []
 
     def test_rank_zero(self):
         rs = subsystem([])
@@ -357,11 +405,6 @@ class TestBuildComplex:
             build_complex(build_root_system("A2"), -1)
 
 
-BUILDER_LABELS = ["A2", "A3", "B2", "B3", "G2", "A1", "A1xA1", "A1xA2",
-                  "A1xB2", "A2xA2", "A1xA1xA1"] + \
-    ["I2(%d)" % k for k in range(2, 13)]
-PRODUCT_CASES = [(label, m) for label in BUILDER_LABELS if "x" in label
-                 for m in range(4)]
 PAIR_GRAPH_LABELS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
                      "C3", "C4", "D4", "D5", "E6", "F4", "G2", "H3", "H4"]
 

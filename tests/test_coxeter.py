@@ -262,7 +262,7 @@ class TestRhoSequence:
         assert len(products) == 8  # A1's 2 and A2's 6 prefix products
         rs = product_system(factors)
         for comp in rs.components:
-            get_context(comp, 2).steps  # the join builds each step table
+            get_context(comp, 2)  # each builds its component's sequence
         del products[:]
         order = total_order(rs)
         assert products == []

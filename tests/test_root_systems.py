@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +10,7 @@ from clustercomplexes.exact import ZERO, Scalar, dot
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
                                     Root, build_root_system)
 from exact_oracles import (bipartition, classify, enumerate_group, orthogonal,
-                           parabolic, root_system_from_dict, scalar_h4_simples,
-                           scalar_root_system)
+                           parabolic, scalar_h4_simples, scalar_root_system)
 
 EXPECTED = {
     # label -> (positive root count, coxeter number, exponents)
@@ -272,27 +270,6 @@ class TestExponentOracles:
             for e in exps:
                 rhs *= t + e
             assert lhs == rhs
-
-
-class TestSerialization:
-
-    def test_roundtrip_b3(self):
-        rs = build_root_system("B3")
-        data = json.loads(json.dumps(rs.to_dict()))
-        assert set(data) == {"type", "rank", "simple_roots", "positive_roots",
-                             "split_s"}
-        assert data["type"] == "B3" and data["rank"] == 3
-        assert all(len(q) == 4 for row in data["simple_roots"] for q in row)
-        back = root_system_from_dict(data)
-        assert classify(back) == "B3"
-        assert len(back.positive_roots) == 9
-        assert back.split_s == rs.split_s
-
-    def test_dihedral_dict(self):
-        rs = build_root_system("I2(7)")
-        data = rs.to_dict()
-        assert data["dihedral_order"] == 7
-        assert data["split_s"] == 1
 
 
 class TestDihedralModel:
