@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from math import comb
 
 from . import __version__
 from .colored import (build_complex, fr_compatible, positive_part,
@@ -38,6 +39,7 @@ MAX_RANK = 6
 MAX_COLORS = 4
 CAP_VERTICES = 200
 HOMOLOGY_FACE_CAP = 200_000
+EXHAUSTIVE_CAP = 5000  # verify-all audits by sample past this many removals
 
 
 def load_system(phi: str, m: int, cap_vertices: int):
@@ -204,18 +206,27 @@ def cmd_homology(args: argparse.Namespace) -> dict:
                               expected_spheres=want)]}
 
 
+def _shelling_check(name: str, cx) -> tuple:
+    """The ``shelling-<name>`` check of cx, and its checked order or None.
+
+    A failure names its step, that step's facet and the earlier facet
+    holding the step's restriction face, by vertex labels.
+    """
+    try:
+        order = construct_shelling(cx)
+    except ShellingFailure as exc:
+        k, i = exc.order.failure
+        facet, earlier = ([cx.vertices[v] for v in exc.order.facets[j]]
+                          for j in (k, i))
+        return _check("shelling-" + name, False, facets=len(cx.facets),
+                      step=k, facet=facet, earlier=earlier), None
+    return _check("shelling-" + name, True, facets=len(cx.facets)), order
+
+
 def cmd_shelling(args: argparse.Namespace) -> dict:
     rs, cx, _ = _load_complex(args)
-    checks = []
-    for name, complex_ in (("full", cx), ("positive", positive_part(cx))):
-        # construct_shelling returns a verified order or raises
-        try:
-            order = construct_shelling(complex_)
-            ok, detail = True, {"facets": len(order.facets)}
-        except ShellingFailure as exc:
-            ok, detail = False, {"error": str(exc)}
-        checks.append(_check("shelling-%s" % name, ok, **detail))
-    return {"checks": checks}
+    return {"checks": [_shelling_check(name, complex_)[0] for name, complex_
+                       in (("full", cx), ("positive", positive_part(cx)))]}
 
 
 def cmd_kcm(args: argparse.Namespace) -> dict:
@@ -304,12 +315,8 @@ def cmd_verify_all(args: argparse.Namespace) -> dict:
     # #{k : |R_k| = i} is the h-vector
     spheres = {"full": fuss_catalan(rs, m - 1), "positive": want}
     for name, complex_ in (("full", cx), ("positive", pos)):
-        # construct_shelling returns a verified order or raises
-        try:
-            order = construct_shelling(complex_)
-        except ShellingFailure:
-            order = None
-        add("shelling-%s" % name, order is not None, facets=len(complex_.facets))
+        check, order = _shelling_check(name, complex_)
+        checks.append(check)
         if order is None:
             continue
         whole = sum(len(r) == len(f)
@@ -326,11 +333,9 @@ def cmd_verify_all(args: argparse.Namespace) -> dict:
     chi = pos.euler_characteristic_reduced()
     add("euler-identity", chi == (-1 if sphere_dim % 2 else 1) * want, chi=chi)
     # the (m+1)-CM audit, and a ridge's witness that it is best possible
-    exhaustive_cap = 5000
-    from math import comb
     n_v = len(cx.vertices)
     total = sum(comb(n_v, s) for s in range(0, m + 1))
-    mode = "exhaustive" if total <= exhaustive_cap else "sample"
+    mode = "exhaustive" if total <= EXHAUSTIVE_CAP else "sample"
     # the config records the k and the mode the audit used, not the flags
     args.k, args.mode = m + 1, mode
     rep = kcm_audit(cx, m + 1, mode=mode, seed=args.seed, workers=args.workers)

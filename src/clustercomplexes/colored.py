@@ -20,7 +20,8 @@ A product takes the same path as every other system, on the product
 itself, whose vertices and total order list each component's in turn: the
 word criterion and Carter's lemma hold in any finite reflection group, and
 R_m acts on each component as its own, so the builder, the face test,
-compatibility, R_m and the shelling hints need no split into components.
+compatibility, R_m and the shelling's vertex ranking need no split into
+components.
 Its complex comes out as the join of its components' (Fomin and Reading),
 which the tests check rather than the builder assume.
 """
@@ -335,15 +336,18 @@ def _pair_graph(ctx: ComplexContext) -> list:
 
 
 def _shelling_meta(ctx: ComplexContext, labels: Sequence[str]) -> dict:
-    """The vertex ranking the shelling constructor tries shedding vertices in.
+    """The vertex ranking whose lexicographic facet order is the shelling.
 
-    Keys are vertex labels, which stay stable under link/delete/induce.
-    Negative simples rank (0, 0), before every positive root's (color,
-    position), as colors start at 1.
+    Keys are vertex labels, which stay stable under ``induce``.  A vertex
+    ranks (0, place) if a negative simple and (color, place) if a colored
+    positive root, its root's place in the total order; colors start at
+    1, so the negative simples come first.  The ranking is strict, and
+    ``construct_shelling`` takes the facets in increasing order of their
+    vertices' sorted ranks.
     """
     rs, order = ctx.system, ctx.order
-    rank = {label: (0, 0) if _is_negative_simple(rs, v)
-            else (v.color, order[v.root.key])
+    rank = {label: (0 if _is_negative_simple(rs, v) else v.color,
+                    order[v.root.key])
             for v, label in zip(ctx.vertices, labels)}
     return {"vertex_rank": rank}
 

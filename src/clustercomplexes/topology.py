@@ -1,8 +1,9 @@
 """Topological checks: purity, shellings, homology, connectivity audits.
 
-Shelling orders are constructed by recursive vertex decomposition and
-checked in one pass by their restriction faces, so a returned order is a
-checked certificate.  Homology is integral and read off a face table that
+A shelling order is constructed as the facets in lexicographic order, in
+the complex's vertex ranking, and checked in one pass by its restriction
+faces, so a returned order is a checked certificate; no order is searched
+for.  Homology is integral and read off a face table that
 indexes every face once, with its vertex bitmask, boundary and cofaces,
 kept on its complex with the complex's one audit object, and so with its
 link memo, for every later homology or audit of that complex.  A profile
@@ -99,81 +100,40 @@ def verify_shelling(cx: SimplicialComplex,
 
 
 class ShellingFailure(RuntimeError):
-    """No shelling order was found, or the one found failed its check."""
+    """The lexicographic facet order failed its shelling check.
+
+    ``order`` is the checked ``ShellingOrder``; its ``failure`` (k, i)
+    names the failing step k and the earlier facet F_i that holds R_k.
+    """
+
+    def __init__(self, order: ShellingOrder):
+        k, i = order.failure
+        super().__init__("step %d: facet %r has its restriction face in the "
+                         "earlier facet %r" % (k, order.facets[k],
+                                               order.facets[i]))
+        self.order = order
 
 
 def construct_shelling(cx: SimplicialComplex) -> ShellingOrder:
-    """Shelling order by recursive vertex decomposition.
+    """The facets in lexicographic order, checked as a shelling.
 
-    Candidate shedding vertices follow the complex's vertex ranking when
-    present (negative simple roots first, then the extremes of the
-    color-then-root order); other complexes fall back to trying every
-    vertex, with memoization on the induced facet sets.  The order is
-    checked by ``verify_shelling`` and returned with its restriction faces.
+    A facet's key is its vertices' ranks in the complex's ``vertex_rank``
+    (a map from vertex label to a sortable rank), in increasing order, or
+    its sorted vertex indices when the complex has no ranking; the facets
+    are taken by increasing key.  The order is checked by
+    ``verify_shelling`` and returned with its restriction faces, or
+    ``ShellingFailure`` names its failing step.  Raises ``ValueError`` on
+    an impure complex, as ``verify_shelling`` does.
     """
-    facets = _vd_order(cx.facets, cx, {})
-    if facets is None:
-        raise ShellingFailure("no vertex decomposition found")
+    facets = list(cx.facets)  # sorted by vertex index
+    rank = cx.meta.get("vertex_rank")
+    if rank:
+        ranks = [rank[label] for label in cx.vertices]
+        facets.sort(key=lambda f: sorted(map(ranks.__getitem__, f)))
     order = verify_shelling(cx, facets)
     if not order.ok:
-        raise ShellingFailure("constructed order failed verification")
+        raise ShellingFailure(order)
     return order
-
-
-def _vd_order(facets: tuple, cx: SimplicialComplex, memo: dict) -> Optional[list]:
-    facets = tuple(sorted(tuple(sorted(f)) for f in facets))
-    if facets in memo:
-        return memo[facets]
-    if len(facets) <= 1:
-        memo[facets] = list(facets)
-        return memo[facets]
-    sizes = {len(f) for f in facets}
-    if len(sizes) != 1:
-        memo[facets] = None
-        return None
-    size = sizes.pop()
-    verts = sorted({v for f in facets for v in f})
-    # cone points join every facet; peel them off first
-    apexes = [v for v in verts if all(v in f for f in facets)]
-    if apexes:
-        core = tuple(tuple(x for x in f if x not in apexes) for f in facets)
-        if size == len(apexes):  # a single simplex
-            memo[facets] = list(facets)
-            return memo[facets]
-        sub = _vd_order(core, cx, memo)
-        out = None if sub is None else \
-            [tuple(sorted(f + tuple(apexes))) for f in sub]
-        memo[facets] = out
-        return out
-    ridges = collections.Counter(f[:i] + f[i + 1:] for f in facets
-                                 for i in range(size))
-    result = None
-    for v in _shedding_candidates(verts, cx):
-        vfree = [f for f in facets if v not in f]
-        star = [f for f in facets if v in f]
-        # deletion stays pure iff each star facet minus v lies in a second
-        # facet, which avoids v since all facets have one size
-        link = tuple(tuple(x for x in f if x != v) for f in star)
-        if any(ridges[r] < 2 for r in link):
-            continue
-        link_order = _vd_order(link, cx, memo)
-        if link_order is None:
-            continue
-        del_order = _vd_order(tuple(vfree), cx, memo)
-        if del_order is None:
-            continue
-        result = del_order + [tuple(sorted(f + (v,))) for f in link_order]
-        break
-    memo[facets] = result
-    return result
-
-
-def _shedding_candidates(verts: list, cx: SimplicialComplex) -> list:
-    """The vertices in the order of the complex's ``vertex_rank``, if any."""
-    rank = cx.meta.get("vertex_rank")
-    if not rank:
-        return verts
-    return sorted(verts, key=lambda v: rank[cx.vertices[v]])
 
 
 # -- homology ------------------------------------------------------------------------

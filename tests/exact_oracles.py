@@ -5,15 +5,17 @@ ranks by Gaussian elimination over Q(sqrt5) with ``Fraction`` components,
 the whole group by closure, type-A one-line notation, reflection length
 and the face test by full permutation products, reflection length by a
 breadth-first search over reflection words, type-A reflection length and
-absolute order read off cycles, the two-length face test, and the
-shelling condition checked on every pair of facets.  The builder's pieces
+absolute order read off cycles, the two-length face test, the
+shelling condition checked on every pair of facets, and shelling orders
+found by a vertex-decomposition search.  The builder's pieces
 are redone the slow way: the pair graph by ``is_face`` on every pair and by
 one reflection length per pair, maximal cliques by Bron-Kerbosch on Python
 sets, the maximal faces of a face list by set comparison, and purity by testing
 every facet against the kept top facets.  The k-CM audit is redone with
-no symmetry and no face table, by shelling every induced complex.  The
-noncrossing side is redone with group elements: the componentwise
-absolute order on L_m and the face-to-tuple map by permutation products;
+no symmetry and no face table, by shelling every induced complex by
+that search.  The noncrossing side is redone with group elements: the
+componentwise absolute order on L_m and the face-to-tuple map by
+permutation products;
 and its comparison is redone on explicit complexes: a skeleton and an
 order complex per k, and each fiber relabelled as a complex of its own.
 Products are split into components the slow way too: the face tests and
@@ -28,6 +30,7 @@ type classification, orthogonality, reflection matrices, the bipartition
 of the simple roots, the subcomplex below an element, and vertex links,
 deletions and labelled facets.
 """
+import collections
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -43,9 +46,8 @@ from clustercomplexes.noncrossing import face_to_tuple, order_complex
 from clustercomplexes.roots import (CoordinateRootSystem, DihedralRootSystem,
                                     Root, build_root_system)
 from clustercomplexes.simplicial import SimplicialComplex
-from clustercomplexes.topology import (KCMFailure, KCMReport, ShellingFailure,
-                                       ShellingOrder, construct_shelling,
-                                       homology)
+from clustercomplexes.topology import (KCMFailure, KCMReport, ShellingOrder,
+                                       homology, verify_shelling)
 
 
 def difference(a: Matrix, b: Matrix) -> Matrix:
@@ -909,14 +911,80 @@ def shelling_by_definition(cx, order) -> ShellingOrder:
     return ShellingOrder(tuple(facets), tuple(restrictions))
 
 
+def shelling_by_vertex_decomposition(cx):
+    """A shelling order of cx by recursive vertex decomposition, or None.
+
+    Shedding vertices are tried in the order of the complex's
+    ``vertex_rank``, if any, else by index, with memoization on the induced
+    facet sets; cone points are peeled off first.  The search is complete
+    for vertex decomposability, so it shells restrictions of cluster
+    complexes that the lexicographic order of ``construct_shelling`` does
+    not, such as the pentagon less a vertex.
+    """
+    candidates = list(range(len(cx.vertices)))
+    rank = cx.meta.get("vertex_rank")
+    if rank:
+        candidates.sort(key=lambda v: rank[cx.vertices[v]])
+    return _vd_order(cx.facets, candidates, {})
+
+
+def _vd_order(facets: tuple, candidates: list, memo: dict):
+    facets = tuple(sorted(tuple(sorted(f)) for f in facets))
+    if facets in memo:
+        return memo[facets]
+    if len(facets) <= 1:
+        memo[facets] = list(facets)
+        return memo[facets]
+    sizes = {len(f) for f in facets}
+    if len(sizes) != 1:
+        memo[facets] = None
+        return None
+    size = sizes.pop()
+    verts = {v for f in facets for v in f}
+    # cone points join every facet; peel them off first
+    apexes = sorted(v for v in verts if all(v in f for f in facets))
+    if apexes:
+        core = tuple(tuple(x for x in f if x not in apexes) for f in facets)
+        if size == len(apexes):  # a single simplex
+            memo[facets] = list(facets)
+            return memo[facets]
+        sub = _vd_order(core, candidates, memo)
+        out = None if sub is None else \
+            [tuple(sorted(f + tuple(apexes))) for f in sub]
+        memo[facets] = out
+        return out
+    ridges = collections.Counter(f[:i] + f[i + 1:] for f in facets
+                                 for i in range(size))
+    result = None
+    for v in (v for v in candidates if v in verts):
+        vfree = [f for f in facets if v not in f]
+        star = [f for f in facets if v in f]
+        # deletion stays pure iff each star facet minus v lies in a second
+        # facet, which avoids v since all facets have one size
+        link = tuple(tuple(x for x in f if x != v) for f in star)
+        if any(ridges[r] < 2 for r in link):
+            continue
+        link_order = _vd_order(link, candidates, memo)
+        if link_order is None:
+            continue
+        del_order = _vd_order(tuple(vfree), candidates, memo)
+        if del_order is None:
+            continue
+        result = del_order + [tuple(sorted(f + (v,))) for f in link_order]
+        break
+    memo[facets] = result
+    return result
+
+
 def kcm_by_shelling(cx, k: int) -> KCMReport:
     """The exhaustive k-CM audit of cx with every removal shelled.
 
     Each induced complex is checked for dimension and purity and then
-    shelled by ``construct_shelling``; no symmetry and no face table.  A
-    shellable complex is CM, but not conversely, so 'not-CM' here means
-    only that no vertex decomposition was found: the routes must agree on
-    complexes whose CM restrictions are shellable, as those of cluster
+    shelled by ``shelling_by_vertex_decomposition``, the order checked by
+    ``verify_shelling``; no symmetry and no face table.  A shellable
+    complex is CM, but not conversely, so 'not-CM' here means only that no
+    vertex decomposition was found: the routes must agree on complexes
+    whose CM restrictions are vertex decomposable, as those of cluster
     complexes are.
     """
     n, dim = len(cx.vertices), cx.dimension()
@@ -930,12 +998,10 @@ def kcm_by_shelling(cx, k: int) -> KCMReport:
             elif not rest.is_pure():
                 reason = "impure"
             else:
-                try:
-                    construct_shelling(rest)
-                except ShellingFailure:
-                    reason = "not-CM"
-                else:
+                order = shelling_by_vertex_decomposition(rest)
+                if order is not None and verify_shelling(rest, order).ok:
                     continue
+                reason = "not-CM"
             report.failures.append(
                 KCMFailure(tuple(cx.vertices[i] for i in removed), reason))
     return report

@@ -17,7 +17,8 @@ import clustercomplexes
 from clustercomplexes import cli
 from clustercomplexes.cli import run
 from clustercomplexes.simplicial import SimplicialComplex
-from clustercomplexes.topology import fuss_catalan
+from clustercomplexes.topology import (ShellingFailure, ShellingOrder,
+                                       fuss_catalan)
 
 
 def test_build_writes_twelve_facets(tmp_path):
@@ -109,7 +110,7 @@ def test_verify_all_reads_spheres_and_h_vector_off_the_shelling(phi, m, capsys):
 def test_verify_all_records_the_audit_it_ran(flags, capsys):
     # G2 m=4 has 17,902 removals of at most 4 of its 26 vertices, above
     # the exhaustive cap, so the 5-CM audit samples whatever the flags
-    # say; A2 m=1 has 7 and is audited exhaustively at k = 2
+    # say; A2 m=1 has 6 and is audited exhaustively at k = 2
     for phi, m, mode in (("G2", 4, "sample"), ("A2", 1, "exhaustive")):
         assert run(["verify-all", "--phi", phi, "--m", str(m),
                     "--format", "json"] + flags) == 0
@@ -117,6 +118,40 @@ def test_verify_all_records_the_audit_it_ran(flags, capsys):
         kcm = next(c for c in report["checks"] if c["id"] == "kcm")
         assert kcm["detail"]["mode"] == report["config"]["mode"] == mode
         assert kcm["detail"]["k"] == report["config"]["k"] == m + 1
+
+
+def test_verify_all_samples_past_the_exhaustive_cap(monkeypatch, capsys):
+    # A2 m=1 has 6 removals of at most one of its 5 vertices
+    for cap, mode in ((6, "exhaustive"), (5, "sample")):
+        monkeypatch.setattr(cli, "EXHAUSTIVE_CAP", cap)
+        assert run(["verify-all", "--phi", "A2", "--m", "1",
+                    "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        kcm = next(c for c in report["checks"] if c["id"] == "kcm")
+        assert kcm["detail"]["mode"] == report["config"]["mode"] == mode
+
+
+@pytest.mark.parametrize("command", ["shelling", "verify-all"])
+def test_a_failed_shelling_names_its_facets_by_label(command, monkeypatch,
+                                                     capsys):
+    def failing(cx):
+        # step 1 fails, its restriction face lying in the first facet
+        raise ShellingFailure(ShellingOrder(cx.facets, failure=(1, 0)))
+
+    monkeypatch.setattr(cli, "construct_shelling", failing)
+    assert run([command, "--phi", "A2", "--m", "2", "--format", "json"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    cx, _ = clustercomplexes.build_complex(
+        clustercomplexes.build_root_system("A2"), 2)
+    for name, complex_ in (("full", cx),
+                           ("positive", clustercomplexes.positive_part(cx))):
+        first, second = ([complex_.vertices[v] for v in f]
+                         for f in complex_.facets[:2])
+        assert checks["shelling-" + name] == {
+            "id": "shelling-" + name, "ok": False,
+            "detail": {"facets": len(complex_.facets), "step": 1,
+                       "facet": second, "earlier": first}}
+        assert "shelling-spheres-" + name not in checks
 
 
 def test_verify_all_fails_on_wrong_restriction_faces(monkeypatch, capsys):

@@ -16,7 +16,8 @@ from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
                                        sharpness_witness, verify_shelling)
 from conftest import ACCEPTANCE_MATRIX, RP2
 from exact_oracles import (kcm_by_shelling, purity_failure_by_all_facets,
-                           shelling_by_definition, subsystem)
+                           shelling_by_definition,
+                           shelling_by_vertex_decomposition, subsystem)
 
 MATRIX = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2")
           for m in (1, 2, 3)]
@@ -26,6 +27,11 @@ ORDER_CASES = [("pentagon", None, False)] + [
     for label, m in [("A2", 1), ("A2", 2), ("B2", 2), ("I2(5)", 2),
                      ("A1xA2", 1)]
     for positive in (False, True)]
+# complexes held to exactly the lexicographic order in the vertex ranking
+LEX_CASES = [(label, m) for label in ("A1", "A2", "B2", "G2", "I2(5)",
+                                      "A1xA2", "B2xG2") for m in range(4)] + \
+    [(label, m) for label in ("A3", "B3", "H3") for m in range(3)] + \
+    [("D4", 1)]
 
 
 def pentagon():
@@ -169,24 +175,33 @@ class TestConstructShelling:
             order_p = construct_shelling(pos)
             assert verify_shelling(pos, order_p.facets).ok
 
-    @pytest.mark.parametrize("label,m", ACCEPTANCE_MATRIX)
-    @pytest.mark.parametrize("positive", [False, True])
-    def test_ridge_counts_pick_the_orders_of_the_scan(
-            self, label, m, positive, complexes, positive_complexes):
+    @pytest.mark.parametrize("positive", [False, True],
+                             ids=["full", "positive"])
+    @pytest.mark.parametrize("label, m", LEX_CASES)
+    def test_is_the_lexicographic_order(self, label, m, positive, complexes,
+                                        positive_complexes):
         cx = positive_complexes(label, m) if positive else \
             complexes(label, m)[1]
-        assert topology._vd_order(cx.facets, cx, {}) == \
-            vd_order_by_scan(cx.facets, cx, {})
+        rank = cx.meta["vertex_rank"]
+        # the ranking is strict: each vertex has a place of its own
+        ranked = sorted(range(len(cx.vertices)),
+                        key=lambda v: rank[cx.vertices[v]])
+        assert len({rank[label] for label in cx.vertices}) == len(ranked)
+        place = {v: i for i, v in enumerate(ranked)}
+        lex = sorted(cx.facets, key=lambda f: sorted(place[v] for v in f))
+        order = construct_shelling(cx)
+        assert list(order.facets) == lex
+        assert order == shelling_by_definition(cx, lex)
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.sets(st.sampled_from(list(itertools.combinations(range(6), 3))),
-                   min_size=2))
-    def test_ridge_counts_pick_the_orders_of_the_scan_on_any_triangles(
-            self, facets):
-        # no vertex ranking: every vertex is tried, impure deletions included
-        cx = SimplicialComplex(list("abcdef"), facets)
-        assert topology._vd_order(cx.facets, cx, {}) == \
-            vd_order_by_scan(cx.facets, cx, {})
+    def test_a_shellable_path_out_of_index_order_fails(self):
+        # (0,2), (2,3), (1,3) is a shelling, but in index order (1,3)
+        # meets (0,2) in the empty face alone; the search finds one
+        cx = SimplicialComplex(list("abcd"), [(0, 2), (1, 3), (2, 3)])
+        with pytest.raises(ShellingFailure, match="step 1") as failure:
+            construct_shelling(cx)
+        assert failure.value.order.failure == (1, 0)
+        assert failure.value.order.facets == cx.facets
+        assert verify_shelling(cx, shelling_by_vertex_decomposition(cx)).ok
 
     def test_join_of_shellable_is_shellable(self):
         rs = build_root_system("A1xA1")
@@ -214,56 +229,6 @@ class TestConstructShelling:
             h = f_to_h(cx.f_vector())
             assert all(x >= 0 for x in h)
             assert sum(h) == len(cx.facets)
-
-
-def vd_order_by_scan(facets, cx, memo):
-    """``topology._vd_order`` deciding deletion purity by a pairwise scan.
-
-    Each star facet minus v must lie in some facet avoiding v.
-    """
-    facets = tuple(sorted(tuple(sorted(f)) for f in facets))
-    if facets in memo:
-        return memo[facets]
-    if len(facets) <= 1:
-        memo[facets] = list(facets)
-        return memo[facets]
-    sizes = {len(f) for f in facets}
-    if len(sizes) != 1:
-        memo[facets] = None
-        return None
-    size = sizes.pop()
-    verts = sorted({v for f in facets for v in f})
-    apexes = [v for v in verts if all(v in f for f in facets)]
-    if apexes:
-        core = tuple(tuple(x for x in f if x not in apexes) for f in facets)
-        if size == len(apexes):
-            memo[facets] = list(facets)
-            return memo[facets]
-        sub = vd_order_by_scan(core, cx, memo)
-        out = None if sub is None else \
-            [tuple(sorted(f + tuple(apexes))) for f in sub]
-        memo[facets] = out
-        return out
-    result = None
-    for v in topology._shedding_candidates(verts, cx):
-        vfree = [f for f in facets if v not in f]
-        star = [f for f in facets if v in f]
-        if not vfree or not star:
-            continue
-        free_sets = [set(f) for f in vfree]
-        if not all(any(set(f) - {v} <= g for g in free_sets) for f in star):
-            continue
-        link_order = vd_order_by_scan(
-            tuple(tuple(x for x in f if x != v) for f in star), cx, memo)
-        if link_order is None:
-            continue
-        del_order = vd_order_by_scan(tuple(vfree), cx, memo)
-        if del_order is None:
-            continue
-        result = del_order + [tuple(sorted(f + (v,))) for f in link_order]
-        break
-    memo[facets] = result
-    return result
 
 
 class TestHomology:
