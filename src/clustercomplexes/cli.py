@@ -270,6 +270,10 @@ def cmd_ncp(args: argparse.Namespace) -> dict:
                              positive_facets=len(pos.facets)))
     L = build_Lm(interval, args.m)
     report["poset_size"] = len(L)
+    # |L_m| is the Fuss-Catalan number (Armstrong); both sides multiply
+    # over components
+    want = fuss_catalan(rs, args.m)
+    checks.append(_check("ncp-poset-size", len(L) == want, expected=want))
     rep = homotopy_compare(rs, args.m, pos_cx=pos, poset=L)
     # the fibers belong to the whole map; they are reported with k = n
     n = rs.rank

@@ -1,27 +1,31 @@
 """Colored root sets and generalized cluster complexes.
 
 The vertex set pairs each positive root with a color 1..m and adds the
-negative simple roots (which carry color 1 by convention).  Faces are
-characterized two ways: through the recursive compatibility relation
-driven by the color-rotation map, and through the word criterion that a
-set is a face exactly when its ordered reflection product w has length
-equal to the set's size and sits below the bipartite Coxeter element in
-absolute order; the face test decides it with one reflection length, that
-of w^-1 gamma (see ``is_face``).  It builds no group element: the context
-keeps one step per vertex position (its place in the word and its
-reflection), and the test applies the sorted steps to the n simple-root
-images of gamma.  The builder decides every pair from one descent set per
-positive root, that of t gamma (``RootSystem.descents``), with no length
-per pair; it enumerates facets as maximal cliques of the pair graph on
-bitmasks and re-validates every clique against the word criterion, so the
-flag property is checked rather than assumed.
+negative simple roots (which carry color 1 by convention).  The vertices
+are numbered in one total order on the colored roots: -Pi_minus, Phi+ in
+colors 1 to m, then -Pi_plus, each block by the total order on roots.
+That one numbering orders every face's word, its vertices from the last
+position to the first, and makes the sorted facet list the lexicographic
+shelling order.  Faces are characterized two ways: through the recursive
+compatibility relation driven by the color-rotation map, and through the
+word criterion that a set is a face exactly when its ordered reflection
+product w has length equal to the set's size and sits below the bipartite
+Coxeter element in absolute order; the face test decides it with one
+reflection length, that of w^-1 gamma (see ``is_face``).  It builds no
+group element: the context keeps each position's reflection, and the test
+applies a face's reflections to the n simple-root images of gamma.  The
+builder decides every pair from one descent set per positive root, that
+of t gamma (``RootSystem.descents``), with no length per pair; it
+enumerates facets as maximal cliques of the pair graph on bitmasks and
+re-validates every clique against the word criterion, so the flag
+property is checked rather than assumed.
 
 A product takes the same path as every other system, on the product
-itself, whose vertices and total order list each component's in turn: the
-word criterion and Carter's lemma hold in any finite reflection group, and
-R_m acts on each component as its own, so the builder, the face test,
-compatibility, R_m and the shelling's vertex ranking need no split into
-components.
+itself, whose vertices list each component's in turn: the word criterion
+and Carter's lemma hold in any finite reflection group, reflections of
+different components commute, and R_m acts on each component as its own,
+so the builder, the face test, compatibility, R_m and the shelling need
+no split into components.
 Its complex comes out as the join of its components' (Fomin and Reading),
 which the tests check rather than the builder assume.
 """
@@ -62,14 +66,10 @@ class ColoredRoot:
 class ComplexContext:
     """Per-(system, m) data shared by the face tests: vertices, gamma, steps.
 
-    ``vertices`` is ``colored_vertices(rs, m)``, ``order`` maps a root key
-    to its place in the total order, ``position`` maps a vertex key to its
-    place in ``vertices``, and ``steps`` holds per place (word class,
-    -position, reflection permutation): a face's word takes the plus
-    block's negative simples (class 0), the colors m down to 1, then the
-    minus block's (class m + 1), each class by the total order, largest
-    first.  So the steps of a face, sorted, are its word's reflections in
-    order.
+    ``vertices`` is ``colored_vertices(rs, m)``, in the colored total
+    order, ``position`` maps a vertex key to its place in ``vertices``, and
+    ``steps`` holds each place's reflection permutation.  A face's word
+    takes its vertices from the last place to the first.
     """
 
     def __init__(self, rs: RootSystem, m: int):
@@ -80,18 +80,9 @@ class ComplexContext:
         self.gamma = bipartite_coxeter(rs)
         self.gamma_images = tuple(self.gamma.perm[i]
                                   for i in rs.simple_positions)
-        self.order = {r.key: i for i, r in enumerate(total_order(rs))}
         self.vertices = colored_vertices(rs, m)
         self.position = {v.key(): i for i, v in enumerate(self.vertices)}
-        self.steps = []
-        for v in self.vertices:
-            if rs.is_positive(v.root):
-                cls = m + 1 - v.color
-            else:
-                cls = 0 if rs.simple_index(rs.negate(v.root)) < rs.split_s \
-                    else m + 1
-            self.steps.append((cls, -self.order[v.root.key],
-                               rs.reflection(v.root).perm))
+        self.steps = [rs.reflection(v.root).perm for v in self.vertices]
 
 
 def get_context(rs: RootSystem, m: int) -> ComplexContext:
@@ -103,12 +94,21 @@ def get_context(rs: RootSystem, m: int) -> ComplexContext:
 
 
 def colored_vertices(rs: RootSystem, m: int) -> list:
-    """The vertex set: per component in turn, -Pi and m copies of Phi+."""
+    """The vertex set in the colored total order.
+
+    Per component in turn: -Pi_minus, Phi+ in color 1, .., Phi+ in color m,
+    then -Pi_plus, each block by the total order.  A face's word reads its
+    vertices last first, and the facet list, sorted in this numbering, is
+    the lexicographic shelling.
+    """
     out = []
     for comp in rs.components:
-        out.extend(ColoredRoot(comp.negate(a), 1) for a in comp.simple_roots)
+        window = total_order(comp)
+        lo, hi = comp.rank - comp.split_s, len(window) - comp.split_s
+        out.extend(ColoredRoot(r, 1) for r in window[:lo])
         for color in range(1, m + 1):
-            out.extend(ColoredRoot(r, color) for r in comp.positive_roots)
+            out.extend(ColoredRoot(r, color) for r in window[lo:hi])
+        out.extend(ColoredRoot(r, 1) for r in window[hi:])
     return out
 
 
@@ -199,9 +199,9 @@ def _positions(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> list:
 
 
 def _word(ctx: ComplexContext, positions: Iterable[int]) -> list:
-    """The reflection permutations of the positions' word, in product order."""
-    steps = ctx.steps
-    return [t for _, _, t in sorted([steps[p] for p in positions])]
+    """The reflection permutations of the positions' word, in product order:
+    the highest position first."""
+    return list(map(ctx.steps.__getitem__, sorted(positions, reverse=True)))
 
 
 def is_face(ctx: ComplexContext, sigma: Iterable[ColoredRoot]) -> bool:
@@ -282,7 +282,6 @@ def build_complex(rs: RootSystem, m: int) -> tuple:
                 % (facet,))
     labels = [canonical_label(rs, v) for v in vertices]
     cx = SimplicialComplex(labels, facets, objects=vertices,
-                           meta=_shelling_meta(ctx, labels),
                            symmetry=_rotation(ctx))
     return cx, {i: frozenset(j for j in range(len(vertices)) if near >> j & 1)
                 for i, near in enumerate(adjacency)}
@@ -304,10 +303,11 @@ def _rotation(ctx: ComplexContext):
 def _pair_graph(ctx: ComplexContext) -> list:
     """The neighbour bitmask of each vertex position.
 
-    A pair {a, b}, a's step first, is a face when l(t_b t_a gamma) = n - 2.
-    Every reflection lies below gamma, so l(t_a gamma) = n - 1, and the
-    pair is a face exactly when b's root is a descent of t_a gamma: one
-    descent set per positive root serves every pair.
+    A pair {a, b}, a > b, so a's step first, is a face when
+    l(t_b t_a gamma) = n - 2.  Every reflection lies below gamma, so
+    l(t_a gamma) = n - 1, and the pair is a face exactly when b's root is a
+    descent of t_a gamma: one descent set per positive root serves every
+    pair.
     """
     rs, steps = ctx.system, ctx.steps
     # each position's root, as an index into positive_roots: the negative
@@ -317,39 +317,20 @@ def _pair_graph(ctx: ComplexContext) -> list:
     down = {}  # root -> the descent set of its t gamma
     for p, r in enumerate(root):
         if r not in down:
-            images = tuple(map(steps[p][2].__getitem__, ctx.gamma_images))
+            images = tuple(map(steps[p].__getitem__, ctx.gamma_images))
             down[r] = rs.descents(images)
             if rs.image_length(images) != ctx.gamma.length - 1:
                 raise RuntimeError(
                     "the reflection in %r is not below the Coxeter element "
                     "of %s" % (rs.positive_roots[r], rs.label))
     adjacency = [0] * len(steps)
-    earlier = []
-    for b in sorted(range(len(steps)), key=steps.__getitem__):
-        r = root[b]
-        for a in earlier:
-            if down[root[a]] >> r & 1:
+    for a, r in enumerate(root):
+        below = down[r]
+        for b in range(a):
+            if below >> root[b] & 1:
                 adjacency[a] |= 1 << b
                 adjacency[b] |= 1 << a
-        earlier.append(b)
     return adjacency
-
-
-def _shelling_meta(ctx: ComplexContext, labels: Sequence[str]) -> dict:
-    """The vertex ranking whose lexicographic facet order is the shelling.
-
-    Keys are vertex labels, which stay stable under ``induce``.  A vertex
-    ranks (0, place) if a negative simple and (color, place) if a colored
-    positive root, its root's place in the total order; colors start at
-    1, so the negative simples come first.  The ranking is strict, and
-    ``construct_shelling`` takes the facets in increasing order of their
-    vertices' sorted ranks.
-    """
-    rs, order = ctx.system, ctx.order
-    rank = {label: (0 if _is_negative_simple(rs, v) else v.color,
-                    order[v.root.key])
-            for v, label in zip(ctx.vertices, labels)}
-    return {"vertex_rank": rank}
 
 
 def positive_part(cx: SimplicialComplex) -> SimplicialComplex:

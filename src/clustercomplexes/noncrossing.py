@@ -6,21 +6,21 @@ elements are listed in a linear extension, bottom first, with one down-set
 bitset per element; covers are looked up by the n simple-root images of a
 product, never by the product itself.  An element of L_m is the m-tuple of
 its words' simple-root images, and the face-to-tuple map reads each color
-class's word off the face test's steps, with no group product.  The
-comparison with the positive cluster complex reads every complex off two
-face tables, the positive part's and that of the order complex of L_m
-minus its bottom: for each k, the (k-1)-skeleton is the positive part's
-cells with at most k vertices, the order complex of the ranks 1..k is the
-restriction missing the vertices of higher rank, and the fiber of the
-face-to-tuple map over an order ideal is the set of cells whose tuple
-lies in it.
+class's word off the face test's reflections, in the vertex order, with
+no group product.  The comparison with the positive cluster complex reads
+every complex off two face tables, the positive part's and that of the
+order complex of L_m minus its bottom: for each k, the (k-1)-skeleton is
+the positive part's cells with at most k vertices, the order complex of
+the ranks 1..k is the restriction missing the vertices of higher rank,
+and the fiber of the face-to-tuple map over an order ideal is the set of
+cells whose tuple lies in it.
 """
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .colored import (ColoredRoot, _max_cliques, _positions, _word,
-                      build_complex, get_context, is_face, positive_part)
+from .colored import (ColoredRoot, _max_cliques, _positions, build_complex,
+                      get_context, is_face, positive_part)
 from .coxeter import absolute_interval
 from .roots import RootSystem
 from .simplicial import SimplicialComplex
@@ -143,25 +143,26 @@ def face_to_tuple(rs: RootSystem, m: int,
                   sigma: Sequence[ColoredRoot]) -> tuple:
     """The simple-root images of a face's color-class words, highest first.
 
-    Each class word is read off the class's sorted steps, the ones
-    ``is_face`` multiplies.  The classes, highest color first, make up the
-    face's word, so ``is_face`` puts their product below gamma with length
-    |sigma|, and their lengths must add up to |sigma|.
+    Each class word is the face test's word on the class: its reflections
+    from the highest vertex position down.  The classes, highest color
+    first, make up the face's word, so ``is_face`` puts their product
+    below gamma with length |sigma|, and with it their lengths add up to
+    |sigma|, since l(w) <= sum l(w_c) <= |sigma| = l(w).
     """
     sigma = list(sigma)
     if not sigma:
         raise ValueError("the face-to-tuple map is defined on nonempty faces")
     ctx = get_context(rs, m)
+    positions = _positions(ctx, sigma)
     words = []
     for color in range(m, 0, -1):
         images = rs.simple_positions
-        # w = t_1 .. t_k acts by t_k first
-        for t in reversed(_word(ctx, _positions(
-                ctx, [v for v in sigma if v.color == color]))):
+        # w = t_1 .. t_k acts by t_k first, the lowest position
+        for p in sorted(p for p, v in zip(positions, sigma)
+                        if v.color == color):
+            t = ctx.steps[p]
             images = tuple(t[i] for i in images)
         words.append(images)
-    if sum(rs.image_length(w) for w in words) != len(sigma):
-        raise RuntimeError("face word lengths do not add up to the face size")
     if not is_face(ctx, sigma):
         raise RuntimeError("face tuple escapes the noncrossing interval")
     return tuple(words)

@@ -36,7 +36,9 @@ every root's norm, read from the Gram matrix, is a simple root's norm
 (``RuntimeError`` otherwise).  A root's coordinates are built once, from
 its expansion, so its key is the same as from any other route.  Positive
 roots are sorted by height, then expansion, on int ranks of the
-coefficients' exact order.  The Coxeter diagram and its components are
+coefficients' exact order.  The expansions are kept once, as int pairs
+indexed like ``roots``: ``support`` reads them, and ``expansion`` gives
+Scalars built on demand.  The Coxeter diagram and its components are
 read off the same Gram matrix.
 
 Group elements are permutations of ``roots`` (see ``coxeter``).  The
@@ -144,6 +146,15 @@ class RootSystem:
     simple_positions: tuple  # index in ``roots`` of each simple root
     contexts: dict  # m -> colored.ComplexContext, filled by get_context
     rho: dict  # window index -> Root of an irreducible system, on first use
+
+    def _set_roots(self, positives: list, negatives: list):
+        """``roots``, the positive roots then their negatives in turn, with
+        the index of each root's key and of each root's negative."""
+        npos = len(positives)
+        self.positive_roots = positives
+        self.roots = positives + negatives
+        self._index = {r.key: i for i, r in enumerate(self.roots)}
+        self._neg = [*range(npos, 2 * npos), *range(npos)]
 
     def index_of(self, root: Root) -> int:
         return self._index[root.key]
@@ -258,22 +269,13 @@ class CoordinateRootSystem(RootSystem):
                    for key, exp in stored.items()}
         rank = pair_ranks([*heights.values(),
                        *(c for exp in stored.values() for c in exp)])
-        self.positive_roots = sorted(positives, key=lambda r: (
+        positives = sorted(positives, key=lambda r: (
             rank[heights[r.key]], tuple(rank[c] for c in stored[r.key])))
-        negatives = _roots_at(basis, [tuple((-p, -q) for p, q in found[r.key])
-                                      for r in self.positive_roots])
-        self.roots = self.positive_roots + negatives
-        self._index = {r.key: i for i, r in enumerate(self.roots)}
-        npos = len(self.positive_roots)
-        self._neg = {i: (i + npos if i < npos else i - npos)
-                     for i in range(len(self.roots))}
+        self._set_roots(positives, _roots_at(basis, [
+            tuple((-p, -q) for p, q in found[r.key]) for r in positives]))
         # expansions as int pairs (p, q) = (p + q*sqrt5)/2, indexed like roots
-        self._pairs = [stored[r.key] for r in self.positive_roots]
+        self._pairs = [stored[r.key] for r in positives]
         self._pairs += [tuple((-p, -q) for p, q in exp) for exp in self._pairs]
-        halved = {c: Scalar(Fraction(c[0], 2), Fraction(c[1], 2))
-                  for c in {c for exp in self._pairs for c in exp}}
-        self._expansion = {r.key: tuple(halved[c] for c in exp)
-                           for r, exp in zip(self.roots, self._pairs)}
 
         self.simple_positions = tuple(self._index[a.key]
                                       for a in self.simple_roots)
@@ -339,15 +341,18 @@ class CoordinateRootSystem(RootSystem):
         return self._components
 
     def expansion(self, root: Root) -> tuple:
-        """Coefficients of root over the stored simple-root basis."""
-        return self._expansion[root.key]
+        """Coefficients of root over the stored simple-root basis, as
+        Scalars."""
+        return tuple(Scalar(Fraction(p, 2), Fraction(q, 2))
+                     for p, q in self._pairs[self._index[root.key]])
 
     def support(self, beta: Root) -> frozenset:
         """Indices of the simple roots appearing in beta's expansion."""
         if not self.is_positive(beta):
             raise ValueError("support is defined for positive roots only")
-        return frozenset(i for i, c in enumerate(self.expansion(beta))
-                         if c.sign() != 0)
+        return frozenset(i for i, c in
+                         enumerate(self._pairs[self._index[beta.key]])
+                         if c != (0, 0))
 
     def _reflection_length(self, images: tuple) -> int:
         # Carter's lemma: l_T(w) = codim Fix(w) = rank(w - I) on the root
@@ -447,14 +452,11 @@ class DihedralRootSystem(RootSystem):
         self.label = "I2(%d)" % m
         self.rank = 2
         self.ambient = None
-        self.positive_roots = [Root(angle=k, dihedral_order=m) for k in range(m)]
-        negatives = [Root(angle=k + m, dihedral_order=m) for k in range(m)]
-        self.roots = self.positive_roots + negatives
+        self._set_roots([Root(angle=k, dihedral_order=m) for k in range(m)],
+                        [Root(angle=k + m, dihedral_order=m) for k in range(m)])
         self.simple_roots = [self.positive_roots[0], self.positive_roots[m - 1]]
         self.simple_positions = (0, m - 1)
         self.split_s = 1
-        self._index = {r.key: i for i, r in enumerate(self.roots)}
-        self._neg = {i: (i + m) % (2 * m) for i in range(2 * m)}
         self.components = [self]
         # the reflection in the line orthogonal to the root at angle k*pi/m
         self._simple_perms = [tuple((2 * k + m - j) % (2 * m)

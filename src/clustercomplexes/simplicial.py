@@ -3,7 +3,11 @@
 Vertices are identified by string labels (kept stable for output); an
 optional parallel tuple of payload objects lets callers recover the
 underlying combinatorial data of each vertex.  Facets are sorted tuples
-of vertex indices, and the facet list itself is kept sorted.  A complex
+of vertex indices, and the facet list itself is kept sorted: it is the
+lexicographic order in the vertex numbering, the order that
+``topology.construct_shelling`` checks as a shelling.  ``induce`` keeps
+the vertices in order, so an induced subcomplex's facets keep the order
+of its parent's numbering.  A complex
 may carry a vertex permutation, ``symmetry``, that its builder knows to
 be an automorphism; ``induce``, the only construction, does not pass it
 on, since a subcomplex is in general not invariant under it.
@@ -24,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 class SimplicialComplex:
 
     def __init__(self, vertices: Sequence[str], facets: Iterable[Sequence[int]],
-                 objects: Optional[Sequence] = None, meta: Optional[dict] = None,
+                 objects: Optional[Sequence] = None,
                  symmetry: Optional[Sequence[int]] = None):
         self.vertices = tuple(vertices)
         self.objects = tuple(objects) if objects is not None else None
@@ -49,7 +53,6 @@ class SimplicialComplex:
                        if f and reduce(and_, map(holders.__getitem__, f))
                        == 1 << i]
         self.facets = tuple(cleaned)
-        self.meta = dict(meta or {})
         self._faces = None
         self.face_table = None
 
@@ -100,7 +103,7 @@ class SimplicialComplex:
         return SimplicialComplex(
             [self.vertices[i] for i in keep],
             [tuple(remap[x] for x in f if x in remap) for f in self.facets],
-            objects=objs, meta=self.meta)
+            objects=objs)
 
     # -- output ---------------------------------------------------------------
 

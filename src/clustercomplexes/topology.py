@@ -1,7 +1,9 @@
 """Topological checks: purity, shellings, homology, connectivity audits.
 
-A shelling order is constructed as the facets in lexicographic order, in
-the complex's vertex ranking, and checked in one pass by its restriction
+A shelling order is the facet list as it stands, sorted, which is the
+lexicographic order in the vertex numbering; a generalized cluster complex
+numbers its vertices in the colored total order, whose lexicographic
+order shells it.  The order is checked in one pass by its restriction
 faces, so a returned order is a checked certificate; no order is searched
 for.  Homology is integral and read off a face table that
 indexes every face once, with its vertex bitmask, boundary and cofaces,
@@ -115,22 +117,14 @@ class ShellingFailure(RuntimeError):
 
 
 def construct_shelling(cx: SimplicialComplex) -> ShellingOrder:
-    """The facets in lexicographic order, checked as a shelling.
+    """The facet list, in its lexicographic order, checked as a shelling.
 
-    A facet's key is its vertices' ranks in the complex's ``vertex_rank``
-    (a map from vertex label to a sortable rank), in increasing order, or
-    its sorted vertex indices when the complex has no ranking; the facets
-    are taken by increasing key.  The order is checked by
-    ``verify_shelling`` and returned with its restriction faces, or
-    ``ShellingFailure`` names its failing step.  Raises ``ValueError`` on
-    an impure complex, as ``verify_shelling`` does.
+    The order is checked by ``verify_shelling`` and returned with its
+    restriction faces, or ``ShellingFailure`` names its failing step.
+    Raises ``ValueError`` on an impure complex, as ``verify_shelling``
+    does.
     """
-    facets = list(cx.facets)  # sorted by vertex index
-    rank = cx.meta.get("vertex_rank")
-    if rank:
-        ranks = [rank[label] for label in cx.vertices]
-        facets.sort(key=lambda f: sorted(map(ranks.__getitem__, f)))
-    order = verify_shelling(cx, facets)
+    order = verify_shelling(cx, cx.facets)
     if not order.ok:
         raise ShellingFailure(order)
     return order

@@ -20,7 +20,9 @@ and its comparison is redone on explicit complexes: a skeleton and an
 order complex per k, and each fiber relabelled as a complex of its own.
 Products are split into components the slow way too: the face tests and
 compatibility per component, and the complex as the join of the
-components', the library acting on the product itself.
+components', the library acting on the product itself.  The sort key that
+ordered a face's word before the vertices were numbered in the colored
+total order is kept to check that numbering against.
 The root-system set-up is redone on ``Scalar`` coordinates: the positive
 closure, the Coxeter diagram, its bipartite order and classification, the
 sort of the positive roots and the H4 simple-system search, each by dot
@@ -39,7 +41,7 @@ from typing import Sequence
 from clustercomplexes.colored import (_positions, _word, build_complex,
                                       colored_vertices, fr_compatible,
                                       get_context, is_face, positive_part)
-from clustercomplexes.coxeter import GroupElement, absolute_leq
+from clustercomplexes.coxeter import GroupElement, absolute_leq, total_order
 from clustercomplexes.exact import (GOLDEN, ONE, ZERO, Matrix, Scalar,
                                     coerce_scalar, dot)
 from clustercomplexes.noncrossing import face_to_tuple, order_complex
@@ -354,6 +356,28 @@ def component_of(rs, root):
     return next(c for c in rs.components if simple in c.simple_roots)
 
 
+def word_order_key(rs, m: int):
+    """The key v -> (class, -place) that sorts a face's vertices into its
+    word.
+
+    The plus block's negative simples are class 0, the colors m down to 1
+    are classes 1 to m, and the minus block's negative simples class m + 1;
+    place is the root's place in ``total_order(rs)``, so each class comes
+    largest first.
+    """
+    place = {r.key: i for i, r in enumerate(total_order(rs))}
+
+    def key(v):
+        if rs.is_positive(v.root):
+            cls = m + 1 - v.color
+        else:
+            plus = rs.simple_index(rs.negate(v.root)) < rs.split_s
+            cls = 0 if plus else m + 1
+        return (cls, -place[v.root.key])
+
+    return key
+
+
 def componentwise_fr_compatible(rs, m: int, a, b) -> bool:
     """Compatibility split by components.
 
@@ -369,17 +393,17 @@ def componentwise_fr_compatible(rs, m: int, a, b) -> bool:
 def pair_graph_by_lengths(ctx) -> list:
     """The neighbour bitmask of each vertex position, one length per pair.
 
-    A pair's word applies the earlier of its steps first, so its images are
-    the later reflection applied to the earlier vertex's prefix, gamma's
-    images after that vertex's own reflection; the pair is a face when
-    their reflection length is l(gamma) - 2.
+    A pair's word applies the step of its higher position first, so its
+    images are the lower one's reflection applied to the higher vertex's
+    prefix, gamma's images after that vertex's own reflection; the pair is
+    a face when their reflection length is l(gamma) - 2.
     """
     steps, image_length = ctx.steps, ctx.system.image_length
     target = ctx.gamma.length - 2
     adjacency = [0] * len(steps)
     prefixes = []
-    for b in sorted(range(len(steps)), key=steps.__getitem__):
-        t = steps[b][2].__getitem__
+    for b in reversed(range(len(steps))):
+        t = steps[b].__getitem__
         for a, prefix in prefixes:
             if image_length(tuple(map(t, prefix))) == target:
                 adjacency[a] |= 1 << b
@@ -853,7 +877,7 @@ def _relabelled(cx, keep, facets) -> SimplicialComplex:
     objects = [cx.objects[i] for i in keep] if cx.objects is not None else None
     return SimplicialComplex([cx.vertices[i] for i in keep],
                              [tuple(remap[v] for v in f) for f in facets],
-                             objects=objects, meta=cx.meta)
+                             objects=objects)
 
 
 def link(cx, v: int) -> SimplicialComplex:
@@ -878,8 +902,7 @@ def skeleton(cx, k: int) -> SimplicialComplex:
         return SimplicialComplex(cx.vertices, [], objects=cx.objects)
     facets = [f for f in cx.faces() if len(f) == k + 1]
     facets += [f for f in cx.facets if len(f) <= k]
-    return SimplicialComplex(cx.vertices, facets, objects=cx.objects,
-                             meta=cx.meta)
+    return SimplicialComplex(cx.vertices, facets, objects=cx.objects)
 
 
 def labeled_facets(cx) -> list:
@@ -914,18 +937,13 @@ def shelling_by_definition(cx, order) -> ShellingOrder:
 def shelling_by_vertex_decomposition(cx):
     """A shelling order of cx by recursive vertex decomposition, or None.
 
-    Shedding vertices are tried in the order of the complex's
-    ``vertex_rank``, if any, else by index, with memoization on the induced
+    Shedding vertices are tried by index, with memoization on the induced
     facet sets; cone points are peeled off first.  The search is complete
     for vertex decomposability, so it shells restrictions of cluster
     complexes that the lexicographic order of ``construct_shelling`` does
     not, such as the pentagon less a vertex.
     """
-    candidates = list(range(len(cx.vertices)))
-    rank = cx.meta.get("vertex_rank")
-    if rank:
-        candidates.sort(key=lambda v: rank[cx.vertices[v]])
-    return _vd_order(cx.facets, candidates, {})
+    return _vd_order(cx.facets, list(range(len(cx.vertices))), {})
 
 
 def _vd_order(facets: tuple, candidates: list, memo: dict):

@@ -269,6 +269,27 @@ def test_ncp_on_products(phi, m, capsys):
     for comp in clustercomplexes.build_root_system(phi).components:
         size *= fuss_catalan(comp, m)
     assert report["poset_size"] == size
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["ncp-poset-size"]["detail"] == {"expected": size}
+
+
+@pytest.mark.parametrize("phi, m", [("B3", 1), ("A2", 3), ("A2", 1),
+                                    ("I2(5)", 2), ("H3", 1)])
+def test_ncp_checks_the_poset_size(phi, m, capsys, monkeypatch):
+    argv = ["ncp", "--phi", phi, "--m", str(m), "--format", "json"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    check = next(c for c in report["checks"] if c["id"] == "ncp-poset-size")
+    want = fuss_catalan(clustercomplexes.build_root_system(phi), m)
+    assert check == {"id": "ncp-poset-size", "ok": True,
+                     "detail": {"expected": want}}
+    assert report["poset_size"] == want
+    # a wrong count fails the check, and only it
+    monkeypatch.setattr(cli, "fuss_catalan", lambda rs, m_: want + 1)
+    assert run(argv) == 1
+    failed = [c["id"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["ok"]]
+    assert failed == ["ncp-poset-size"]
 
 
 def test_polygon_guards_m0(capsys):
@@ -478,7 +499,7 @@ def test_kcm_symmetry_self_check_failure_exits_1(monkeypatch, capsys):
         # A2, m=1 is a pentagon, and no transposition is an automorphism
         cx, adjacency = real(rs, m)
         bad = SimplicialComplex(cx.vertices, cx.facets, objects=cx.objects,
-                                meta=cx.meta, symmetry=[1, 0, 2, 3, 4])
+                                symmetry=[1, 0, 2, 3, 4])
         return bad, adjacency
 
     monkeypatch.setattr(cli, "build_complex", swapped)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from clustercomplexes import colored
 from clustercomplexes.colored import (ColoredRoot, _max_cliques, _pair_graph,
-                                      build_complex, canonical_label,
+                                      _word, build_complex, canonical_label,
                                       colored_vertices, deformed_coxeter,
                                       fr_compatible, get_context, is_face,
                                       positive_part, rm_map, tau,
@@ -23,11 +23,12 @@ from conftest import ACCEPTANCE_MATRIX
 from exact_oracles import (complex_by_all_pairs, component_of,
                            componentwise_fr_compatible, delete,
                            facets_as_label_sets, is_identity,
-                           join_of_components, labeled_facets, link,
+                           join_of_components, link,
                            max_cliques_by_sets, maximal_faces_by_sets,
                            pair_graph_by_lengths, parabolic,
                            permutation_is_face, skeleton, subcomplex_below,
-                           subsystem, two_length_is_face, word_of_face)
+                           subsystem, two_length_is_face, word_of_face,
+                           word_order_key)
 
 A2_FACETS_M1 = {
     frozenset(f) for f in [
@@ -302,7 +303,7 @@ class TestBuildComplex:
     def test_m0_is_the_negative_simplex(self):
         rs = build_root_system("B2")
         cx, _ = build_complex(rs, 0)
-        assert labeled_facets(cx) == [("-s1", "-s2")]
+        assert facets_as_label_sets(cx) == {frozenset(["-s1", "-s2"])}
 
     @pytest.mark.parametrize("label,m", [(l, m) for l in ("A2", "A3", "B2",
                                                           "B3", "G2")
@@ -351,11 +352,15 @@ class TestBuildComplex:
         rs = build_root_system(label)
         cx, adjacency = build_complex(rs, m)
         objects, facets, near = join_of_components(rs, m)
-        assert [v.key() for v in cx.objects] == [v.key() for v in objects]
-        assert list(cx.facets) == facets
-        assert adjacency == {i: frozenset(j for j in range(len(near))
-                                          if bits >> j & 1)
-                             for i, bits in enumerate(near)}
+        # the two sides are matched by the product's vertex labels
+        labels = [canonical_label(rs, v) for v in objects]
+        assert sorted(cx.vertices) == sorted(labels)
+        assert facets_as_label_sets(cx) == \
+            {frozenset(labels[v] for v in f) for f in facets}
+        assert {cx.vertices[i]: {cx.vertices[j] for j in near_i}
+                for i, near_i in adjacency.items()} == \
+            {labels[i]: {labels[j] for j in range(len(near)) if bits >> j & 1}
+             for i, bits in enumerate(near)}
         conv = [1]
         for comp in rs.components:
             part = build_complex(comp, m)[0].f_vector()
@@ -403,6 +408,59 @@ class TestBuildComplex:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             build_complex(build_root_system("A2"), -1)
+
+
+class TestVertexOrder:
+
+    @pytest.mark.parametrize("label", ["A1", "A3", "B3", "D4", "H3", "I2(2)",
+                                       "I2(5)", "I2(8)", "A1xA2", "B2xG2",
+                                       "A1xA1xA1"])
+    def test_vertices_are_the_colored_total_order(self, label):
+        # per component in turn: -Pi_minus, the colors 1 .. m, -Pi_plus,
+        # each by the total order, which is the word order reversed
+        rs = build_root_system(label)
+        comps = [id(c) for c in rs.components]
+        for m in range(4):
+            key = word_order_key(rs, m)
+            vertex_set = [ColoredRoot(rs.negate(a), 1) for a in rs.simple_roots]
+            vertex_set += [ColoredRoot(r, c) for r in rs.positive_roots
+                           for c in range(1, m + 1)]
+            want = sorted(vertex_set, key=lambda v: (
+                comps.index(id(component_of(rs, v.root))),
+                *(-x for x in key(v))))
+            ctx = get_context(rs, m)
+            assert [v.key() for v in ctx.vertices] == [v.key() for v in want]
+            assert build_complex(rs, m)[0].objects == tuple(ctx.vertices)
+
+    @pytest.mark.parametrize("label, m", ACCEPTANCE_MATRIX + PRODUCT_CASES)
+    def test_word_is_the_class_order(self, label, m, complexes):
+        # a face's word, its positions from the highest down, is its
+        # vertices sorted by (class, -place); across components only the
+        # order inside each component is fixed, since their reflections
+        # commute
+        rs, cx, _ = complexes(label, m)
+        ctx = get_context(rs, m)
+        key = word_order_key(rs, m)
+        comp = [id(component_of(rs, v.root)) for v in ctx.vertices]
+
+        def by_key(positions):
+            return [ctx.steps[p] for p in
+                    sorted(positions, key=lambda p: key(ctx.vertices[p]))]
+
+        def product(word):
+            out = rs.identity_element()
+            for t in word:
+                out = out * GroupElement(rs, t)
+            return out
+
+        for face in cx.faces():
+            if rs.is_irreducible:
+                assert _word(ctx, face) == by_key(face)
+                continue
+            for c in set(comp):
+                part = [p for p in face if comp[p] == c]
+                assert _word(ctx, part) == by_key(part)
+            assert product(_word(ctx, face)) == product(by_key(face))
 
 
 PAIR_GRAPH_LABELS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
