@@ -22,8 +22,8 @@ import sys
 from math import comb
 
 from . import __version__
-from .colored import (build_complex, fr_compatible, positive_part,
-                      typeA_polygon_oracle)
+from .colored import (build_complex, fr_compatible, negative_simples,
+                      positive_part, typeA_polygon_oracle)
 from .noncrossing import build_Lm, homotopy_compare, moebius, nc_interval
 from .roots import build_root_system
 from .simplicial import f_h_vectors
@@ -197,8 +197,7 @@ def cmd_fvector(args: argparse.Namespace) -> dict:
 def cmd_homology(args: argparse.Namespace) -> dict:
     rs, cx, _ = _load_complex(args)
     _check_homology_cap(cx)
-    pos = positive_part(cx)
-    full, prof = homology(cx), homology(pos)
+    full, prof = homology(cx), homology(cx, removed=negative_simples(cx))
     want, sphere_dim = _positive_wedge(rs, args.m)
     return {"full": full.to_dict(), "positive": prof.to_dict(),
             "checks": [_check("wedge-positive",
@@ -332,8 +331,8 @@ def cmd_verify_all(args: argparse.Namespace) -> dict:
         got = [sizes.count(i) for i in range(len(h))]
         add("shelling-h-vector-%s" % name, got == list(h), h_vector=got)
     # wedge counts
-    add("wedge-positive", homology(pos).concentrated(sphere_dim, want),
-        expected=want)
+    wedge = homology(cx, removed=negative_simples(cx))
+    add("wedge-positive", wedge.concentrated(sphere_dim, want), expected=want)
     chi = pos.euler_characteristic_reduced()
     add("euler-identity", chi == (-1 if sphere_dim % 2 else 1) * want, chi=chi)
     # the (m+1)-CM audit, and a ridge's witness that it is best possible

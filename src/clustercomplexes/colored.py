@@ -333,10 +333,16 @@ def _pair_graph(ctx: ComplexContext) -> list:
     return adjacency
 
 
+def negative_simples(cx: SimplicialComplex) -> int:
+    """The bitmask of the vertices of cx that are negative simple roots."""
+    return sum(1 << i for i, lab in enumerate(cx.vertices)
+               if lab.startswith("-s"))
+
+
 def positive_part(cx: SimplicialComplex) -> SimplicialComplex:
-    """Induced subcomplex on the colored positive roots."""
-    keep = [i for i, lab in enumerate(cx.vertices) if not lab.startswith("-s")]
-    return cx.induce(keep)
+    """Induced subcomplex on the vertices outside ``negative_simples``."""
+    negatives = negative_simples(cx)
+    return cx.induce(i for i in range(len(cx.vertices)) if not negatives >> i & 1)
 
 
 # -- the polygon model for type A ---------------------------------------------------

@@ -52,17 +52,17 @@ first use.
 
 The simple roots span, so an element is fixed by its images
 w(alpha_1), .., w(alpha_n): the tuple of their indices in ``roots``, read
-at ``simple_positions``.  Reflection length is memoized per such tuple.
-Coordinate systems read it by Carter's lemma off integer rows: on the
-first length, each root's expansion pairs are scaled by the common
-denominator of all of them (1 or 2) into int pairs (p, q) = p + q*sqrt5,
-and the rank of w - I goes to the fraction-free elimination
+at ``simple_positions``.  Reflection length and descent sets are memoized
+per such tuple.  Coordinate systems read length by Carter's lemma off
+integer rows: on the first length, each root's expansion pairs are scaled
+by the common denominator of all of them (1 or 2) into int pairs (p, q) =
+p + q*sqrt5, and the rank of w - I goes to the fraction-free elimination
 ``exact.pair_eliminate``.  ``descents`` answers l(t w) = l(w) - 1 for every
 reflection t at once: l(t_beta w) < l(w) exactly when beta lies in
 Mov(w) = Im(w - 1) (Brady and Watt), that is when it is orthogonal to the
 left kernel of w - I, which the same elimination carries out beside an
-identity block; it leaves l(w) in the memo.  I2(m) reads both off the two images:
-it tells a rotation from a reflection.
+identity block; it leaves l(w) in the memo.  I2(m) reads both off the
+two images: it tells a rotation from a reflection.
 """
 from __future__ import annotations
 
@@ -149,12 +149,14 @@ class RootSystem:
 
     def _set_roots(self, positives: list, negatives: list):
         """``roots``, the positive roots then their negatives in turn, with
-        the index of each root's key and of each root's negative."""
+        the index of each root's key and of each root's negative, and the
+        empty memos keyed by images."""
         npos = len(positives)
         self.positive_roots = positives
         self.roots = positives + negatives
         self._index = {r.key: i for i, r in enumerate(self.roots)}
         self._neg = [*range(npos, 2 * npos), *range(npos)]
+        self._lengths, self._descent_sets = {}, {}
 
     def index_of(self, root: Root) -> int:
         return self._index[root.key]
@@ -230,14 +232,14 @@ class RootSystem:
             out[i] = out[neg[i]] = GroupElement(self, perms[i])
         return out
 
-    def _reflection_length(self, images: tuple) -> int:
-        raise NotImplementedError
-
     def descents(self, images: tuple) -> int:
         """The bitmask of the i with l(t w) = l(w) - 1, t the reflection in
         ``positive_roots[i]`` and w(alpha_j) = roots[images[j]]; l(w) lands
-        in the length memo."""
-        raise NotImplementedError
+        in the length memo, and the bitmask in a memo of its own."""
+        out = self._descent_sets.get(images)
+        if out is None:
+            out = self._descent_sets[images] = self._descents(images)
+        return out
 
     def numerology(self) -> Numerology:
         raise NotImplementedError
@@ -282,7 +284,6 @@ class CoordinateRootSystem(RootSystem):
         self._simple_perms = self._simple_reflections(order, images)
         self._components = None
         self._reflections = None
-        self._lengths = {}
         self._int_expansions = None
         self._flat = None  # the positive rows of the table, flattened
         self.contexts = {}
@@ -359,7 +360,7 @@ class CoordinateRootSystem(RootSystem):
         # span.
         return pair_eliminate(self._moved_rows(images), len(images))
 
-    def descents(self, images: tuple) -> int:
+    def _descents(self, images: tuple) -> int:
         # beta lies in Im(w - I) exactly when y . beta = 0 for every y in
         # the left kernel of w - I.  Each row of w - I is followed by its
         # row of an identity block; the rows the elimination leaves zero in
@@ -462,7 +463,6 @@ class DihedralRootSystem(RootSystem):
         self._simple_perms = [tuple((2 * k + m - j) % (2 * m)
                                     for j in range(2 * m)) for k in (0, m - 1)]
         self._reflections = None
-        self._lengths = {}
         self.contexts = {}
         self.rho = None
 
@@ -501,7 +501,7 @@ class DihedralRootSystem(RootSystem):
             return 1
         return 0 if a == 0 else 2
 
-    def descents(self, images: tuple) -> int:
+    def _descents(self, images: tuple) -> int:
         # The identity has no descent and a rotation has every reflection
         # as one; a reflection k -> a - k has its own root, at the angle
         # (a - m)/2 mod m, as its one descent.

@@ -5,12 +5,14 @@ lexicographic order in the vertex numbering; a generalized cluster complex
 numbers its vertices in the colored total order, whose lexicographic
 order shells it.  The order is checked in one pass by its restriction
 faces, so a returned order is a checked certificate; no order is searched
-for.  Homology is integral and read off a face table that
-indexes every face once, with its vertex bitmask, boundary and cofaces,
-kept on its complex with the complex's one audit object, and so with its
-link memo, for every later homology or audit of that complex.  A profile
-is taken of any subcomplex given as the table's cells by size, less a
-vertex set: ``noncrossing`` reads skeleta, restrictions and fibers this way.
+for.  Homology is integral and read off a face table that indexes every
+face once, with its vertex bitmask, cofaces and boundary (a tuple, signed
+by place), kept on its complex with the complex's one audit object, and
+so with its link memo, for every later homology or audit of that complex.
+A profile is taken of any subcomplex given as the table's cells by size,
+less a vertex set: ``homology`` reads a vertex restriction, such as the
+positive part, off the complex's own table, and ``noncrossing`` reads
+skeleta, restrictions and fibers this way.
 A chain complex is a set of the table's cells with the boundary restricted
 to them; it is coreduced first, which keeps the integral homology and
 creates no fill-in, and only what is left is eliminated on unit pivots,
@@ -232,11 +234,12 @@ class _FaceTable:
     """Every face of a complex, indexed once, for homology.
 
     ``faces[k]`` lists the faces with k vertices, ``masks[k]`` their vertex
-    bitmasks, ``columns[k]`` their boundary columns {position in
-    faces[k-1]: +-1} and ``cofaces[k]`` their cofaces' positions in
-    faces[k+1].  The table lives as long as its complex, and so does the
-    complex's audit, which ``_audit_of`` keeps on it: every audit of the
-    complex shares it.
+    bitmasks, ``columns[k]`` their boundary columns: the positions in
+    faces[k-1] of their (k-1)-subsets, as ``itertools.combinations`` lists
+    them, so entry p omits vertex k-1-p and has the sign (-1)^(k-1-p).
+    ``cofaces[k]`` holds their cofaces' positions in faces[k+1].  The
+    table lives as long as its complex, and so does the complex's audit,
+    which ``_audit_of`` keeps on it: every audit of the complex shares it.
     """
 
     audit = None  # the complex's _Audit, once _audit_of has built it
@@ -254,8 +257,9 @@ class _FaceTable:
         self.masks = [[sum(1 << v for v in face) for face in fs]
                       for fs in self.faces]
         self.columns = [None] + [
-            [{index[k - 1][face[:d] + face[d + 1:]]: -1 if d % 2 else 1
-              for d in range(k)} for face in self.faces[k]]
+            [tuple(map(index[k - 1].__getitem__,
+                       itertools.combinations(face, k - 1)))
+             for face in self.faces[k]]
             for k in range(1, dim + 2)]
         self.cofaces = [[[] for _ in fs] for fs in self.faces]
         for k in range(1, dim + 2):
@@ -268,13 +272,15 @@ class _FaceTable:
 
         ``ups[j]`` lists faces with base + j vertices, ``ups[0]`` the base
         cell alone; the faces of a listed face that contain the base cell
-        are listed too.  The base is paired with one cell above it, then the rest is
-        coreduced, last queued first: a cell with one kept boundary face
-        goes with that face.  Its boundary is +-1 times the face, so the
-        pair's reduction (Kaczynski, Mrozek and Slusarek, 1998) deletes a
-        row and a column and keeps the integral homology.  The columns left
-        go to ``integer_rank_torsion`` as they are.  Returns (betti,
-        torsion, chi); entry j of the first two belongs to degree j - 1.
+        are listed too.  The base is paired with one cell above it, then
+        the rest is coreduced breadth-first, first queued first: a cell
+        with one kept boundary face goes with that face.  Its boundary is
+        +-1 times the face, so the pair's reduction (Kaczynski, Mrozek and
+        Slusarek, 1998) deletes a row and a column and keeps the integral
+        homology.  The columns left, if any, go to ``integer_rank_torsion``
+        with their signs; on the cluster, link and order complexes measured
+        none were left.  Returns (betti, torsion, chi); entry j of
+        the first two belongs to degree j - 1.
         """
         masks, columns, cofaces = self.masks, self.columns, self.cofaces
         # each kept cell with its number of kept boundary faces; top cells
@@ -283,9 +289,9 @@ class _FaceTable:
                  for j, cells in enumerate(ups)] + [{}]
         top = len(ups)
         chi = sum(-len(c) if j % 2 == 0 else len(c) for j, c in enumerate(alive))
-        stack = [(1, next(iter(alive[1])))] if alive[1] else []
-        while stack:
-            j, c = stack.pop()
+        queue = collections.deque([(1, next(iter(alive[1])))] if alive[1] else ())
+        while queue:
+            j, c = queue.popleft()
             cells = alive[j]
             if cells.get(c) != 1:
                 continue
@@ -301,13 +307,14 @@ class _FaceTable:
                     if n is not None:
                         up[d] = n - 1
                         if n == 2:
-                            stack.append((jj, d))
+                            queue.append((jj, d))
         ranks = [0] * (top + 1)
         torsion = [()] * (top + 1)
         for j in range(1, top):
             below = alive[j - 1]
-            cols = [{r: v for r, v in columns[base + j][c].items() if r in below}
-                    for c, n in alive[j].items() if n]
+            k = base + j
+            cols = [{r: (-1) ** (k - 1 - p) for p, r in enumerate(columns[k][c])
+                     if r in below} for c, n in alive[j].items() if n]
             if cols:
                 ranks[j], torsion[j] = integer_rank_torsion(cols)
         betti = [len(alive[j]) - ranks[j] - ranks[j + 1] for j in range(top)]
@@ -319,15 +326,17 @@ class _FaceTable:
                 removed: int = 0) -> HomologyProfile:
         """Reduced integral homology of a subcomplex of the table.
 
-        ``cells[k]`` lists its cells with k vertices, every cell of the
-        table when None, and the cells meeting ``removed`` are left out;
-        what is left must be closed under taking faces.  The degrees run
-        up to the largest listed size minus one.  The reduction starts at
-        the empty face, so the first coreductions walk a spanning forest.
-        Only {()} has homology in degree -1.
+        ``cells[k]`` lists its cells with k vertices, and the cells meeting
+        ``removed`` are left out; what is left must be closed under taking
+        faces.  The degrees run up to the largest listed size minus one.
+        When None, every cell is listed, of each size a kept cell has: the
+        restriction missing ``removed``, in its own degrees.  The reduction
+        starts at the empty face, so the first coreductions walk a spanning
+        forest.  Only {()} has homology in degree -1.
         """
-        if cells is None:
-            cells = [range(len(fs)) for fs in self.faces]
+        if cells is None:  # the sizes kept are 0 .. the largest kept size
+            cells = [range(len(fs)) for fs, ms in zip(self.faces, self.masks)
+                     if any(not mask & removed for mask in ms)]
         betti, torsion, chi = self._reduce(0, cells, removed)
         start = 0 if betti[0] else 1
         return HomologyProfile(tuple(betti[start:]), tuple(torsion[start:]),
@@ -524,9 +533,10 @@ def _audit_of(cx: SimplicialComplex) -> _Audit:
     return table.audit
 
 
-def homology(cx: SimplicialComplex) -> HomologyProfile:
-    """Reduced integral simplicial homology of the augmented chain complex."""
-    return _table_of(cx).profile()
+def homology(cx: SimplicialComplex, removed: int = 0) -> HomologyProfile:
+    """Reduced integral homology of cx induced on the vertices outside the
+    bitmask ``removed``, read off cx's one face table in its own degrees."""
+    return _table_of(cx).profile(removed=removed)
 
 
 # -- sphere counts -------------------------------------------------------------------

@@ -37,33 +37,63 @@ def test_verify_all_smallest_case():
     assert run(["verify-all", "--phi", "A2", "--m", "1"]) == 0
 
 
+def _recording_tables(monkeypatch) -> list:
+    """The facet list of every face table built from now on, in turn."""
+    from clustercomplexes import topology
+    tables = []
+    real = topology._FaceTable.__init__
+
+    def recording(self, facets):
+        tables.append(tuple(facets))
+        real(self, facets)
+
+    monkeypatch.setattr(topology._FaceTable, "__init__", recording)
+    return tables
+
+
 @pytest.mark.parametrize("phi, m", [("A2", 1), ("B3", 2), ("I2(5)", 2),
-                                    ("A1xA2", 2)])
+                                    ("A1xA2", 2), ("D4", 1)])
 def test_verify_all_builds_the_audit_data_once(phi, m, monkeypatch, capsys):
     # the (m+1)-CM audit and the witness search read one face table of the
-    # complex, with one link index and one memo of link verdicts; homology
-    # and the homotopy comparison read the one table of each complex too
+    # complex, with one link index and one memo of link verdicts; the
+    # positive part's homology is read off that table too, so only the
+    # homotopy comparison (irreducible, rank <= 3) builds more: one table
+    # of the positive part, for its face-to-tuple map, and one of the
+    # order complex
     from clustercomplexes import topology
-    built, tables = [], []
+    built = []
     real = topology._Audit.__init__
-    real_table = topology._FaceTable.__init__
 
     def recording(self, cx, table):
         built.append(cx)
         real(self, cx, table)
 
-    def recording_table(self, facets):
-        tables.append(tuple(facets))
-        real_table(self, facets)
-
     monkeypatch.setattr(topology._Audit, "__init__", recording)
-    monkeypatch.setattr(topology._FaceTable, "__init__", recording_table)
+    tables = _recording_tables(monkeypatch)
     assert run(["verify-all", "--phi", phi, "--m", str(m)]) == 0
     capsys.readouterr()
+    rs = clustercomplexes.build_root_system(phi)
+    cx, _ = clustercomplexes.build_complex(rs, m)
     assert len(built) == 1
-    assert built[0].dimension() == \
-        clustercomplexes.build_root_system(phi).rank - 1
-    assert len(set(tables)) == len(tables)
+    assert built[0].dimension() == rs.rank - 1
+    if rs.is_irreducible and rs.rank <= 3:
+        assert tables[:2] == [cx.facets,
+                              clustercomplexes.positive_part(cx).facets]
+        assert len(tables) == 3
+    else:
+        assert tables == [cx.facets]
+
+
+@pytest.mark.parametrize("phi, m", [("A2", 0), ("A2", 2), ("B3", 1),
+                                    ("A1xB2", 2), ("D4", 1)])
+def test_homology_builds_one_face_table(phi, m, monkeypatch, capsys):
+    # the positive part is read off the complex's own table
+    tables = _recording_tables(monkeypatch)
+    assert run(["homology", "--phi", phi, "--m", str(m)]) == 0
+    capsys.readouterr()
+    cx, _ = clustercomplexes.build_complex(
+        clustercomplexes.build_root_system(phi), m)
+    assert tables == [cx.facets]
 
 
 @pytest.mark.parametrize("m", range(4))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercomplexes import colored
+from clustercomplexes import colored, roots
 from clustercomplexes.colored import (ColoredRoot, _max_cliques, _pair_graph,
                                       _word, build_complex, canonical_label,
                                       colored_vertices, deformed_coxeter,
@@ -578,9 +578,30 @@ class TestBuilderReference:
         assert len(lookups) == 24 + len(cx.facets)
         assert products == []
 
+    @pytest.mark.parametrize("label", ["A2", "B3"])
+    def test_a_second_m_runs_no_elimination(self, label, monkeypatch):
+        # descent sets and lengths are memoized by images, and t gamma does
+        # not depend on m
+        monkeypatch.setattr(roots, "_build_cache", {})
+        rs = build_root_system(label)
+        build_complex(rs, 2)
+        calls = []
+        real = roots.pair_eliminate
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(roots, "pair_eliminate", counting)
+        cx, _ = build_complex(rs, 3)
+        assert calls == []
+        assert len(cx.facets) == fuss_catalan(rs, 3)
+
     def test_a_reflection_off_gamma_trips_the_self_check(self, monkeypatch):
         rs = build_root_system("A3")
         real = rs.descents
+        # the system is shared and its memos outlive the call: poison a copy
+        monkeypatch.setattr(rs, "_lengths", dict(rs._lengths))
 
         def poisoned(images):
             out = real(images)

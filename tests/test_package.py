@@ -1,9 +1,12 @@
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import clustercomplexes
 
@@ -17,6 +20,24 @@ def test_library_has_no_assert_statements():
         found += ["%s:%d" % (path.relative_to(root), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--phi", "D4", "--m", "2", "--format", "json"],
+    ["verify-all", "--phi", "B3", "--m", "2", "--format", "json"]])
+def test_checks_survive_python_O(argv):
+    # -O strips asserts and sets __debug__ False; the reports must not move
+    src = Path(clustercomplexes.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "clustercomplexes", *argv],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert all(c["ok"] for c in json.loads(outs[1])["checks"])
 
 
 CACHE_CONSTRUCTORS = ("dict", "set", "defaultdict", "OrderedDict", "Counter")

@@ -1,13 +1,16 @@
 import collections
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustercomplexes import cli, topology
-from clustercomplexes.colored import build_complex, positive_part
+from clustercomplexes.colored import (build_complex, negative_simples,
+                                      positive_part)
+from clustercomplexes.noncrossing import build_Lm, nc_interval, order_complex
 from clustercomplexes.roots import build_root_system
 from clustercomplexes.simplicial import SimplicialComplex, f_to_h
 from clustercomplexes.topology import (ShellingFailure, codim1_incidence,
@@ -268,6 +271,81 @@ class TestHomology:
         assert prof.groups() == {1: (1, ())}
 
 
+# the acceptance matrix, the products and I2(5), at m = 0 .. 3
+RESTRICTION_CASES = [(label, m) for label in ("A2", "A3", "B2", "B3", "G2",
+                                              "A1xA1", "A1xA2", "A1xB2",
+                                              "A2xA2", "A1xA1xA1", "I2(5)")
+                     for m in range(4)]
+
+
+def _signed(table, k: int, c: int) -> dict:
+    """Column c of the cells with k vertices as {row: sign}, by the table's
+    rule: entry p omits vertex k - 1 - p and has the sign (-1)^(k-1-p)."""
+    return {r: (-1) ** (k - 1 - p) for p, r in enumerate(table.columns[k][c])}
+
+
+def _assert_chain_complex(table):
+    for k in range(1, len(table.faces)):
+        below = table.faces[k - 1]
+        for c, face in enumerate(table.faces[k]):
+            assert [below[r] for r in table.columns[k][c]] == \
+                [face[:k - 1 - p] + face[k - p:] for p in range(k)]
+            if k < 2:
+                continue
+            total = collections.Counter()
+            for r, sign in _signed(table, k, c).items():
+                for rr, inner in _signed(table, k - 1, r).items():
+                    total[rr] += sign * inner
+            assert not any(total.values()), face
+
+
+class TestRestrictedHomology:
+
+    @pytest.mark.parametrize("label, m", RESTRICTION_CASES)
+    def test_equals_the_induced_complex(self, label, m, complexes):
+        # W: the negative simple roots, two seeded random vertex sets, and
+        # every vertex, which leaves {()}
+        _, cx, _ = complexes(label, m)
+        n = len(cx.vertices)
+        rng = random.Random("%s/%d" % (label, m))
+        negatives = negative_simples(cx)
+        removals = [negatives] + [
+            sum(1 << v for v in rng.sample(range(n), rng.randrange(n + 1)))
+            for _ in range(2)] + [(1 << n) - 1]
+        for removed in removals:
+            keep = [v for v in range(n) if not removed >> v & 1]
+            assert homology(cx, removed=removed).to_dict() == \
+                homology(cx.induce(keep)).to_dict(), keep
+        assert homology(cx, removed=negatives) == homology(positive_part(cx))
+        assert homology(cx, removed=(1 << n) - 1).to_dict() == {
+            "betti": [1], "torsion": [[]], "euler_reduced": -1,
+            "first_degree": -1}
+
+    def test_the_positive_part_is_outside_the_negative_simples(
+            self, complexes):
+        for label, m in RESTRICTION_CASES:
+            _, cx, _ = complexes(label, m)
+            negatives = negative_simples(cx)
+            assert [lab for v, lab in enumerate(cx.vertices)
+                    if negatives >> v & 1] == \
+                [lab for lab in cx.vertices if lab.startswith("-s")]
+            assert positive_part(cx).vertices == tuple(
+                lab for v, lab in enumerate(cx.vertices)
+                if not negatives >> v & 1)
+
+    @pytest.mark.parametrize("label, m", RESTRICTION_CASES)
+    def test_boundary_squares_to_zero(self, label, m, complexes,
+                                      positive_complexes):
+        _, cx, _ = complexes(label, m)
+        for complex_ in (cx, positive_complexes(label, m)):
+            _assert_chain_complex(topology._table_of(complex_))
+
+    def test_boundary_squares_to_zero_on_an_order_complex(self):
+        L = build_Lm(nc_interval(build_root_system("A3")), 2)
+        _assert_chain_complex(
+            topology._table_of(order_complex(L, range(1, len(L)))))
+
+
 class TestSphereCounts:
 
     def test_formula_values(self):
@@ -334,6 +412,28 @@ class TestSphereCounts:
 
 
 class TestKCM:
+
+    def test_coreduction_pairs_every_cell_of_these_audits(self, monkeypatch):
+        # breadth-first coreduction leaves no column to eliminate; last
+        # queued first left six blocks of full row rank on these audits
+        calls = []
+        real = topology.integer_rank_torsion
+
+        def counting(columns):
+            calls.append(len(columns))
+            return real(columns)
+
+        monkeypatch.setattr(topology, "integer_rank_torsion", counting)
+        cx, _ = build_complex(build_root_system("B3"), 2)
+        assert kcm_audit(cx, 3).passed
+        assert not kcm_audit(cx, 4, sizes=[3], max_failures=1).passed
+        cx, _ = build_complex(build_root_system("A3"), 3)
+        assert kcm_audit(cx, 4, mode="sample", seed=1).passed
+        assert calls == []
+        # torsion still reaches the elimination
+        assert homology(SimplicialComplex(list("abcdef"), RP2)).torsion[1] \
+            == (2,)
+        assert calls
 
     def test_full_complex_passes_at_m_plus_one(self, complexes):
         for label, m in [("A2", 1), ("A2", 2), ("A2", 3), ("A3", 1), ("A3", 2)]:
